@@ -1,4 +1,4 @@
-"""Benchmark driver: measure one workload for a fixed time, print one JSON line.
+"""Benchmark entry point: measure one workload for a fixed time, print one JSON line.
 
 Run from the repository root:
 

@@ -3,7 +3,7 @@
 Each workload builds its inputs from the workload seed alone and drives the
 package through its public functions, as a user of the library or the CLI
 would.  One pass is one set-up followed by every operation of the workload;
-the driver in run.py repeats passes for the measured time.
+run.py repeats passes for the measured time.
 
 Protocol defaults shared by every cell: Gaussian kernel with sigma = 1,
 U = sqrt(B)/2, lambda = U/(2 sqrt(B)), epsilon = 0.7, eta = 5e-4, the
