@@ -55,7 +55,6 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORK_DIR = HERE / ".work"
 DEFAULT_SEED = 3
-MIN_SETUPS = 3
 
 END_TO_END = {
     "setup_s": "s",
@@ -109,14 +108,18 @@ PER_LAYER = {
 }
 
 
-def measure(workload, seed: int, seconds: float, traced: bool) -> tuple[list, list]:
+def measure(workload, seed: int, seconds: float, traced: bool) -> tuple[list, float]:
     """Run passes for about ``seconds``; traced runs trace odd passes.
 
     Another pass starts only while the run would end nearer ``seconds`` with
-    it than without it.  Returns the passes and the set-up times of the
-    run: one per pass, topped up with set-ups alone to at least MIN_SETUPS.
+    it than without it, and always until an untraced run has three passes
+    (three set-ups for the median of ``setup_s``) and a traced run has one
+    pass of each kind.  Returns the passes and the peak RSS in MB at the end
+    of the first pass, which is the same however many passes follow.
     """
     passes = []
+    peak_rss_mb = 0.0
+    min_passes = 2 if traced else 3
     start_run = time.monotonic()
     while True:
         spans = Spans() if traced and len(passes) % 2 == 1 else None
@@ -125,17 +128,13 @@ def measure(workload, seed: int, seconds: float, traced: bool) -> tuple[list, li
         with patched(workloads.layer_patches(spans)) if spans else nullcontext():
             workload.run_pass(seed, p)
         p.wall_ns = time.perf_counter_ns() - start
+        if not passes:
+            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         passes.append(p)
         elapsed = time.monotonic() - start_run
-        if elapsed + elapsed / len(passes) / 2 > seconds \
-                and (not traced or len(passes) >= 2):
+        if elapsed + elapsed / len(passes) / 2 > seconds and len(passes) >= min_passes:
             break
-    setups = [p.setup_ns for p in passes]
-    while len(setups) < MIN_SETUPS:
-        p = workloads.Pass()
-        workload.setup(seed, p)
-        setups.append(p.setup_ns)
-    return passes, setups
+    return passes, peak_rss_mb
 
 
 def check(workload: str, seed: int, passes: list, reference: dict) -> None:
@@ -169,17 +168,17 @@ def check(workload: str, seed: int, passes: list, reference: dict) -> None:
                 op.errors.append("trace differs from the first pass")
 
 
-def end_to_end(passes: list, setups: list[int]) -> dict[str, float]:
+def end_to_end(passes: list, peak_rss_mb: float) -> dict[str, float]:
     rounds = np.concatenate([r for p in passes for r in p.recorder.round_ns])
     run_ns = sum(p.recorder.run_ns for p in passes)
     p50, p99 = np.percentile(rounds, [50, 99]) / 1e3
     return {
-        "setup_s": statistics.median(setups) / 1e9,
+        "setup_s": statistics.median(p.setup_ns for p in passes) / 1e9,
         "run_s": statistics.median(p.run_ns for p in passes) / 1e9,
         "rounds_per_s": rounds.size / (run_ns / 1e9),
         "round_us_p50": float(p50),
         "round_us_p99": float(p99),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": peak_rss_mb,
     }
 
 
@@ -256,21 +255,17 @@ def _openblas() -> list[dict]:
 
 
 def _git_sha() -> str | None:
-    """HEAD of the checkout, read from .git without leaving the checkout."""
-    git = ROOT / ".git"
+    """HEAD of the checkout, or None when it is not a git repository.
+
+    The ceiling keeps git from looking for a repository above the checkout.
+    """
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(ROOT.parent))
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).is_file():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, env=env,
+                             capture_output=True, text=True, check=False)
     except OSError:
-        pass
-    return None
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
 
 
 def environment() -> dict:
@@ -285,16 +280,16 @@ def environment() -> dict:
     }
 
 
-def report(name: str, seed: int, traced: bool, passes: list, setups: list[int]) -> None:
+def report(name: str, seed: int, traced: bool, passes: list, peak_rss_mb: float) -> None:
     ops = [op for p in passes for op in p.ops]
     failed = [op for op in ops if op.errors]
     if traced:
         values, units = per_layer(passes), PER_LAYER
     else:
-        values, units = end_to_end(passes, setups), END_TO_END
+        values, units = end_to_end(passes, peak_rss_mb), END_TO_END
     samples = sum(r.size for p in passes if not p.spans for r in p.recorder.round_ns)
     print(f"{name} seed={seed} trace={int(traced)} passes={len(passes)} "
-          f"set-ups={len(setups)} round samples={samples}")
+          f"round samples={samples}")
     for metric, unit in units.items():
         print(f"  {metric:<40} {values[metric]:>16.6g} {unit}")
     print(f"  {'failed_frac':<40} {len(failed) / len(ops):>16.6g} ratio "
@@ -342,12 +337,13 @@ def main(argv: list[str] | None = None) -> int:
     workload = workloads.WORKLOADS[args.workload]()
     workload.prepare(args.seed, WORK_DIR)
     try:
-        passes, setups = measure(workload, args.seed, args.seconds, bool(args.trace))
+        passes, peak_rss_mb = measure(workload, args.seed, args.seconds,
+                                      bool(args.trace))
     finally:
         workload.cleanup()
     check(args.workload, args.seed, passes,
           json.loads((HERE / "reference.json").read_text()))
-    report(args.workload, args.seed, bool(args.trace), passes, setups)
+    report(args.workload, args.seed, bool(args.trace), passes, peak_rss_mb)
     return 0
 
 

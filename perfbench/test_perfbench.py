@@ -82,6 +82,7 @@ def test_traced_verify_pass_changes_no_result():
         assert a.errors == b.errors == []
         assert (a.trace is None and b.trace is None) or a.trace.same_as(b.trace)
     assert plain.setup_ns == plain.load_ns > 0
+    assert plain.run_ns > 0
 
 
 def test_same_seed_same_inputs_and_other_seed_other_inputs(tmp_path):
@@ -98,7 +99,8 @@ def test_same_seed_same_inputs_and_other_seed_other_inputs(tmp_path):
     assert texts[0] == texts[1] != texts[2]
 
     verify = workloads.Verify(T=50, d=4)
-    loaded = [examples(verify.setup(seed, workloads.Pass())) for seed in (1, 1, 2)]
+    loaded = [examples(data.load_dataset(verify.descriptor(seed)))
+              for seed in (1, 1, 2)]
     assert loaded[0] == loaded[1] != loaded[2]
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+import resource
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,7 +51,7 @@ def current_rss_mb() -> float:
     """Resident set size of this process now, from /proc/self/statm."""
     with open("/proc/self/statm", encoding="ascii") as fh:
         pages = int(fh.read().split()[1])
-    return pages * 4096 / 2**20
+    return pages * resource.getpagesize() / 2**20
 
 
 @dataclass
@@ -211,13 +212,6 @@ class Verify:
     def descriptor(self, seed: int) -> str:
         return f"synth:noisy:T={self.T},d={self.d},flip={FLIP},seed={seed}"
 
-    def setup(self, seed: int, p: Pass) -> data.Dataset:
-        """The load_dataset calls the two commands make, made on their own."""
-        load = p.load(data.load_dataset)
-        ds = [load(self.descriptor(seed)) for _ in ("check-bounds", "alignment")]
-        p.setup_ns = p.load_ns
-        return ds[-1]
-
     def run_pass(self, seed: int, p: Pass) -> None:
         desc = self.descriptor(seed)
         main = p.layer("cli.main", cli.main)
@@ -229,7 +223,7 @@ class Verify:
                                          "--data", desc])
             suites = self._suites(code, out, err, p.recorder.traces)
             code, out, err = _cli(main, ["alignment", "--data", desc])
-            p.run_ns = clock() - start
+            p.run_ns = clock() - start - p.load_ns
         alignment = Op("alignment")
         if code != 0:
             alignment.errors.append(f"alignment exited {code}: {err.strip()}")
