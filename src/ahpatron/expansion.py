@@ -6,9 +6,16 @@ squared RKHS norm.  Terms are a multiset -- duplicate instances are kept as
 separate terms and never merged, because budget maintenance splits the
 active set by per-update coefficients.
 
-The norm cache is updated incrementally on insert/scale and reset from a
-from-scratch quadratic form after every removal event (the only place drift
-can accumulate).
+Per-term arrays (examples, coefficients, squared norms, dense rows) are kept
+in insertion order.  The Gram matrix is addressed through a slot map
+(logical position -> Gram slot) so that evicting one term moves no Gram
+entries; the map stays the identity, with contiguous Gram slices, until the
+first single-term eviction and returns to it at every compaction.
+
+The norm cache is updated incrementally on insert, scale and single-term
+eviction.  It is reset from a from-scratch quadratic form at every
+compaction (the halving path) and after every n single-term evictions,
+where n is the active-set size, so eviction drift cannot accumulate.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ class Expansion:
     """
 
     __slots__ = ("spec", "_dim", "_n", "_examples", "_alphas", "_xsq", "_X",
-                 "_gram", "_sq_norm")
+                 "_gram", "_slot", "_evictions", "_sq_norm")
 
     def __init__(self, spec: KernelSpec, dim: int = 0):
         self.spec = spec
@@ -53,6 +60,10 @@ class Expansion:
         self._xsq = np.zeros(_MIN_CAPACITY)
         self._X = np.zeros((_MIN_CAPACITY, self._dim))
         self._gram = np.zeros((_MIN_CAPACITY, _MIN_CAPACITY))
+        # Gram slot of each logical position; None is the identity map.
+        self._slot: np.ndarray | None = None
+        # Single-term evictions since the norm cache was last reset.
+        self._evictions = 0
         self._sq_norm = 0.0
 
     @classmethod
@@ -108,10 +119,18 @@ class Expansion:
 
     @property
     def gram(self) -> np.ndarray:
-        """Read-only view of the active-set Gram matrix."""
-        view = self._gram[: self._n, : self._n]
-        view.flags.writeable = False
-        return view
+        """Read-only active-set Gram matrix in insertion order.
+
+        A view while the slot map is the identity, else a gathered copy.
+        """
+        n = self._n
+        if self._slot is None:
+            g = self._gram[:n, :n]
+        else:
+            s = self._slot[:n]
+            g = self._gram[np.ix_(s, s)]
+        g.flags.writeable = False
+        return g
 
     @property
     def sq_norm(self) -> float:
@@ -164,9 +183,15 @@ class Expansion:
         self._alphas[n] = coeff
         self._xsq[n] = x.sq_norm
         self._X[n, : self._dim] = x.dense(self._dim)
-        self._gram[n, :n] = row
-        self._gram[:n, n] = row
-        self._gram[n, n] = kxx
+        if self._slot is None:
+            self._gram[n, :n] = row
+            self._gram[:n, n] = row
+            self._gram[n, n] = kxx
+        else:
+            live, j = self._slot[:n], self._slot[n]
+            self._gram[j, live] = row
+            self._gram[live, j] = row
+            self._gram[j, j] = kxx
         self._n = n + 1
         sq = self._sq_norm + 2.0 * coeff * fx + coeff * coeff * kxx
         # Exact cancellations can land a hair below zero.
@@ -220,15 +245,39 @@ class Expansion:
         old = self._sq_norm
         fresh = self._quadratic_form()
         self._sq_norm = fresh
+        self._evictions = 0
         return abs(old - fresh) / max(1.0, fresh)
 
-    def remove_term(self, i: int) -> None:
-        """Delete term i; Gram shrinks and the norm cache is reset from scratch."""
+    def remove_term(self, i: int) -> float:
+        """Delete term i in O(n*d + n); later terms shift down one position.
+
+        The norm cache is updated via
+        |f - a_i k(x_i,.)|^2 = |f|^2 - 2 a_i (G a)_i + a_i^2 kappa(x_i,x_i),
+        and reset from scratch once every n evictions (n the remaining size).
+        Returns the relative drift seen at that reset, 0.0 on other calls.
+        """
         n = self._n
         if not 0 <= i < n:
             raise IndexError(i)
-        keep = [j for j in range(n) if j != i]
-        self._compact(keep, self._alphas[keep])
+        if self._slot is None:
+            self._slot = np.arange(self._alphas.shape[0])
+        s = self._slot
+        victim = s[i]
+        a = self._alphas[:n]
+        g = self._gram[victim, s[:n]]
+        ai = a[i]
+        sq = self._sq_norm - 2.0 * ai * float(g @ a) + ai * ai * g[i]
+        self._sq_norm = sq if sq > 0.0 else 0.0
+        # Overlapping slice assignments are buffered by numpy.
+        for arr in (self._alphas, self._xsq, self._X, s):
+            arr[i : n - 1] = arr[i + 1 : n]
+        s[n - 1] = victim  # the freed slot is the next insert's
+        del self._examples[i]
+        self._n = n - 1
+        self._evictions += 1
+        if self._evictions >= self._n:
+            return self.reset_norm_cache()
+        return 0.0
 
     def replace_with_subset(self, keep: Sequence[int], new_coeffs: Sequence[float]) -> None:
         """Keep only ``keep`` (insertion order), assigning them new coefficients.
@@ -248,6 +297,8 @@ class Expansion:
     def clear(self) -> None:
         self._examples.clear()
         self._n = 0
+        self._slot = None
+        self._evictions = 0
         self._sq_norm = 0.0
 
     def copy(self) -> "Expansion":
@@ -258,7 +309,7 @@ class Expansion:
         out._alphas[:n] = self._alphas[:n]
         out._xsq[:n] = self._xsq[:n]
         out._X[:n] = self._X[:n, : out._dim]
-        out._gram[:n, :n] = self._gram[:n, :n]
+        out._gram[:n, :n] = self.gram
         out._n = n
         out._sq_norm = self._sq_norm
         return out
@@ -270,7 +321,7 @@ class Expansion:
         if n == 0:
             return 0.0
         a = self._alphas[:n]
-        q = float(a @ (self._gram[:n, :n] @ a))
+        q = float(a @ (self.gram @ a))
         if q < -_NEG_QFORM_TOL:
             raise GramCorruption(f"quadratic form {q} < -{_NEG_QFORM_TOL}")
         return q if q > 0.0 else 0.0
@@ -282,9 +333,12 @@ class Expansion:
         self._alphas[:m] = coeffs
         self._xsq[:m] = self._xsq[keep]
         self._X[:m] = self._X[keep]
-        self._gram[:m, :m] = self._gram[np.ix_(keep, keep)]
+        slots = keep if self._slot is None else self._slot[keep]
+        self._gram[:m, :m] = self._gram[np.ix_(slots, slots)]
+        self._slot = None
         self._n = m
         self._sq_norm = self._quadratic_form()
+        self._evictions = 0
 
     def _reserve(self, n: int) -> None:
         cap = self._alphas.shape[0]
@@ -301,8 +355,9 @@ class Expansion:
         X = np.zeros((new_cap, self._dim))
         X[:k] = self._X[:k]
         gram = np.zeros((new_cap, new_cap))
-        gram[:k, :k] = self._gram[:k, :k]
+        gram[:k, :k] = self.gram  # gathered into insertion order
         self._alphas, self._xsq, self._X, self._gram = alphas, xsq, X, gram
+        self._slot = None
 
     def _grow_dim(self, dim: int) -> None:
         X = np.zeros((self._X.shape[0], dim))

@@ -244,7 +244,7 @@ class OnlineLearner:
                     victim = 0
                 else:
                     victim = self._rng.below(f.size)
-                f.remove_term(victim)
+                self._note_drift(f.remove_term(victim))
                 row = np.delete(row, victim)
             f.insert(ex, float(ex.y), row=row)
         return RoundOutcome(self.rounds, pred, margin, mistake, triggered, False)
@@ -266,6 +266,11 @@ class OnlineLearner:
             f.project_ball(cfg.U)
         return RoundOutcome(self.rounds, pred, margin, mistake, triggered, removal, distance)
 
+    def _note_drift(self, drift: float) -> None:
+        """Keep the largest norm-cache drift seen at a from-scratch reset."""
+        if drift > self.max_cache_drift:
+            self.max_cache_drift = drift
+
     def _halve(self) -> float:
         """Remove half the active set, projecting its mass onto the survivors.
 
@@ -274,9 +279,7 @@ class OnlineLearner:
         """
         cfg = self.config
         f = self.hypothesis
-        drift = f.reset_norm_cache()
-        if drift > self.max_cache_drift:
-            self.max_cache_drift = drift
+        self._note_drift(f.reset_norm_cache())
         if cfg.ct_mode == CT_NORM_RATIO:
             radius = f.norm()
         else:

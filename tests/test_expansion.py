@@ -238,6 +238,62 @@ def test_cache_coherent_after_mixed_operations():
         assert abs(f.sq_norm - scratch) <= 1e-8 * max(1.0, f.sq_norm)
 
 
+def _check_against_oracles(f):
+    terms = f.terms
+    if not terms:
+        assert f.gram.shape == (0, 0) and f.sq_norm == 0.0
+        return
+    xs = [e.x for e, _ in terms]
+    assert np.allclose(f.gram, gram_matrix(GAUSS, xs), rtol=0.0, atol=1e-12)
+    assert f.sq_norm == pytest.approx(quadratic_norm_sq(GAUSS, terms),
+                                      rel=1e-10, abs=1e-12)
+
+
+def test_slot_map_stays_coherent_under_mixed_operations():
+    # White-box: the slot map must survive periodic norm resets and a
+    # capacity growth while permuted, so the test counts that both happen.
+    gen = SplitMix64(174)
+    f = Expansion(GAUSS, dim=4)
+    periodic_resets = permuted_growths = 0
+    for _ in range(260):
+        roll = gen.below(20)
+        if roll < 10 or f.size == 0:
+            if f._slot is not None and f.size == f._alphas.shape[0]:
+                permuted_growths += 1
+            c = gen.uniform() * 2.0 - 1.0
+            f.insert(random_examples(gen, 1, 4)[0], c if c != 0.0 else 0.5)
+        elif roll < 17:
+            f.remove_term(gen.below(f.size))
+            periodic_resets += f._evictions == 0
+        elif roll < 19:
+            f.scale(0.5 + gen.uniform())
+        else:
+            keep = [i for i in range(f.size) if gen.below(4) != 0]
+            f.replace_with_subset(keep, [gen.uniform() for _ in keep])
+        _check_against_oracles(f)
+    assert periodic_resets >= 1
+    assert permuted_growths >= 1
+
+
+def test_copy_and_clear_after_slots_are_permuted():
+    gen = SplitMix64(179)
+    f = random_expansion(gen, 10)
+    for i in (3, 0, 5):
+        f.remove_term(i)
+    f.insert(random_examples(gen, 1, 6)[0], 0.7)
+    g = f.copy()
+    assert g.terms == f.terms
+    _check_against_oracles(g)
+    g.remove_term(1)
+    g.insert(random_examples(gen, 1, 6)[0], -0.4)
+    _check_against_oracles(g)
+    _check_against_oracles(f)
+    f.clear()
+    for e in random_examples(gen, 4, 6):
+        f.insert(e, 0.3)
+    _check_against_oracles(f)
+
+
 def test_remove_term_updates_gram_and_examples():
     gen = SplitMix64(151)
     f = random_expansion(gen, 6)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -374,6 +375,65 @@ def test_budget_baselines_respect_budget():
         trace = run(LearnerConfig(algo, GAUSS, B=6, seed=7), ds.examples)
         assert int(trace.active_sizes.max()) <= 6
         assert invariant_violations(trace) == []
+
+
+def test_budget_learners_record_periodic_drift(monkeypatch):
+    # remove_term resets the norm cache once per active-set size evictions;
+    # the drift it reports must reach max_cache_drift.
+    reset = Expansion.reset_norm_cache
+
+    def reset_with_marker(self):
+        reset(self)
+        return 1e-3
+
+    monkeypatch.setattr(Expansion, "reset_norm_cache", reset_with_marker)
+    ds = synth_noisy(300, 3, 0.3, seed=5)
+    for algo in ("budget-oldest", "budget-random"):
+        learner = OnlineLearner(LearnerConfig(algo, GAUSS, B=6, seed=7), dim=3)
+        for e in ds.examples:
+            learner.step(e)
+        assert learner.max_cache_drift == 1e-3
+
+
+def _sha256(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+# Hashes and counts of the dense-compaction remove_term: margins and counts
+# must not move.  Budget baseline norms are not pinned, since the incremental
+# eviction norm update changes their last bits; ahpatron never evicts a single
+# term, so its norms stay bitwise.
+_PINNED = {
+    "budget-oldest": (
+        "fe4efefee66c093a55272458cab5ad8bb7df32101cd24c3796f1de38aa6b1b72",
+        None, (370, 371, 0, 0), 371, 16),
+    "budget-random": (
+        "8ebc5d93361bc38f82acc3a4d96d75fd20f3ca7b37e0bee6f609e32b8b86f31e",
+        None, (377, 378, 0, 0), 378, 16),
+    "ahpatron": (
+        "7945bba917d4e80e9d84bd706799e1277d3f52504a479cce488d0fa707a7159f",
+        "baf8445d805324f782efe07ac75ed2e1770811c7710851f27e72defe15ee87df",
+        (204, 205, 179, 46), 384, 16),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(_PINNED))
+def test_traces_match_pinned_hashes(algo):
+    ds = synth_noisy(1500, 6, 0.15, seed=29)
+    if algo == "ahpatron":
+        cfg = ahpatron_config(B=16, U=2.0, lam=0.25, eps=0.7, ct_mode="norm-ratio")
+    else:
+        cfg = LearnerConfig(algo, GAUSS, B=16, seed=5)
+    trace = run(cfg, ds.examples)
+    margins, norms, counts, updates, final_size = _PINNED[algo]
+    assert _sha256(trace.margins) == margins
+    if norms is not None:
+        assert _sha256(trace.norms) == norms
+    m = metrics(trace)
+    assert (m.mistakes, m.margin_mistakes, m.low_confidence, m.removals) == counts
+    assert int(np.count_nonzero(trace.triggered)) == updates
+    assert trace.final_size == final_size
+    assert invariant_violations(trace) == []
 
 
 # -- run ---------------------------------------------------------------------------------------
