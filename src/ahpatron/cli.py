@@ -154,8 +154,9 @@ def _build_parser() -> _Parser:
     p_chk.add_argument("--gamma", type=float, default=0.5)
     p_chk.add_argument("--seed", type=int, default=0)
     p_chk.add_argument("--limit", type=int, default=5000,
-                       help="truncate the permuted stream (comparator cost is "
-                       "quadratic in T)")
+                       help="truncate the permuted stream; 0 keeps all of it "
+                       "(comparator time is quadratic in T, its memory is "
+                       "bounded by a fixed row block)")
     p_chk.add_argument("--out", default=None)
     p_chk.add_argument("--format", choices=("csv", "json"), default="csv")
     p_chk.set_defaults(func=cmd_check_bounds)
@@ -165,7 +166,8 @@ def _build_parser() -> _Parser:
     p_al.add_argument("--data", required=True)
     p_al.add_argument("--sigma", type=float, default=1.0)
     p_al.add_argument("--cap", type=int, default=20000,
-                      help="refuse streams longer than this (O(T^2) cost)")
+                      help="refuse streams longer than this (O(T^2) time; "
+                      "memory is bounded by a fixed row block)")
     p_al.set_defaults(func=cmd_alignment)
 
     p_gen = sub.add_parser("gen", help="emit a synthetic dataset as LIBSVM text")
@@ -382,11 +384,11 @@ def _bench_cell(task: tuple[str, LearnerConfig]) -> dict:
 
 def cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    budgets = ([int(b) for b in args.B.split(",")] if args.B else [None])
-    epsilons = ([float(e) for e in args.epsilons.split(",")]
+    budgets = _csv_list(args.B, int, "--B") if args.B else [None]
+    epsilons = (_csv_list(args.epsilons, float, "--epsilons")
                 if args.epsilons else list(EPSILON_GRID))
     if args.seed_list:
-        seeds = [int(s) for s in args.seed_list.split(",")]
+        seeds = _csv_list(args.seed_list, int, "--seed-list")
     else:
         seeds = list(range(args.seeds))
     data_specs = list(dict.fromkeys(args.data))
@@ -435,6 +437,13 @@ def cmd_bench(args) -> int:
         print(f"{agg['dataset']} {agg['algo']} B={agg['B']} eps={agg['epsilon']}: "
               f"AMR {agg['amr_mean']}% +/- {agg['amr_std']}{best}")
     return 2 if failures else 0
+
+
+def _csv_list(text: str, kind, flag: str) -> list:
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise CliError(f"bad {flag} value {text!r}") from None
 
 
 def _aggregate_path(out: str) -> str:
@@ -596,6 +605,8 @@ def cmd_check_bounds(args) -> int:
             canonical = BOUND_SUITES[raw]
             if canonical not in names:
                 names.append(canonical)
+    if args.limit < 0:
+        raise CliError(f"--limit must be >= 0, got {args.limit}")
     ds = _load(args.data)
     stream = permute(ds, args.seed)
     if args.limit and len(stream.examples) > args.limit:
@@ -647,7 +658,7 @@ def cmd_alignment(args) -> int:
     if len(ds.examples) > args.cap:
         raise CliError(
             f"stream length {len(ds.examples)} exceeds --cap {args.cap} "
-            "(alignment is O(T^2))"
+            "(alignment time is O(T^2))"
         )
     kernel = KernelSpec.gaussian(args.sigma)
     examples = ds.examples
@@ -668,10 +679,13 @@ def cmd_alignment(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "separable":
-        ds = synth_separable(args.T, args.d, args.margin, args.seed)
-    else:
-        ds = synth_noisy(args.T, args.d, args.flip, args.seed, margin=args.margin)
+    try:
+        if args.kind == "separable":
+            ds = synth_separable(args.T, args.d, args.margin, args.seed)
+        else:
+            ds = synth_noisy(args.T, args.d, args.flip, args.seed, margin=args.margin)
+    except ValueError as e:
+        raise CliError(str(e)) from e
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             format_libsvm(ds, fh)

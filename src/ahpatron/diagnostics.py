@@ -8,9 +8,15 @@ reporting all named components.  Checks that run with satisfied
 preconditions must hold on every run; a violation indicates an
 implementation bug, not bad luck.
 
-The default comparator is the scaled label mean embedding
+The bounds see a fixed comparator f only through its scores f(x_t) on the
+stream and its squared norm |f|^2, so a comparator is a Comparator holding
+exactly those; Comparator.of evaluates any Expansion into one.  The default
+comparator is the scaled label mean embedding
 f_bar = (1/T) sum_t y_t kappa(x_t, .), the one hypothesis guaranteed to lie
-in the radius-U ball whenever U >= 1 and the kernel has unit diagonal.
+in the radius-U ball whenever U >= 1 and the kernel has unit diagonal.  Its
+scores, its norm and the kernel alignment all follow from g = K y, which is
+built in row blocks of at most _BLOCK_ENTRIES kernel values: memory stays
+O(T d + _BLOCK_ENTRIES) while time stays quadratic in T.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ from .learners import (
 BOUND_TOL = 1e-6
 _NORM_SLACK = 1e-9
 _PARAM_RTOL = 1e-9
+# Kernel values per row block of K y: 2M float64 entries, 16 MB.
+_BLOCK_ENTRIES = 1 << 21
 
 
 class PreconditionViolation(Exception):
@@ -84,46 +92,75 @@ def metrics(trace: RunTrace) -> TraceMetrics:
     return TraceMetrics(m, m_prime, n_low, removals, m / trace.T)
 
 
-def hinge_loss_of(f: Expansion, stream: Sequence[LabeledExample]) -> float:
+@dataclass(frozen=True, eq=False)
+class Comparator:
+    """A fixed hypothesis as the bound checks read it: its scores f(x_t) on
+    each stream example, in stream order, and its squared RKHS norm."""
+
+    scores: np.ndarray
+    sq_norm: float
+
+    @classmethod
+    def of(cls, f: Expansion, stream: Sequence[LabeledExample]) -> "Comparator":
+        """Evaluate an expansion on every stream example."""
+        scores = np.array([f.evaluate(ex.x) for ex in stream])
+        return cls(scores, f.recompute_norm() ** 2)
+
+
+def hinge_loss_of(f: Comparator, stream: Sequence[LabeledExample]) -> float:
     """Cumulative hinge loss of a fixed hypothesis over the stream."""
-    total = 0.0
-    for ex in stream:
-        total += max(0.0, 1.0 - ex.y * f.evaluate(ex.x))
-    return total
+    y = _labels(stream)
+    if f.scores.shape != y.shape:
+        raise ValueError(
+            f"comparator has {f.scores.size} scores for a stream of {y.size}"
+        )
+    return float(np.sum(np.maximum(0.0, 1.0 - y * f.scores)))
 
 
-def mean_embedding(stream: Sequence[LabeledExample], spec: KernelSpec) -> Expansion:
-    """(1/T) sum_t y_t kappa(x_t, .); norm <= 1 for unit-diagonal kernels."""
+def _labels(stream: Sequence[LabeledExample]) -> np.ndarray:
+    return np.array([float(ex.y) for ex in stream])
+
+
+def _kernel_times_labels(
+    stream: Sequence[LabeledExample], spec: KernelSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """(y, g) with g = K y, K the stream's Gram matrix, one row block at a time."""
     if not stream:
         raise ValueError("stream must be nonempty")
-    T = len(stream)
-    gram = pairwise_kernel(spec, [ex.x for ex in stream])
-    return Expansion.from_terms(
-        spec, [(ex, ex.y / T) for ex in stream], gram=gram
-    )
+    xs = [ex.x for ex in stream]
+    y = _labels(stream)
+    rows = max(1, _BLOCK_ENTRIES // len(xs))
+    g = np.empty(len(xs))
+    for i in range(0, len(xs), rows):
+        g[i : i + rows] = pairwise_kernel(spec, xs[i : i + rows], xs) @ y
+    return y, g
+
+
+def mean_embedding(stream: Sequence[LabeledExample], spec: KernelSpec) -> Comparator:
+    """(1/T) sum_t y_t kappa(x_t, .); norm <= 1 for unit-diagonal kernels."""
+    y, g = _kernel_times_labels(stream, spec)
+    T = len(y)
+    sq = float(y @ g) / (T * T)
+    # Exact cancellations can land a hair below zero.
+    return Comparator(g / T, sq if sq > 0.0 else 0.0)
 
 
 def default_comparator(
     stream: Sequence[LabeledExample], spec: KernelSpec, U: float
-) -> Expansion:
+) -> Comparator:
     """Mean embedding rescaled to norm min(1, U); zero if the embedding is zero."""
     f = mean_embedding(stream, spec)
-    nrm = f.recompute_norm()
-    if nrm == 0.0:
-        return Expansion(spec)
-    f.scale(min(1.0, U) / nrm)
-    return f
+    if f.sq_norm == 0.0:
+        return Comparator(np.zeros_like(f.scores), 0.0)
+    c = min(1.0, U) / math.sqrt(f.sq_norm)
+    return Comparator(c * f.scores, c * c * f.sq_norm)
 
 
 def kernel_alignment(stream: Sequence[LabeledExample], spec: KernelSpec) -> float:
     """sum_t kappa(x_t, x_t) - (1/T) y' K y; >= 0 for PSD kernels."""
-    if not stream:
-        raise ValueError("stream must be nonempty")
-    T = len(stream)
-    k = pairwise_kernel(spec, [ex.x for ex in stream])
-    y = np.array([float(ex.y) for ex in stream])
+    y, g = _kernel_times_labels(stream, spec)
     diag = sum(kernel_diag(spec, ex.x) for ex in stream)
-    return float(diag - (y @ (k @ y)) / T)
+    return float(diag - (y @ g) / len(y))
 
 
 # -- bound checks ----------------------------------------------------------
@@ -145,13 +182,13 @@ def _require_unit_diagonal(spec: KernelSpec, stream: Sequence[LabeledExample]) -
     )
 
 
-def _require_in_ball(comparator: Expansion, U: float) -> float:
-    nrm = comparator.recompute_norm()
+def _require_in_ball(comparator: Comparator, U: float) -> float:
+    nrm = math.sqrt(comparator.sq_norm)
     _require(
         nrm <= U * (1.0 + _NORM_SLACK),
         f"comparator norm {nrm} exceeds U={U}",
     )
-    return nrm
+    return comparator.sq_norm
 
 
 def _close(a: float, b: float) -> bool:
@@ -168,7 +205,7 @@ def _adaptive_rates(trace: RunTrace) -> np.ndarray:
 def check_perceptron_bound(
     trace: RunTrace,
     stream: Sequence[LabeledExample],
-    comparator: Expansion,
+    comparator: Comparator,
 ) -> BoundReport:
     """Mistakes <= 2 L_T(f) + |f|^2, for any comparator f in the RKHS."""
     cfg = trace.config
@@ -176,7 +213,7 @@ def check_perceptron_bound(
     _require_unit_diagonal(cfg.kernel, stream)
     m = metrics(trace)
     loss = hinge_loss_of(comparator, stream)
-    norm_sq = comparator.recompute_norm() ** 2
+    norm_sq = comparator.sq_norm
     rhs = 2.0 * loss + norm_sq
     return _report(
         "perceptron_mistake_bound",
@@ -190,7 +227,7 @@ def check_perceptron_bound(
 def check_avp_bound(
     trace: RunTrace,
     stream: Sequence[LabeledExample],
-    comparator: Expansion,
+    comparator: Comparator,
     variant: str = "constant",
 ) -> BoundReport:
     """AVP mistake bounds.
@@ -213,7 +250,7 @@ def check_avp_bound(
         _require(_close(cfg.lam, 1.0), f"constant-rate bound needs lambda = 1, got {cfg.lam}")
         _require(0.5 < cfg.epsilon < 1.0,
                  f"constant-rate bound needs epsilon in (1/2, 1), got {cfg.epsilon}")
-        norm_sq = comparator.recompute_norm() ** 2
+        norm_sq = comparator.sq_norm
         slack = (1.0 - 2.0 * cfg.epsilon) * m.low_confidence
         rhs = 2.0 * loss + norm_sq + slack
         return _report(
@@ -254,7 +291,7 @@ def check_avp_bound(
 def check_ahpatron_bound(
     trace: RunTrace,
     stream: Sequence[LabeledExample],
-    comparator: Expansion,
+    comparator: Comparator,
 ) -> BoundReport:
     """Budgeted mistake bound at the fixed sphere ratio 0.6.
 
@@ -280,7 +317,7 @@ def check_ahpatron_bound(
     ratio = 3.0 * U / math.sqrt(B)
     _require(ratio < cfg.epsilon < 1.0,
              f"bound needs {ratio} < epsilon < 1, got {cfg.epsilon}")
-    norm_sq = _require_in_ball(comparator, U) ** 2
+    norm_sq = _require_in_ball(comparator, U)
     m = metrics(trace)
     loss = hinge_loss_of(comparator, stream)
     n_low = m.low_confidence
@@ -306,7 +343,7 @@ def check_ahpatron_bound(
 def check_refined_bound(
     trace: RunTrace,
     stream: Sequence[LabeledExample],
-    comparator: Expansion,
+    comparator: Comparator,
     gamma: float,
 ) -> BoundReport:
     """Trace-dependent mistake bound under the norm-ratio sphere rule.
@@ -337,7 +374,7 @@ def check_refined_bound(
     ratio = coef * U / math.sqrt(B)
     _require(ratio < cfg.epsilon < 1.0,
              f"refined bound needs {ratio} < epsilon < 1, got {cfg.epsilon}")
-    norm_sq = _require_in_ball(comparator, U) ** 2
+    norm_sq = _require_in_ball(comparator, U)
     m = metrics(trace)
     loss = hinge_loss_of(comparator, stream)
     slack = m.low_confidence / (1.0 - ratio) * (ratio - cfg.epsilon)

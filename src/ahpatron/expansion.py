@@ -20,7 +20,7 @@ where n is the active-set size, so eviction drift cannot accumulate.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,37 +65,6 @@ class Expansion:
         # Single-term evictions since the norm cache was last reset.
         self._evictions = 0
         self._sq_norm = 0.0
-
-    @classmethod
-    def from_terms(
-        cls,
-        spec: KernelSpec,
-        terms: Iterable[tuple[LabeledExample, float]],
-        gram: np.ndarray | None = None,
-    ) -> "Expansion":
-        """Bulk constructor; ``gram`` skips the incremental row computation."""
-        terms = [(ex, float(c)) for ex, c in terms]
-        terms = [(ex, c) for ex, c in terms if c != 0.0]
-        dim = max((ex.x.width for ex, _ in terms), default=0)
-        f = cls(spec, dim)
-        if gram is not None and terms:
-            n = len(terms)
-            if gram.shape != (n, n):
-                raise ValueError("gram shape does not match terms")
-            f._reserve(n)
-            for i, (ex, c) in enumerate(terms):
-                f._examples.append(ex)
-                f._alphas[i] = c
-                f._xsq[i] = ex.x.sq_norm
-                if ex.x.indices:
-                    f._X[i, list(ex.x.indices)] = ex.x.values
-            f._gram[:n, :n] = gram
-            f._n = n
-            f._sq_norm = f._quadratic_form()
-            return f
-        for ex, c in terms:
-            f.insert(ex, c)
-        return f
 
     # -- views ------------------------------------------------------------
 
@@ -300,19 +269,6 @@ class Expansion:
         self._slot = None
         self._evictions = 0
         self._sq_norm = 0.0
-
-    def copy(self) -> "Expansion":
-        out = Expansion(self.spec, self._dim)
-        n = self._n
-        out._reserve(n)
-        out._examples = list(self._examples)
-        out._alphas[:n] = self._alphas[:n]
-        out._xsq[:n] = self._xsq[:n]
-        out._X[:n] = self._X[:n, : out._dim]
-        out._gram[:n, :n] = self.gram
-        out._n = n
-        out._sq_norm = self._sq_norm
-        return out
 
     # -- internals ----------------------------------------------------------
 

@@ -218,7 +218,7 @@ def gram_matrix(spec: KernelSpec, xs: Sequence[SparseVector]) -> np.ndarray:
     """Entrywise Gram matrix, exactly consistent with kernel_eval.
 
     O(n^2) scalar evaluations; meant for active-set sizes.  Large streams
-    (alignment, mean embeddings) go through pairwise_kernel instead.
+    (alignment, mean embeddings) go through pairwise_kernel blocks instead.
     """
     n = len(xs)
     if n == 0:
@@ -233,28 +233,19 @@ def gram_matrix(spec: KernelSpec, xs: Sequence[SparseVector]) -> np.ndarray:
     return m
 
 
-def pairwise_kernel(spec: KernelSpec, xs: Sequence[SparseVector]) -> np.ndarray:
-    """Vectorized Gram matrix (BLAS path; agrees with gram_matrix to fp error)."""
-    n = len(xs)
-    if n == 0:
-        raise ValueError("xs must be nonempty")
-    dim = max(x.width for x in xs)
-    X = np.zeros((n, dim))
-    for i, x in enumerate(xs):
-        if x.indices:
-            X[i, list(x.indices)] = x.values
-    dots = X @ X.T
-    dots = (dots + dots.T) * 0.5
-    if spec.family == LINEAR:
-        return dots
-    if spec.family == POLYNOMIAL:
-        return (dots + spec.offset) ** spec.degree
-    sq = np.array([x.sq_norm for x in xs])
-    d2 = sq[:, None] + sq[None, :] - 2.0 * dots
-    np.maximum(d2, 0.0, out=d2)
-    k = np.exp(-d2 / (2.0 * spec.sigma * spec.sigma))
-    np.fill_diagonal(k, 1.0)
-    return k
+def pairwise_kernel(
+    spec: KernelSpec, xs: Sequence[SparseVector], ys: Sequence[SparseVector]
+) -> np.ndarray:
+    """Kernel block K[i, j] = kappa(xs[i], ys[j]) through kernel_row's BLAS
+    arithmetic (agrees with gram_matrix to fp error when ys is xs)."""
+    if not xs or not ys:
+        raise ValueError("xs and ys must be nonempty")
+    dim = max(max(x.width for x in xs), max(y.width for y in ys))
+    X = np.array([x.dense(dim) for x in xs])
+    Y = np.array([y.dense(dim) for y in ys])
+    xsq = np.array([[x.sq_norm] for x in xs])
+    ysq = np.array([y.sq_norm for y in ys])
+    return kernel_row(spec, X, xsq, Y.T, ysq)
 
 
 def kernel_row(
@@ -268,7 +259,9 @@ def kernel_row(
 
     X and xsq are the stored instances and their cached squared norms; xd
     and x_sq the query.  This is the hot path shared by hypothesis
-    evaluation and incremental Gram updates.
+    evaluation and incremental Gram updates.  With xsq a column, xd a
+    (dim, m) matrix and x_sq a length-m vector it returns the whole
+    len(X) x m block (pairwise_kernel).
     """
     dots = X @ xd
     if spec.family == LINEAR:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .expansion import DegenerateProjection, Expansion, GramCorruption
-from .kernels import KernelSpec, LabeledExample, SparseVector
+from .kernels import KernelSpec, LabeledExample
 from .prng import SplitMix64
 from .solver import ProjectionProblem, SolverDiverged, solve_theta_ladder
 
@@ -191,11 +191,6 @@ class OnlineLearner:
             BUDGET_RANDOM: self._step_budget,
         }[config.algorithm]
 
-    def predict(self, x: SparseVector) -> tuple[int, float]:
-        """(label, score) with label = sign(f(x)) and sign(0) = -1."""
-        score = self.hypothesis.evaluate(x)
-        return (1 if score > 0.0 else -1), score
-
     def step(self, ex: LabeledExample) -> RoundOutcome:
         """Process one example: predict, then update if the trigger fires."""
         out = self._step(ex)
@@ -357,22 +352,6 @@ class RunTrace:
     @property
     def T(self) -> int:
         return len(self.margins)
-
-    def outcome(self, t: int) -> RoundOutcome:
-        dist = float(self.removal_distances[t])
-        return RoundOutcome(
-            round=t,
-            prediction=int(self.predictions[t]),
-            margin=float(self.margins[t]),
-            mistake=bool(self.mistakes[t]),
-            triggered=bool(self.triggered[t]),
-            removal=bool(self.removals[t]),
-            removal_distance=None if math.isnan(dist) else dist,
-        )
-
-    @property
-    def outcomes(self) -> list[RoundOutcome]:
-        return [self.outcome(t) for t in range(self.T)]
 
     def removal_events(self) -> list[tuple[int, float]]:
         """(round, distance) for every halving event, in order."""

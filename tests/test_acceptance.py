@@ -186,7 +186,7 @@ def test_criterion_4_projection_oracle_equivalence():
         m = 1 + gen.below(20)
         k = m
         xs = [random_sparse(gen, 6) for _ in range(m + k)]
-        K = pairwise_kernel(GAUSS, xs)
+        K = pairwise_kernel(GAUSS, xs, xs)
         kept = list(range(m))
         removed = list(range(m, m + k))
         alpha = np.array([gen.uniform() * 2.0 - 1.0 for _ in range(k)])

@@ -165,6 +165,38 @@ def test_check_bounds_unknown_suite():
     assert main(["check-bounds", "--suite", "fermat", "--data", SYNTH]) == 1
 
 
+def test_check_bounds_rejects_negative_limit(capsys):
+    code = main(["check-bounds", "--suite", "removals", "--data", SYNTH,
+                 "--limit", "-5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--limit" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--B", "abc"],
+    ["--epsilons", "0.5,x"],
+    ["--seed-list", "1,a"],
+], ids=["B", "epsilons", "seed-list"])
+def test_bench_rejects_bad_list_values(flags, capsys):
+    code = main(["bench", "--algos", "ahpatron", "--data", SYNTH] + flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flags[0] in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--T", "0"],
+    ["--kind", "noisy", "--flip", "0.7"],
+], ids=["T", "flip"])
+def test_gen_rejects_bad_values(flags, capsys):
+    code = main(["gen"] + flags)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_alignment_identity(capsys):
     code = main(["alignment", "--data", SYNTH])
     assert code == 0

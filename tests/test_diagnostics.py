@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ahpatron.data import synth_noisy, synth_separable
+from ahpatron import diagnostics
 from ahpatron.diagnostics import (
+    Comparator,
     PreconditionViolation,
     check_ahpatron_bound,
     check_avp_bound,
@@ -20,7 +23,14 @@ from ahpatron.diagnostics import (
     metrics,
 )
 from ahpatron.expansion import Expansion
-from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector, kernel_eval
+from ahpatron.kernels import (
+    KernelSpec,
+    LabeledExample,
+    SparseVector,
+    kernel_diag,
+    kernel_eval,
+    pairwise_kernel,
+)
 from ahpatron.learners import LearnerConfig, RunTrace, run
 from ahpatron.prng import SplitMix64
 
@@ -32,6 +42,10 @@ LIN = KernelSpec.linear()
 
 def ex(pairs, y):
     return LabeledExample(SparseVector(pairs), y)
+
+
+def zero_comparator(stream, spec=GAUSS):
+    return Comparator.of(Expansion(spec), stream)
 
 
 def make_trace(config, margins, *, removal_rounds=(), removal_distances=(),
@@ -102,7 +116,7 @@ def test_metrics_counts_from_crafted_trace():
 def test_hinge_loss_zero_hypothesis_is_stream_length():
     gen = SplitMix64(71)
     stream = random_examples(gen, 20, 4)
-    assert hinge_loss_of(Expansion(GAUSS), stream) == pytest.approx(20.0)
+    assert hinge_loss_of(zero_comparator(stream), stream) == pytest.approx(20.0)
 
 
 def test_hinge_loss_zero_when_confident():
@@ -110,7 +124,7 @@ def test_hinge_loss_zero_when_confident():
     f = Expansion(GAUSS, dim=1)
     f.insert(LabeledExample(x, 1), 2.0)
     stream = [LabeledExample(x, 1)] * 4  # margin 2 >= 1 everywhere
-    assert hinge_loss_of(f, stream) == 0.0
+    assert hinge_loss_of(Comparator.of(f, stream), stream) == 0.0
 
 
 def test_hinge_loss_matches_termwise_oracle():
@@ -124,21 +138,28 @@ def test_hinge_loss_matches_termwise_oracle():
     for e in stream:
         score = sum(a * kernel_eval(GAUSS, t.x, e.x) for t, a in f.terms)
         expected += max(0.0, 1.0 - e.y * score)
-    assert hinge_loss_of(f, stream) == pytest.approx(expected, abs=1e-9)
+    assert hinge_loss_of(Comparator.of(f, stream), stream) == pytest.approx(expected, abs=1e-9)
+
+
+def test_hinge_loss_rejects_comparator_of_another_stream():
+    gen = SplitMix64(74)
+    stream = random_examples(gen, 20, 4)
+    with pytest.raises(ValueError):
+        hinge_loss_of(zero_comparator(stream[:19]), stream)
 
 
 def test_mean_embedding_single_example():
     stream = [ex([(0, 1.0)], +1)]
     f = mean_embedding(stream, GAUSS)
-    assert f.terms[0][1] == 1.0
-    assert f.recompute_norm() == pytest.approx(1.0)
+    assert f.scores.tolist() == [1.0]
+    assert f.sq_norm == pytest.approx(1.0)
 
 
 def test_mean_embedding_cancellation():
     x = SparseVector([(0, 1.0)])
     stream = [LabeledExample(x, 1), LabeledExample(x, -1)]
     f = mean_embedding(stream, GAUSS)
-    assert f.recompute_norm() <= 1e-7
+    assert math.sqrt(f.sq_norm) <= 1e-7
 
 
 def test_mean_embedding_norm_bounded():
@@ -146,14 +167,52 @@ def test_mean_embedding_norm_bounded():
     for _ in range(5):
         stream = random_examples(gen, 30, 4)
         f = mean_embedding(stream, GAUSS)
-        assert f.recompute_norm() <= 1.0 + 1e-9
+        assert math.sqrt(f.sq_norm) <= 1.0 + 1e-9
 
 
 def test_default_comparator_norm():
     gen = SplitMix64(83)
     stream = random_examples(gen, 30, 4)
-    assert default_comparator(stream, GAUSS, 0.5).recompute_norm() == pytest.approx(0.5)
-    assert default_comparator(stream, GAUSS, 3.0).recompute_norm() == pytest.approx(1.0)
+    assert math.sqrt(default_comparator(stream, GAUSS, 0.5).sq_norm) == pytest.approx(0.5)
+    assert math.sqrt(default_comparator(stream, GAUSS, 3.0).sq_norm) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("spec", [GAUSS, LIN], ids=["gaussian", "linear"])
+def test_blocked_kernel_times_labels_matches_one_gram(monkeypatch, spec):
+    # 53 rows in blocks of 12: four full blocks and a ragged one of 5.
+    stream = random_examples(SplitMix64(87), 53, 4)
+    monkeypatch.setattr(diagnostics, "_BLOCK_ENTRIES", 12 * 53 + 7)
+    blocks = []
+
+    def spy(spec, xs, ys):
+        blocks.append((len(xs), len(ys)))
+        return pairwise_kernel(spec, xs, ys)
+
+    monkeypatch.setattr(diagnostics, "pairwise_kernel", spy)
+    xs = [e.x for e in stream]
+    y = np.array([float(e.y) for e in stream])
+    g = pairwise_kernel(spec, xs, xs) @ y
+    T = len(stream)
+    f = mean_embedding(stream, spec)
+    assert blocks == [(12, T)] * 4 + [(5, T)]
+    assert np.allclose(f.scores, g / T, rtol=0.0, atol=1e-12)
+    assert f.sq_norm == pytest.approx(float(y @ g) / T**2, rel=0.0, abs=1e-12)
+    diag = sum(kernel_diag(spec, x) for x in xs)
+    assert kernel_alignment(stream, spec) == pytest.approx(
+        diag - float(y @ g) / T, rel=0.0, abs=1e-12)
+
+
+def test_comparator_path_holds_no_gram_matrix():
+    T = 4000
+    stream = synth_noisy(T, 8, 0.1, 5).examples
+    for fn in (mean_embedding, kernel_alignment):
+        tracemalloc.start()
+        try:
+            fn(stream, GAUSS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < T * T * 8, (fn.__name__, peak / 2**20)
 
 
 # -- kernel alignment ------------------------------------------------------------------
@@ -193,7 +252,7 @@ def _linear_comparator(ds):
 def test_perceptron_bound_with_constructed_comparator():
     ds = synth_separable(300, 3, margin=0.6, seed=19)
     trace = run(LearnerConfig("perceptron", LIN), ds.examples)
-    comp = _linear_comparator(ds)
+    comp = Comparator.of(_linear_comparator(ds), ds.examples)
     report = check_perceptron_bound(trace, ds.examples, comp)
     assert report.holds
     # Zero loss, so the bound is the squared comparator norm alone.
@@ -205,7 +264,7 @@ def test_perceptron_bound_zero_comparator():
     gen = SplitMix64(97)
     stream = random_examples(gen, 40, 4)
     trace = run(LearnerConfig("perceptron", GAUSS), stream)
-    report = check_perceptron_bound(trace, stream, Expansion(GAUSS))
+    report = check_perceptron_bound(trace, stream, zero_comparator(stream))
     assert report.rhs == pytest.approx(2.0 * len(stream))
     assert report.holds
 
@@ -218,14 +277,14 @@ def test_perceptron_bound_random_comparators():
         f = Expansion(GAUSS, dim=4)
         for e in random_examples(gen, 5, 4):
             f.insert(e, 3.0 * (gen.uniform() - 0.5) or 0.4)
-        assert check_perceptron_bound(trace, stream, f).holds
+        assert check_perceptron_bound(trace, stream, Comparator.of(f, stream)).holds
 
 
 def test_perceptron_bound_refuses_unnormalized_kernel():
     big = [ex([(0, 3.0)], +1), ex([(0, -3.0)], -1)]  # kappa(x,x) = 9 under linear
     trace = run(LearnerConfig("perceptron", LIN), big)
     with pytest.raises(PreconditionViolation):
-        check_perceptron_bound(trace, big, Expansion(LIN))
+        check_perceptron_bound(trace, big, zero_comparator(big, LIN))
 
 
 def test_perceptron_bound_wrong_algorithm():
@@ -233,7 +292,7 @@ def test_perceptron_bound_wrong_algorithm():
     trace = run(LearnerConfig("avp", GAUSS, U=math.inf, lam=1.0, epsilon=0.75),
                 ds.examples)
     with pytest.raises(PreconditionViolation):
-        check_perceptron_bound(trace, ds.examples, Expansion(GAUSS))
+        check_perceptron_bound(trace, ds.examples, zero_comparator(ds.examples))
 
 
 # -- AVP bounds -----------------------------------------------------------------------------
@@ -244,7 +303,7 @@ def test_avp_constant_bound_formula_on_crafted_trace():
     # 3 margin mistakes (2 true mistakes), 2 low-confidence rounds.
     trace = make_trace(cfg, [-1.0, -0.2, 0.0, 0.1, 0.2, 0.9])
     stream = [ex([(0, 1.0)], 1)] * 6
-    report = check_avp_bound(trace, stream, Expansion(GAUSS), "constant")
+    report = check_avp_bound(trace, stream, zero_comparator(stream), "constant")
     # rhs = 2 * T + (1 - 2 eps) * N with the zero comparator.
     assert report.rhs == pytest.approx(2.0 * 6 + (1.0 - 1.5) * 2)
     assert report.lhs == 2.0
@@ -254,14 +313,14 @@ def test_avp_constant_bound_collapses_without_low_confidence():
     cfg = LearnerConfig("avp", GAUSS, U=math.inf, lam=1.0, epsilon=0.75)
     trace = make_trace(cfg, [-1.0, -0.5, 1.3])
     stream = [ex([(0, 1.0)], 1)] * 3
-    report = check_avp_bound(trace, stream, Expansion(GAUSS), "constant")
+    report = check_avp_bound(trace, stream, zero_comparator(stream), "constant")
     assert report.components["low_confidence"] == 0
     assert report.rhs == pytest.approx(2.0 * 3)  # matches the perceptron rhs
 
 
 def test_avp_constant_bound_preconditions():
     stream = synth_separable(30, 3, 0.5, seed=2).examples
-    comp = Expansion(GAUSS)
+    comp = zero_comparator(stream)
     bad_u = run(LearnerConfig("avp", GAUSS, U=5.0, lam=1.0, epsilon=0.75), stream)
     with pytest.raises(PreconditionViolation):
         check_avp_bound(bad_u, stream, comp, "constant")
@@ -332,7 +391,7 @@ def test_ahpatron_bound_formula_zero_comparator_no_low_confidence():
     cfg = _theorem_config()
     trace = make_trace(cfg, [-1.0, -0.5, -0.1, 1.5])
     stream = [ex([(0, 1.0)], 1)] * 4
-    report = check_ahpatron_bound(trace, stream, Expansion(GAUSS))
+    report = check_ahpatron_bound(trace, stream, zero_comparator(stream))
     # loss = T for the zero comparator; no low-confidence rounds, so
     # rhs = T + max(12 U / sqrt(B), 0.9 U / sqrt(B)) * T with the norm term 0
     # dropped from the winning branch.
@@ -368,7 +427,7 @@ def test_refined_bound_zeta_zero_without_removals():
     cfg = _refined_config(B=16)
     trace = make_trace(cfg, [-1.0, 0.2, 1.5, -0.2])
     stream = [ex([(0, 1.0)], 1)] * 4
-    report = check_refined_bound(trace, stream, Expansion(GAUSS), gamma=0.5)
+    report = check_refined_bound(trace, stream, zero_comparator(stream), gamma=0.5)
     assert report.components["zeta"] == 0.0
     U, B, gamma, eps = cfg.U, 16, 0.5, cfg.epsilon
     ratio = 0.25 * U / math.sqrt(B)
@@ -403,14 +462,15 @@ def test_refined_bound_aggressive_u_fails_precondition():
     assert trace.zeta_max() == pytest.approx(1.9)
     stream = [ex([(0, 1.0)], 1)] * 6
     with pytest.raises(PreconditionViolation):
-        check_refined_bound(trace, stream, Expansion(GAUSS), gamma=0.5)
+        check_refined_bound(trace, stream, zero_comparator(stream), gamma=0.5)
 
 
 def test_refined_bound_gamma_validation():
     cfg = _refined_config(B=16)
     trace = make_trace(cfg, [-1.0])
+    stream = [ex([(0, 1.0)], 1)]
     with pytest.raises(ValueError):
-        check_refined_bound(trace, [ex([(0, 1.0)], 1)], Expansion(GAUSS), gamma=1.0)
+        check_refined_bound(trace, stream, zero_comparator(stream), gamma=1.0)
 
 
 # -- removal count and gap -----------------------------------------------------------------------

@@ -197,8 +197,12 @@ def test_gram_positive_semidefinite():
 def test_pairwise_kernel_agrees_with_gram():
     gen = SplitMix64(31)
     xs = [random_sparse(gen, 6) for _ in range(12)]
+    wide = SparseVector([(8, 1.5)])  # wider than every row of xs
     for spec in (GAUSS, KernelSpec.linear(), KernelSpec.polynomial(2, 0.5)):
-        fast = pairwise_kernel(spec, xs)
+        fast = pairwise_kernel(spec, xs, xs)
         exact = gram_matrix(spec, xs)
         assert np.allclose(fast, exact, rtol=0.0, atol=1e-12)
         assert np.array_equal(fast, fast.T)
+        block = pairwise_kernel(spec, xs, xs[:4] + [wide])
+        exact = gram_matrix(spec, xs + [wide])[:12, [0, 1, 2, 3, 12]]
+        assert np.allclose(block, exact, rtol=0.0, atol=1e-12)

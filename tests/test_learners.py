@@ -89,27 +89,26 @@ def test_config_unknown_algorithm():
 
 
 def test_predict_initial_state():
-    learner = OnlineLearner(LearnerConfig("perceptron", GAUSS), dim=2)
-    label, score = learner.predict(SparseVector([(0, 1.0)]))
-    assert (label, score) == (-1, 0.0)
+    trace = run(LearnerConfig("perceptron", GAUSS), [ex([(0, 1.0)], +1)])
+    assert (int(trace.predictions[0]), float(trace.margins[0])) == (-1, 0.0)
 
 
 def test_predict_single_term():
-    learner = OnlineLearner(LearnerConfig("perceptron", GAUSS), dim=1)
-    x0 = SparseVector([(0, 1.0)])
-    learner.hypothesis.insert(LabeledExample(x0, 1), 1.0)
-    label, score = learner.predict(x0)
-    assert label == 1 and score == pytest.approx(1.0, abs=1e-12)
+    # Round 0 inserts x0 with coefficient 1, so round 1 scores kappa(x0, x0).
+    trace = run(LearnerConfig("perceptron", GAUSS), [ex([(0, 1.0)], +1)] * 2)
+    assert trace.predictions[1] == 1
+    assert trace.margins[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_predict_label_matches_score_sign():
     gen = SplitMix64(41)
-    learner = OnlineLearner(LearnerConfig("perceptron", GAUSS), dim=5)
-    for e in random_examples(gen, 10, 5):
-        learner.hypothesis.insert(e, gen.uniform() * 2 - 1 or 0.3)
-    for e in random_examples(gen, 20, 5):
-        label, score = learner.predict(e.x)
-        assert label == (1 if score > 0 else -1)
+    stream = random_examples(gen, 30, 5)
+    y = np.array([e.y for e in stream])
+    for algo in ("perceptron", "avp"):
+        trace = run(LearnerConfig(algo, GAUSS), stream)
+        # score = y * margin; sign(0) = -1.
+        assert np.array_equal(trace.predictions, np.where(y * trace.margins > 0.0, 1, -1))
+        assert trace.margins[0] == 0.0 and trace.predictions[0] == -1
 
 
 # -- perceptron ------------------------------------------------------------------------
@@ -304,7 +303,9 @@ def test_ahpatron_noproj_matches_sphere_of_survivors():
     f = learner.hypothesis
     alphas = np.asarray(f.alphas)
     removed, kept = split_active_set(alphas, 4)
-    survivors = Expansion.from_terms(GAUSS, [f.terms[i] for i in kept])
+    survivors = Expansion(GAUSS)
+    for i in kept:
+        survivors.insert(*f.terms[i])
     survivors.project_sphere(0.6 * 2.0)
     expected = [c for _, c in survivors.terms]
     learner.step(ex([(used, 1.0)], +1))
@@ -442,8 +443,7 @@ def test_traces_match_pinned_hashes(algo):
 def test_run_single_example_trace():
     trace = run(LearnerConfig("perceptron", GAUSS), [ex([(0, 1.0)], +1)])
     assert trace.T == 1
-    assert len(trace.outcomes) == 1
-    assert trace.outcomes[0].triggered
+    assert trace.triggered[0]
 
 
 def test_run_rejects_empty_stream():

@@ -18,7 +18,7 @@ from oracles import coordinate_descent, projection_objective, random_sparse
 def random_projection_problem(gen, m, k, eta=None):
     """Blocks of a real kernel matrix, so K2 is PSD like in production."""
     xs = [random_sparse(gen, 6) for _ in range(m + k)]
-    K = pairwise_kernel(KernelSpec.gaussian(1.0), xs)
+    K = pairwise_kernel(KernelSpec.gaussian(1.0), xs, xs)
     kept = list(range(m))
     removed = list(range(m, m + k))
     alpha = np.array([gen.uniform() * 2.0 - 1.0 for _ in range(k)])
