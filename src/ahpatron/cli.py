@@ -226,6 +226,12 @@ def _parse_ct(text: str) -> tuple[str, float]:
     raise CliError(f"--ct must be 'fixed:<c>' or 'norm-ratio', got {text!r}")
 
 
+def _gaussian_kernel(sigma: float) -> KernelSpec:
+    if not sigma > 0:
+        raise CliError(f"--sigma must be positive, got {sigma}")
+    return KernelSpec.gaussian(sigma)
+
+
 def build_config(
     algo: str,
     sigma: float,
@@ -261,7 +267,7 @@ def build_config(
         ct_mode, ct_value = CT_FIXED, 0.6  # ignored outside the halving variants
     config = LearnerConfig(
         algorithm=algo,
-        kernel=KernelSpec.gaussian(sigma),
+        kernel=_gaussian_kernel(sigma),
         B=B if algo in BUDGETED_ALGORITHMS else None,
         U=U,
         lam=lam,
@@ -607,12 +613,16 @@ def cmd_check_bounds(args) -> int:
                 names.append(canonical)
     if args.limit < 0:
         raise CliError(f"--limit must be >= 0, got {args.limit}")
+    if args.B is not None and args.B < 2:
+        raise CliError(f"--B must be >= 2, got {args.B}")
+    if not 0.0 < args.gamma < 1.0:
+        raise CliError(f"--gamma must be in (0, 1), got {args.gamma}")
+    kernel = _gaussian_kernel(args.sigma)
     ds = _load(args.data)
     stream = permute(ds, args.seed)
     if args.limit and len(stream.examples) > args.limit:
         stream = Dataset(stream.examples[: args.limit], name=stream.name,
                          feature_count=stream.feature_count)
-    kernel = KernelSpec.gaussian(args.sigma)
 
     results: list[_SuiteResult] = []
     for name in names:
@@ -654,13 +664,13 @@ def cmd_check_bounds(args) -> int:
 
 
 def cmd_alignment(args) -> int:
+    kernel = _gaussian_kernel(args.sigma)
     ds = _load(args.data)
     if len(ds.examples) > args.cap:
         raise CliError(
             f"stream length {len(ds.examples)} exceeds --cap {args.cap} "
             "(alignment time is O(T^2))"
         )
-    kernel = KernelSpec.gaussian(args.sigma)
     examples = ds.examples
     value = kernel_alignment(examples, kernel)
     embedding = mean_embedding(examples, kernel)

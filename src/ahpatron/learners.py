@@ -1,20 +1,28 @@
 """Online learners: perceptron, AVP, Ahpatron, and budget-removal baselines.
 
-All learners follow the predict-then-update protocol: observe x_t, predict
-sign(f_t(x_t)) with sign(0) = -1, observe y_t, then update when the round's
-trigger fires.
+Every learner runs the same predict-then-update round (OnlineLearner.step):
+observe x_t, predict sign(f_t(x_t)) with sign(0) = -1, observe y_t; when the
+trigger fires, make room if the active set is full, insert x_t with
+coefficient rate * y_t, and project onto the ball of radius U (a no-op for
+U = +inf).  The algorithms differ in three choices only:
 
-Triggers:
-  perceptron, budget-oldest, budget-random:  y * f(x) <= 0
-  avp, avp-adaptive, ahpatron, ahpatron-noproj:  y * f(x) < 1 - epsilon
+  algorithm        trigger            rate                 full budget
+  perceptron       y f(x) <= 0        1                    -
+  budget-oldest    y f(x) <= 0        1                    evict the oldest term
+  budget-random    y f(x) <= 0        1                    evict a seeded-random term
+  avp              y f(x) < 1 - eps   lambda               -
+  avp-adaptive     y f(x) < 1 - eps   U / sqrt(U^2 + m_t)  -
+  ahpatron         y f(x) < 1 - eps   lambda               halve with projection
+  ahpatron-noproj  y f(x) < 1 - eps   lambda               halve without projection
 
-The zero-margin case always triggers an update so every counted
-margin-mistake round also updates, keeping mistakes a subset of updates.
+m_t counts the nonpositive margins up to and including round t.  The zero
+margin always triggers an update so every counted margin-mistake round also
+updates, keeping mistakes a subset of updates.
 
-Budget maintenance for the halving variants: split the full active set into
-the half with the smallest |coefficients| (removed) and the half with the
-largest (survivors), project the removed mass onto the survivors' span via
-the regularized closed-form solve, rescale the result onto the sphere of
+Halving: split the full active set into the half with the smallest
+|coefficients| (removed) and the half with the largest (survivors), project
+the removed mass onto the survivors' span via the regularized closed-form
+solve (skipped by ahpatron-noproj), rescale the result onto the sphere of
 radius c_t * U, then do the ordinary insert-and-project update.
 """
 
@@ -131,7 +139,6 @@ class LearnerConfig:
 class RoundOutcome:
     """Per-round record: prediction, margin, and which events fired."""
 
-    round: int
     prediction: int
     margin: float
     mistake: bool
@@ -176,90 +183,47 @@ class OnlineLearner:
         config.validate()
         self.config = config
         self.hypothesis = Expansion(config.kernel, dim)
-        self.rounds = 0
-        self.removal_count = 0
         self.max_cache_drift = 0.0
         self._nonpos_margins = 0
         self._rng = SplitMix64(config.seed)
-        self._step = {
-            PERCEPTRON: self._step_perceptron,
-            AVP: self._step_margin,
-            AVP_ADAPTIVE: self._step_margin,
-            AHPATRON: self._step_halving,
-            AHPATRON_NOPROJ: self._step_halving,
-            BUDGET_OLDEST: self._step_budget,
-            BUDGET_RANDOM: self._step_budget,
-        }[config.algorithm]
+        algo = config.algorithm
+        margin_algo = algo in MARGIN_ALGORITHMS
+        self._threshold = 1.0 - config.epsilon if margin_algo else 0.0
+        self._rate = config.lam if margin_algo else 1.0
+        self._adaptive = algo == AVP_ADAPTIVE
+        self._budget = config.B if algo in BUDGETED_ALGORITHMS else None
+        self._halving = algo in HALVING_ALGORITHMS
+        self._evict_random = algo == BUDGET_RANDOM
 
     def step(self, ex: LabeledExample) -> RoundOutcome:
         """Process one example: predict, then update if the trigger fires."""
-        out = self._step(ex)
-        self.rounds += 1
-        return out
-
-    # -- algorithm steps ----------------------------------------------------
-
-    def _observe(self, ex: LabeledExample) -> tuple[np.ndarray, float, float, int, bool]:
         f = self.hypothesis
         row = f.kernel_row(ex.x)
         score = float(row @ f.alphas) if f.size else 0.0
         margin = ex.y * score
         pred = 1 if score > 0.0 else -1
-        return row, score, margin, pred, pred != ex.y
-
-    def _step_perceptron(self, ex: LabeledExample) -> RoundOutcome:
-        row, _, margin, pred, mistake = self._observe(ex)
-        triggered = margin <= 0.0
-        if triggered:
-            self.hypothesis.insert(ex, float(ex.y), row=row)
-        return RoundOutcome(self.rounds, pred, margin, mistake, triggered, False)
-
-    def _step_margin(self, ex: LabeledExample) -> RoundOutcome:
-        cfg = self.config
-        row, _, margin, pred, mistake = self._observe(ex)
-        if margin <= 0.0:
+        nonpositive = margin <= 0.0
+        if nonpositive:
             self._nonpos_margins += 1
-        triggered = margin < 1.0 - cfg.epsilon
-        if triggered:
-            if cfg.algorithm == AVP_ADAPTIVE:
-                rate = adaptive_rate(self._nonpos_margins, cfg.U)
-            else:
-                rate = cfg.lam
-            self.hypothesis.insert(ex, rate * ex.y, row=row)
-            self.hypothesis.project_ball(cfg.U)
-        return RoundOutcome(self.rounds, pred, margin, mistake, triggered, False)
-
-    def _step_budget(self, ex: LabeledExample) -> RoundOutcome:
-        f = self.hypothesis
-        row, _, margin, pred, mistake = self._observe(ex)
-        triggered = margin <= 0.0
-        if triggered:
-            if f.size == self.config.B:
-                if self.config.algorithm == BUDGET_OLDEST:
-                    victim = 0
-                else:
-                    victim = self._rng.below(f.size)
-                self._note_drift(f.remove_term(victim))
-                row = np.delete(row, victim)
-            f.insert(ex, float(ex.y), row=row)
-        return RoundOutcome(self.rounds, pred, margin, mistake, triggered, False)
-
-    def _step_halving(self, ex: LabeledExample) -> RoundOutcome:
-        cfg = self.config
-        f = self.hypothesis
-        row, _, margin, pred, mistake = self._observe(ex)
-        triggered = margin < 1.0 - cfg.epsilon
-        removal = False
+        triggered = nonpositive or margin < self._threshold
         distance: float | None = None
         if triggered:
-            if f.size == cfg.B:
-                distance = self._halve()
-                removal = True
-                self.removal_count += 1
-                row = None  # active set changed; recompute on insert
-            f.insert(ex, cfg.lam * ex.y, row=row)
-            f.project_ball(cfg.U)
-        return RoundOutcome(self.rounds, pred, margin, mistake, triggered, removal, distance)
+            if f.size == self._budget:
+                if self._halving:
+                    distance = self._halve()
+                    row = None  # active set changed; recompute on insert
+                else:
+                    victim = self._rng.below(f.size) if self._evict_random else 0
+                    self._note_drift(f.remove_term(victim))
+                    row = np.delete(row, victim)
+            if self._adaptive:
+                rate = adaptive_rate(self._nonpos_margins, self.config.U)
+            else:
+                rate = self._rate
+            f.insert(ex, rate * ex.y, row=row)
+            f.project_ball(self.config.U)
+        return RoundOutcome(pred, margin, pred != ex.y, triggered,
+                            distance is not None, distance)
 
     def _note_drift(self, drift: float) -> None:
         """Keep the largest norm-cache drift seen at a from-scratch reset."""
@@ -308,6 +272,7 @@ class OnlineLearner:
         return math.sqrt(dist_sq) if dist_sq > 0.0 else 0.0
 
 
+@dataclass(eq=False)
 class RunTrace:
     """Complete per-round log of one run, stored column-wise.
 
@@ -315,39 +280,21 @@ class RunTrace:
     that, ignoring wall-clock fields.
     """
 
-    def __init__(
-        self,
-        config: LearnerConfig,
-        dataset_name: str,
-        margins: np.ndarray,
-        predictions: np.ndarray,
-        mistakes: np.ndarray,
-        triggered: np.ndarray,
-        removals: np.ndarray,
-        removal_distances: np.ndarray,
-        active_sizes: np.ndarray,
-        norms: np.ndarray,
-        elapsed_ms: float,
-        final_size: int,
-        final_norm: float,
-        max_cache_drift: float,
-        final_cache_drift: float,
-    ):
-        self.config = config
-        self.dataset_name = dataset_name
-        self.margins = margins
-        self.predictions = predictions
-        self.mistakes = mistakes
-        self.triggered = triggered
-        self.removals = removals
-        self.removal_distances = removal_distances
-        self.active_sizes = active_sizes
-        self.norms = norms
-        self.elapsed_ms = elapsed_ms
-        self.final_size = final_size
-        self.final_norm = final_norm
-        self.max_cache_drift = max_cache_drift
-        self.final_cache_drift = final_cache_drift
+    config: LearnerConfig
+    dataset_name: str
+    margins: np.ndarray
+    predictions: np.ndarray
+    mistakes: np.ndarray
+    triggered: np.ndarray
+    removals: np.ndarray
+    removal_distances: np.ndarray
+    active_sizes: np.ndarray
+    norms: np.ndarray
+    elapsed_ms: float
+    final_size: int
+    final_norm: float
+    max_cache_drift: float
+    final_cache_drift: float
 
     @property
     def T(self) -> int:

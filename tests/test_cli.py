@@ -174,6 +174,35 @@ def test_check_bounds_rejects_negative_limit(capsys):
 
 
 @pytest.mark.parametrize("flags", [
+    ["--B", "0"],
+    ["--B", "-4"],
+    ["--gamma", "2"],
+    ["--gamma", "0"],
+], ids=["B-zero", "B-negative", "gamma-above-one", "gamma-zero"])
+def test_check_bounds_rejects_bad_budget_and_gamma(flags, capsys):
+    code = main(["check-bounds", "--data", SYNTH] + flags)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and flags[0] in captured.err
+    assert captured.out == ""  # rejected before any suite runs
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--algo", "perceptron"],
+    ["bench", "--algos", "perceptron"],
+    ["check-bounds"],
+    ["alignment"],
+], ids=lambda c: c[0])
+@pytest.mark.parametrize("sigma", ["0", "-1"])
+def test_nonpositive_sigma_is_cli_error(command, sigma, capsys):
+    code = main(command + ["--data", SYNTH, "--sigma", sigma])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--sigma" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
     ["--B", "abc"],
     ["--epsilons", "0.5,x"],
     ["--seed-list", "1,a"],

@@ -400,11 +400,23 @@ def _sha256(a):
     return hashlib.sha256(a.tobytes()).hexdigest()
 
 
-# Hashes and counts of the dense-compaction remove_term: margins and counts
-# must not move.  Budget baseline norms are not pinned, since the incremental
-# eviction norm update changes their last bits; ahpatron never evicts a single
-# term, so its norms stay bitwise.
+# Hashes and counts of reference traces: margins and counts must not move.
+# Budget baseline norms are not pinned, since the incremental eviction norm
+# update changed their last bits; the other learners never evict a single
+# term, so their norms stay bitwise.
 _PINNED = {
+    "perceptron": (
+        "7c9a72b247290dd8ddabb7ec3d6d58163a137e9958058492a90ac7d2567959f0",
+        "2400db4998a9f45583e6fee21ec70262e0477405df86d465021326fd93173aff",
+        (335, 336, 0, 0), 336, 336),
+    "avp": (
+        "ec82a328549c272126333a7051fd0aae02ad9e30755ce0bd2325ce7331b4b7fc",
+        "e53b2e33e1772989a330c908908c9373bfa668774e740826d3e5951212442923",
+        (327, 328, 24, 0), 352, 352),
+    "avp-adaptive": (
+        "195fb365c67408b93c1745cb45f975bef3f59759d79329b165ee49686c7869c0",
+        "af109bfda24e10d590c10704254fd1f0b40ae90dd6c1d8644143940a7a3e5f63",
+        (208, 209, 174, 0), 383, 383),
     "budget-oldest": (
         "fe4efefee66c093a55272458cab5ad8bb7df32101cd24c3796f1de38aa6b1b72",
         None, (370, 371, 0, 0), 371, 16),
@@ -415,17 +427,30 @@ _PINNED = {
         "7945bba917d4e80e9d84bd706799e1277d3f52504a479cce488d0fa707a7159f",
         "baf8445d805324f782efe07ac75ed2e1770811c7710851f27e72defe15ee87df",
         (204, 205, 179, 46), 384, 16),
+    "ahpatron-noproj": (
+        "1164c4979a6068fb2b3efdba56e0e09108a3b260920c400c96980da76c01a7d6",
+        "b258222a20c3feae9d7ad300a978c3e13e9a0a1a16deb23fe18d60f282c226b3",
+        (213, 214, 164, 46), 378, 10),
 }
+
+
+def _pinned_config(algo):
+    if algo in ("ahpatron", "ahpatron-noproj"):
+        return LearnerConfig(algo, GAUSS, B=16, U=2.0, lam=0.25, epsilon=0.7,
+                             ct_mode="norm-ratio")
+    if algo == "avp":
+        return LearnerConfig(algo, GAUSS, U=math.inf, lam=1.0, epsilon=0.75)
+    if algo == "avp-adaptive":
+        return LearnerConfig(algo, GAUSS, U=2.0, epsilon=0.75)
+    if algo == "perceptron":
+        return LearnerConfig(algo, GAUSS)
+    return LearnerConfig(algo, GAUSS, B=16, seed=5)
 
 
 @pytest.mark.parametrize("algo", sorted(_PINNED))
 def test_traces_match_pinned_hashes(algo):
     ds = synth_noisy(1500, 6, 0.15, seed=29)
-    if algo == "ahpatron":
-        cfg = ahpatron_config(B=16, U=2.0, lam=0.25, eps=0.7, ct_mode="norm-ratio")
-    else:
-        cfg = LearnerConfig(algo, GAUSS, B=16, seed=5)
-    trace = run(cfg, ds.examples)
+    trace = run(_pinned_config(algo), ds.examples)
     margins, norms, counts, updates, final_size = _PINNED[algo]
     assert _sha256(trace.margins) == margins
     if norms is not None:
@@ -435,6 +460,22 @@ def test_traces_match_pinned_hashes(algo):
     assert int(np.count_nonzero(trace.triggered)) == updates
     assert trace.final_size == final_size
     assert invariant_violations(trace) == []
+
+
+@pytest.mark.parametrize("algo, base, unused", [
+    ("perceptron", {}, dict(lam=0.3, epsilon=0.9)),
+    ("budget-oldest", dict(B=8), dict(lam=0.3, epsilon=0.9)),
+    ("avp-adaptive", dict(U=2.0, epsilon=0.75), dict(lam=0.3)),
+])
+def test_unused_parameters_leave_trace_unchanged(algo, base, unused):
+    # The perceptron family ignores lambda and epsilon, and avp-adaptive
+    # ignores lambda; setting them must change nothing the learner computes.
+    # The arrays are compared directly, since same_as also compares configs.
+    ds = synth_noisy(400, 4, 0.15, seed=13)
+    a = run(LearnerConfig(algo, GAUSS, **base), ds.examples)
+    b = run(LearnerConfig(algo, GAUSS, **{**base, **unused}), ds.examples)
+    for field in ("margins", "triggered", "norms", "active_sizes"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 # -- run ---------------------------------------------------------------------------------------
