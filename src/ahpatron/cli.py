@@ -20,11 +20,10 @@ import math
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from functools import partial
 
 from .data import Dataset, format_libsvm, load_dataset, permute, synth_noisy, synth_separable
 from .diagnostics import (
-    BoundReport,
     PreconditionViolation,
     check_ahpatron_bound,
     check_avp_bound,
@@ -41,6 +40,7 @@ from .diagnostics import (
 )
 from .kernels import GAUSSIAN, KernelSpec
 from .learners import (
+    AHPATRON,
     ALGORITHMS,
     AVP,
     AVP_ADAPTIVE,
@@ -71,23 +71,16 @@ AGGREGATE_HEADER = [
 
 EPSILON_GRID = (0.5, 0.6, 0.7, 0.8, 0.9)
 
-BOUND_SUITES = {
-    "perceptron": "perceptron",
-    "theorem1": "perceptron",
-    "avp-constant": "avp-constant",
-    "corollary1": "avp-constant",
-    "avp-adaptive": "avp-adaptive",
-    "corollary2": "avp-adaptive",
-    "ahpatron": "ahpatron",
-    "theorem4": "ahpatron",
-    "refined": "refined",
-    "theorem6": "refined",
-    "removals": "removals",
-    "lemma1": "removals",
-    "gap": "gap",
+# check-bounds suites in ``--suite all`` order, each with its literature alias.
+SUITE_ALIASES = {
+    "perceptron": "theorem1",
+    "avp-constant": "corollary1",
+    "avp-adaptive": "corollary2",
+    "ahpatron": "theorem4",
+    "refined": "theorem6",
+    "removals": "lemma1",
+    "gap": None,
 }
-DEFAULT_SUITES = ("perceptron", "avp-constant", "avp-adaptive",
-                  "ahpatron", "refined", "removals", "gap")
 
 
 class CliError(Exception):
@@ -140,7 +133,7 @@ def _build_parser() -> _Parser:
     p_chk = sub.add_parser("check-bounds", help="run with theorem-mandated "
                            "settings and verify each bound")
     p_chk.add_argument("--suite", default="all",
-                       help="comma list out of: " + ", ".join(DEFAULT_SUITES)
+                       help="comma list out of: " + ", ".join(SUITE_ALIASES)
                        + " (aliases accepted), or 'all'")
     p_chk.add_argument("--data", required=True)
     p_chk.add_argument("--algo", default=None,
@@ -365,7 +358,7 @@ _DATASETS: dict[str, Dataset] = {}
 
 def _dataset_cached(spec: str) -> Dataset:
     if spec not in _DATASETS:
-        _DATASETS[spec] = load_dataset(spec)
+        _DATASETS[spec] = _load(spec)
     return _DATASETS[spec]
 
 
@@ -497,120 +490,72 @@ def _aggregate(rows: list[dict]) -> list[dict]:
 # -- check-bounds ---------------------------------------------------------------
 
 
-@dataclass
-class _SuiteResult:
-    suite: str
-    trace: RunTrace | None
-    report: BoundReport | None
-    precondition: str = ""
+def _suite_runs(suite: str, args, kernel: KernelSpec) -> list[tuple]:
+    """One suite's learner runs as (label, config, radius, check), validated.
 
+    Unset flags take the settings each bound assumes.  ``check`` takes the
+    trace, plus the stream and the default comparator at ``radius`` unless
+    the radius is None.
+    """
+    B = 64 if args.B is None else args.B
+    avp_eps = 0.75 if args.epsilon is None else args.epsilon
 
-def _halving_algo(args) -> str:
-    algo = args.algo or "ahpatron"
-    if algo not in HALVING_ALGORITHMS:
-        raise CliError(f"--algo for budgeted suites must be a halving variant, got {algo}")
-    return algo
+    def config(algo: str, **settings) -> LearnerConfig:
+        cfg = LearnerConfig(algo, kernel, seed=args.seed, **settings)
+        cfg.validate()
+        return cfg
 
+    def halving(U: float, eps: float, lam: float | None = None,
+                ct_mode: str = CT_NORM_RATIO) -> LearnerConfig:
+        algo = args.algo or AHPATRON
+        if algo not in HALVING_ALGORITHMS:
+            raise CliError(f"--algo for budgeted suites must be a halving variant, got {algo}")
+        lam = U / (2.0 * math.sqrt(B)) if lam is None else lam
+        return config(algo, B=B, U=U, lam=lam, epsilon=eps, eta=args.eta,
+                      ct_mode=ct_mode)
 
-def _run_suite(name: str, args, stream, kernel) -> list[_SuiteResult]:
-    examples = stream.examples
-    if name == "perceptron":
-        config = LearnerConfig(PERCEPTRON, kernel, seed=args.seed)
-        trace = run(config, examples, stream.name)
-        comparator = default_comparator(examples, kernel, 1.0)
-        return [_checked(name, trace,
-                         lambda: check_perceptron_bound(trace, examples, comparator))]
-    if name == "avp-constant":
-        eps = 0.75 if args.epsilon is None else args.epsilon
-        config = LearnerConfig(AVP, kernel, U=math.inf, lam=1.0, epsilon=eps,
-                               seed=args.seed)
-        trace = run(config, examples, stream.name)
-        comparator = default_comparator(examples, kernel, 1.0)
-        return [_checked(name, trace,
-                         lambda: check_avp_bound(trace, examples, comparator, "constant"))]
-    if name == "avp-adaptive":
-        eps = 0.75 if args.epsilon is None else args.epsilon
-        U = args.U if args.U is not None else 2.0
-        config = LearnerConfig(AVP_ADAPTIVE, kernel, U=U, epsilon=eps, seed=args.seed)
-        trace = run(config, examples, stream.name)
-        comparator = default_comparator(examples, kernel, U)
-        return [_checked(name, trace,
-                         lambda: check_avp_bound(trace, examples, comparator, "adaptive"))]
-    if name == "ahpatron":
-        B = args.B if args.B is not None else 64
-        U = args.U if args.U is not None else math.sqrt(B) / 4.0
-        eps = args.epsilon if args.epsilon is not None else \
-            (3.0 * U / math.sqrt(B) + 1.0) / 2.0
-        config = LearnerConfig(_halving_algo(args), kernel, B=B, U=U,
-                               lam=math.sqrt(2.0) * U / math.sqrt(B),
-                               epsilon=eps, eta=args.eta,
-                               ct_mode=CT_FIXED, ct=0.6, seed=args.seed)
-        trace = run(config, examples, stream.name)
-        comparator = default_comparator(examples, kernel, U)
-        return [_checked(name, trace,
-                         lambda: check_ahpatron_bound(trace, examples, comparator))]
-    if name == "refined":
-        B = args.B if args.B is not None else 64
+    if suite == "perceptron":
+        return [(suite, config(PERCEPTRON), 1.0, check_perceptron_bound)]
+    if suite == "avp-constant":
+        return [(suite, config(AVP, epsilon=avp_eps), 1.0,
+                 partial(check_avp_bound, variant="constant"))]
+    if suite == "avp-adaptive":
+        U = 2.0 if args.U is None else args.U
+        return [(suite, config(AVP_ADAPTIVE, U=U, epsilon=avp_eps), U,
+                 partial(check_avp_bound, variant="adaptive"))]
+    if suite == "ahpatron":
+        U = math.sqrt(B) / 4.0 if args.U is None else args.U
+        eps = (3.0 * U / math.sqrt(B) + 1.0) / 2.0 if args.epsilon is None \
+            else args.epsilon
+        return [(suite, halving(U, eps, math.sqrt(2.0) * U / math.sqrt(B), CT_FIXED),
+                 U, check_ahpatron_bound)]
+    if suite == "refined":
         worst_coef = 0.25 + 4.5 * 2.0  # zeta is measured post-hoc; size U for the worst case
-        U = args.U if args.U is not None else (1.0 - args.gamma) * math.sqrt(B) / worst_coef
-        eps = args.epsilon if args.epsilon is not None else \
-            (worst_coef * U / math.sqrt(B) + 1.0) / 2.0
-        config = LearnerConfig(_halving_algo(args), kernel, B=B, U=U,
-                               lam=U / (2.0 * math.sqrt(B)), epsilon=eps,
-                               eta=args.eta, ct_mode=CT_NORM_RATIO, seed=args.seed)
-        trace = run(config, examples, stream.name)
-        comparator = default_comparator(examples, kernel, U)
-        return [_checked(name, trace,
-                         lambda: check_refined_bound(trace, examples, comparator,
-                                                     args.gamma))]
-    if name == "removals":
-        B = args.B if args.B is not None else 64
-        U = args.U if args.U is not None else math.sqrt(B) / 2.0
-        eps = args.epsilon if args.epsilon is not None else 0.7
-        config = LearnerConfig(_halving_algo(args), kernel, B=B, U=U,
-                               lam=U / (2.0 * math.sqrt(B)), epsilon=eps,
-                               eta=args.eta, ct_mode=CT_NORM_RATIO, seed=args.seed)
-        trace = run(config, examples, stream.name)
-        return [_checked(name, trace, lambda: check_removal_count_bound(trace))]
-    if name == "gap":
-        results = []
-        eps = args.epsilon if args.epsilon is not None else 0.7
-        config = LearnerConfig(AVP, kernel, U=math.inf, lam=1.0, epsilon=eps,
-                               seed=args.seed)
-        trace = run(config, examples, stream.name)
-        results.append(_checked("gap[avp]", trace,
-                                lambda: check_gap_inequality(trace)))
-        B = args.B if args.B is not None else 64
-        U = args.U if args.U is not None else math.sqrt(B) / 2.0
-        config2 = LearnerConfig(_halving_algo(args), kernel, B=B, U=U,
-                                lam=U / (2.0 * math.sqrt(B)), epsilon=eps,
-                                eta=args.eta, ct_mode=CT_NORM_RATIO, seed=args.seed)
-        trace2 = run(config2, examples, stream.name)
-        results.append(_checked("gap[halving]", trace2,
-                                lambda: check_gap_inequality(trace2)))
-        return results
-    raise CliError(f"unknown suite {name!r}")
-
-
-def _checked(suite: str, trace: RunTrace, thunk) -> _SuiteResult:
-    try:
-        return _SuiteResult(suite, trace, thunk())
-    except PreconditionViolation as e:
-        return _SuiteResult(suite, trace, None, precondition=str(e))
+        U = (1.0 - args.gamma) * math.sqrt(B) / worst_coef if args.U is None \
+            else args.U
+        eps = (worst_coef * U / math.sqrt(B) + 1.0) / 2.0 if args.epsilon is None \
+            else args.epsilon
+        return [(suite, halving(U, eps), U,
+                 partial(check_refined_bound, gamma=args.gamma))]
+    # removals and gap run the protocol defaults at epsilon 0.7.
+    U = math.sqrt(B) / 2.0 if args.U is None else args.U
+    eps = 0.7 if args.epsilon is None else args.epsilon
+    if suite == "removals":
+        return [(suite, halving(U, eps), None, check_removal_count_bound)]
+    return [("gap[avp]", config(AVP, epsilon=eps), None, check_gap_inequality),
+            ("gap[halving]", halving(U, eps), None, check_gap_inequality)]
 
 
 def cmd_check_bounds(args) -> int:
     if args.suite == "all":
-        names = list(DEFAULT_SUITES)
+        names = list(SUITE_ALIASES)
     else:
-        names = []
-        for raw in args.suite.split(","):
-            raw = raw.strip()
-            if raw not in BOUND_SUITES:
-                raise CliError(f"unknown suite {raw!r}")
-            canonical = BOUND_SUITES[raw]
-            if canonical not in names:
-                names.append(canonical)
+        suites = {alias: suite for suite, alias in SUITE_ALIASES.items() if alias}
+        names = list(dict.fromkeys(suites.get(raw.strip(), raw.strip())
+                                   for raw in args.suite.split(",")))
+        for name in names:
+            if name not in SUITE_ALIASES:
+                raise CliError(f"unknown suite {name!r}")
     if args.limit < 0:
         raise CliError(f"--limit must be >= 0, got {args.limit}")
     if args.B is not None and args.B < 2:
@@ -618,37 +563,36 @@ def cmd_check_bounds(args) -> int:
     if not 0.0 < args.gamma < 1.0:
         raise CliError(f"--gamma must be in (0, 1), got {args.gamma}")
     kernel = _gaussian_kernel(args.sigma)
+    runs = [r for name in names for r in _suite_runs(name, args, kernel)]
     ds = _load(args.data)
     stream = permute(ds, args.seed)
     if args.limit and len(stream.examples) > args.limit:
         stream = Dataset(stream.examples[: args.limit], name=stream.name,
                          feature_count=stream.feature_count)
-
-    results: list[_SuiteResult] = []
-    for name in names:
-        results.extend(_run_suite(name, args, stream, kernel))
+    examples = stream.examples
 
     violations = 0
     rows = []
-    for res in results:
-        if res.trace is not None:
-            problems = invariant_violations(res.trace)
-            if problems:
-                violations += 1
-                print(f"{res.suite}: INVARIANT FAIL ({'; '.join(problems)})")
-                continue
-        if res.report is None:
-            print(f"{res.suite}: PRECONDITION ({res.precondition})")
+    for label, config, radius, check in runs:
+        trace = run(config, examples, stream.name)
+        problems = invariant_violations(trace)
+        if problems:
+            violations += 1
+            print(f"{label}: INVARIANT FAIL ({'; '.join(problems)})")
             continue
-        rep = res.report
-        status = "PASS" if rep.holds else "FAIL"
+        try:
+            rep = check(trace) if radius is None else \
+                check(trace, examples, default_comparator(examples, kernel, radius))
+        except PreconditionViolation as e:
+            print(f"{label}: PRECONDITION ({e})")
+            continue
         if not rep.holds:
             violations += 1
-        print(f"{res.suite}: {status} {rep.bound_name} "
+        print(f"{label}: {'PASS' if rep.holds else 'FAIL'} {rep.bound_name} "
               f"lhs={rep.lhs:.6g} rhs={rep.rhs:.6g}")
         rows.append({
-            "suite": res.suite, "bound": rep.bound_name,
-            "dataset": stream.name, "T": len(stream.examples),
+            "suite": label, "bound": rep.bound_name,
+            "dataset": stream.name, "T": len(examples),
             "lhs": repr(rep.lhs), "rhs": repr(rep.rhs),
             "holds": str(rep.holds).lower(),
             "components": json.dumps(rep.components, sort_keys=True),

@@ -14,7 +14,7 @@ permutations and synthetic streams replay exactly from their seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
 from .kernels import LabeledExample, SparseVector
@@ -67,28 +67,22 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
         if not math.isfinite(label):
             raise MalformedLine(lineno, f"non-finite label {tokens[0]!r}")
         pairs = []
-        last_index = -1
         for tok in tokens[1:]:
             idx_str, sep, val_str = tok.partition(":")
             if not sep:
                 raise MalformedLine(lineno, f"expected idx:val, got {tok!r}")
             try:
-                idx = int(idx_str)
-                val = float(val_str)
+                pairs.append((int(idx_str), float(val_str)))
             except ValueError:
                 raise MalformedLine(lineno, f"bad feature {tok!r}") from None
-            if idx < 0:
-                raise MalformedLine(lineno, f"negative index {idx}")
-            if idx <= last_index:
-                raise MalformedLine(lineno, f"indices not increasing at {idx}")
-            if not math.isfinite(val):
-                raise MalformedLine(lineno, f"non-finite value in {tok!r}")
-            last_index = idx
-            pairs.append((idx, val))
-        instances.append(SparseVector(pairs))
+        try:
+            instances.append(SparseVector(pairs))
+        except ValueError as e:
+            raise MalformedLine(lineno, str(e)) from None
         raw_labels.append(label)
-        if last_index + 1 > feature_count:
-            feature_count = last_index + 1
+        # Explicit zeros count toward the width even though SparseVector drops them.
+        if pairs and pairs[-1][0] + 1 > feature_count:
+            feature_count = pairs[-1][0] + 1
     if not raw_labels:
         raise NonBinaryLabels("empty dataset")
     labels = _normalize_labels(raw_labels)
@@ -139,10 +133,8 @@ def subsample(ds: Dataset, n: int, seed: int) -> Dataset:
     """Uniform sample of n examples without replacement (shuffle prefix)."""
     if not 1 <= n <= len(ds.examples):
         raise ValueError(f"n must be in [1, {len(ds.examples)}], got {n}")
-    examples = list(ds.examples)
-    SplitMix64(seed).shuffle(examples)
-    return Dataset(examples[:n], name=ds.name, feature_count=ds.feature_count,
-                   metadata=dict(ds.metadata))
+    shuffled = permute(ds, seed)
+    return replace(shuffled, examples=shuffled.examples[:n])
 
 
 def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:
@@ -184,8 +176,7 @@ def _separable_example(gen: SplitMix64, d: int, margin: float) -> LabeledExample
         # Both acceptance checks tolerate rounding at the margin = 1 extreme,
         # where the noise-free construction sits exactly on the boundary.
         if proj >= margin * (1.0 - 1e-12) and sq <= 1.0 + 1e-12:
-            x = SparseVector((i, c) for i, c in enumerate(coords) if c != 0.0)
-            return LabeledExample(x, y)
+            return LabeledExample(SparseVector(enumerate(coords)), y)
     raise RuntimeError("rejection sampling failed; margin too aggressive")
 
 

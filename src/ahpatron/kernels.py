@@ -1,10 +1,10 @@
 """Kernel functions, sparse instances, and Gram matrices.
 
 Instances are immutable sparse vectors (sorted index/value pairs, explicit
-zeros dropped).  Supported kernel families: Gaussian (RBF), linear, and
-inhomogeneous polynomial.  All evaluations are double precision; the
-Gaussian kernel is normalized (kappa(x, x) = 1) so the unit-diagonal
-assumption needed by the bound checkers holds automatically.
+zeros dropped).  Supported kernel families: Gaussian (RBF) and linear.
+All evaluations are double precision; the Gaussian kernel is normalized
+(kappa(x, x) = 1) so the unit-diagonal assumption needed by the bound
+checkers holds automatically.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 GAUSSIAN = "gaussian"
 LINEAR = "linear"
-POLYNOMIAL = "polynomial"
 
 
 class SparseVector:
@@ -51,10 +50,6 @@ class SparseVector:
         self._sq: float | None = None
         self._dense_dim = -1
         self._dense: np.ndarray | None = None
-
-    @classmethod
-    def from_dense(cls, arr: Sequence[float]) -> "SparseVector":
-        return cls((i, float(v)) for i, v in enumerate(arr) if v != 0.0)
 
     @property
     def width(self) -> int:
@@ -132,25 +127,18 @@ class LabeledExample:
 class KernelSpec:
     """Kernel family and parameters.
 
-    sigma applies to the Gaussian family; degree/offset to the polynomial
-    family.  The linear kernel takes no parameters.
+    sigma applies to the Gaussian family; the linear kernel takes no
+    parameters.
     """
 
     family: str
     sigma: float = 1.0
-    degree: int = 1
-    offset: float = 0.0
 
     def __post_init__(self):
-        if self.family not in (GAUSSIAN, LINEAR, POLYNOMIAL):
+        if self.family not in (GAUSSIAN, LINEAR):
             raise ValueError(f"unknown kernel family {self.family!r}")
         if self.family == GAUSSIAN and not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if self.family == POLYNOMIAL:
-            if self.degree < 1:
-                raise ValueError("degree must be >= 1")
-            if self.offset < 0:
-                raise ValueError("offset must be >= 0")
 
     @classmethod
     def gaussian(cls, sigma: float) -> "KernelSpec":
@@ -159,10 +147,6 @@ class KernelSpec:
     @classmethod
     def linear(cls) -> "KernelSpec":
         return cls(LINEAR)
-
-    @classmethod
-    def polynomial(cls, degree: int, offset: float = 0.0) -> "KernelSpec":
-        return cls(POLYNOMIAL, degree=int(degree), offset=float(offset))
 
 
 def sparse_sq_dist(u: SparseVector, v: SparseVector) -> float:
@@ -200,18 +184,14 @@ def kernel_eval(spec: KernelSpec, u: SparseVector, v: SparseVector) -> float:
     """Scalar kernel evaluation; symmetric in (u, v)."""
     if spec.family == GAUSSIAN:
         return math.exp(-sparse_sq_dist(u, v) / (2.0 * spec.sigma * spec.sigma))
-    if spec.family == LINEAR:
-        return u.dot(v)
-    return (u.dot(v) + spec.offset) ** spec.degree
+    return u.dot(v)
 
 
 def kernel_diag(spec: KernelSpec, x: SparseVector) -> float:
     """kappa(x, x) without the generic distance path (exact 1.0 for Gaussian)."""
     if spec.family == GAUSSIAN:
         return 1.0
-    if spec.family == LINEAR:
-        return x.sq_norm
-    return (x.sq_norm + spec.offset) ** spec.degree
+    return x.sq_norm
 
 
 def gram_matrix(spec: KernelSpec, xs: Sequence[SparseVector]) -> np.ndarray:
@@ -266,8 +246,6 @@ def kernel_row(
     dots = X @ xd
     if spec.family == LINEAR:
         return dots
-    if spec.family == POLYNOMIAL:
-        return (dots + spec.offset) ** spec.degree
     d2 = xsq + x_sq - 2.0 * dots
     np.maximum(d2, 0.0, out=d2)
     d2 *= -1.0 / (2.0 * spec.sigma * spec.sigma)

@@ -5,9 +5,11 @@ from pathlib import Path
 import pytest
 
 import ahpatron.cli as cli
+import ahpatron.learners as learners
 from ahpatron.cli import CSV_HEADER, main
 from ahpatron.data import parse_libsvm
 from ahpatron.diagnostics import BoundReport
+from ahpatron.kernels import KernelSpec
 
 SYNTH = "synth:noisy:T=300,d=4,margin=0.5,flip=0.1,seed=2"
 TINY = str(Path(__file__).parent / "tiny.libsvm")
@@ -173,6 +175,71 @@ def test_check_bounds_rejects_negative_limit(capsys):
     assert err.startswith("error:") and "--limit" in err
 
 
+def _recorded_configs(monkeypatch, argv):
+    """Exit code and the LearnerConfig of every learner run of ``argv``."""
+    configs = []
+
+    def recording_run(config, *args, **kwargs):
+        configs.append(config)
+        return learners.run(config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    return main(argv), configs
+
+
+SETTINGS = ("algorithm", "B", "U", "lam", "epsilon", "eta", "ct_mode", "ct", "seed")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ([], [
+        ("perceptron", None, INF, 1.0, 0.5, 0.0005, "fixed", 0.6, 0),
+        ("avp", None, INF, 1.0, 0.75, 0.0005, "fixed", 0.6, 0),
+        ("avp-adaptive", None, 2.0, 1.0, 0.75, 0.0005, "fixed", 0.6, 0),
+        ("ahpatron", 64, 2.0, 0.3535533905932738, 0.875, 0.0005, "fixed", 0.6, 0),
+        ("ahpatron", 64, 0.43243243243243246, 0.02702702702702703, 0.75, 0.0005,
+         "norm-ratio", 0.6, 0),
+        ("ahpatron", 64, 4.0, 0.25, 0.7, 0.0005, "norm-ratio", 0.6, 0),
+        ("avp", None, INF, 1.0, 0.7, 0.0005, "fixed", 0.6, 0),
+        ("ahpatron", 64, 4.0, 0.25, 0.7, 0.0005, "norm-ratio", 0.6, 0),
+    ]),
+    (["--B", "80", "--U", "1.5", "--epsilon", "0.9", "--gamma", "0.3",
+      "--eta", "1e-3", "--seed", "2", "--algo", "ahpatron-noproj"], [
+        ("perceptron", None, INF, 1.0, 0.5, 0.0005, "fixed", 0.6, 2),
+        ("avp", None, INF, 1.0, 0.9, 0.0005, "fixed", 0.6, 2),
+        ("avp-adaptive", None, 1.5, 1.0, 0.9, 0.0005, "fixed", 0.6, 2),
+        ("ahpatron-noproj", 80, 1.5, 0.23717082451262847, 0.9, 0.001, "fixed", 0.6, 2),
+        ("ahpatron-noproj", 80, 1.5, 0.08385254915624211, 0.9, 0.001,
+         "norm-ratio", 0.6, 2),
+        ("ahpatron-noproj", 80, 1.5, 0.08385254915624211, 0.9, 0.001,
+         "norm-ratio", 0.6, 2),
+        ("avp", None, INF, 1.0, 0.9, 0.0005, "fixed", 0.6, 2),
+        ("ahpatron-noproj", 80, 1.5, 0.08385254915624211, 0.9, 0.001,
+         "norm-ratio", 0.6, 2),
+    ]),
+], ids=["defaults", "overrides"])
+def test_check_bounds_suite_settings(flags, expected, monkeypatch, capsys):
+    code, configs = _recorded_configs(
+        monkeypatch, ["check-bounds", "--suite", "all", "--data", SYNTH] + flags)
+    assert code == 0
+    assert all(c.kernel == KernelSpec.gaussian(1.0) for c in configs)
+    assert [tuple(getattr(c, f) for f in SETTINGS) for c in configs] == expected
+
+
+@pytest.mark.parametrize("flags", [
+    ["--B", "33"],
+    ["--algo", "avp"],
+    ["--U", "-1"],
+], ids=["odd-B", "non-halving-algo", "negative-U"])
+def test_check_bounds_validates_every_suite_before_running(flags, monkeypatch,
+                                                           capsys):
+    code, configs = _recorded_configs(
+        monkeypatch, ["check-bounds", "--suite", "all", "--data", SYNTH] + flags)
+    assert code == 1
+    assert configs == []
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("flags", [
     ["--B", "0"],
     ["--B", "-4"],
@@ -213,6 +280,22 @@ def test_bench_rejects_bad_list_values(flags, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and flags[0] in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", [
+    "synth:bogus",
+    "synth:noisy:T=0",
+    "decreasing.libsvm",
+], ids=["unknown-kind", "T-zero", "decreasing-indices"])
+def test_bench_rejects_bad_data(data, tmp_path, capsys):
+    if data.endswith(".libsvm"):
+        path = tmp_path / data
+        path.write_text("+1 1:1\n-1 3:1 2:1\n")
+        data = str(path)
+    code = main(["bench", "--algos", "perceptron", "--data", data])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flags", [

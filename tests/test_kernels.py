@@ -8,7 +8,6 @@ from ahpatron.kernels import (
     LabeledExample,
     SparseVector,
     gram_matrix,
-    kernel_diag,
     kernel_eval,
     pairwise_kernel,
     sparse_sq_dist,
@@ -71,10 +70,6 @@ def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec.gaussian(0.0)
     with pytest.raises(ValueError):
-        KernelSpec.polynomial(0)
-    with pytest.raises(ValueError):
-        KernelSpec.polynomial(2, offset=-1.0)
-    with pytest.raises(ValueError):
         KernelSpec("spline")
 
 
@@ -124,17 +119,9 @@ def test_linear_sparse_overlap():
     assert kernel_eval(KernelSpec.linear(), u, v) == 1.0
 
 
-def test_polynomial_eval():
-    u = SparseVector([(0, 2.0)])
-    v = SparseVector([(0, 3.0)])
-    spec = KernelSpec.polynomial(2, offset=1.0)
-    assert kernel_eval(spec, u, v) == 49.0
-    assert kernel_diag(spec, u) == 25.0
-
-
 def test_kernel_symmetry_exact():
     gen = SplitMix64(6)
-    specs = [GAUSS, KernelSpec.linear(), KernelSpec.polynomial(3, 0.5)]
+    specs = [GAUSS, KernelSpec.linear()]
     for _ in range(25):
         u = random_sparse(gen, 6)
         v = random_sparse(gen, 6)
@@ -172,7 +159,7 @@ def test_gram_two_identical_gaussian():
 def test_gram_matches_entrywise_eval_exactly():
     gen = SplitMix64(17)
     xs = [random_sparse(gen, 5) for _ in range(7)]
-    for spec in (GAUSS, KernelSpec.linear(), KernelSpec.polynomial(2, 1.0)):
+    for spec in (GAUSS, KernelSpec.linear()):
         m = gram_matrix(spec, xs)
         for i in range(len(xs)):
             for j in range(len(xs)):
@@ -198,7 +185,7 @@ def test_pairwise_kernel_agrees_with_gram():
     gen = SplitMix64(31)
     xs = [random_sparse(gen, 6) for _ in range(12)]
     wide = SparseVector([(8, 1.5)])  # wider than every row of xs
-    for spec in (GAUSS, KernelSpec.linear(), KernelSpec.polynomial(2, 0.5)):
+    for spec in (GAUSS, KernelSpec.linear()):
         fast = pairwise_kernel(spec, xs, xs)
         exact = gram_matrix(spec, xs)
         assert np.allclose(fast, exact, rtol=0.0, atol=1e-12)
