@@ -8,7 +8,12 @@ maps its smaller value to -1 and larger to +1 (so {0,1} -> 0 maps to -1 and
 typically 1-based) and must be strictly increasing within a line.
 
 All randomness flows through the SplitMix64 generator in ahpatron.prng, so
-permutations and synthetic streams replay exactly from their seed.
+permutations and synthetic streams replay exactly from their seed.  A
+synthetic example draws its label (one output), then d normals, and is
+redrawn (same label, fresh normals) until both acceptance sums, taken left
+to right, pass; a Box-Muller spare carries over to the next example when d
+is odd.  Since SplitMix64 is counter-based, the generator computes whole
+blocks of examples at once and reproduces that order bit for bit.
 """
 
 from __future__ import annotations
@@ -17,10 +22,13 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
+import numpy as np
+
 from .kernels import LabeledExample, SparseVector
-from .prng import SplitMix64, derive_stream_seed
+from .prng import SplitMix64, derive_stream_seed, normal_pairs
 
 _REJECTION_CAP = 10_000
+_BLOCK = 1024  # examples per vectorized synthetic block
 
 
 class MalformedLine(ValueError):
@@ -146,13 +154,25 @@ def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:
     the unit diagonal direction.  Outliers are rejection-resampled; margin
     must lie in (0, 1] for the unit-ball construction to be feasible.
     Dataset metadata carries the comparator description.
+
+    The stream is specified by _separable_example, one example at a time,
+    and generated in blocks of _BLOCK examples that reproduce it bit for
+    bit (see _separable_block).
     """
     if T < 1 or d < 1:
         raise ValueError("T and d must be positive")
     if not 0.0 < margin <= 1.0:
         raise ValueError(f"margin must be in (0, 1], got {margin}")
     gen = SplitMix64(seed)
-    examples = [_separable_example(gen, d, margin) for _ in range(T)]
+    examples: list[LabeledExample] = []
+    while len(examples) < T:
+        n = min(_BLOCK, T - len(examples))
+        block = _separable_block(gen, n, d, margin)
+        examples += block
+        if len(block) < n:
+            # The next example failed its first acceptance test: resample
+            # it one draw at a time from the generator's exact state.
+            examples.append(_separable_example(gen, d, margin))
     u = 1.0 / math.sqrt(d)
     meta = {
         "kind": "separable",
@@ -164,15 +184,27 @@ def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:
     return Dataset(examples, name=name, feature_count=d, metadata=meta)
 
 
+def _cluster(d: int, margin: float) -> tuple[float, float, float]:
+    """u = 1/sqrt(d), the cluster centre's offset along u, and the noise sd."""
+    root = math.sqrt(d)
+    return 1.0 / root, (1.0 + margin) / 2.0, (1.0 - margin) / (4.0 * root)
+
+
 def _separable_example(gen: SplitMix64, d: int, margin: float) -> LabeledExample:
-    u = 1.0 / math.sqrt(d)
-    center = (1.0 + margin) / 2.0
-    noise_sd = (1.0 - margin) / (4.0 * math.sqrt(d))
+    """One example: a below(2) label draw, then d normals per attempt.
+
+    Both acceptance sums run left to right (builtin sum() of floats is
+    compensated from Python 3.12 on, which would change borderline cases).
+    """
+    u, center, noise_sd = _cluster(d, margin)
     y = 1 if gen.below(2) == 1 else -1
     for _ in range(_REJECTION_CAP):
         coords = [y * center * u + noise_sd * gen.normal() for _ in range(d)]
-        proj = y * u * sum(coords)
-        sq = sum(c * c for c in coords)
+        total = sq = 0.0
+        for c in coords:
+            total += c
+            sq += c * c
+        proj = y * u * total
         # Both acceptance checks tolerate rounding at the margin = 1 extreme,
         # where the noise-free construction sits exactly on the boundary.
         if proj >= margin * (1.0 - 1e-12) and sq <= 1.0 + 1e-12:
@@ -180,28 +212,72 @@ def _separable_example(gen: SplitMix64, d: int, margin: float) -> LabeledExample
     raise RuntimeError("rejection sampling failed; margin too aggressive")
 
 
+def _separable_block(
+    gen: SplitMix64, n: int, d: int, margin: float
+) -> list[LabeledExample]:
+    """The next n _separable_example results, up to the first rejected one.
+
+    Assumes every example is accepted on its first attempt.  Then example i
+    of the block draws its label from output i + 2*ceil((i*d - o)/2), where
+    o is 1 if the generator holds a spare normal and 0 otherwise, and the
+    other outputs are the normal pairs in order; the spare carries across
+    examples when d is odd.  The acceptance sums are cumulative sums, so
+    they run left to right as in _separable_example.  Leaves the generator
+    exactly where the returned examples leave it; if example r was rejected
+    only the first r are returned, and the caller resamples example r.
+    """
+    if n == 0:
+        return []
+    state = gen.getstate()
+    spare = state[1]
+    o = 0 if spare is None else 1
+    k = np.arange(n)
+    labels_at = k + 2 * ((k * d - o + 1) // 2)
+    pairs = (n * d - o + 1) // 2
+    draws = gen.take(n + 2 * pairs)
+    is_label = np.zeros(len(draws), dtype=bool)
+    is_label[labels_at] = True
+    first, second = draws[~is_label].reshape(pairs, 2).T
+    cos_part, sin_part = normal_pairs(first, second)
+    normals = np.empty(o + 2 * pairs)
+    if o:
+        normals[0] = spare
+    normals[o::2] = cos_part
+    normals[o + 1::2] = sin_part
+    y = np.where(draws[labels_at] & 1, 1, -1)
+    u, center, noise_sd = _cluster(d, margin)
+    coords = (y * center * u)[:, None] + noise_sd * normals[:n * d].reshape(n, d)
+    proj = y * u * np.cumsum(coords, axis=1)[:, -1]
+    sq = np.cumsum(coords * coords, axis=1)[:, -1]
+    accepted = (proj >= margin * (1.0 - 1e-12)) & (sq <= 1.0 + 1e-12)
+    if not accepted.all():
+        gen.setstate(state)
+        return _separable_block(gen, int(accepted.argmin()), d, margin)
+    carried = float(sin_part[-1]) if o + 2 * pairs > n * d else None
+    counter, _ = gen.getstate()
+    gen.setstate((counter, carried))
+    xs = SparseVector.from_rows(coords)
+    return [LabeledExample(x, label) for x, label in zip(xs, y.tolist())]
+
+
 def synth_noisy(
     T: int, d: int, flip_prob: float, seed: int, margin: float = 0.5
 ) -> Dataset:
     """synth_separable stream with labels independently flipped.
 
-    Flips draw from a derived generator so flip_prob = 0 reproduces the
-    separable stream exactly.
+    Example t is flipped when the t-th uniform() of a derived generator is
+    below flip_prob, so flip_prob = 0 reproduces the separable stream
+    exactly; the T uniforms come from one take(T).
     """
     if not 0.0 <= flip_prob < 0.5:
         raise ValueError(f"flip_prob must be in [0, 0.5), got {flip_prob}")
     base = synth_separable(T, d, margin, seed)
-    flip_gen = SplitMix64(derive_stream_seed(seed))
-    examples = []
-    flips = 0
-    for ex in base.examples:
-        if flip_gen.uniform() < flip_prob:
-            examples.append(LabeledExample(ex.x, -ex.y))
-            flips += 1
-        else:
-            examples.append(ex)
+    uniforms = (SplitMix64(derive_stream_seed(seed)).take(T) >> 11) * 2.0**-53
+    flipped = uniforms < flip_prob
+    examples = [LabeledExample(ex.x, -ex.y) if flip else ex
+                for ex, flip in zip(base.examples, flipped.tolist())]
     meta = dict(base.metadata)
-    meta.update(kind="noisy", flip_prob=flip_prob, flips=flips)
+    meta.update(kind="noisy", flip_prob=flip_prob, flips=int(flipped.sum()))
     name = f"synth-noisy-T{T}-d{d}-m{margin:g}-f{flip_prob:g}-s{seed}"
     return Dataset(examples, name=name, feature_count=d, metadata=meta)
 

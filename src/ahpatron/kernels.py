@@ -51,6 +51,38 @@ class SparseVector:
         self._dense_dim = -1
         self._dense: np.ndarray | None = None
 
+    @classmethod
+    def from_rows(cls, matrix: np.ndarray) -> list["SparseVector"]:
+        """One vector per row of a 2-D array, as SparseVector(enumerate(row)).
+
+        Raises the same ValueError on the first non-finite entry (row-major
+        order).  Rows without zeros share one index tuple, and each squared
+        norm is the row's left-to-right sum of squares, bit-equal to what
+        sq_norm would compute.
+        """
+        matrix = np.asarray(matrix, dtype=float)
+        n, d = matrix.shape
+        bad = np.argwhere(~np.isfinite(matrix))
+        if len(bad):
+            raise ValueError(f"non-finite value at index {bad[0][1]}")
+        sq = np.cumsum(matrix * matrix, axis=1)[:, -1] if d else np.zeros(n)
+        full = tuple(range(d))
+        out = []
+        for row, row_sq, no_zeros in zip(matrix.tolist(), sq.tolist(),
+                                         (matrix != 0.0).all(axis=1).tolist()):
+            v = cls.__new__(cls)
+            if no_zeros:
+                v.indices = full
+                v.values = tuple(row)
+            else:
+                v.indices = tuple(i for i, x in enumerate(row) if x != 0.0)
+                v.values = tuple(row[i] for i in v.indices)
+            v._sq = row_sq
+            v._dense_dim = -1
+            v._dense = None
+            out.append(v)
+        return out
+
     @property
     def width(self) -> int:
         """max index + 1 (0 for the empty vector)."""

@@ -9,15 +9,23 @@ bit-exact and platform-independent (see README, "Deterministic RNG"):
     z = ((z XOR (z >> 27)) * 0x94D049BB133111EB) mod 2^64
     output = z XOR (z >> 31)
 
+The generator is counter-based: the k-th output (k = 1, 2, ...) after state
+s is mix(s + k * 0x9E3779B97F4A7C15 mod 2^64), where mix is the last three
+lines above.  So take(n) computes a block of outputs at once, with no
+sequential loop, and leaves the state where n next_u64 calls would.
+
 Bounded integers use rejection sampling (no modulo bias), uniforms map the
-top 53 bits into [0, 1), and normals use the Box-Muller transform.  All
-dataset permutations, subsampling, synthetic streams, and the random-removal
-baseline draw from this generator only.
+top 53 bits into [0, 1), and normals use the Box-Muller transform through
+math.log/cos/sin; normal_pairs applies the same transform to arrays of
+outputs, bit for bit.  All dataset permutations, subsampling, synthetic
+streams, and the random-removal baseline draw from this generator only.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -45,6 +53,27 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n outputs as a uint64 array.
+
+        Advances the state exactly as n next_u64 calls would; a pending
+        spare normal is left as it is.
+        """
+        k = np.arange(1, n + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + k * _GAMMA  # wraps mod 2^64
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        z = (z ^ (z >> 30)) * _MIX1
+        z = (z ^ (z >> 27)) * _MIX2
+        return z ^ (z >> 31)
+
+    def getstate(self) -> tuple[int, float | None]:
+        """(64-bit state, pending spare normal), for setstate."""
+        return self._state, self._spare_normal
+
+    def setstate(self, state: tuple[int, float | None]) -> None:
+        """Resume from a getstate() value."""
+        self._state, self._spare_normal = state
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) via rejection sampling."""
@@ -79,6 +108,25 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def normal_pairs(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box-Muller on arrays of output pairs, bit-equal to SplitMix64.normal.
+
+    Pair i made from outputs (first[i], second[i]) gives the normal that
+    normal() returns (cos part) and the spare it keeps (sin part).  The
+    transcendentals are math's, applied element by element as in normal():
+    numpy's own log, cos and sin differ from libm in the last bit for some
+    inputs.
+    """
+    n = len(first)
+    u1 = ((first >> 11) + 1) * 2.0**-53
+    u2 = (second >> 11) * 2.0**-53
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), float, n))
+    theta = ((2.0 * math.pi) * u2).tolist()
+    cos = np.fromiter(map(math.cos, theta), float, n)
+    sin = np.fromiter(map(math.sin, theta), float, n)
+    return r * cos, r * sin
 
 
 def derive_stream_seed(seed: int) -> int:

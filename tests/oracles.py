@@ -7,10 +7,12 @@ descent minimizer.  The oracles stay independent of whatever they check.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector, kernel_eval
-from ahpatron.prng import SplitMix64
+from ahpatron.prng import SplitMix64, derive_stream_seed
 
 
 def naive_evaluate(spec, terms, x) -> float:
@@ -82,3 +84,37 @@ def random_examples(gen: SplitMix64, n: int, dim: int,
 
 def gaussian() -> KernelSpec:
     return KernelSpec.gaussian(1.0)
+
+
+def scalar_synth(T, d, margin, seed, flip_prob=0.0):
+    """synth_separable/synth_noisy drawn one value at a time.
+
+    Per example: below(2) for the label, then d normal() calls per attempt
+    until the attempt is accepted, with plain left-to-right sums; the label
+    of example t is flipped when the t-th uniform() of the derived stream
+    is below flip_prob.  Returns (labels, rows, attempts, generator), where
+    rows[t] is the accepted coordinates, attempts[t] how many attempts
+    example t took, and generator the instance generator after the stream.
+    """
+    gen = SplitMix64(seed)
+    flip_gen = SplitMix64(derive_stream_seed(seed))
+    u = 1.0 / math.sqrt(d)
+    center = (1.0 + margin) / 2.0
+    noise_sd = (1.0 - margin) / (4.0 * math.sqrt(d))
+    labels, rows, attempts = [], [], []
+    for _ in range(T):
+        y = 1 if gen.below(2) == 1 else -1
+        tries = 0
+        while True:
+            tries += 1
+            coords = [y * center * u + noise_sd * gen.normal() for _ in range(d)]
+            total = sq = 0.0
+            for c in coords:
+                total += c
+                sq += c * c
+            if y * u * total >= margin * (1.0 - 1e-12) and sq <= 1.0 + 1e-12:
+                break
+        labels.append(-y if flip_gen.uniform() < flip_prob else y)
+        rows.append(coords)
+        attempts.append(tries)
+    return labels, rows, attempts, gen

@@ -1,8 +1,12 @@
+import hashlib
 import io
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from ahpatron import data
 from ahpatron.data import (
     Dataset,
     MalformedLine,
@@ -18,7 +22,7 @@ from ahpatron.data import (
 from ahpatron.kernels import LabeledExample, SparseVector
 from ahpatron.prng import SplitMix64
 
-from oracles import random_examples
+from oracles import random_examples, scalar_synth
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -225,6 +229,136 @@ def test_noisy_validates_flip_prob():
         synth_noisy(10, 3, 0.5, 0)
     with pytest.raises(ValueError):
         synth_noisy(10, 3, -0.1, 0)
+
+
+def _dataset_digest(ds):
+    """SHA-256 over the name, feature count, metadata and every example."""
+    h = hashlib.sha256()
+    h.update(repr((ds.name, ds.feature_count, ds.metadata)).encode())
+    for ex in ds.examples:
+        h.update(repr((ex.y, ex.x.indices, ex.x.values)).encode())
+    return h.hexdigest()
+
+
+# Captured from the scalar generator (one SplitMix64.normal call per
+# coordinate) before generation was vectorized; the block generator must
+# reproduce every value bit for bit.  Rejection counts in the comments.
+_STREAM_PINS = {
+    "noisy-3000-68": (  # 0 rejections
+        lambda: synth_noisy(3000, 68, 0.1, 3),
+        "fbf6bddd9235291db2b39a0f446c78d6d3853d6d3afcca61a33eb692f7075c26"),
+    "noisy-2000-3-odd-d": (  # 1 rejection
+        lambda: synth_noisy(2000, 3, 0.1, 1),
+        "c09dcc72d27a9b6036e01281ebe639c6e2aa7ea91615f768250518fd20db2f33"),
+    "separable-2000-2": (  # 9 rejections
+        lambda: synth_separable(2000, 2, 0.9, 1),
+        "adf66f01df75375af0ec82d082fbfa0a3add6f2a85b751a923fcc15bffc448db"),
+    "separable-500-1-odd-d": (  # 19 rejections
+        lambda: synth_separable(500, 1, 0.9, 3),
+        "852b6f2a82882cfcd7708b7bc7743e4aff9944fb72f2913f7a46d45a5b644d0c"),
+    "separable-margin-one": (
+        lambda: synth_separable(300, 5, 1.0, 2),
+        "3d564ebb9a0393407b6664888cd533366ad41c6afbad588a6db0fd8e92b3bd1a"),
+    "noisy-margin-one": (
+        lambda: synth_noisy(300, 4, 0.2, 6, margin=1.0),
+        "1862c79f72d037512fff589dcf2b143a589841ab71b082209c61cf07ff52b164"),
+    "permute": (
+        lambda: permute(synth_noisy(2000, 3, 0.1, 1), 5),
+        "6e490f26a6a9ce831629373d58692ccf1353cc721899de1ceecea3bbf553fbb7"),
+    "subsample": (
+        lambda: subsample(synth_noisy(2000, 3, 0.1, 1), 700, 9),
+        "ac4ca5d6c093cfbdbb2b7135b700aee1041ac2d58f55bfd1204fe90b5e7972e3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STREAM_PINS))
+def test_streams_match_pinned_hashes(case):
+    make, expected = _STREAM_PINS[case]
+    assert _dataset_digest(make()) == expected
+
+
+def _first_try_rejections_by_block_position(attempts, block):
+    """Where in its block each example that failed its first attempt falls.
+
+    synth_separable starts a new block after each such example, which it
+    resamples one draw at a time.
+    """
+    positions = []
+    start = 0
+    while start < len(attempts):
+        end = min(start + block, len(attempts))
+        rejected = [t for t in range(start, end) if attempts[t] > 1]
+        if not rejected:
+            start = end
+            continue
+        positions.append(rejected[0] - start)
+        start = rejected[0] + 1
+    return positions
+
+
+@pytest.mark.parametrize("T, d, margin, seed, flip, covers", [
+    (200, 1, 0.9, 0, 0.0, {0}),    # a rejection opens a block; odd d
+    (200, 1, 0.9, 1, 0.2, {6}),    # a rejection closes a block
+    (200, 2, 0.9, 2, 0.1, {0}),    # even d
+    (61, 3, 0.5, 4, 0.1, set()),   # odd d, no rejection
+    (40, 5, 1.0, 2, 0.0, set()),   # the margin = 1 extreme
+])
+def test_block_generator_matches_scalar_oracle(monkeypatch, T, d, margin, seed,
+                                               flip, covers):
+    block = 7
+    monkeypatch.setattr(data, "_BLOCK", block)
+    generators = []
+
+    class Recorded(SplitMix64):
+        def __init__(self, seed):
+            super().__init__(seed)
+            generators.append(self)
+
+    monkeypatch.setattr(data, "SplitMix64", Recorded)
+    ds = synth_noisy(T, d, flip, seed, margin=margin)
+    labels, rows, attempts, oracle_gen = scalar_synth(T, d, margin, seed, flip)
+    assert T % block != 0
+    assert covers <= set(_first_try_rejections_by_block_position(attempts, block))
+    assert [ex.y for ex in ds.examples] == labels
+    for ex, row in zip(ds.examples, rows):
+        assert ex.x == SparseVector(enumerate(row))
+        sq = 0.0
+        for v in row:
+            sq += v * v
+        assert ex.x.sq_norm == sq
+    # The instance generator ends where the scalar path leaves it, down to
+    # the pending spare normal.
+    assert generators[0].getstate() == oracle_gen.getstate()
+
+
+def test_generation_memory_is_bounded_by_the_block():
+    # Transient memory is a few blocks of arrays, whatever T is; holding the
+    # whole stream as arrays at once would take ~57 MB more at this size.
+    tracemalloc.start()
+    try:
+        ds = synth_noisy(50_000, 18, 0.1, 0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 50_000
+    assert peak - retained < 4 * 2**20
+
+
+def test_from_rows_matches_constructor():
+    rows = np.array([[0.5, -1.0, 2.0], [0.0, 3.0, 0.0], [0.0, 0.0, 0.0],
+                     [-0.0, 1e-300, 4.0], [0.1, 0.2, 0.3]])
+    built = SparseVector.from_rows(rows)
+    for x, row in zip(built, rows.tolist()):
+        plain = SparseVector(enumerate(row))
+        assert (x.indices, x.values) == (plain.indices, plain.values)
+        assert x.sq_norm == plain.sq_norm
+        assert np.array_equal(x.dense(3), plain.dense(3))
+    assert built[0].indices is built[4].indices  # rows without zeros share
+
+
+def test_from_rows_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite value at index 1"):
+        SparseVector.from_rows(np.array([[1.0, 2.0], [0.0, math.nan]]))
 
 
 # -- descriptors ------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import math
 
-from ahpatron.prng import SplitMix64, derive_stream_seed
+import numpy as np
+
+from ahpatron.prng import SplitMix64, derive_stream_seed, normal_pairs
 
 
 def test_known_answer_seed_zero():
@@ -76,3 +78,44 @@ def test_derived_stream_differs():
     main = [SplitMix64(seed).next_u64() for _ in range(4)]
     side = [SplitMix64(derive_stream_seed(seed)).next_u64() for _ in range(4)]
     assert main != side
+
+
+def test_take_matches_next_u64():
+    for seed in (0, 987654321, 2**64 - 1):
+        a = SplitMix64(seed)
+        b = SplitMix64(seed)
+        block = a.take(1000)
+        assert block.dtype == np.uint64
+        assert block.tolist() == [b.next_u64() for _ in range(1000)]
+        assert a.getstate() == b.getstate()
+        assert a.next_u64() == b.next_u64()
+    assert SplitMix64(5).take(0).size == 0
+
+
+def test_take_leaves_spare_normal_pending():
+    a = SplitMix64(17)
+    b = SplitMix64(17)
+    a.normal()
+    b.normal()
+    a.take(3)
+    for _ in range(3):
+        b.next_u64()
+    assert a.normal() == b.normal()
+
+
+def test_normal_pairs_match_scalar_normals():
+    gen = SplitMix64(41)
+    draws = SplitMix64(41).take(20_000)
+    cos_part, sin_part = normal_pairs(draws[0::2], draws[1::2])
+    scalar = [gen.normal() for _ in range(20_000)]
+    assert cos_part.tolist() == scalar[0::2]
+    assert sin_part.tolist() == scalar[1::2]
+
+
+def test_setstate_replays_from_getstate():
+    gen = SplitMix64(3)
+    gen.normal()
+    saved = gen.getstate()
+    first = [gen.normal() for _ in range(5)]
+    gen.setstate(saved)
+    assert [gen.normal() for _ in range(5)] == first
