@@ -14,9 +14,11 @@ exactly those; Comparator.of evaluates any Expansion into one.  The default
 comparator is the scaled label mean embedding
 f_bar = (1/T) sum_t y_t kappa(x_t, .), the one hypothesis guaranteed to lie
 in the radius-U ball whenever U >= 1 and the kernel has unit diagonal.  Its
-scores, its norm and the kernel alignment all follow from g = K y, which is
-built in row blocks of at most _BLOCK_ENTRIES kernel values: memory stays
-O(T d + _BLOCK_ENTRIES) while time stays quadratic in T.
+scores, its norm and the kernel alignment all follow from g = K y.  Each g
+densifies the stream once and writes its row blocks of at most
+_BLOCK_ENTRIES kernel values into one reused buffer: memory stays
+O(T d + 2 _BLOCK_ENTRIES) (the buffer and one temporary of the Gaussian
+arithmetic) while time stays quadratic in T.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ from .learners import (
 BOUND_TOL = 1e-6
 _NORM_SLACK = 1e-9
 _PARAM_RTOL = 1e-9
-# Kernel values per row block of K y: 2M float64 entries, 16 MB.
+# Kernel values per row block of K y: 2M float64 entries, 16 MB, one buffer
+# shared by every block of a g.  The BLAS products round according to the
+# block height, so another size changes g in its last bits.
 _BLOCK_ENTRIES = 1 << 21
 
 
@@ -121,18 +125,40 @@ def _labels(stream: Sequence[LabeledExample]) -> np.ndarray:
     return np.array([float(ex.y) for ex in stream])
 
 
+def _sum_left_to_right(values) -> float:
+    """Plain running sum: builtin sum() of floats is compensated from Python
+    3.12 on, so its result would depend on the interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _kernel_times_labels(
     stream: Sequence[LabeledExample], spec: KernelSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(y, g) with g = K y, K the stream's Gram matrix, one row block at a time."""
+    """(y, g) with g = K y, K the stream's Gram matrix, one row block at a time.
+
+    The stream is densified once and every block is written into one buffer.
+    """
     if not stream:
         raise ValueError("stream must be nonempty")
     xs = [ex.x for ex in stream]
     y = _labels(stream)
-    rows = max(1, _BLOCK_ENTRIES // len(xs))
-    g = np.empty(len(xs))
-    for i in range(0, len(xs), rows):
-        g[i : i + rows] = pairwise_kernel(spec, xs[i : i + rows], xs) @ y
+    T = len(xs)
+    dim = max(x.width for x in xs)
+    X = np.array([x.dense(dim) for x in xs])
+    xsq = np.array([x.sq_norm for x in xs])
+    # The columns are a copy: when one block holds the whole stream, X @ X.T
+    # on one array takes numpy's syrk path, which rounds unlike gemm.
+    Y = X.copy()
+    rows = max(1, _BLOCK_ENTRIES // T)
+    buf = np.empty((min(rows, T), T))
+    g = np.empty(T)
+    for i in range(0, T, rows):
+        block = buf[: min(rows, T - i)]
+        pairwise_kernel(spec, X[i : i + rows], xsq[i : i + rows], Y, xsq, out=block)
+        g[i : i + rows] = block @ y
     return y, g
 
 
@@ -159,7 +185,7 @@ def default_comparator(
 def kernel_alignment(stream: Sequence[LabeledExample], spec: KernelSpec) -> float:
     """sum_t kappa(x_t, x_t) - (1/T) y' K y; >= 0 for PSD kernels."""
     y, g = _kernel_times_labels(stream, spec)
-    diag = sum(kernel_diag(spec, ex.x) for ex in stream)
+    diag = _sum_left_to_right(kernel_diag(spec, ex.x) for ex in stream)
     return float(diag - (y @ g) / len(y))
 
 
@@ -382,7 +408,8 @@ def check_refined_bound(
            + (1.0 / gamma) * ratio * loss
            + (1.0 - 2.0 * zeta) / gamma * norm_sq * math.sqrt(B) / U
            + slack)
-    mean_dist = (sum(d for _, d in events) / (len(events) * U)) if events else 0.0
+    mean_dist = (_sum_left_to_right(d for _, d in events) / (len(events) * U)
+                 if events else 0.0)
     return _report(
         "ahpatron_refined_bound",
         float(m.mistakes),

@@ -246,18 +246,16 @@ def gram_matrix(spec: KernelSpec, xs: Sequence[SparseVector]) -> np.ndarray:
 
 
 def pairwise_kernel(
-    spec: KernelSpec, xs: Sequence[SparseVector], ys: Sequence[SparseVector]
+    spec: KernelSpec,
+    X: np.ndarray,
+    xsq: np.ndarray,
+    Y: np.ndarray,
+    ysq: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Kernel block K[i, j] = kappa(xs[i], ys[j]) through kernel_row's BLAS
-    arithmetic (agrees with gram_matrix to fp error when ys is xs)."""
-    if not xs or not ys:
-        raise ValueError("xs and ys must be nonempty")
-    dim = max(max(x.width for x in xs), max(y.width for y in ys))
-    X = np.array([x.dense(dim) for x in xs])
-    Y = np.array([y.dense(dim) for y in ys])
-    xsq = np.array([[x.sq_norm] for x in xs])
-    ysq = np.array([y.sq_norm for y in ys])
-    return kernel_row(spec, X, xsq, Y.T, ysq)
+    """Kernel block K[i, j] = kappa(X[i], Y[j]) of dense rows with squared norms
+    xsq and ysq, through kernel_row's BLAS arithmetic (written into out if given)."""
+    return kernel_row(spec, X, xsq[:, None], Y.T, ysq, out=out)
 
 
 def kernel_row(
@@ -266,6 +264,7 @@ def kernel_row(
     xsq: np.ndarray,
     xd: np.ndarray,
     x_sq: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Kernel values of a dense query against stored dense rows.
 
@@ -273,12 +272,15 @@ def kernel_row(
     and x_sq the query.  This is the hot path shared by hypothesis
     evaluation and incremental Gram updates.  With xsq a column, xd a
     (dim, m) matrix and x_sq a length-m vector it returns the whole
-    len(X) x m block (pairwise_kernel).
+    len(X) x m block (pairwise_kernel).  The product goes into out (a new
+    array if None) and the Gaussian arithmetic runs in place on it, so a
+    caller can reuse one buffer for many blocks.
     """
-    dots = X @ xd
+    out = np.matmul(X, xd, out=out)
     if spec.family == LINEAR:
-        return dots
-    d2 = xsq + x_sq - 2.0 * dots
-    np.maximum(d2, 0.0, out=d2)
-    d2 *= -1.0 / (2.0 * spec.sigma * spec.sigma)
-    return np.exp(d2, out=d2)
+        return out
+    out *= 2.0
+    np.subtract(xsq + x_sq, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    out *= -1.0 / (2.0 * spec.sigma * spec.sigma)
+    return np.exp(out, out=out)

@@ -11,7 +11,13 @@ import math
 
 import numpy as np
 
-from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector, kernel_eval
+from ahpatron.kernels import (
+    KernelSpec,
+    LabeledExample,
+    SparseVector,
+    kernel_eval,
+    pairwise_kernel,
+)
 from ahpatron.prng import SplitMix64, derive_stream_seed
 
 
@@ -59,6 +65,20 @@ def projection_objective(K2, K21, alpha, eta, K1, theta) -> float:
         - 2.0 * theta @ (K21 @ alpha)
         + alpha @ (K1 @ alpha)
     )
+
+
+def densify(xs, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense rows of sparse vectors at width dim, and their squared norms."""
+    return np.array([x.dense(dim) for x in xs]), np.array([x.sq_norm for x in xs])
+
+
+def sparse_kernel_block(spec: KernelSpec, xs, ys) -> np.ndarray:
+    """pairwise_kernel of sparse rows, each side densified at the common width.
+
+    A call-site helper for tests that build kernel blocks, not an oracle.
+    """
+    dim = max(v.width for v in [*xs, *ys])
+    return pairwise_kernel(spec, *densify(xs, dim), *densify(ys, dim))
 
 
 def random_sparse(gen: SplitMix64, dim: int, density: float = 0.7,

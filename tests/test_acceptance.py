@@ -35,12 +35,17 @@ from ahpatron.diagnostics import (
     mean_embedding,
     metrics,
 )
-from ahpatron.kernels import KernelSpec, pairwise_kernel
+from ahpatron.kernels import KernelSpec
 from ahpatron.learners import LearnerConfig, run
 from ahpatron.prng import SplitMix64
 from ahpatron.solver import ProjectionProblem, solve_theta
 
-from oracles import coordinate_descent, projection_objective, random_sparse
+from oracles import (
+    coordinate_descent,
+    projection_objective,
+    random_sparse,
+    sparse_kernel_block,
+)
 
 GAUSS = KernelSpec.gaussian(1.0)
 
@@ -186,7 +191,7 @@ def test_criterion_4_projection_oracle_equivalence():
         m = 1 + gen.below(20)
         k = m
         xs = [random_sparse(gen, 6) for _ in range(m + k)]
-        K = pairwise_kernel(GAUSS, xs, xs)
+        K = sparse_kernel_block(GAUSS, xs, xs)
         kept = list(range(m))
         removed = list(range(m, m + k))
         alpha = np.array([gen.uniform() * 2.0 - 1.0 for _ in range(k)])

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +38,7 @@ from ahpatron.kernels import (
 from ahpatron.learners import LearnerConfig, RunTrace, run
 from ahpatron.prng import SplitMix64
 
-from oracles import random_examples
+from oracles import random_examples, sparse_kernel_block
 
 GAUSS = KernelSpec.gaussian(1.0)
 LIN = KernelSpec.linear()
@@ -184,14 +188,14 @@ def test_blocked_kernel_times_labels_matches_one_gram(monkeypatch, spec):
     monkeypatch.setattr(diagnostics, "_BLOCK_ENTRIES", 12 * 53 + 7)
     blocks = []
 
-    def spy(spec, xs, ys):
-        blocks.append((len(xs), len(ys)))
-        return pairwise_kernel(spec, xs, ys)
+    def spy(spec, X, xsq, Y, ysq, out=None):
+        blocks.append((len(X), len(Y)))
+        return pairwise_kernel(spec, X, xsq, Y, ysq, out=out)
 
     monkeypatch.setattr(diagnostics, "pairwise_kernel", spy)
     xs = [e.x for e in stream]
     y = np.array([float(e.y) for e in stream])
-    g = pairwise_kernel(spec, xs, xs) @ y
+    g = sparse_kernel_block(spec, xs, xs) @ y
     T = len(stream)
     f = mean_embedding(stream, spec)
     assert blocks == [(12, T)] * 4 + [(5, T)]
@@ -200,6 +204,17 @@ def test_blocked_kernel_times_labels_matches_one_gram(monkeypatch, spec):
     diag = sum(kernel_diag(spec, x) for x in xs)
     assert kernel_alignment(stream, spec) == pytest.approx(
         diag - float(y @ g) / T, rel=0.0, abs=1e-12)
+
+
+def test_one_block_stream_rounds_like_separate_arrays():
+    # A stream that fits one block: numpy computes X @ X.T on one array by
+    # syrk, which rounds differently from the product of two arrays.
+    stream = synth_noisy(300, 4, 0.1, 0).examples
+    xs = [e.x for e in stream]
+    y = np.array([float(e.y) for e in stream])
+    for spec in (GAUSS, LIN):
+        g = sparse_kernel_block(spec, xs, xs) @ y
+        assert mean_embedding(stream, spec).scores.tobytes() == (g / 300).tobytes()
 
 
 def test_comparator_path_holds_no_gram_matrix():
@@ -215,6 +230,58 @@ def test_comparator_path_holds_no_gram_matrix():
         assert peak < T * T * 8, (fn.__name__, peak / 2**20)
 
 
+def test_comparator_path_peak_is_about_two_row_blocks():
+    # The densified stream plus one reused block buffer and the one
+    # temporary of the Gaussian arithmetic: no per-block copies.
+    T = 4000
+    stream = synth_noisy(T, 8, 0.1, 5).examples
+    block = (diagnostics._BLOCK_ENTRIES // T) * T * 8
+    for fn in (mean_embedding, kernel_alignment):
+        tracemalloc.start()
+        try:
+            fn(stream, GAUSS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * block, (fn.__name__, peak / block)
+
+
+# SHA-256 of the comparator path's results on a stream that spans 5 row
+# blocks: g = K y must stay bitwise equal (this numpy/OpenBLAS build's
+# arithmetic).  Each digest covers the scores' bytes, then the reprs of
+# sq_norm and of the kernel alignment.  OpenBLAS splits the product of a
+# block with y across threads, and the split changes its rounding, so the
+# digests come from a child process held to one BLAS thread.
+_COMPARATOR_PINS = {
+    "gaussian": "21b922811aa8d01e6d9db8777807348aa5a32b5851d2de728bafcc07be896f28",
+    "linear": "1ac460a2b70e52bcd6cca12b8af5e51ae1962ba2ce7f6edde61b947f585ea6ff",
+}
+
+_COMPARATOR_DIGESTS = """
+import hashlib
+from ahpatron import diagnostics
+from ahpatron.data import synth_noisy
+from ahpatron.kernels import KernelSpec
+stream = synth_noisy(3000, 8, 0.1, 3).examples
+assert -(-len(stream) // (diagnostics._BLOCK_ENTRIES // len(stream))) == 5
+for spec in (KernelSpec.gaussian(1.0), KernelSpec.linear()):
+    f = diagnostics.mean_embedding(stream, spec)
+    h = hashlib.sha256(f.scores.tobytes())
+    h.update(repr(f.sq_norm).encode())
+    h.update(repr(diagnostics.kernel_alignment(stream, spec)).encode())
+    print(spec.family, h.hexdigest())
+"""
+
+
+def test_comparator_path_matches_pinned_hashes():
+    src = str(Path(diagnostics.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _COMPARATOR_DIGESTS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert dict(line.split() for line in out.splitlines()) == _COMPARATOR_PINS
+
+
 # -- kernel alignment ------------------------------------------------------------------
 
 
@@ -226,6 +293,14 @@ def test_alignment_two_identical_same_label():
     x = SparseVector([(0, 1.0)])
     stream = [LabeledExample(x, 1), LabeledExample(x, 1)]
     assert kernel_alignment(stream, GAUSS) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_alignment_diagonal_sums_left_to_right():
+    # Linear diagonal 1 + 4 * 2^-54 summed left to right stays 1.0 (a
+    # compensated sum would give 1 + 2^-52), and y'Ky = (sum y x)^2 = 1.
+    tiny = 2.0**-27
+    stream = [ex([(0, 1.0)], 1)] + [ex([(0, tiny)], y) for y in (1, -1, 1, -1)]
+    assert kernel_alignment(stream, LIN) == 1.0 - 1.0 / 5
 
 
 def test_alignment_equals_mean_embedding_hinge_loss():
@@ -463,6 +538,17 @@ def test_refined_bound_aggressive_u_fails_precondition():
     stream = [ex([(0, 1.0)], 1)] * 6
     with pytest.raises(PreconditionViolation):
         check_refined_bound(trace, stream, zero_comparator(stream), gamma=0.5)
+
+
+def test_refined_bound_mean_distance_sums_left_to_right():
+    # 0.25 + 2^-56 rounds back to 0.25 four times over; a compensated sum
+    # (builtin sum() from Python 3.12 on) would return 0.25 + 2^-54.
+    cfg = _refined_config(B=16)
+    trace = make_trace(cfg, [-1.0] * 6, removal_rounds=(1, 2, 3, 4, 5),
+                       removal_distances=(0.25,) + (2.0**-56,) * 4)
+    stream = [ex([(0, 1.0)], 1)] * 6
+    report = check_refined_bound(trace, stream, zero_comparator(stream), gamma=0.5)
+    assert report.components["mean_removal_distance_ratio"] == 0.25 / (5 * cfg.U)
 
 
 def test_refined_bound_gamma_validation():

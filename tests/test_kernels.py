@@ -9,12 +9,13 @@ from ahpatron.kernels import (
     SparseVector,
     gram_matrix,
     kernel_eval,
+    kernel_row,
     pairwise_kernel,
     sparse_sq_dist,
 )
 from ahpatron.prng import SplitMix64
 
-from oracles import random_sparse
+from oracles import densify, random_sparse, sparse_kernel_block
 
 GAUSS = KernelSpec.gaussian(1.0)
 
@@ -186,10 +187,37 @@ def test_pairwise_kernel_agrees_with_gram():
     xs = [random_sparse(gen, 6) for _ in range(12)]
     wide = SparseVector([(8, 1.5)])  # wider than every row of xs
     for spec in (GAUSS, KernelSpec.linear()):
-        fast = pairwise_kernel(spec, xs, xs)
+        fast = sparse_kernel_block(spec, xs, xs)
         exact = gram_matrix(spec, xs)
         assert np.allclose(fast, exact, rtol=0.0, atol=1e-12)
         assert np.array_equal(fast, fast.T)
-        block = pairwise_kernel(spec, xs, xs[:4] + [wide])
+        block = sparse_kernel_block(spec, xs, xs[:4] + [wide])
         exact = gram_matrix(spec, xs + [wide])[:12, [0, 1, 2, 3, 12]]
         assert np.allclose(block, exact, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [GAUSS, KernelSpec.linear()], ids=["gaussian", "linear"])
+def test_kernel_row_into_buffer_is_bitwise_the_allocating_call(spec):
+    gen = SplitMix64(37)
+    X, xsq = densify([random_sparse(gen, 6) for _ in range(9)], 6)
+    Q, qsq = densify([random_sparse(gen, 6) for _ in range(5)], 6)
+    # One query row, as the learners score, and a block of five.
+    for args, shape in (((X, xsq, Q[0], qsq[0]), (9,)),
+                        ((X, xsq[:, None], Q.T, qsq), (9, 5))):
+        buf = np.full(shape, np.nan)
+        assert kernel_row(spec, *args, out=buf) is buf
+        assert buf.tobytes() == kernel_row(spec, *args).tobytes()
+
+
+@pytest.mark.parametrize("spec", [GAUSS, KernelSpec.linear()], ids=["gaussian", "linear"])
+def test_pairwise_kernel_reuses_one_buffer_for_ragged_blocks(spec):
+    gen = SplitMix64(41)
+    X, xsq = densify([random_sparse(gen, 6) for _ in range(23)], 6)
+    Y, ysq = X.copy(), xsq.copy()
+    buf = np.full((10, 23), np.nan)
+    for i in range(0, 23, 10):  # blocks of 10, 10 and 3 rows
+        block = buf[: min(10, 23 - i)]
+        rows = slice(i, i + 10)
+        assert pairwise_kernel(spec, X[rows], xsq[rows], Y, ysq, out=block) is block
+        fresh = pairwise_kernel(spec, X[rows].copy(), xsq[rows].copy(), Y, ysq)
+        assert block.tobytes() == fresh.tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ahpatron.kernels import KernelSpec, pairwise_kernel
+from ahpatron.kernels import KernelSpec
 from ahpatron.prng import SplitMix64
 from ahpatron.solver import (
     FactorizationFailure,
@@ -12,13 +12,18 @@ from ahpatron.solver import (
     spd_solve,
 )
 
-from oracles import coordinate_descent, projection_objective, random_sparse
+from oracles import (
+    coordinate_descent,
+    projection_objective,
+    random_sparse,
+    sparse_kernel_block,
+)
 
 
 def random_projection_problem(gen, m, k, eta=None):
     """Blocks of a real kernel matrix, so K2 is PSD like in production."""
     xs = [random_sparse(gen, 6) for _ in range(m + k)]
-    K = pairwise_kernel(KernelSpec.gaussian(1.0), xs, xs)
+    K = sparse_kernel_block(KernelSpec.gaussian(1.0), xs, xs)
     kept = list(range(m))
     removed = list(range(m, m + k))
     alpha = np.array([gen.uniform() * 2.0 - 1.0 for _ in range(k)])
