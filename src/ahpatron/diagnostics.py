@@ -140,6 +140,11 @@ def _kernel_times_labels(
     """(y, g) with g = K y, K the stream's Gram matrix, one row block at a time.
 
     The stream is densified once and every block is written into one buffer.
+    ``block @ y`` is an OpenBLAS gemv, which splits the work over its threads
+    and rounds differently with their number.  Above about 2000 examples g,
+    and every check-bounds and alignment figure derived from it, therefore
+    depends on OPENBLAS_NUM_THREADS in its last digits; OPENBLAS_NUM_THREADS=1
+    reproduces the values the tests and the benchmark pin.
     """
     if not stream:
         raise ValueError("stream must be nonempty")

@@ -20,6 +20,7 @@ where n is the active-set size, so eviction drift cannot accumulate.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -106,7 +107,7 @@ class Expansion:
         return self._sq_norm
 
     def norm(self) -> float:
-        return np.sqrt(self._sq_norm) if self._sq_norm > 0 else 0.0
+        return math.sqrt(self._sq_norm) if self._sq_norm > 0 else 0.0
 
     # -- evaluation --------------------------------------------------------
 
@@ -120,18 +121,20 @@ class Expansion:
         xd = x.dense(self._dim)
         return kernel_row(self.spec, self._X[:n], self._xsq[:n], xd, x.sq_norm)
 
-    def evaluate(self, x: SparseVector, row: np.ndarray | None = None) -> float:
+    def score(self, x: SparseVector) -> tuple[np.ndarray, float]:
+        """(kernel_row(x), f(x)) from one kernel row and one dot product."""
+        row = self.kernel_row(x)
+        return row, float(row @ self._alphas[: self._n])
+
+    def evaluate(self, x: SparseVector) -> float:
         """f(x) = sum_i alpha_i * kappa(x_i, x)."""
-        if self._n == 0:
-            return 0.0
-        if row is None:
-            row = self.kernel_row(x)
-        return float(row @ self._alphas[: self._n])
+        return self.score(x)[1]
 
     # -- updates -----------------------------------------------------------
 
-    def insert(self, ex: LabeledExample, coeff: float, row: np.ndarray | None = None) -> None:
-        """Append a term; ``row`` may pass a precomputed kernel_row(ex.x).
+    def insert(self, ex: LabeledExample, coeff: float, row: np.ndarray | None = None,
+               fx: float | None = None) -> None:
+        """Append a term; ``row`` and ``fx`` may pass a precomputed score(ex.x).
 
         The Gram matrix grows by one row/column and the norm cache is
         updated via  |f + c k(x,.)|^2 = |f|^2 + 2c f(x) + c^2 kappa(x,x).
@@ -141,11 +144,13 @@ class Expansion:
             raise ValueError("zero coefficient")
         x = ex.x
         if row is None:
-            row = self.kernel_row(x)
-        elif x.width > self._dim:
-            self._grow_dim(x.width)
+            row, fx = self.score(x)
+        else:
+            if x.width > self._dim:
+                self._grow_dim(x.width)
+            if fx is None:
+                fx = float(row @ self._alphas[: self._n])
         n = self._n
-        fx = float(row @ self._alphas[:n]) if n else 0.0
         kxx = kernel_diag(self.spec, x)
         self._reserve(n + 1)
         self._examples.append(ex)
@@ -157,9 +162,11 @@ class Expansion:
             self._gram[:n, n] = row
             self._gram[n, n] = kxx
         else:
+            # Fancy indexing into a 1-D row or column view costs about half
+            # as much as 2-D fancy indexing with a scalar.
             live, j = self._slot[:n], self._slot[n]
-            self._gram[j, live] = row
-            self._gram[live, j] = row
+            self._gram[j][live] = row
+            self._gram[:, j][live] = row
             self._gram[j, j] = kxx
         self._n = n + 1
         sq = self._sq_norm + 2.0 * coeff * fx + coeff * coeff * kxx
@@ -233,7 +240,7 @@ class Expansion:
         s = self._slot
         victim = s[i]
         a = self._alphas[:n]
-        g = self._gram[victim, s[:n]]
+        g = self._gram[victim][s[:n]]
         ai = a[i]
         sq = self._sq_norm - 2.0 * ai * float(g @ a) + ai * ai * g[i]
         self._sq_norm = sq if sq > 0.0 else 0.0

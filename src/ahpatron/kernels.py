@@ -99,15 +99,16 @@ class SparseVector:
 
     def dense(self, dim: int) -> np.ndarray:
         """Dense copy of length ``dim`` (cached for repeated use at the same dim)."""
+        if self._dense_dim == dim:
+            return self._dense  # type: ignore[return-value]
         if dim < self.width:
             raise ValueError(f"dim {dim} < width {self.width}")
-        if self._dense_dim != dim:
-            out = np.zeros(dim)
-            if self.indices:
-                out[list(self.indices)] = self.values
-            self._dense = out
-            self._dense_dim = dim
-        return self._dense  # type: ignore[return-value]
+        out = np.zeros(dim)
+        if self.indices:
+            out[list(self.indices)] = self.values
+        self._dense = out
+        self._dense_dim = dim
+        return out
 
     def dot(self, other: "SparseVector") -> float:
         """Sparse dot product via merge iteration."""

@@ -19,6 +19,12 @@ m_t counts the nonpositive margins up to and including round t.  The zero
 margin always triggers an update so every counted margin-mistake round also
 updates, keeping mistakes a subset of updates.
 
+A round scores x_t with one kernel row and one dot product
+(Expansion.score) and returns a RoundOutcome, a NamedTuple; a round that
+does not trigger returns at once.  A triggered round reuses the row and the
+score for the insert unless a removal changed the active set.  run() unpacks
+each outcome and writes the RunTrace columns one by one.
+
 Halving: split the full active set into the half with the smallest
 |coefficients| (removed) and the half with the largest (survivors), project
 the removed mass onto the survivors' span via the regularized closed-form
@@ -31,7 +37,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -135,8 +141,7 @@ class LearnerConfig:
             raise ConfigError("avp-adaptive requires finite U")
 
 
-@dataclass(frozen=True)
-class RoundOutcome:
+class RoundOutcome(NamedTuple):
     """Per-round record: prediction, margin, and which events fired."""
 
     prediction: int
@@ -165,11 +170,10 @@ def split_active_set(coeffs: Sequence[float], budget: int) -> tuple[list[int], l
         raise ConfigError(f"budget must be even, got {budget}")
     if len(coeffs) != budget:
         raise ValueError(f"expected exactly {budget} terms, got {len(coeffs)}")
-    order = sorted(range(budget), key=lambda i: (abs(coeffs[i]), i))
+    # A stable sort by |coefficient| breaks ties by insertion order.
+    order = np.argsort(np.abs(coeffs), kind="stable")
     half = budget // 2
-    removed = sorted(order[:half])
-    kept = sorted(order[half:])
-    return removed, kept
+    return np.sort(order[:half]).tolist(), np.sort(order[half:]).tolist()
 
 
 class OnlineLearner:
@@ -196,33 +200,42 @@ class OnlineLearner:
         self._evict_random = algo == BUDGET_RANDOM
 
     def step(self, ex: LabeledExample) -> RoundOutcome:
-        """Process one example: predict, then update if the trigger fires."""
+        """Process one example: predict, then update if the trigger fires.
+
+        One kernel row and one dot product score the example; the row and
+        the score are reused by the insert unless the active set changed.
+        """
         f = self.hypothesis
-        row = f.kernel_row(ex.x)
-        score = float(row @ f.alphas) if f.size else 0.0
-        margin = ex.y * score
+        y = ex.y
+        row, score = f.score(ex.x)
+        margin = y * score
         pred = 1 if score > 0.0 else -1
-        nonpositive = margin <= 0.0
-        if nonpositive:
+        if margin <= 0.0:
             self._nonpos_margins += 1
-        triggered = nonpositive or margin < self._threshold
-        distance: float | None = None
-        if triggered:
-            if f.size == self._budget:
-                if self._halving:
-                    distance = self._halve()
-                    row = None  # active set changed; recompute on insert
-                else:
-                    victim = self._rng.below(f.size) if self._evict_random else 0
-                    self._note_drift(f.remove_term(victim))
-                    row = np.delete(row, victim)
-            if self._adaptive:
-                rate = adaptive_rate(self._nonpos_margins, self.config.U)
+        elif not margin < self._threshold:
+            return RoundOutcome(pred, margin, pred != y, False, False, None)
+        distance = None
+        n = f.size
+        if n == self._budget:
+            if self._halving:
+                distance = self._halve()
+                row = score = None  # active set changed; recompute on insert
             else:
-                rate = self._rate
-            f.insert(ex, rate * ex.y, row=row)
-            f.project_ball(self.config.U)
-        return RoundOutcome(pred, margin, pred != ex.y, triggered,
+                victim = self._rng.below(n) if self._evict_random else 0
+                self._note_drift(f.remove_term(victim))
+                # The row without the victim's entry; the score is stale.
+                if victim == 0:
+                    row = row[1:]
+                else:
+                    row = np.concatenate((row[:victim], row[victim + 1:]))
+                score = None
+        if self._adaptive:
+            rate = adaptive_rate(self._nonpos_margins, self.config.U)
+        else:
+            rate = self._rate
+        f.insert(ex, rate * y, row=row, fx=score)
+        f.project_ball(self.config.U)
+        return RoundOutcome(pred, margin, pred != y, True,
                             distance is not None, distance)
 
     def _note_drift(self, drift: float) -> None:
@@ -356,21 +369,25 @@ def run(
     active_sizes = np.empty(T, dtype=np.int32)
     norms = np.empty(T)
     f = learner.hypothesis
+    step = learner.step
+    size, norm = f.size, f.norm()
     start = time.perf_counter()
     for t, ex in enumerate(stream):
         try:
-            out = learner.step(ex)
+            pred, margin, mistake, trig, removal, distance = step(ex)
         except (SolverDiverged, GramCorruption, FloatingPointError) as e:
             raise RunError(t, e) from e
-        margins[t] = out.margin
-        predictions[t] = out.prediction
-        mistakes[t] = out.mistake
-        triggered[t] = out.triggered
-        removals[t] = out.removal
-        if out.removal_distance is not None:
-            removal_distances[t] = out.removal_distance
-        active_sizes[t] = f.size
-        norms[t] = f.norm()
+        margins[t] = margin
+        predictions[t] = pred
+        mistakes[t] = mistake
+        if trig:  # only a triggered round changes the hypothesis
+            triggered[t] = True
+            if removal:
+                removals[t] = True
+                removal_distances[t] = distance
+            size, norm = f.size, f.norm()
+        active_sizes[t] = size
+        norms[t] = norm
     elapsed_ms = (time.perf_counter() - start) * 1e3
     final_drift = f.reset_norm_cache()
     return RunTrace(

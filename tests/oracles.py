@@ -67,6 +67,17 @@ def projection_objective(K2, K21, alpha, eta, K1, theta) -> float:
     )
 
 
+def sorted_split(coeffs, budget: int) -> tuple[list[int], list[int]]:
+    """(removed, survivors) halves by a Python sort on (|c_i|, i).
+
+    The smallest-magnitude half is removed, ties going to older terms;
+    both halves come back in insertion order.
+    """
+    order = sorted(range(budget), key=lambda i: (abs(coeffs[i]), i))
+    half = budget // 2
+    return sorted(order[:half]), sorted(order[half:])
+
+
 def densify(xs, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense rows of sparse vectors at width dim, and their squared norms."""
     return np.array([x.dense(dim) for x in xs]), np.array([x.sq_norm for x in xs])

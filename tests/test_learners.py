@@ -21,7 +21,7 @@ from ahpatron.learners import (
 from ahpatron.prng import SplitMix64
 from ahpatron.solver import SolverDiverged
 
-from oracles import random_examples
+from oracles import random_examples, sorted_split
 
 GAUSS = KernelSpec.gaussian(1.0)
 LIN = KernelSpec.linear()
@@ -229,6 +229,20 @@ def test_split_magnitude_ordering_random():
         assert min(abs(coeffs[i]) for i in kept) >= max(abs(coeffs[i]) for i in removed)
 
 
+def test_split_matches_sorted_oracle_on_ties():
+    # Magnitudes from a handful of powers of two, both signs and zeros, so
+    # nearly every split cuts through a run of equal magnitudes.
+    gen = SplitMix64(53)
+    values = (0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
+    budgets = list(range(2, 66, 2)) + [100, 128, 256, 500, 512, 998, 1000]
+    for budget in budgets:
+        for distinct in (1, 2, 3, len(values)):
+            coeffs = [values[gen.below(distinct)] for _ in range(budget)]
+            assert split_active_set(coeffs, budget) == sorted_split(coeffs, budget)
+        alternating = [(-1.0) ** i for i in range(budget)]
+        assert split_active_set(alternating, budget) == sorted_split(alternating, budget)
+
+
 def test_split_validates_sizes():
     with pytest.raises(ValueError):
         split_active_set([1.0, 2.0], 4)
@@ -400,37 +414,95 @@ def _sha256(a):
     return hashlib.sha256(a.tobytes()).hexdigest()
 
 
-# Hashes and counts of reference traces: margins and counts must not move.
-# Budget baseline norms are not pinned, since the incremental eviction norm
-# update changed their last bits; the other learners never evict a single
-# term, so their norms stay bitwise.
+# Hashes and counts of reference traces: margins, counts and every other
+# per-round column must not move.  Budget baseline norms are not pinned,
+# since the incremental eviction norm update changed their last bits; the
+# other learners never evict a single term, so their norms stay bitwise.
+# Column hashes are of the raw bytes, NaN entries of removal_distances
+# included.
 _PINNED = {
     "perceptron": (
         "7c9a72b247290dd8ddabb7ec3d6d58163a137e9958058492a90ac7d2567959f0",
         "2400db4998a9f45583e6fee21ec70262e0477405df86d465021326fd93173aff",
-        (335, 336, 0, 0), 336, 336),
+        (335, 336, 0, 0), 336, 336,
+        {
+            "predictions": "36205152afb0da39dc09a509aef4d6f9232368e7cb00c30073195117864d51b0",
+            "mistakes": "941932135a18d5d1b75fe087f4e995b2ab6ed9eaa2ab4998eadbf3b40cab2ee6",
+            "triggered": "c4d7a6a4de7862c26e0d959e46bf383b77fdcc035e520f59b2e63b29a5c07767",
+            "removals": "6249da5c681dd8a542b8e38150a3026e02385d590a9dd94f4f83940fd856ee73",
+            "removal_distances": "26158570ad6248d069e759834f446e17c0fcb94aae2d48e9d2c0d2233c4bedb4",
+            "active_sizes": "fb16e3f1ba37790dca6304a4a7285dd947ca192c41f2e1901874af8f7175c709",
+        }),
     "avp": (
         "ec82a328549c272126333a7051fd0aae02ad9e30755ce0bd2325ce7331b4b7fc",
         "e53b2e33e1772989a330c908908c9373bfa668774e740826d3e5951212442923",
-        (327, 328, 24, 0), 352, 352),
+        (327, 328, 24, 0), 352, 352,
+        {
+            "predictions": "e2ab5df37497852b2fd5caf3ef8d58aaf0446534a3ec02d4e743adbb4c17db42",
+            "mistakes": "405a10b5a2c0590e68f6cd0b35e8a7b6f0332cbed4f7ce88643b1c2c42aa2b64",
+            "triggered": "be46bf8338aa6b6bf2b34b365a3b16534b9fea34e9bae15b13cd343451134f4d",
+            "removals": "6249da5c681dd8a542b8e38150a3026e02385d590a9dd94f4f83940fd856ee73",
+            "removal_distances": "26158570ad6248d069e759834f446e17c0fcb94aae2d48e9d2c0d2233c4bedb4",
+            "active_sizes": "fbf18e9bdbc83ab12e7598f1810b7f8c399620ef187778f4c60302e8b2a51fac",
+        }),
     "avp-adaptive": (
         "195fb365c67408b93c1745cb45f975bef3f59759d79329b165ee49686c7869c0",
         "af109bfda24e10d590c10704254fd1f0b40ae90dd6c1d8644143940a7a3e5f63",
-        (208, 209, 174, 0), 383, 383),
+        (208, 209, 174, 0), 383, 383,
+        {
+            "predictions": "3b863fe010783c1387fef63946300a3cd50b612fa9f6fc9bca67abc892ff6ade",
+            "mistakes": "6820c8c16abfab503166b0f8e0b73659bbd6cf4349c1a329d8e51276c5b728aa",
+            "triggered": "d675ba01125c77eb40ab69de3929a663a912894353172d672afe462b24103dbc",
+            "removals": "6249da5c681dd8a542b8e38150a3026e02385d590a9dd94f4f83940fd856ee73",
+            "removal_distances": "26158570ad6248d069e759834f446e17c0fcb94aae2d48e9d2c0d2233c4bedb4",
+            "active_sizes": "857e191adfdee1613c6e2d4602ce0ac384ce25b97d8d4c842027408e63f4a495",
+        }),
     "budget-oldest": (
         "fe4efefee66c093a55272458cab5ad8bb7df32101cd24c3796f1de38aa6b1b72",
-        None, (370, 371, 0, 0), 371, 16),
+        None, (370, 371, 0, 0), 371, 16,
+        {
+            "predictions": "73f04242a6daea8e7729c785b1abd42418b018bdc56dcad2d7b37d78c7d14de8",
+            "mistakes": "0e2b47b4267d7f257a9100e57f7a885e845810f638cafc7c4d5d662ec4e14873",
+            "triggered": "c32c9805d095cd9d2c99ab538278dd1eb4ca4cc1ba1d8927f96b58ab92325561",
+            "removals": "6249da5c681dd8a542b8e38150a3026e02385d590a9dd94f4f83940fd856ee73",
+            "removal_distances": "26158570ad6248d069e759834f446e17c0fcb94aae2d48e9d2c0d2233c4bedb4",
+            "active_sizes": "9b6e85d07eda827c0ad788051c5ec15e1042daf505d1c7f48555b5bee64df77f",
+        }),
     "budget-random": (
         "8ebc5d93361bc38f82acc3a4d96d75fd20f3ca7b37e0bee6f609e32b8b86f31e",
-        None, (377, 378, 0, 0), 378, 16),
+        None, (377, 378, 0, 0), 378, 16,
+        {
+            "predictions": "94dddfc526cfe50fdce5eace761fd3ea0fc5b561d61e2e076a60c35d7b4e7c8a",
+            "mistakes": "2efb50456aa46fd9faa8662665219f0553b7ec5249030470f4aa3faad3d3fbe3",
+            "triggered": "de46a74a9ad4aeb922c2889d5ee0a49c37ce61972905b7c6fc103850c2e0e3a8",
+            "removals": "6249da5c681dd8a542b8e38150a3026e02385d590a9dd94f4f83940fd856ee73",
+            "removal_distances": "26158570ad6248d069e759834f446e17c0fcb94aae2d48e9d2c0d2233c4bedb4",
+            "active_sizes": "9b6e85d07eda827c0ad788051c5ec15e1042daf505d1c7f48555b5bee64df77f",
+        }),
     "ahpatron": (
         "7945bba917d4e80e9d84bd706799e1277d3f52504a479cce488d0fa707a7159f",
         "baf8445d805324f782efe07ac75ed2e1770811c7710851f27e72defe15ee87df",
-        (204, 205, 179, 46), 384, 16),
+        (204, 205, 179, 46), 384, 16,
+        {
+            "predictions": "2cfc856171445d75e6cd3ded195fa3ac2439b088ffed731c0d5344460e5e2c77",
+            "mistakes": "3960caebbbd27c7e9f06427f16c3ef03f452f16acc521bcd22add5b1b9bdc86d",
+            "triggered": "574516fbdd23311ba2361630cc4c6d6b4fc6c0ab00940b349f1277944fac85d9",
+            "removals": "afb894d6b1551d89c3a5e2574fca4d4dbade0aadf0964e8fde5ade8e0caa27a0",
+            "removal_distances": "77b648e3e5bed5ef6a08f688b2413c8ee862f9903ee47ab447161d0749eba811",
+            "active_sizes": "16bffda6f48eb8512cbf91ff534c99bb010d0213f30c7a40dff8c7d5a90ad8c2",
+        }),
     "ahpatron-noproj": (
         "1164c4979a6068fb2b3efdba56e0e09108a3b260920c400c96980da76c01a7d6",
         "b258222a20c3feae9d7ad300a978c3e13e9a0a1a16deb23fe18d60f282c226b3",
-        (213, 214, 164, 46), 378, 10),
+        (213, 214, 164, 46), 378, 10,
+        {
+            "predictions": "d56e082196cd3824da8861712863a3c8a339317256083e1a144e61687dcc39b0",
+            "mistakes": "37a6685a1eea36ffed932d96b6af33707aaa7010d7f8df9bfd5efb1532c98f2e",
+            "triggered": "e76670e447002ce8f32661203a30ecad6d89970253996c6bb0c6c1258beb20ec",
+            "removals": "38de34984be75812aca73687aeca36ea4bab3bb3e724e9fd346ce6364c7c5fb4",
+            "removal_distances": "5fa152c04605b1692cf1058c631709de8004299952f16f416df4c74fb9f0cdc2",
+            "active_sizes": "7df79e371609a7c46ed704f67d005fc1124c0fa8119f90b93f269d63204ba9b4",
+        }),
 }
 
 
@@ -451,10 +523,12 @@ def _pinned_config(algo):
 def test_traces_match_pinned_hashes(algo):
     ds = synth_noisy(1500, 6, 0.15, seed=29)
     trace = run(_pinned_config(algo), ds.examples)
-    margins, norms, counts, updates, final_size = _PINNED[algo]
+    margins, norms, counts, updates, final_size, columns = _PINNED[algo]
     assert _sha256(trace.margins) == margins
     if norms is not None:
         assert _sha256(trace.norms) == norms
+    for name, digest in columns.items():
+        assert _sha256(getattr(trace, name)) == digest, name
     m = metrics(trace)
     assert (m.mistakes, m.margin_mistakes, m.low_confidence, m.removals) == counts
     assert int(np.count_nonzero(trace.triggered)) == updates

@@ -8,6 +8,10 @@ the SHA-256 trace pins it does not fix this build's arithmetic.
     the perceptron.
   - A halving learner whose budget is never reached never halves, so it is
     avp at the same U, lambda and epsilon.
+  - Negating every label negates every coefficient and every score, so the
+    margins y f(x), the triggers, the norms and the removals stay the same.
+    Only the prediction on a zero score, sign(0) = -1, does not flip, so the
+    mistakes differ on exactly the rounds whose margin is 0.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import numpy as np
 import pytest
 
 from ahpatron.data import permute, synth_noisy
-from ahpatron.kernels import KernelSpec
-from ahpatron.learners import LearnerConfig, run
+from ahpatron.kernels import KernelSpec, LabeledExample
+from ahpatron.learners import ALGORITHMS, LearnerConfig, run
 
 GAUSS = KernelSpec.gaussian(1.0)
 
@@ -65,3 +69,33 @@ def test_halving_learners_above_update_count_are_avp(stream):
                                   ct_mode="norm-ratio"), examples)
         assert not trace.removals.any()
         _assert_same_except_config(trace, avp)
+
+
+def _negation_config(algo):
+    if algo in ("ahpatron", "ahpatron-noproj"):
+        return LearnerConfig(algo, GAUSS, B=100, U=5.0, lam=0.25, epsilon=0.7,
+                             ct_mode="norm-ratio")
+    if algo in ("budget-oldest", "budget-random"):
+        return LearnerConfig(algo, GAUSS, B=100, seed=7)
+    if algo in ("avp", "avp-adaptive"):
+        return LearnerConfig(algo, GAUSS, U=3.0, lam=0.075, epsilon=0.7)
+    return LearnerConfig(algo, GAUSS)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_negating_labels_moves_only_zero_margin_mistakes(algo):
+    examples = _stream(*STREAMS[0])
+    negated = [LabeledExample(e.x, -e.y) for e in examples]
+    config = _negation_config(algo)
+    a, b = run(config, examples), run(config, negated)
+    for name in ("margins", "triggered", "norms", "active_sizes", "removals",
+                 "removal_distances"):
+        assert np.array_equal(getattr(a, name), getattr(b, name),
+                              equal_nan=True), name
+    zero = a.margins == 0.0
+    assert zero[0]  # the empty hypothesis scores 0
+    assert np.array_equal(a.mistakes != b.mistakes, zero)
+    assert np.array_equal(a.predictions[~zero], -b.predictions[~zero])
+    if config.B is not None:  # the budget is reached, and halving runs
+        assert a.active_sizes.max() == config.B
+        assert a.removals.any() == (algo in ("ahpatron", "ahpatron-noproj"))
