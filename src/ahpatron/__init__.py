@@ -39,14 +39,7 @@ from .diagnostics import (
     metrics,
 )
 from .expansion import DegenerateProjection, Expansion, GramCorruption
-from .kernels import (
-    KernelSpec,
-    LabeledExample,
-    SparseVector,
-    gram_matrix,
-    kernel_eval,
-    sparse_sq_dist,
-)
+from .kernels import KernelSpec, LabeledExample, SparseVector
 from .learners import (
     ALGORITHMS,
     ConfigError,
@@ -103,11 +96,9 @@ __all__ = [
     "check_removal_count_bound",
     "default_comparator",
     "format_libsvm",
-    "gram_matrix",
     "hinge_loss_of",
     "invariant_violations",
     "kernel_alignment",
-    "kernel_eval",
     "load_dataset",
     "load_libsvm",
     "mean_embedding",
@@ -117,7 +108,6 @@ __all__ = [
     "run",
     "solve_theta",
     "solve_theta_ladder",
-    "sparse_sq_dist",
     "spd_solve",
     "split_active_set",
     "subsample",

@@ -353,18 +353,22 @@ def _load(spec: str) -> Dataset:
 
 # -- bench ---------------------------------------------------------------------
 
-_DATASETS: dict[str, Dataset] = {}
+# A --jobs worker's copy of its bench's datasets, set by the pool
+# initializer; the worker process ends with the bench.
+_WORKER_DATASETS: dict[str, Dataset] = {}
 
 
-def _dataset_cached(spec: str) -> Dataset:
-    if spec not in _DATASETS:
-        _DATASETS[spec] = _load(spec)
-    return _DATASETS[spec]
+def _init_worker(datasets: dict[str, Dataset]) -> None:
+    _WORKER_DATASETS.update(datasets)
 
 
-def _bench_cell(task: tuple[str, LearnerConfig]) -> dict:
+def _worker_cell(task: tuple[str, LearnerConfig]) -> dict:
+    return _bench_cell(task, _WORKER_DATASETS)
+
+
+def _bench_cell(task: tuple[str, LearnerConfig], datasets: dict[str, Dataset]) -> dict:
     data_spec, config = task
-    ds = _dataset_cached(data_spec)
+    ds = datasets[data_spec]
     stream = permute(ds, config.seed)
     try:
         trace = run(config, stream.examples, dataset_name=ds.name)
@@ -409,14 +413,16 @@ def cmd_bench(args) -> int:
                                               args.lam, eps, args.eta, args.ct,
                                               seed)
                         tasks.append((data_spec, config))
-    for spec in data_specs:
-        _dataset_cached(spec)
+    # Loaded once per command, so a file rewritten between two benches in
+    # one process is read afresh.
+    datasets = {spec: _load(spec) for spec in data_specs}
 
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_cell, tasks))
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
+                                 initargs=(datasets,)) as pool:
+            rows = list(pool.map(_worker_cell, tasks))
     else:
-        rows = [_bench_cell(task) for task in tasks]
+        rows = [_bench_cell(task, datasets) for task in tasks]
 
     failures = [r for r in rows if r.get("error")]
     for r in failures:

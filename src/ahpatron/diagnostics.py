@@ -106,8 +106,8 @@ class Comparator:
 
     @classmethod
     def of(cls, f: Expansion, stream: Sequence[LabeledExample]) -> "Comparator":
-        """Evaluate an expansion on every stream example."""
-        scores = np.array([f.evaluate(ex.x) for ex in stream])
+        """Score an expansion on every stream example."""
+        scores = np.array([f.score(ex.x)[1] for ex in stream])
         return cls(scores, f.recompute_norm() ** 2)
 
 

@@ -1,13 +1,15 @@
 """Kernel expansion hypotheses: f = sum_i alpha_i * kappa(x_i, .).
 
-An Expansion owns the active set of an online learner: the stored examples,
-their coefficients, an incrementally maintained Gram matrix, and a cached
-squared RKHS norm.  Terms are a multiset -- duplicate instances are kept as
-separate terms and never merged, because budget maintenance splits the
-active set by per-update coefficients.
+An Expansion owns the active set of an online learner: the dense instance
+rows and their squared norms, the coefficients, an incrementally maintained
+Gram matrix, and a cached squared RKHS norm.  Each term is stored once, as
+the row that scoring reads; labels are not kept, since a term's coefficient
+already carries its sign.  Terms are a multiset -- duplicate instances are
+kept as separate terms and never merged, because budget maintenance splits
+the active set by per-update coefficients.
 
-Per-term arrays (examples, coefficients, squared norms, dense rows) are kept
-in insertion order.  The Gram matrix is addressed through a slot map
+Per-term arrays (coefficients, squared norms, dense rows) are kept in
+insertion order.  The Gram matrix is addressed through a slot map
 (logical position -> Gram slot) so that evicting one term moves no Gram
 entries; the map stays the identity, with contiguous Gram slices, until the
 first single-term eviction and returns to it at every compaction.
@@ -49,14 +51,13 @@ class Expansion:
     proceed concurrently on shared immutable inputs.
     """
 
-    __slots__ = ("spec", "_dim", "_n", "_examples", "_alphas", "_xsq", "_X",
-                 "_gram", "_slot", "_evictions", "_sq_norm")
+    __slots__ = ("spec", "_dim", "_n", "_alphas", "_xsq", "_X", "_gram",
+                 "_slot", "_evictions", "_sq_norm")
 
     def __init__(self, spec: KernelSpec, dim: int = 0):
         self.spec = spec
         self._dim = int(dim)
         self._n = 0
-        self._examples: list[LabeledExample] = []
         self._alphas = np.zeros(_MIN_CAPACITY)
         self._xsq = np.zeros(_MIN_CAPACITY)
         self._X = np.zeros((_MIN_CAPACITY, self._dim))
@@ -72,13 +73,6 @@ class Expansion:
     @property
     def size(self) -> int:
         return self._n
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def terms(self) -> list[tuple[LabeledExample, float]]:
-        return [(ex, float(a)) for ex, a in zip(self._examples, self._alphas[: self._n])]
 
     @property
     def alphas(self) -> np.ndarray:
@@ -126,10 +120,6 @@ class Expansion:
         row = self.kernel_row(x)
         return row, float(row @ self._alphas[: self._n])
 
-    def evaluate(self, x: SparseVector) -> float:
-        """f(x) = sum_i alpha_i * kappa(x_i, x)."""
-        return self.score(x)[1]
-
     # -- updates -----------------------------------------------------------
 
     def insert(self, ex: LabeledExample, coeff: float, row: np.ndarray | None = None,
@@ -153,7 +143,6 @@ class Expansion:
         n = self._n
         kxx = kernel_diag(self.spec, x)
         self._reserve(n + 1)
-        self._examples.append(ex)
         self._alphas[n] = coeff
         self._xsq[n] = x.sq_norm
         self._X[n, : self._dim] = x.dense(self._dim)
@@ -248,7 +237,6 @@ class Expansion:
         for arr in (self._alphas, self._xsq, self._X, s):
             arr[i : n - 1] = arr[i + 1 : n]
         s[n - 1] = victim  # the freed slot is the next insert's
-        del self._examples[i]
         self._n = n - 1
         self._evictions += 1
         if self._evictions >= self._n:
@@ -267,11 +255,12 @@ class Expansion:
             raise ValueError("keep/new_coeffs length mismatch")
         if any(keep[i] >= keep[i + 1] for i in range(len(keep) - 1)):
             raise ValueError("keep indices must be strictly increasing")
+        if keep and not (keep[0] >= 0 and keep[-1] < self._n):
+            raise ValueError(f"keep indices must lie in [0, {self._n})")
         nz = coeffs != 0.0
         self._compact([k for k, m in zip(keep, nz) if m], coeffs[nz])
 
     def clear(self) -> None:
-        self._examples.clear()
         self._n = 0
         self._slot = None
         self._evictions = 0
@@ -291,7 +280,6 @@ class Expansion:
 
     def _compact(self, keep: list[int], coeffs: np.ndarray) -> None:
         m = len(keep)
-        self._examples = [self._examples[k] for k in keep]
         # Fancy indexing copies, so overlapping writes are safe.
         self._alphas[:m] = coeffs
         self._xsq[:m] = self._xsq[keep]

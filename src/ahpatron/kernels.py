@@ -1,17 +1,21 @@
-"""Kernel functions, sparse instances, and Gram matrices.
+"""Sparse instances, kernel specifications, and the dense kernel routine.
 
 Instances are immutable sparse vectors (sorted index/value pairs, explicit
-zeros dropped).  Supported kernel families: Gaussian (RBF) and linear.
-All evaluations are double precision; the Gaussian kernel is normalized
-(kappa(x, x) = 1) so the unit-diagonal assumption needed by the bound
-checkers holds automatically.
+zeros dropped) that hand out cached dense rows.  Supported kernel families:
+Gaussian (RBF) and linear.  Kernel values come from one BLAS routine,
+kernel_row, of dense rows and their squared norms: a single query row for
+scoring and Gram updates, or a whole block (pairwise_kernel) for the
+comparator and alignment passes; kernel_diag gives a new term's Gram
+diagonal.  All evaluations are double precision; the Gaussian kernel is
+normalized (kappa(x, x) = 1) so the unit-diagonal assumption needed by the
+bound checkers holds automatically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -110,24 +114,6 @@ class SparseVector:
         self._dense_dim = dim
         return out
 
-    def dot(self, other: "SparseVector") -> float:
-        """Sparse dot product via merge iteration."""
-        a, b = self, other
-        ia = ib = 0
-        na, nb = len(a.indices), len(b.indices)
-        s = 0.0
-        while ia < na and ib < nb:
-            da, db = a.indices[ia], b.indices[ib]
-            if da == db:
-                s += a.values[ia] * b.values[ib]
-                ia += 1
-                ib += 1
-            elif da < db:
-                ia += 1
-            else:
-                ib += 1
-        return s
-
     def __len__(self) -> int:
         return len(self.indices)
 
@@ -182,68 +168,11 @@ class KernelSpec:
         return cls(LINEAR)
 
 
-def sparse_sq_dist(u: SparseVector, v: SparseVector) -> float:
-    """Squared Euclidean distance over the union of supports."""
-    ia = ib = 0
-    na, nb = len(u.indices), len(v.indices)
-    s = 0.0
-    while ia < na and ib < nb:
-        da, db = u.indices[ia], v.indices[ib]
-        if da == db:
-            d = u.values[ia] - v.values[ib]
-            s += d * d
-            ia += 1
-            ib += 1
-        elif da < db:
-            d = u.values[ia]
-            s += d * d
-            ia += 1
-        else:
-            d = v.values[ib]
-            s += d * d
-            ib += 1
-    while ia < na:
-        d = u.values[ia]
-        s += d * d
-        ia += 1
-    while ib < nb:
-        d = v.values[ib]
-        s += d * d
-        ib += 1
-    return s
-
-
-def kernel_eval(spec: KernelSpec, u: SparseVector, v: SparseVector) -> float:
-    """Scalar kernel evaluation; symmetric in (u, v)."""
-    if spec.family == GAUSSIAN:
-        return math.exp(-sparse_sq_dist(u, v) / (2.0 * spec.sigma * spec.sigma))
-    return u.dot(v)
-
-
 def kernel_diag(spec: KernelSpec, x: SparseVector) -> float:
-    """kappa(x, x) without the generic distance path (exact 1.0 for Gaussian)."""
+    """kappa(x, x) without a kernel row (exact 1.0 for Gaussian)."""
     if spec.family == GAUSSIAN:
         return 1.0
     return x.sq_norm
-
-
-def gram_matrix(spec: KernelSpec, xs: Sequence[SparseVector]) -> np.ndarray:
-    """Entrywise Gram matrix, exactly consistent with kernel_eval.
-
-    O(n^2) scalar evaluations; meant for active-set sizes.  Large streams
-    (alignment, mean embeddings) go through pairwise_kernel blocks instead.
-    """
-    n = len(xs)
-    if n == 0:
-        raise ValueError("xs must be nonempty")
-    m = np.empty((n, n))
-    for i in range(n):
-        m[i, i] = kernel_eval(spec, xs[i], xs[i])
-        for j in range(i):
-            k = kernel_eval(spec, xs[i], xs[j])
-            m[i, j] = k
-            m[j, i] = k
-    return m
 
 
 def pairwise_kernel(

@@ -62,15 +62,6 @@ class ProjectionProblem:
         if m and np.max(np.abs(K2 - K2.T)) > _SYMMETRY_TOL:
             raise ValueError("K2 is not symmetric")
 
-    def objective(self, theta: np.ndarray) -> float:
-        """theta'(K2 + eta I)theta - 2 theta' K21 alpha  (constant term omitted)."""
-        theta = np.asarray(theta, dtype=float)
-        return float(
-            theta @ (self.K2 @ theta)
-            + self.eta * theta @ theta
-            - 2.0 * theta @ (self.K21 @ self.alpha)
-        )
-
 
 def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve Ax = b for symmetric positive definite A via Cholesky.

@@ -1,8 +1,12 @@
 """Independent reference computations used as test oracles.
 
 Everything here deliberately avoids the library's optimized code paths:
-naive per-term sums, merge-free dense arithmetic, and a plain coordinate
-descent minimizer.  The oracles stay independent of whatever they check.
+a scalar kernel that merges sorted sparse supports (the library computes
+its kernel rows through one dense BLAS routine), naive per-term sums, and
+a plain coordinate descent minimizer.  The oracles stay independent of
+whatever they check: from the library they take only the input types, the
+PRNG, and pairwise_kernel for the sparse_kernel_block call-site helper
+(test_oracles_are_independent guards this).
 """
 
 from __future__ import annotations
@@ -11,27 +15,98 @@ import math
 
 import numpy as np
 
-from ahpatron.kernels import (
-    KernelSpec,
-    LabeledExample,
-    SparseVector,
-    kernel_eval,
-    pairwise_kernel,
-)
+from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector, pairwise_kernel
 from ahpatron.prng import SplitMix64, derive_stream_seed
 
 
+# -- the scalar kernel: merge iteration over sorted sparse supports ----------
+
+
+def sparse_dot(u: SparseVector, v: SparseVector) -> float:
+    """Sparse dot product via merge iteration."""
+    ia = ib = 0
+    na, nb = len(u.indices), len(v.indices)
+    s = 0.0
+    while ia < na and ib < nb:
+        da, db = u.indices[ia], v.indices[ib]
+        if da == db:
+            s += u.values[ia] * v.values[ib]
+            ia += 1
+            ib += 1
+        elif da < db:
+            ia += 1
+        else:
+            ib += 1
+    return s
+
+
+def sparse_sq_dist(u: SparseVector, v: SparseVector) -> float:
+    """Squared Euclidean distance over the union of supports."""
+    ia = ib = 0
+    na, nb = len(u.indices), len(v.indices)
+    s = 0.0
+    while ia < na and ib < nb:
+        da, db = u.indices[ia], v.indices[ib]
+        if da == db:
+            d = u.values[ia] - v.values[ib]
+            s += d * d
+            ia += 1
+            ib += 1
+        elif da < db:
+            d = u.values[ia]
+            s += d * d
+            ia += 1
+        else:
+            d = v.values[ib]
+            s += d * d
+            ib += 1
+    while ia < na:
+        d = u.values[ia]
+        s += d * d
+        ia += 1
+    while ib < nb:
+        d = v.values[ib]
+        s += d * d
+        ib += 1
+    return s
+
+
+def kernel_eval(spec: KernelSpec, u: SparseVector, v: SparseVector) -> float:
+    """Scalar kernel evaluation; symmetric in (u, v)."""
+    if spec.family == "gaussian":
+        return math.exp(-sparse_sq_dist(u, v) / (2.0 * spec.sigma * spec.sigma))
+    return sparse_dot(u, v)
+
+
+def gram_matrix(spec: KernelSpec, xs) -> np.ndarray:
+    """Entrywise Gram matrix, exactly consistent with kernel_eval."""
+    n = len(xs)
+    if n == 0:
+        raise ValueError("xs must be nonempty")
+    m = np.empty((n, n))
+    for i in range(n):
+        m[i, i] = kernel_eval(spec, xs[i], xs[i])
+        for j in range(i):
+            k = kernel_eval(spec, xs[i], xs[j])
+            m[i, j] = k
+            m[j, i] = k
+    return m
+
+
+# -- hypotheses as explicit (instance, coefficient) term lists ---------------
+
+
 def naive_evaluate(spec, terms, x) -> float:
-    """Term-by-term hypothesis evaluation."""
-    return sum(alpha * kernel_eval(spec, ex.x, x) for ex, alpha in terms)
+    """Term-by-term hypothesis evaluation of (instance, coefficient) pairs."""
+    return sum(alpha * kernel_eval(spec, xi, x) for xi, alpha in terms)
 
 
 def quadratic_norm_sq(spec, terms) -> float:
-    """|f|^2 as the explicit double sum over terms."""
+    """|f|^2 as the explicit double sum over (instance, coefficient) pairs."""
     total = 0.0
-    for ex_i, a_i in terms:
-        for ex_j, a_j in terms:
-            total += a_i * a_j * kernel_eval(spec, ex_i.x, ex_j.x)
+    for x_i, a_i in terms:
+        for x_j, a_j in terms:
+            total += a_i * a_j * kernel_eval(spec, x_i, x_j)
     return total
 
 

@@ -7,7 +7,7 @@ import pytest
 import ahpatron.cli as cli
 import ahpatron.learners as learners
 from ahpatron.cli import CSV_HEADER, main
-from ahpatron.data import parse_libsvm
+from ahpatron.data import format_libsvm, parse_libsvm, synth_noisy
 from ahpatron.diagnostics import BoundReport
 from ahpatron.kernels import KernelSpec
 
@@ -114,6 +114,24 @@ def test_bench_parallel_matches_serial(tmp_path):
         return rows
 
     assert rows_no_time(serial) == rows_no_time(parallel)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_reads_a_rewritten_file_afresh(tmp_path, jobs):
+    # Two benches in one process on a file rewritten between them: each
+    # command loads its own datasets, as run does.
+    path = tmp_path / "stream.libsvm"
+    argv = ["bench", "--algos", "perceptron", "--data", str(path),
+            "--seeds", "1", "--jobs", jobs]
+    for T in (200, 300):
+        with open(path, "w") as fh:
+            format_libsvm(synth_noisy(T, 4, 0.1, 5), fh)
+        out = tmp_path / f"bench{T}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert [r["T"] for r in read_csv(out)] == [str(T)]
+        assert main(["run", "--algo", "perceptron", "--data", str(path),
+                     "--out", str(tmp_path / f"run{T}.csv")]) == 0
+        assert read_csv(tmp_path / f"run{T}.csv")[0]["T"] == str(T)
 
 
 def test_bench_json_mirror(tmp_path):

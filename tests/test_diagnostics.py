@@ -32,13 +32,12 @@ from ahpatron.kernels import (
     LabeledExample,
     SparseVector,
     kernel_diag,
-    kernel_eval,
     pairwise_kernel,
 )
 from ahpatron.learners import LearnerConfig, RunTrace, run
 from ahpatron.prng import SplitMix64
 
-from oracles import random_examples, sparse_kernel_block
+from oracles import kernel_eval, random_examples, sparse_kernel_block
 
 GAUSS = KernelSpec.gaussian(1.0)
 LIN = KernelSpec.linear()
@@ -140,7 +139,7 @@ def test_hinge_loss_matches_termwise_oracle():
         f.insert(e, gen.uniform() - 0.5 or 0.2)
     expected = 0.0
     for e in stream:
-        score = sum(a * kernel_eval(GAUSS, t.x, e.x) for t, a in f.terms)
+        score = sum(a * kernel_eval(GAUSS, t.x, e.x) for t, a in zip(comp_terms, f.alphas))
         expected += max(0.0, 1.0 - e.y * score)
     assert hinge_loss_of(Comparator.of(f, stream), stream) == pytest.approx(expected, abs=1e-9)
 

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from ahpatron.expansion import DegenerateProjection, Expansion, GramCorruption
-from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector, gram_matrix
+from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector
 from ahpatron.prng import SplitMix64
 
-from oracles import naive_evaluate, quadratic_norm_sq, random_examples, random_sparse
+from oracles import (
+    gram_matrix,
+    naive_evaluate,
+    quadratic_norm_sq,
+    random_examples,
+    random_sparse,
+)
 
 GAUSS = KernelSpec.gaussian(1.0)
 
@@ -17,45 +23,52 @@ def ex(pairs, y=1):
 
 
 def random_expansion(gen, n, dim=6, coeff_scale=1.0, spec=GAUSS):
+    """A random expansion and the instances inserted into it, in order.
+
+    The Expansion keeps no copy of its instances beyond the dense rows it
+    scores with, so tests compare it against this record.
+    """
     f = Expansion(spec, dim)
+    xs = []
     for e in random_examples(gen, n, dim):
         c = coeff_scale * (gen.uniform() * 2.0 - 1.0)
         if c != 0.0:
             f.insert(e, c)
-    return f
+            xs.append(e.x)
+    return f, xs
 
 
-# -- evaluate -------------------------------------------------------------------
+# -- score ----------------------------------------------------------------------
 
 
 def test_evaluate_empty_is_zero():
     f = Expansion(GAUSS)
-    assert f.evaluate(SparseVector([(0, 3.0)])) == 0.0
+    assert f.score(SparseVector([(0, 3.0)]))[1] == 0.0
 
 
 def test_evaluate_single_term_at_its_instance():
     f = Expansion(GAUSS, dim=2)
     x0 = SparseVector([(0, 1.0), (1, -1.0)])
     f.insert(LabeledExample(x0, 1), 2.0)
-    assert f.evaluate(x0) == pytest.approx(2.0, abs=1e-12)
+    assert f.score(x0)[1] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_evaluate_matches_naive_sum():
     gen = SplitMix64(101)
-    f = random_expansion(gen, 5)
+    f, xs = random_expansion(gen, 5)
     for _ in range(10):
         x = random_sparse(gen, 6)
-        expected = naive_evaluate(GAUSS, f.terms, x)
-        assert f.evaluate(x) == pytest.approx(expected, abs=1e-12)
+        expected = naive_evaluate(GAUSS, zip(xs, f.alphas), x)
+        assert f.score(x)[1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_evaluate_is_linear_under_scale():
     gen = SplitMix64(103)
-    f = random_expansion(gen, 6)
+    f, _ = random_expansion(gen, 6)
     x = random_sparse(gen, 6)
-    before = f.evaluate(x)
+    before = f.score(x)[1]
     f.scale(-2.5)
-    assert f.evaluate(x) == pytest.approx(-2.5 * before, rel=1e-12)
+    assert f.score(x)[1] == pytest.approx(-2.5 * before, rel=1e-12)
 
 
 # -- insert ---------------------------------------------------------------------
@@ -84,15 +97,14 @@ def test_insert_rejects_zero_coefficient():
 
 def test_insert_norm_matches_quadratic_form():
     gen = SplitMix64(107)
-    f = random_expansion(gen, 8)
-    expected = quadratic_norm_sq(GAUSS, f.terms)
+    f, xs = random_expansion(gen, 8)
+    expected = quadratic_norm_sq(GAUSS, list(zip(xs, f.alphas)))
     assert f.sq_norm == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
 def test_gram_is_maintained_incrementally():
     gen = SplitMix64(109)
-    f = random_expansion(gen, 7)
-    xs = [e.x for e, _ in f.terms]
+    f, xs = random_expansion(gen, 7)
     assert np.allclose(f.gram, gram_matrix(GAUSS, xs), rtol=0.0, atol=1e-12)
 
 
@@ -101,7 +113,7 @@ def test_gram_is_maintained_incrementally():
 
 def test_scale_identity():
     gen = SplitMix64(113)
-    f = random_expansion(gen, 4)
+    f, _ = random_expansion(gen, 4)
     before = list(f.alphas)
     f.scale(1.0)
     assert list(f.alphas) == before
@@ -109,14 +121,14 @@ def test_scale_identity():
 
 def test_scale_zero_empties():
     gen = SplitMix64(117)
-    f = random_expansion(gen, 4)
+    f, _ = random_expansion(gen, 4)
     f.scale(0.0)
     assert f.size == 0 and f.sq_norm == 0.0
 
 
 def test_scale_squares_norm():
     gen = SplitMix64(119)
-    f = random_expansion(gen, 4)
+    f, _ = random_expansion(gen, 4)
     before = f.sq_norm
     f.scale(-2.0)
     assert f.sq_norm == pytest.approx(4.0 * before, rel=1e-12)
@@ -134,7 +146,7 @@ def test_scale_rejects_nonfinite():
 
 def test_project_ball_inside_is_untouched():
     gen = SplitMix64(127)
-    f = random_expansion(gen, 5)
+    f, _ = random_expansion(gen, 5)
     coeffs = list(f.alphas)
     f.project_ball(2.0 * f.norm() + 1.0)
     assert list(f.alphas) == coeffs
@@ -156,7 +168,7 @@ def test_project_ball_zero_hypothesis():
 
 def test_project_ball_idempotent_coefficientwise():
     gen = SplitMix64(131)
-    f = random_expansion(gen, 6, coeff_scale=3.0)
+    f, _ = random_expansion(gen, 6, coeff_scale=3.0)
     f.project_ball(1.0)
     once = list(f.alphas)
     f.project_ball(1.0)
@@ -166,7 +178,7 @@ def test_project_ball_idempotent_coefficientwise():
 def test_project_ball_never_increases_norm_or_flips_signs():
     gen = SplitMix64(137)
     for _ in range(10):
-        f = random_expansion(gen, 5, coeff_scale=2.0)
+        f, _ = random_expansion(gen, 5, coeff_scale=2.0)
         before_norm = f.norm()
         signs = np.sign(f.alphas).tolist()
         f.project_ball(0.8)
@@ -216,7 +228,7 @@ def test_recompute_norm_single_term():
 
 def test_recompute_matches_cache():
     gen = SplitMix64(139)
-    f = random_expansion(gen, 10)
+    f, _ = random_expansion(gen, 10)
     assert f.recompute_norm() == pytest.approx(math.sqrt(f.sq_norm), rel=1e-8)
 
 
@@ -238,14 +250,21 @@ def test_cache_coherent_after_mixed_operations():
         assert abs(f.sq_norm - scratch) <= 1e-8 * max(1.0, f.sq_norm)
 
 
-def _check_against_oracles(f):
-    terms = f.terms
-    if not terms:
+def _check_against_oracles(f, xs):
+    """f against the scalar oracles on the instances the test inserted.
+
+    The stored coefficients come from f.alphas; the Gram, the norm cache
+    and the kernel rows that scoring reads must all match those instances.
+    """
+    assert f.size == len(xs)
+    if not xs:
         assert f.gram.shape == (0, 0) and f.sq_norm == 0.0
         return
-    xs = [e.x for e, _ in terms]
-    assert np.allclose(f.gram, gram_matrix(GAUSS, xs), rtol=0.0, atol=1e-12)
-    assert f.sq_norm == pytest.approx(quadratic_norm_sq(GAUSS, terms),
+    exact = gram_matrix(GAUSS, xs)
+    assert np.allclose(f.gram, exact, rtol=0.0, atol=1e-12)
+    rows = np.array([f.kernel_row(x) for x in xs])
+    assert np.allclose(rows, exact, rtol=0.0, atol=1e-12)
+    assert f.sq_norm == pytest.approx(quadratic_norm_sq(GAUSS, list(zip(xs, f.alphas))),
                                       rel=1e-10, abs=1e-12)
 
 
@@ -254,6 +273,7 @@ def test_slot_map_stays_coherent_under_mixed_operations():
     # capacity growth while permuted, so the test counts that both happen.
     gen = SplitMix64(174)
     f = Expansion(GAUSS, dim=4)
+    xs = []
     periodic_resets = permuted_growths = 0
     for _ in range(260):
         roll = gen.below(20)
@@ -261,54 +281,72 @@ def test_slot_map_stays_coherent_under_mixed_operations():
             if f._slot is not None and f.size == f._alphas.shape[0]:
                 permuted_growths += 1
             c = gen.uniform() * 2.0 - 1.0
-            f.insert(random_examples(gen, 1, 4)[0], c if c != 0.0 else 0.5)
+            e = random_examples(gen, 1, 4)[0]
+            f.insert(e, c if c != 0.0 else 0.5)
+            xs.append(e.x)
         elif roll < 17:
-            f.remove_term(gen.below(f.size))
+            i = gen.below(f.size)
+            f.remove_term(i)
+            del xs[i]
             periodic_resets += f._evictions == 0
         elif roll < 19:
             f.scale(0.5 + gen.uniform())
         else:
             keep = [i for i in range(f.size) if gen.below(4) != 0]
-            f.replace_with_subset(keep, [gen.uniform() for _ in keep])
-        _check_against_oracles(f)
+            coeffs = [gen.uniform() for _ in keep]
+            f.replace_with_subset(keep, coeffs)
+            xs = [xs[k] for k, c in zip(keep, coeffs) if c != 0.0]
+        _check_against_oracles(f, xs)
     assert periodic_resets >= 1
     assert permuted_growths >= 1
 
 
 def test_clear_after_slots_are_permuted():
     gen = SplitMix64(179)
-    f = random_expansion(gen, 10)
+    f, xs = random_expansion(gen, 10)
     for i in (3, 0, 5):
         f.remove_term(i)
-    f.insert(random_examples(gen, 1, 6)[0], 0.7)
-    _check_against_oracles(f)
+        del xs[i]
+    e = random_examples(gen, 1, 6)[0]
+    f.insert(e, 0.7)
+    _check_against_oracles(f, xs + [e.x])
     f.clear()
-    for e in random_examples(gen, 4, 6):
+    fresh = random_examples(gen, 4, 6)
+    for e in fresh:
         f.insert(e, 0.3)
-    _check_against_oracles(f)
+    _check_against_oracles(f, [e.x for e in fresh])
 
 
 def test_remove_term_updates_gram_and_examples():
     gen = SplitMix64(151)
-    f = random_expansion(gen, 6)
-    terms = f.terms
+    f, xs = random_expansion(gen, 6)
+    alphas = f.alphas.tolist()
     f.remove_term(2)
-    survivors = [t for i, t in enumerate(terms) if i != 2]
-    assert f.terms == survivors
-    xs = [e.x for e, _ in survivors]
-    assert np.allclose(f.gram, gram_matrix(GAUSS, xs), rtol=0.0, atol=1e-12)
-    assert f.sq_norm == pytest.approx(quadratic_norm_sq(GAUSS, survivors),
-                                      rel=1e-10, abs=1e-10)
+    del xs[2], alphas[2]
+    assert f.alphas.tolist() == alphas
+    _check_against_oracles(f, xs)
 
 
 def test_replace_with_subset_reindexes_and_evicts_zeros():
     gen = SplitMix64(157)
-    f = random_expansion(gen, 6)
-    terms = f.terms
+    f, xs = random_expansion(gen, 6)
     f.replace_with_subset([1, 3, 4], [2.0, 0.0, -1.0])
-    assert f.terms == [(terms[1][0], 2.0), (terms[4][0], -1.0)]
-    xs = [e.x for e, _ in f.terms]
-    assert np.allclose(f.gram, gram_matrix(GAUSS, xs), rtol=0.0, atol=1e-12)
+    assert f.alphas.tolist() == [2.0, -1.0]
+    _check_against_oracles(f, [xs[1], xs[4]])
+
+
+@pytest.mark.parametrize("keep", [[-1, 1], [0, 5], [3]], ids=str)
+def test_replace_with_subset_rejects_out_of_range_keep(keep):
+    # Out-of-range indices would read unused capacity (a zero Gram diagonal
+    # for -1), so they are refused before any state changes.
+    gen = SplitMix64(158)
+    f, xs = random_expansion(gen, 3)
+    assert f.size == 3
+    before = (f.alphas.tobytes(), f.gram.tobytes(), f.sq_norm)
+    with pytest.raises(ValueError):
+        f.replace_with_subset(keep, [1.0] * len(keep))
+    assert (f.alphas.tobytes(), f.gram.tobytes(), f.sq_norm) == before
+    _check_against_oracles(f, xs)
 
 
 def test_gram_corruption_detected():

@@ -7,15 +7,19 @@ from ahpatron.kernels import (
     KernelSpec,
     LabeledExample,
     SparseVector,
-    gram_matrix,
-    kernel_eval,
     kernel_row,
     pairwise_kernel,
-    sparse_sq_dist,
 )
 from ahpatron.prng import SplitMix64
 
-from oracles import densify, random_sparse, sparse_kernel_block
+from oracles import (
+    densify,
+    gram_matrix,
+    kernel_eval,
+    random_sparse,
+    sparse_kernel_block,
+    sparse_sq_dist,
+)
 
 GAUSS = KernelSpec.gaussian(1.0)
 
@@ -75,6 +79,10 @@ def test_kernel_spec_validation():
 
 
 # -- sparse_sq_dist -------------------------------------------------------------
+#
+# sparse_sq_dist, kernel_eval and gram_matrix are the scalar oracle kernel in
+# oracles.py; these sections check the oracle, and pairwise_kernel is checked
+# against it below.
 
 
 def test_sq_dist_identical_is_zero():

@@ -8,7 +8,7 @@ import ahpatron.learners as learners_mod
 from ahpatron.data import synth_noisy, synth_separable
 from ahpatron.diagnostics import invariant_violations, metrics
 from ahpatron.expansion import Expansion
-from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector, kernel_eval
+from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector
 from ahpatron.learners import (
     ConfigError,
     LearnerConfig,
@@ -21,7 +21,7 @@ from ahpatron.learners import (
 from ahpatron.prng import SplitMix64
 from ahpatron.solver import SolverDiverged
 
-from oracles import random_examples, sorted_split
+from oracles import gram_matrix, kernel_eval, random_examples, sorted_split
 
 GAUSS = KernelSpec.gaussian(1.0)
 LIN = KernelSpec.linear()
@@ -119,7 +119,7 @@ def test_perceptron_first_example_triggers():
     out = learner.step(ex([(0, 1.0)], +1))
     assert out.triggered and out.mistake and out.margin == 0.0
     assert learner.hypothesis.size == 1
-    assert learner.hypothesis.terms[0][1] == 1.0
+    assert learner.hypothesis.alphas[0] == 1.0
 
 
 def test_perceptron_zero_margin_updates_without_mistake():
@@ -185,7 +185,7 @@ def test_avp_inserts_rate_times_label():
     cfg = LearnerConfig("avp", GAUSS, U=math.inf, lam=0.3, epsilon=0.5)
     learner = OnlineLearner(cfg, dim=1)
     learner.step(ex([(0, 1.0)], -1))
-    assert learner.hypothesis.terms[0][1] == pytest.approx(-0.3)
+    assert learner.hypothesis.alphas[0] == pytest.approx(-0.3)
 
 
 def test_adaptive_rate_values():
@@ -201,7 +201,7 @@ def test_avp_adaptive_counts_current_round():
     learner = OnlineLearner(cfg, dim=1)
     learner.step(ex([(0, 1.0)], +1))  # margin 0 counts itself: rate U/sqrt(U^2+1)
     expected = 2.0 / math.sqrt(4.0 + 1.0)
-    assert learner.hypothesis.terms[0][1] == pytest.approx(expected, rel=1e-12)
+    assert learner.hypothesis.alphas[0] == pytest.approx(expected, rel=1e-12)
 
 
 # -- split ------------------------------------------------------------------------------
@@ -253,6 +253,16 @@ def test_split_validates_sizes():
 # -- Ahpatron ----------------------------------------------------------------------------
 
 
+def _assert_stores(f, spec, xs, probes=()):
+    """f holds exactly the instances xs, in order: its Gram and the kernel
+    rows that scoring reads match the scalar oracle on xs."""
+    assert f.size == len(xs)
+    assert np.allclose(f.gram, gram_matrix(spec, xs), rtol=0.0, atol=1e-12)
+    for p in [*xs, *probes]:
+        expected = [kernel_eval(spec, x, p) for x in xs]
+        assert np.allclose(f.kernel_row(p), expected, rtol=0.0, atol=1e-12)
+
+
 def _fill_active_set(learner, B):
     """Drive distinct triggering examples until the budget is full.
 
@@ -292,18 +302,16 @@ def test_ahpatron_zero_coupling_scales_survivors():
                         ct_mode="fixed", ct=0.6)
     learner = OnlineLearner(cfg, dim=8)
     f = learner.hypothesis
-    f.insert(ex([(0, 1.0)], +1), 0.9)   # survivor (larger magnitude)
-    f.insert(ex([(1, 1.0)], +1), 0.2)   # removed
+    kept, dropped = ex([(0, 1.0)], +1), ex([(1, 1.0)], +1)
+    f.insert(kept, 0.9)     # survivor (larger magnitude)
+    f.insert(dropped, 0.2)  # removed
     new_x = ex([(2, 0.5)], +1)          # triggers (margin 0 < 0.5)
     out = learner.step(new_x)
     assert out.removal
-    terms = learner.hypothesis.terms
-    assert len(terms) == 2
-    survivor, inserted = terms
-    assert survivor[0].x == SparseVector([(0, 1.0)])
+    _assert_stores(f, LIN, [kept.x, new_x.x], probes=[dropped.x])
     # Survivor rescaled from norm 0.9 to radius ct*U = 0.6: coefficient 0.6.
-    assert survivor[1] == pytest.approx(0.6, rel=1e-10)
-    assert inserted[1] == pytest.approx(0.1, rel=1e-10)
+    assert f.alphas[0] == pytest.approx(0.6, rel=1e-10)
+    assert f.alphas[1] == pytest.approx(0.1, rel=1e-10)
     # Removal distance: |f - fbar|^2 with orthogonal instances.
     expected = math.sqrt(0.2 ** 2 + (0.9 - 0.6) ** 2)
     assert out.removal_distance == pytest.approx(expected, rel=1e-9)
@@ -315,15 +323,18 @@ def test_ahpatron_noproj_matches_sphere_of_survivors():
     learner = OnlineLearner(cfg, dim=12)
     used = _fill_active_set(learner, 4)
     f = learner.hypothesis
+    assert used == 4  # every round triggered, so term i holds e_i
+    stored = [SparseVector([(i, 1.0)]) for i in range(4)]
+    _assert_stores(f, GAUSS, stored)
     alphas = np.asarray(f.alphas)
     removed, kept = split_active_set(alphas, 4)
     survivors = Expansion(GAUSS)
     for i in kept:
-        survivors.insert(*f.terms[i])
+        survivors.insert(LabeledExample(stored[i], 1), alphas[i])
     survivors.project_sphere(0.6 * 2.0)
-    expected = [c for _, c in survivors.terms]
+    expected = survivors.alphas.tolist()
     learner.step(ex([(used, 1.0)], +1))
-    got = [c for _, c in learner.hypothesis.terms[:2]]
+    got = learner.hypothesis.alphas[:2].tolist()
     assert got == pytest.approx(expected, rel=1e-9)
 
 
@@ -340,7 +351,7 @@ def test_ahpatron_degenerate_projection_drops_everything():
     out = learner.step(ex([(1, 1.0)], +1))
     assert out.removal
     assert learner.hypothesis.size == 1  # only the fresh insert survives
-    assert learner.hypothesis.terms[0][1] == pytest.approx(0.5)
+    assert learner.hypothesis.alphas[0] == pytest.approx(0.5)
 
 
 def test_ahpatron_norm_ratio_preserves_norm_across_removal():
@@ -370,8 +381,9 @@ def test_budget_oldest_evicts_in_arrival_order():
         assert learner.step(e).triggered
     out = learner.step(e3)
     assert out.triggered
-    kept = [t for t, _ in learner.hypothesis.terms]
-    assert kept == [e2, e3]
+    f = learner.hypothesis
+    _assert_stores(f, GAUSS, [e2.x, e3.x], probes=[e1.x])
+    assert f.alphas.tolist() == [e2.y, e3.y]
 
 
 def test_budget_random_is_seed_deterministic():

@@ -12,14 +12,23 @@ the SHA-256 trace pins it does not fix this build's arithmetic.
     margins y f(x), the triggers, the norms and the removals stay the same.
     Only the prediction on a zero score, sign(0) = -1, does not flip, so the
     mistakes differ on exactly the rounds whose margin is 0.
+  - Negating every label negates the comparator g = K y term by term, so its
+    scores flip sign while its norm and hinge loss stay the same.  Every
+    check-bounds right-hand side stays the same too, and a left-hand side
+    moves only where it counts mistakes, by the zero-margin difference.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from ahpatron.data import permute, synth_noisy
+import ahpatron.cli as cli
+import ahpatron.learners as learners
+from ahpatron.data import Dataset, format_libsvm, permute, synth_noisy
+from ahpatron.diagnostics import default_comparator, hinge_loss_of
 from ahpatron.kernels import KernelSpec, LabeledExample
 from ahpatron.learners import ALGORITHMS, LearnerConfig, run
 
@@ -99,3 +108,60 @@ def test_negating_labels_moves_only_zero_margin_mistakes(algo):
     if config.B is not None:  # the budget is reached, and halving runs
         assert a.active_sizes.max() == config.B
         assert a.removals.any() == (algo in ("ahpatron", "ahpatron-noproj"))
+
+
+def _negated(ds):
+    return Dataset([LabeledExample(e.x, -e.y) for e in ds.examples],
+                   name=ds.name, feature_count=ds.feature_count)
+
+
+def test_negating_labels_negates_the_default_comparator():
+    ds = synth_noisy(2000, 8, 0.1, 3)
+    a, b = ds.examples, _negated(ds).examples
+    fa, fb = default_comparator(a, GAUSS, 0.5), default_comparator(b, GAUSS, 0.5)
+    assert fa.sq_norm == fb.sq_norm
+    assert fa.scores.tobytes() == (-fb.scores).tobytes()
+    assert hinge_loss_of(fa, a) == hinge_loss_of(fb, b)
+
+
+# Bounds whose left-hand side is the mistake count.
+_MISTAKE_BOUNDS = ("perceptron_mistake_bound", "avp_constant_rate_bound",
+                   "avp_adaptive_rate_bound", "ahpatron_mistake_bound",
+                   "ahpatron_refined_bound")
+
+
+def test_negating_labels_keeps_every_check_bounds_rhs(tmp_path, monkeypatch):
+    ds = synth_noisy(2000, 8, 0.1, 3)
+    rows, traces = [], []
+    for name, stream in (("plain", ds), ("negated", _negated(ds))):
+        data, out = tmp_path / f"{name}.libsvm", tmp_path / f"{name}.json"
+        with open(data, "w") as fh:
+            format_libsvm(stream, fh)
+        recorded = []
+
+        def recording_run(*args, recorded=recorded):
+            recorded.append(learners.run(*args))
+            return recorded[-1]
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        assert cli.main(["check-bounds", "--suite", "all", "--data", str(data),
+                         "--format", "json", "--out", str(out)]) == 0
+        rows.append(json.loads(out.read_text()))
+        traces.append(recorded)
+    assert len(rows[0]) == len(rows[1]) == len(traces[0]) == len(traces[1]) == 8
+    shifts = []
+    for ra, rb, ta, tb in zip(*rows, *traces):
+        assert (ra["suite"], ra["bound"], ra["rhs"]) == (rb["suite"], rb["bound"], rb["rhs"])
+        zero = ta.margins == 0.0
+        moved = (int(np.count_nonzero(tb.mistakes[zero]))
+                 - int(np.count_nonzero(ta.mistakes[zero])))
+        shift = moved if ra["bound"] in _MISTAKE_BOUNDS else 0
+        assert float(rb["lhs"]) == float(ra["lhs"]) + shift
+        ca, cb = json.loads(ra["components"]), json.loads(rb["components"])
+        if "mistakes" in ca:
+            assert cb.pop("mistakes") == ca.pop("mistakes") + moved
+        assert ca == cb
+        shifts.append(shift)
+    # Round 0 scores 0 on a positive label here, so each mistake count
+    # loses exactly that one mistake; removals and both gap rows stay put.
+    assert shifts == [-1] * 5 + [0] * 3

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -119,12 +121,15 @@ def test_first_order_optimality_spot_check():
     for _ in range(5):
         p, _ = random_projection_problem(gen, m=6, k=6)
         theta = solve_theta(p)
-        base = p.objective(theta)
+        # K1 = 0 drops the constant term: the objective the solve minimizes.
+        objective = partial(projection_objective, p.K2, p.K21, p.alpha, p.eta,
+                            np.zeros((6, 6)))
+        base = objective(theta)
         for i in range(6):
             for delta in (1e-3, -1e-3):
                 bumped = theta.copy()
                 bumped[i] += delta
-                assert p.objective(bumped) >= base - 1e-12
+                assert objective(bumped) >= base - 1e-12
 
 
 def test_monotone_regularization():
