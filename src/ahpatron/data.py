@@ -19,6 +19,7 @@ blocks of examples at once and reproduces that order bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
@@ -57,45 +58,114 @@ class Dataset:
 
 
 def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
-    """Parse LIBSVM sparse text into a Dataset, normalizing labels to +/-1."""
+    """Parse LIBSVM sparse text into a Dataset, normalizing labels to +/-1.
+
+    Lines as format_libsvm writes them take a bulk path (_bulk_line), and a
+    line whose index strings repeat the previous bulk line's shares its
+    index tuple; every other line goes through _parse_line, which gives the
+    same result or the same MalformedLine.
+    """
     raw_labels: list[float] = []
     instances: list[SparseVector] = []
     feature_count = 0
+    keys: list[str] | None = None  # index strings of the last bulk line
+    indices: tuple[int, ...] = ()
     for lineno, line in enumerate(lines, start=1):
-        hash_pos = line.find("#")
-        if hash_pos >= 0:
-            line = line[:hash_pos]
-        tokens = line.split()
-        if not tokens:
-            continue
-        try:
-            label = float(tokens[0])
-        except ValueError:
-            raise MalformedLine(lineno, f"bad label {tokens[0]!r}") from None
-        if not math.isfinite(label):
-            raise MalformedLine(lineno, f"non-finite label {tokens[0]!r}")
-        pairs = []
-        for tok in tokens[1:]:
-            idx_str, sep, val_str = tok.partition(":")
-            if not sep:
-                raise MalformedLine(lineno, f"expected idx:val, got {tok!r}")
-            try:
-                pairs.append((int(idx_str), float(val_str)))
-            except ValueError:
-                raise MalformedLine(lineno, f"bad feature {tok!r}") from None
-        try:
-            instances.append(SparseVector(pairs))
-        except ValueError as e:
-            raise MalformedLine(lineno, str(e)) from None
+        bulk = _bulk_line(line, keys, indices)
+        if bulk is not None:
+            label, keys, indices, values = bulk
+            x = SparseVector._of(indices, values)
+            width = indices[-1] + 1 if indices else 0
+        else:
+            parsed = _parse_line(lineno, line)
+            if parsed is None:
+                continue
+            label, x, width = parsed
+        instances.append(x)
         raw_labels.append(label)
-        # Explicit zeros count toward the width even though SparseVector drops them.
-        if pairs and pairs[-1][0] + 1 > feature_count:
-            feature_count = pairs[-1][0] + 1
+        if width > feature_count:
+            feature_count = width
     if not raw_labels:
         raise NonBinaryLabels("empty dataset")
     labels = _normalize_labels(raw_labels)
     examples = [LabeledExample(x, y) for x, y in zip(instances, labels)]
     return Dataset(examples, name=name, feature_count=feature_count)
+
+
+# Every byte but those that decide how a line splits: ASCII whitespace
+# (str.split's separators), ':' and '#'.
+_NOT_SEPARATORS = bytes(b for b in range(256)
+                        if not (b < 128 and chr(b).isspace()) and b not in b":#")
+
+
+def _bulk_line(line: str, keys: list[str] | None, indices: tuple[int, ...]):
+    """(label, index strings, indices, values) of a well-formed line, else None.
+
+    A well-formed line is ASCII, and its separators are exactly one space
+    before each idx:val token and one colon inside it: no other whitespace
+    (a trailing newline aside), no '#', and no colon in the label.  Its label
+    and values must convert to finite floats, the values must be nonzero,
+    and the indices nonnegative and strictly increasing; if the index
+    strings equal keys, the line reuses indices, the tuple already parsed
+    from them.  Any other line returns None, so _parse_line handles it.
+    """
+    if not line.isascii():
+        return None
+    body = line.rstrip("\n")
+    signature = body.encode().translate(None, _NOT_SEPARATORS)
+    if signature != b" :" * (len(signature) >> 1):
+        return None
+    pieces = body.replace(":", " ").split(" ")
+    line_keys = pieces[1::2]
+    fresh = line_keys != keys
+    try:
+        label = float(pieces[0])
+        values = tuple(map(float, pieces[2::2]))
+        if fresh:
+            indices = tuple(map(int, line_keys))
+    except ValueError:
+        return None
+    if fresh and indices and (indices[0] < 0
+                              or not all(map(operator.lt, indices, indices[1:]))):
+        return None
+    # A finite sum means every term is finite (a nan or inf term makes it
+    # non-finite); an overflowing sum of finite values just takes the slow path.
+    if not math.isfinite(label + sum(values)) or 0.0 in values:
+        return None
+    return label, line_keys, indices, values
+
+
+def _parse_line(lineno: int, line: str) -> tuple[float, SparseVector, int] | None:
+    """(label, instance, width) of one line, None if it is blank or a comment.
+
+    The width counts explicit zeros, which SparseVector drops.
+    """
+    hash_pos = line.find("#")
+    if hash_pos >= 0:
+        line = line[:hash_pos]
+    tokens = line.split()
+    if not tokens:
+        return None
+    try:
+        label = float(tokens[0])
+    except ValueError:
+        raise MalformedLine(lineno, f"bad label {tokens[0]!r}") from None
+    if not math.isfinite(label):
+        raise MalformedLine(lineno, f"non-finite label {tokens[0]!r}")
+    pairs = []
+    for tok in tokens[1:]:
+        idx_str, sep, val_str = tok.partition(":")
+        if not sep:
+            raise MalformedLine(lineno, f"expected idx:val, got {tok!r}")
+        try:
+            pairs.append((int(idx_str), float(val_str)))
+        except ValueError:
+            raise MalformedLine(lineno, f"bad feature {tok!r}") from None
+    try:
+        x = SparseVector(pairs)
+    except ValueError as e:
+        raise MalformedLine(lineno, str(e)) from None
+    return label, x, pairs[-1][0] + 1 if pairs else 0
 
 
 def _normalize_labels(raw: list[float]) -> list[int]:

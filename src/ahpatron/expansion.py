@@ -92,7 +92,7 @@ class Expansion:
             g = self._gram[:n, :n]
         else:
             s = self._slot[:n]
-            g = self._gram[np.ix_(s, s)]
+            g = self._gram.take(s, 0).take(s, 1)
         g.flags.writeable = False
         return g
 
@@ -285,7 +285,7 @@ class Expansion:
         self._xsq[:m] = self._xsq[keep]
         self._X[:m] = self._X[keep]
         slots = keep if self._slot is None else self._slot[keep]
-        self._gram[:m, :m] = self._gram[np.ix_(slots, slots)]
+        self._gram[:m, :m] = self._gram.take(slots, 0).take(slots, 1)
         self._slot = None
         self._n = m
         self._sq_norm = self._quadratic_form()

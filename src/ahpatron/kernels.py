@@ -49,11 +49,24 @@ class SparseVector:
             if v != 0.0:
                 indices.append(i)
                 values.append(v)
-        self.indices: tuple[int, ...] = tuple(indices)
-        self.values: tuple[float, ...] = tuple(values)
-        self._sq: float | None = None
+        self._fill(tuple(indices), tuple(values), None)
+
+    def _fill(self, indices: tuple[int, ...], values: tuple[float, ...],
+              sq: float | None) -> None:
+        self.indices = indices
+        self.values = values
+        self._sq = sq
         self._dense_dim = -1
         self._dense: np.ndarray | None = None
+
+    @classmethod
+    def _of(cls, indices: tuple[int, ...], values: tuple[float, ...],
+            sq: float | None = None) -> "SparseVector":
+        """A vector holding already-validated tuples as given (no checks, no
+        copies, so callers can share one index tuple among vectors)."""
+        v = cls.__new__(cls)
+        v._fill(indices, values, sq)
+        return v
 
     @classmethod
     def from_rows(cls, matrix: np.ndarray) -> list["SparseVector"]:
@@ -74,17 +87,11 @@ class SparseVector:
         out = []
         for row, row_sq, no_zeros in zip(matrix.tolist(), sq.tolist(),
                                          (matrix != 0.0).all(axis=1).tolist()):
-            v = cls.__new__(cls)
             if no_zeros:
-                v.indices = full
-                v.values = tuple(row)
+                out.append(cls._of(full, tuple(row), row_sq))
             else:
-                v.indices = tuple(i for i, x in enumerate(row) if x != 0.0)
-                v.values = tuple(row[i] for i in v.indices)
-            v._sq = row_sq
-            v._dense_dim = -1
-            v._dense = None
-            out.append(v)
+                indices = tuple(i for i, x in enumerate(row) if x != 0.0)
+                out.append(cls._of(indices, tuple(row[i] for i in indices), row_sq))
         return out
 
     @property

@@ -104,9 +104,28 @@ class SplitMix64:
         return r * math.cos(theta)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates: for i = n-1..1, swap items[i], items[below(i+1)]."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        """In-place Fisher-Yates: for i = n-1..1, swap items[i], items[below(i+1)].
+
+        The n-1 draws come from one take: draw k serves bound b = n-k and is
+        accepted as below accepts it, u < 2^64 - (2^64 mod b), i.e.
+        u <= ~(2^64 mod b).  From the first rejected draw on, the state is
+        rewound to just before it and the rest are drawn with below, so
+        the permutation and the final state are those of the scalar loop.
+        """
+        n = len(items)
+        if n < 2:
+            return
+        start = self._state
+        draws = self.take(n - 1)
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)
+        rem = (np.uint64(0) - bounds) % bounds  # 2^64 mod b
+        rejected = np.flatnonzero(draws > ~rem)
+        kept = int(rejected[0]) if len(rejected) else n - 1
+        js = (draws[:kept] % bounds[:kept]).tolist()
+        if kept < n - 1:
+            self._state = (start + kept * _GAMMA) & _MASK64
+            js += [self.below(n - k) for k in range(kept, n - 1)]
+        for i, j in zip(range(n - 1, 0, -1), js):
             items[i], items[j] = items[j], items[i]
 
 

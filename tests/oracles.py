@@ -5,8 +5,9 @@ a scalar kernel that merges sorted sparse supports (the library computes
 its kernel rows through one dense BLAS routine), naive per-term sums, and
 a plain coordinate descent minimizer.  The oracles stay independent of
 whatever they check: from the library they take only the input types, the
-PRNG, and pairwise_kernel for the sparse_kernel_block call-site helper
-(test_oracles_are_independent guards this).
+PRNG, the parser's error type, and pairwise_kernel for the
+sparse_kernel_block call-site helper (test_oracles_are_independent guards
+this).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 
+from ahpatron.data import MalformedLine
 from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector, pairwise_kernel
 from ahpatron.prng import SplitMix64, derive_stream_seed
 
@@ -224,3 +226,54 @@ def scalar_synth(T, d, margin, seed, flip_prob=0.0):
         rows.append(coords)
         attempts.append(tries)
     return labels, rows, attempts, gen
+
+
+def scalar_shuffle(gen: SplitMix64, items: list) -> None:
+    """Fisher-Yates one below() call at a time: for i = n-1..1, swap items[i]
+    and items[below(i+1)]."""
+    for i in range(len(items) - 1, 0, -1):
+        j = gen.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def per_line_parse(lines) -> tuple[list[float], list[SparseVector], int]:
+    """LIBSVM text parsed one token at a time: (raw labels, instances, feature
+    count), or MalformedLine for the first bad line.
+
+    Every line is split on whitespace after cutting its '#' comment, and each
+    idx:val token converts on its own; label normalization is not included.
+    """
+    raw_labels: list[float] = []
+    instances: list[SparseVector] = []
+    feature_count = 0
+    for lineno, line in enumerate(lines, start=1):
+        hash_pos = line.find("#")
+        if hash_pos >= 0:
+            line = line[:hash_pos]
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise MalformedLine(lineno, f"bad label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise MalformedLine(lineno, f"non-finite label {tokens[0]!r}")
+        pairs = []
+        for tok in tokens[1:]:
+            idx_str, sep, val_str = tok.partition(":")
+            if not sep:
+                raise MalformedLine(lineno, f"expected idx:val, got {tok!r}")
+            try:
+                pairs.append((int(idx_str), float(val_str)))
+            except ValueError:
+                raise MalformedLine(lineno, f"bad feature {tok!r}") from None
+        try:
+            instances.append(SparseVector(pairs))
+        except ValueError as e:
+            raise MalformedLine(lineno, str(e)) from None
+        raw_labels.append(label)
+        # Explicit zeros count toward the width even though SparseVector drops them.
+        if pairs and pairs[-1][0] + 1 > feature_count:
+            feature_count = pairs[-1][0] + 1
+    return raw_labels, instances, feature_count

@@ -1,19 +1,20 @@
 """What the benchmark relies on in the program still holds.
 
 perfbench/workloads.py wraps each callable in its LAYERS table by owner and
-attribute name, and perfbench/spans.py times learner rounds from run()'s
-last pass over its stream.  Checking both here makes a change in src/ that
+attribute name and calls the data functions by name, and perfbench/spans.py
+times learner rounds from run()'s last pass over its stream.  Checking both here makes a change in src/ that
 breaks them fail the package's own tests, not only
 ``python3 -m pytest perfbench``.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-from ahpatron import learners
+from ahpatron import data, learners
 from ahpatron.data import permute, synth_noisy
 from ahpatron.kernels import KernelSpec
 from ahpatron.learners import LearnerConfig, OnlineLearner
@@ -39,6 +40,16 @@ def test_benchmark_layers_name_existing_attributes(monkeypatch):
     assert missing == []
     # layer_patches also wraps the projection ladder by name.
     assert "solve_theta_ladder" in vars(workloads.learners)
+
+
+def test_benchmark_data_calls_name_existing_functions():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    called = {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == "data"}
+    assert {"load_libsvm", "format_libsvm", "synth_noisy", "permute",
+            "load_dataset"} <= called
+    assert sorted(name for name in called if name not in vars(data)) == []
 
 
 @pytest.mark.parametrize("config", [

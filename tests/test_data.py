@@ -1,6 +1,8 @@
 import hashlib
 import io
+from collections import Counter
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from ahpatron.data import (
     NonBinaryLabels,
     format_libsvm,
     load_dataset,
+    load_libsvm,
     parse_libsvm,
     permute,
     subsample,
@@ -22,7 +25,7 @@ from ahpatron.data import (
 from ahpatron.kernels import LabeledExample, SparseVector
 from ahpatron.prng import SplitMix64
 
-from oracles import random_examples, scalar_synth
+from oracles import per_line_parse, random_examples, scalar_synth
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -101,6 +104,123 @@ def test_roundtrip_identity():
     again = parse_libsvm(io.StringIO(buf.getvalue()), name="t")
     assert again.examples == ds.examples
     assert again.feature_count == max(e.x.width for e in examples)
+
+
+def _outcome(parse, lines):
+    """(labels, indices, value bytes, feature count, name) of a parse, or the
+    (type, message, line number) of the error it raised."""
+    try:
+        labels, xs, width, name = parse(lines)
+    except ValueError as e:
+        return type(e), str(e), getattr(e, "line_number", None)
+    values = b"".join(np.array(x.values, dtype=float).tobytes() for x in xs)
+    return labels, [x.indices for x in xs], values, width, name
+
+
+def _library(lines):
+    ds = parse_libsvm(lines, name="f")
+    return [ex.y for ex in ds.examples], [ex.x for ex in ds.examples], \
+        ds.feature_count, ds.name
+
+
+def _reference(lines):
+    raw, xs, width = per_line_parse(lines)
+    if not raw:
+        raise NonBinaryLabels("empty dataset")
+    return data._normalize_labels(raw), xs, width, "f"
+
+
+def _check_against_reference(lines):
+    got = _outcome(_library, lines)
+    assert got == _outcome(_reference, lines), lines
+    return got
+
+
+_BINARY = ["-1 3:1\n", "+1 1:0.5 2:0.25\n"]
+
+
+@pytest.mark.parametrize("line, parses", [
+    ("1 5 1:2:3", False),
+    ("1 1:2:3 4:5", False),
+    ("1 1::2", False),
+    ("1 :2", False),
+    ("1 1:", False),
+    ("1 1: 2:3", False),
+    ("1:2 3", False),
+    ("1 1:\t2", False),      # a tab after the colon splits the token
+    ("1 1:\xa02", False),    # so does a non-ASCII space
+    ("1\t1:2\t3:4", True),
+    ("1  1:2  3:4", True),
+    (" 1 1:2 ", True),
+    ("1 1:2\r", True),
+    ("1 1:0", True),
+    ("1 1:-0.0", True),
+    ("1 1:1 2:0 3:1", True),
+    ("1 1:2 # comment 3:4", True),
+    ("# 1 1:2", True),
+    ("1", True),
+    ("1 01:2 2:1_0", True),
+    ("1 \u0663:2", True),     # int() reads digits of every script
+    ("1 1:1e308 2:1e308", True),  # finite values, overflowing sum
+    ("1 1:nan", False),
+    ("1 1:-inf", False),
+    ("inf 1:2", False),
+    ("1 -1:2", False),
+    ("1 2:1 2:3", False),
+    ("1 3:1 2:1", False),
+])
+def test_parse_matches_per_line_reference(line, parses):
+    for lines in ([*_BINARY[:1], line + "\n", *_BINARY[1:]], [line] + _BINARY):
+        got = _check_against_reference(lines)
+        assert (got[0] is not MalformedLine) == parses
+
+
+def test_parse_fuzz_matches_per_line_reference():
+    rng = random.Random(20261018)
+    buf = io.StringIO()
+    format_libsvm(synth_noisy(40, 4, 0.2, 7), buf)
+    format_libsvm(Dataset(random_examples(SplitMix64(3), 40, 6, scale=4.0)), buf)
+    base = buf.getvalue().splitlines(keepends=True)
+    alphabet = " \t:#0-e.x \r" + "\u0663"  # and ARABIC-INDIC DIGIT THREE
+    kinds = Counter()
+    for _ in range(3000):
+        lines = rng.sample(base, 4)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(lines))
+            line = lines[i]
+            pos = rng.randrange(len(line))
+            op = rng.randrange(3)
+            ch = rng.choice(alphabet)
+            if op == 0:
+                line = line[:pos] + ch + line[pos:]
+            elif op == 1:
+                line = line[:pos] + line[pos + 1:]
+            else:
+                line = line[:pos] + ch + line[pos + 1:]
+            lines[i] = line
+        got = _check_against_reference(lines)
+        kinds[got[0] if isinstance(got[0], type) else "parsed"] += 1
+    # Both outcomes are common, so both paths and the errors are exercised.
+    assert kinds["parsed"] > 300 and kinds[MalformedLine] > 300, kinds
+
+
+def test_parse_pin_and_shared_index_tuples(tmp_path):
+    path = tmp_path / "noisy.libsvm"
+    with open(path, "w", encoding="utf-8") as fh:
+        format_libsvm(synth_noisy(2000, 18, 0.1, 3), fh)
+    ds = load_libsvm(str(path))
+    h = hashlib.sha256()
+    for ex in ds.examples:
+        h.update(np.array(ex.x.indices, dtype=np.int64).tobytes())
+        h.update(np.array(ex.x.values, dtype=np.float64).tobytes())
+        h.update(np.int8(ex.y).tobytes())
+    # Captured from the per-line parser.
+    assert h.hexdigest() == (
+        "ebfef2623937c08bcb9f95370a5be0d264aaf68deb06751552dc802e0811bb81")
+    assert (ds.name, ds.feature_count, len(ds)) == ("noisy.libsvm", 18, 2000)
+    xs = [ex.x for ex in ds.examples]
+    same = [(a, b) for a, b in zip(xs, xs[1:]) if a.indices == b.indices]
+    assert same and all(a.indices is b.indices for a, b in same)
 
 
 # -- permutation / subsampling ------------------------------------------------------

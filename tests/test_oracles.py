@@ -1,8 +1,9 @@
 """The oracles must not borrow the code they check.
 
 tests/oracles.py may take from the library only its input types, the PRNG,
-and pairwise_kernel (for the sparse_kernel_block call-site helper, which
-builds kernel blocks and is not itself an oracle).  Anything else -- a
+the parser's error type (so the reference parser raises what parse_libsvm
+raises), and pairwise_kernel (for the sparse_kernel_block call-site helper,
+which builds kernel blocks and is not itself an oracle).  Anything else -- a
 kernel evaluation, a norm, a solver -- would make the oracle agree with the
 library by construction.
 """
@@ -17,6 +18,7 @@ ORACLES = Path(__file__).with_name("oracles.py")
 ALLOWED = {
     "KernelSpec", "LabeledExample", "SparseVector",  # input types
     "SplitMix64", "derive_stream_seed",               # the PRNG
+    "MalformedLine",                                  # the parser's error type
     "pairwise_kernel",                                # sparse_kernel_block
 }
 

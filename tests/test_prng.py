@@ -1,8 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
 from ahpatron.prng import SplitMix64, derive_stream_seed, normal_pairs
+
+from oracles import scalar_shuffle
 
 
 def test_known_answer_seed_zero():
@@ -70,6 +73,67 @@ def test_shuffle_is_permutation_and_deterministic():
     c = list(items)
     SplitMix64(43).shuffle(c)
     assert c != a
+
+
+@pytest.mark.parametrize("seed", [0, 42, 987654321, 2**64 - 1])
+def test_shuffle_matches_scalar_loop(seed):
+    for n in (0, 1, 2, 3, 10, 1000, 20000):
+        fast, slow = list(range(n)), list(range(n))
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        a.shuffle(fast)
+        scalar_shuffle(b, slow)
+        assert fast == slow
+        assert a.getstate() == b.getstate()
+
+
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+class Substituted(SplitMix64):
+    """SplitMix64 whose output number ``at`` (0-based from the seed) is
+    ``value``, whether it is drawn by next_u64 or by take; counts below calls."""
+
+    def __init__(self, seed, at, value):
+        super().__init__(seed)
+        self.origin, self.at, self.value = seed, at, value
+        self.below_calls = 0
+
+    def drawn(self):
+        """Outputs drawn so far: the state is origin + drawn * gamma mod 2^64."""
+        return (self.getstate()[0] - self.origin) * pow(_GAMMA, -1, 2**64) % 2**64
+
+    def next_u64(self):
+        k = self.drawn()
+        u = super().next_u64()
+        return self.value if k == self.at else u
+
+    def take(self, n):
+        k = self.drawn()
+        out = super().take(n)
+        if k <= self.at < k + n:
+            out[self.at - k] = self.value
+        return out
+
+    def below(self, bound):
+        self.below_calls += 1
+        return super().below(bound)
+
+
+@pytest.mark.parametrize("above_limit", [True, False])
+def test_shuffle_falls_back_from_first_rejected_draw(above_limit):
+    # Draw 3 of a 10-item shuffle serves bound 7; below accepts u < limit.
+    n, at, bound = 10, 3, 7
+    limit = 2**64 - 2**64 % bound
+    value = limit if above_limit else limit - 1
+    fast, slow = list(range(n)), list(range(n))
+    a, b = Substituted(5, at, value), Substituted(5, at, value)
+    a.shuffle(fast)
+    scalar_shuffle(b, slow)
+    assert fast == slow
+    assert a.getstate() == b.getstate()
+    # A rejected draw hands it and every later draw to below.
+    assert a.below_calls == (n - 1 - at if above_limit else 0)
+    assert b.below_calls == n - 1
 
 
 def test_derived_stream_differs():
