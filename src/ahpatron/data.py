@@ -12,8 +12,9 @@ permutations and synthetic streams replay exactly from their seed.  A
 synthetic example draws its label (one output), then d normals, and is
 redrawn (same label, fresh normals) until both acceptance sums, taken left
 to right, pass; a Box-Muller spare carries over to the next example when d
-is odd.  Since SplitMix64 is counter-based, the generator computes whole
-blocks of examples at once and reproduces that order bit for bit.
+is odd.  Since SplitMix64 is counter-based, one vectorized draw (_draw)
+computes a whole block of examples, or one example's resampled normals, at
+a time.
 """
 
 from __future__ import annotations
@@ -225,25 +226,44 @@ def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:
     must lie in (0, 1] for the unit-ball construction to be feasible.
     Dataset metadata carries the comparator description.
 
-    The stream is specified by _separable_example, one example at a time,
-    and generated in blocks of _BLOCK examples that reproduce it bit for
-    bit (see _separable_block).
+    The stream is drawn _BLOCK examples at a time (see _draw).  At the first
+    example r of a block that fails its acceptance test, the generator is
+    rewound to the block start and redraws examples 0..r, which leaves it
+    and the Box-Muller spare just after example r's first attempt; each
+    further attempt draws d fresh normals and keeps the label, and the next
+    block starts after example r.
     """
     if T < 1 or d < 1:
         raise ValueError("T and d must be positive")
     if not 0.0 < margin <= 1.0:
         raise ValueError(f"margin must be in (0, 1], got {margin}")
+    u, center, noise_sd = _cluster(d, margin)
     gen = SplitMix64(seed)
+    spare = None
     examples: list[LabeledExample] = []
     while len(examples) < T:
         n = min(_BLOCK, T - len(examples))
-        block = _separable_block(gen, n, d, margin)
-        examples += block
-        if len(block) < n:
-            # The next example failed its first acceptance test: resample
-            # it one draw at a time from the generator's exact state.
-            examples.append(_separable_example(gen, d, margin))
-    u = 1.0 / math.sqrt(d)
+        start = gen.getstate()
+        y, normals, carried = _draw(gen, spare, n, d)
+        offsets = (y * center * u)[:, None]
+        coords = offsets + noise_sd * normals
+        accepted = _accepted(coords, y, u, margin)
+        if accepted.all():
+            spare = carried
+        else:
+            r = int(accepted.argmin())
+            gen.setstate(start)
+            _, _, spare = _draw(gen, spare, r + 1, d)
+            for _ in range(_REJECTION_CAP - 1):
+                _, normals, spare = _draw(gen, spare, 1, d, labels=False)
+                coords[r] = offsets[r] + noise_sd * normals[0]
+                if _accepted(coords[r:r + 1], y[r:r + 1], u, margin)[0]:
+                    break
+            else:
+                raise RuntimeError("rejection sampling failed; margin too aggressive")
+            coords, y = coords[:r + 1], y[:r + 1]
+        xs = SparseVector.from_rows(coords)
+        examples += [LabeledExample(x, label) for x, label in zip(xs, y.tolist())]
     meta = {
         "kind": "separable",
         "margin": margin,
@@ -260,74 +280,48 @@ def _cluster(d: int, margin: float) -> tuple[float, float, float]:
     return 1.0 / root, (1.0 + margin) / 2.0, (1.0 - margin) / (4.0 * root)
 
 
-def _separable_example(gen: SplitMix64, d: int, margin: float) -> LabeledExample:
-    """One example: a below(2) label draw, then d normals per attempt.
+def _draw(
+    gen: SplitMix64, spare: float | None, n: int, d: int, labels: bool = True
+) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """(labels, n x d normals, spare) of the next n first attempts.
 
-    Both acceptance sums run left to right (builtin sum() of floats is
-    compensated from Python 3.12 on, which would change borderline cases).
+    Each example takes one output for its label (+1 if odd, as below(2)
+    gives it) and then d normals; the normals come in Box-Muller pairs,
+    the pending spare first, and a pair's unused sin part is the spare
+    returned.  Example k's label is output k + 2*ceil((k*d - o)/2), where
+    o is 1 if a spare is pending and 0 otherwise, and the other outputs are
+    the pairs in order.  With labels=False no label outputs are drawn and
+    the labels come back empty.
     """
-    u, center, noise_sd = _cluster(d, margin)
-    y = 1 if gen.below(2) == 1 else -1
-    for _ in range(_REJECTION_CAP):
-        coords = [y * center * u + noise_sd * gen.normal() for _ in range(d)]
-        total = sq = 0.0
-        for c in coords:
-            total += c
-            sq += c * c
-        proj = y * u * total
-        # Both acceptance checks tolerate rounding at the margin = 1 extreme,
-        # where the noise-free construction sits exactly on the boundary.
-        if proj >= margin * (1.0 - 1e-12) and sq <= 1.0 + 1e-12:
-            return LabeledExample(SparseVector(enumerate(coords)), y)
-    raise RuntimeError("rejection sampling failed; margin too aggressive")
-
-
-def _separable_block(
-    gen: SplitMix64, n: int, d: int, margin: float
-) -> list[LabeledExample]:
-    """The next n _separable_example results, up to the first rejected one.
-
-    Assumes every example is accepted on its first attempt.  Then example i
-    of the block draws its label from output i + 2*ceil((i*d - o)/2), where
-    o is 1 if the generator holds a spare normal and 0 otherwise, and the
-    other outputs are the normal pairs in order; the spare carries across
-    examples when d is odd.  The acceptance sums are cumulative sums, so
-    they run left to right as in _separable_example.  Leaves the generator
-    exactly where the returned examples leave it; if example r was rejected
-    only the first r are returned, and the caller resamples example r.
-    """
-    if n == 0:
-        return []
-    state = gen.getstate()
-    spare = state[1]
     o = 0 if spare is None else 1
-    k = np.arange(n)
-    labels_at = k + 2 * ((k * d - o + 1) // 2)
     pairs = (n * d - o + 1) // 2
-    draws = gen.take(n + 2 * pairs)
-    is_label = np.zeros(len(draws), dtype=bool)
-    is_label[labels_at] = True
-    first, second = draws[~is_label].reshape(pairs, 2).T
-    cos_part, sin_part = normal_pairs(first, second)
+    k = np.arange(n if labels else 0)
+    labels_at = k + 2 * ((k * d - o + 1) // 2)
+    draws = gen.take(len(k) + 2 * pairs)
+    y = np.where(draws[labels_at] & 1, 1, -1)
+    draws = np.delete(draws, labels_at)
+    cos_part, sin_part = normal_pairs(draws[0::2], draws[1::2])
     normals = np.empty(o + 2 * pairs)
     if o:
         normals[0] = spare
     normals[o::2] = cos_part
     normals[o + 1::2] = sin_part
-    y = np.where(draws[labels_at] & 1, 1, -1)
-    u, center, noise_sd = _cluster(d, margin)
-    coords = (y * center * u)[:, None] + noise_sd * normals[:n * d].reshape(n, d)
+    carried = float(normals[-1]) if len(normals) > n * d else None
+    return y, normals[:n * d].reshape(n, d), carried
+
+
+def _accepted(coords: np.ndarray, y: np.ndarray, u: float, margin: float) -> np.ndarray:
+    """Which rows pass both acceptance tests.
+
+    Both sums run left to right, as cumulative sums (numpy's sum is
+    pairwise, and builtin sum() of floats is compensated from Python 3.12
+    on; either would change borderline cases).  Both checks tolerate
+    rounding at the margin = 1 extreme, where the noise-free construction
+    sits exactly on the boundary.
+    """
     proj = y * u * np.cumsum(coords, axis=1)[:, -1]
     sq = np.cumsum(coords * coords, axis=1)[:, -1]
-    accepted = (proj >= margin * (1.0 - 1e-12)) & (sq <= 1.0 + 1e-12)
-    if not accepted.all():
-        gen.setstate(state)
-        return _separable_block(gen, int(accepted.argmin()), d, margin)
-    carried = float(sin_part[-1]) if o + 2 * pairs > n * d else None
-    counter, _ = gen.getstate()
-    gen.setstate((counter, carried))
-    xs = SparseVector.from_rows(coords)
-    return [LabeledExample(x, label) for x, label in zip(xs, y.tolist())]
+    return (proj >= margin * (1.0 - 1e-12)) & (sq <= 1.0 + 1e-12)
 
 
 def synth_noisy(
@@ -335,9 +329,9 @@ def synth_noisy(
 ) -> Dataset:
     """synth_separable stream with labels independently flipped.
 
-    Example t is flipped when the t-th uniform() of a derived generator is
-    below flip_prob, so flip_prob = 0 reproduces the separable stream
-    exactly; the T uniforms come from one take(T).
+    Example t is flipped when the t-th uniform of a derived generator,
+    (output >> 11) * 2^-53, is below flip_prob, so flip_prob = 0 reproduces
+    the separable stream exactly; the T uniforms come from one take(T).
     """
     if not 0.0 <= flip_prob < 0.5:
         raise ValueError(f"flip_prob must be in [0, 0.5), got {flip_prob}")

@@ -14,11 +14,11 @@ s is mix(s + k * 0x9E3779B97F4A7C15 mod 2^64), where mix is the last three
 lines above.  So take(n) computes a block of outputs at once, with no
 sequential loop, and leaves the state where n next_u64 calls would.
 
-Bounded integers use rejection sampling (no modulo bias), uniforms map the
-top 53 bits into [0, 1), and normals use the Box-Muller transform through
-math.log/cos/sin; normal_pairs applies the same transform to arrays of
-outputs, bit for bit.  All dataset permutations, subsampling, synthetic
-streams, and the random-removal baseline draw from this generator only.
+Bounded integers use rejection sampling (no modulo bias), and
+normal_pairs turns arrays of output pairs into standard normals by the
+Box-Muller transform through math.log/cos/sin.  All dataset permutations,
+subsampling, synthetic streams, and the random-removal baseline draw from
+this generator only.
 """
 
 from __future__ import annotations
@@ -40,11 +40,10 @@ STREAM_SPLIT = 0x3C79AC492BA7B653
 class SplitMix64:
     """SplitMix64 generator over a 64-bit state."""
 
-    __slots__ = ("_state", "_spare_normal")
+    __slots__ = ("_state",)
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
-        self._spare_normal: float | None = None
 
     def next_u64(self) -> int:
         """Return the next 64-bit output."""
@@ -57,8 +56,7 @@ class SplitMix64:
     def take(self, n: int) -> np.ndarray:
         """The next n outputs as a uint64 array.
 
-        Advances the state exactly as n next_u64 calls would; a pending
-        spare normal is left as it is.
+        Advances the state exactly as n next_u64 calls would.
         """
         k = np.arange(1, n + 1, dtype=np.uint64)
         z = np.uint64(self._state) + k * _GAMMA  # wraps mod 2^64
@@ -67,13 +65,13 @@ class SplitMix64:
         z = (z ^ (z >> 27)) * _MIX2
         return z ^ (z >> 31)
 
-    def getstate(self) -> tuple[int, float | None]:
-        """(64-bit state, pending spare normal), for setstate."""
-        return self._state, self._spare_normal
+    def getstate(self) -> int:
+        """The 64-bit state, for setstate."""
+        return self._state
 
-    def setstate(self, state: tuple[int, float | None]) -> None:
+    def setstate(self, state: int) -> None:
         """Resume from a getstate() value."""
-        self._state, self._spare_normal = state
+        self._state = state
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) via rejection sampling."""
@@ -84,24 +82,6 @@ class SplitMix64:
             u = self.next_u64()
             if u < limit:
                 return u % bound
-
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; consumes two uniforms per pair."""
-        if self._spare_normal is not None:
-            z = self._spare_normal
-            self._spare_normal = None
-            return z
-        # u1 in (0, 1] so log(u1) is finite.
-        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
-        u2 = (self.next_u64() >> 11) * 2.0**-53
-        r = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._spare_normal = r * math.sin(theta)
-        return r * math.cos(theta)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates: for i = n-1..1, swap items[i], items[below(i+1)].
@@ -130,11 +110,12 @@ class SplitMix64:
 
 
 def normal_pairs(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Box-Muller on arrays of output pairs, bit-equal to SplitMix64.normal.
+    """Box-Muller on arrays of output pairs: (cos parts, sin parts).
 
-    Pair i made from outputs (first[i], second[i]) gives the normal that
-    normal() returns (cos part) and the spare it keeps (sin part).  The
-    transcendentals are math's, applied element by element as in normal():
+    Pair i made from outputs (first[i], second[i]) gives
+    sqrt(-2 ln u1) * (cos, sin)(2 pi u2) with u1 = ((first[i] >> 11) + 1)
+    * 2^-53, in (0, 1] so its log is finite, and u2 = (second[i] >> 11) *
+    2^-53.  The transcendentals are math's, applied element by element:
     numpy's own log, cos and sin differ from libm in the last bit for some
     inputs.
     """

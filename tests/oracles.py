@@ -2,12 +2,13 @@
 
 Everything here deliberately avoids the library's optimized code paths:
 a scalar kernel that merges sorted sparse supports (the library computes
-its kernel rows through one dense BLAS routine), naive per-term sums, and
-a plain coordinate descent minimizer.  The oracles stay independent of
-whatever they check: from the library they take only the input types, the
-PRNG, the parser's error type, and pairwise_kernel for the
-sparse_kernel_block call-site helper (test_oracles_are_independent guards
-this).
+its kernel rows through one dense BLAS routine), naive per-term sums, a
+plain coordinate descent minimizer, and uniforms and normals drawn one
+output at a time (the library draws them in blocks).  The oracles stay
+independent of whatever they check: from the library they take only the
+input types, the PRNG, the parser's error type, and pairwise_kernel for
+the sparse_kernel_block call-site helper (test_oracles_are_independent
+guards this).
 """
 
 from __future__ import annotations
@@ -19,6 +20,38 @@ import numpy as np
 from ahpatron.data import MalformedLine
 from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector, pairwise_kernel
 from ahpatron.prng import SplitMix64, derive_stream_seed
+
+
+# -- scalar draws: SplitMix64 outputs turned into floats one at a time ------
+
+
+class ScalarSplitMix64(SplitMix64):
+    """SplitMix64 with scalar uniform and normal draws.
+
+    uniform() maps the top 53 bits of one output into [0, 1).  normal() is
+    Box-Muller on two outputs, u1 = ((a >> 11) + 1) * 2^-53 (in (0, 1], so
+    its log is finite) and u2 = (b >> 11) * 2^-53: it returns
+    sqrt(-2 ln u1) * cos(2 pi u2) and keeps the sin part as a spare, which
+    the next normal() call returns without drawing.
+    """
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.spare: float | None = None
+
+    def uniform(self) -> float:
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def normal(self) -> float:
+        if self.spare is not None:
+            z, self.spare = self.spare, None
+            return z
+        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
+        u2 = (self.next_u64() >> 11) * 2.0**-53
+        r = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        self.spare = r * math.sin(theta)
+        return r * math.cos(theta)
 
 
 # -- the scalar kernel: merge iteration over sorted sparse supports ----------
@@ -169,7 +202,7 @@ def sparse_kernel_block(spec: KernelSpec, xs, ys) -> np.ndarray:
     return pairwise_kernel(spec, *densify(xs, dim), *densify(ys, dim))
 
 
-def random_sparse(gen: SplitMix64, dim: int, density: float = 0.7,
+def random_sparse(gen: ScalarSplitMix64, dim: int, density: float = 0.7,
                   scale: float = 1.0) -> SparseVector:
     pairs = []
     for i in range(dim):
@@ -180,7 +213,7 @@ def random_sparse(gen: SplitMix64, dim: int, density: float = 0.7,
     return SparseVector(pairs)
 
 
-def random_examples(gen: SplitMix64, n: int, dim: int,
+def random_examples(gen: ScalarSplitMix64, n: int, dim: int,
                     scale: float = 1.0) -> list[LabeledExample]:
     out = []
     for _ in range(n):
@@ -204,8 +237,8 @@ def scalar_synth(T, d, margin, seed, flip_prob=0.0):
     rows[t] is the accepted coordinates, attempts[t] how many attempts
     example t took, and generator the instance generator after the stream.
     """
-    gen = SplitMix64(seed)
-    flip_gen = SplitMix64(derive_stream_seed(seed))
+    gen = ScalarSplitMix64(seed)
+    flip_gen = ScalarSplitMix64(derive_stream_seed(seed))
     u = 1.0 / math.sqrt(d)
     center = (1.0 + margin) / 2.0
     noise_sd = (1.0 - margin) / (4.0 * math.sqrt(d))

@@ -37,10 +37,10 @@ from ahpatron.diagnostics import (
 )
 from ahpatron.kernels import KernelSpec
 from ahpatron.learners import LearnerConfig, run
-from ahpatron.prng import SplitMix64
 from ahpatron.solver import ProjectionProblem, solve_theta
 
 from oracles import (
+    ScalarSplitMix64,
     coordinate_descent,
     projection_objective,
     random_sparse,
@@ -184,7 +184,7 @@ def test_phishing_noproj_ablation_recorded():
 
 
 def test_criterion_4_projection_oracle_equivalence():
-    gen = SplitMix64(404)
+    gen = ScalarSplitMix64(404)
     start = time.perf_counter()
     checked = 0
     for _ in range(200):

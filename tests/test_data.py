@@ -25,7 +25,7 @@ from ahpatron.data import (
 from ahpatron.kernels import LabeledExample, SparseVector
 from ahpatron.prng import SplitMix64
 
-from oracles import per_line_parse, random_examples, scalar_synth
+from oracles import ScalarSplitMix64, per_line_parse, random_examples, scalar_synth
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -96,7 +96,7 @@ def test_parse_rejects_nonbinary_labels():
 
 
 def test_roundtrip_identity():
-    gen = SplitMix64(301)
+    gen = ScalarSplitMix64(301)
     examples = random_examples(gen, 40, 7, scale=3.0)
     ds = Dataset(examples, name="t", feature_count=7)
     buf = io.StringIO()
@@ -179,7 +179,7 @@ def test_parse_fuzz_matches_per_line_reference():
     rng = random.Random(20261018)
     buf = io.StringIO()
     format_libsvm(synth_noisy(40, 4, 0.2, 7), buf)
-    format_libsvm(Dataset(random_examples(SplitMix64(3), 40, 6, scale=4.0)), buf)
+    format_libsvm(Dataset(random_examples(ScalarSplitMix64(3), 40, 6, scale=4.0)), buf)
     base = buf.getvalue().splitlines(keepends=True)
     alphabet = " \t:#0-e.x \r" + "\u0663"  # and ARABIC-INDIC DIGIT THREE
     kinds = Counter()
@@ -227,7 +227,7 @@ def test_parse_pin_and_shared_index_tuples(tmp_path):
 
 
 def _tiny_dataset(n=100):
-    gen = SplitMix64(999)
+    gen = ScalarSplitMix64(999)
     return Dataset(random_examples(gen, n, 5), name="tiny", feature_count=5)
 
 
@@ -360,9 +360,10 @@ def _dataset_digest(ds):
     return h.hexdigest()
 
 
-# Captured from the scalar generator (one SplitMix64.normal call per
-# coordinate) before generation was vectorized; the block generator must
-# reproduce every value bit for bit.  Rejection counts in the comments.
+# Captured from the scalar generator (one Box-Muller normal at a time, as
+# oracles.ScalarSplitMix64.normal draws it) before generation was
+# vectorized; the block generator must reproduce every value bit for bit.
+# Rejection counts in the comments.
 _STREAM_PINS = {
     "noisy-3000-68": (  # 0 rejections
         lambda: synth_noisy(3000, 68, 0.1, 3),
@@ -400,8 +401,8 @@ def test_streams_match_pinned_hashes(case):
 def _first_try_rejections_by_block_position(attempts, block):
     """Where in its block each example that failed its first attempt falls.
 
-    synth_separable starts a new block after each such example, which it
-    resamples one draw at a time.
+    synth_separable starts a new block after each such example, whose
+    further attempts it draws one example at a time.
     """
     positions = []
     start = 0
@@ -422,6 +423,8 @@ def _first_try_rejections_by_block_position(attempts, block):
     (200, 2, 0.9, 2, 0.1, {0}),    # even d
     (61, 3, 0.5, 4, 0.1, set()),   # odd d, no rejection
     (40, 5, 1.0, 2, 0.0, set()),   # the margin = 1 extreme
+    (699, 1, 0.9, 2, 0.0, set()),  # example 401 takes 4 attempts
+    (700, 1, 0.9, 24, 0.0, set()),  # the last example is resampled
 ])
 def test_block_generator_matches_scalar_oracle(monkeypatch, T, d, margin, seed,
                                                flip, covers):
@@ -437,7 +440,8 @@ def test_block_generator_matches_scalar_oracle(monkeypatch, T, d, margin, seed,
     monkeypatch.setattr(data, "SplitMix64", Recorded)
     ds = synth_noisy(T, d, flip, seed, margin=margin)
     labels, rows, attempts, oracle_gen = scalar_synth(T, d, margin, seed, flip)
-    assert T % block != 0
+    # The stream ends in a short block or in a resampled example.
+    assert T % block != 0 or attempts[-1] > 1
     assert covers <= set(_first_try_rejections_by_block_position(attempts, block))
     assert [ex.y for ex in ds.examples] == labels
     for ex, row in zip(ds.examples, rows):
@@ -446,9 +450,41 @@ def test_block_generator_matches_scalar_oracle(monkeypatch, T, d, margin, seed,
         for v in row:
             sq += v * v
         assert ex.x.sq_norm == sq
-    # The instance generator ends where the scalar path leaves it, down to
-    # the pending spare normal.
+    # The instance generator ends where the scalar path leaves it.
     assert generators[0].getstate() == oracle_gen.getstate()
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("T", [6, 7, 8, 13, 14, 15])
+def test_stream_is_a_prefix_of_longer_streams(monkeypatch, block, d, T):
+    # With odd d the Box-Muller spare crosses example boundaries.  A longer
+    # stream ends its last block elsewhere, blocks of 1024 hold every spare
+    # inside one draw, and with block = 1 every spare is carried from one
+    # block to the next, so a wrong carry shows as a mismatch.  At d = 1,
+    # examples 10 and 13 are resampled.
+    monkeypatch.setattr(data, "_BLOCK", block)
+    short = synth_noisy(T, d, 0.2, 1, margin=0.9).examples
+    for k in (1, 6):
+        assert synth_noisy(T + k, d, 0.2, 1, margin=0.9).examples[:T] == short
+    monkeypatch.setattr(data, "_BLOCK", 1024)
+    assert synth_noisy(T, d, 0.2, 1, margin=0.9).examples == short
+
+
+@pytest.mark.parametrize("T, seed, most", [
+    (500, 3, 3),  # example 218 takes 3 attempts
+    (700, 2, 4),  # example 401 takes 4 attempts
+])
+def test_rejection_cap_counts_every_attempt(monkeypatch, T, seed, most):
+    # Every example takes at most `most` attempts, the first included.
+    uncapped = synth_separable(T, 1, 0.9, seed).examples
+    for cap in (1, most - 1):
+        monkeypatch.setattr(data, "_REJECTION_CAP", cap)
+        with pytest.raises(RuntimeError,
+                           match="rejection sampling failed; margin too aggressive"):
+            synth_separable(T, 1, 0.9, seed)
+    monkeypatch.setattr(data, "_REJECTION_CAP", most)
+    assert synth_separable(T, 1, 0.9, seed).examples == uncapped
 
 
 def test_generation_memory_is_bounded_by_the_block():

@@ -35,9 +35,8 @@ from ahpatron.kernels import (
     pairwise_kernel,
 )
 from ahpatron.learners import LearnerConfig, RunTrace, run
-from ahpatron.prng import SplitMix64
 
-from oracles import kernel_eval, random_examples, sparse_kernel_block
+from oracles import ScalarSplitMix64, kernel_eval, random_examples, sparse_kernel_block
 
 GAUSS = KernelSpec.gaussian(1.0)
 LIN = KernelSpec.linear()
@@ -117,7 +116,7 @@ def test_metrics_counts_from_crafted_trace():
 
 
 def test_hinge_loss_zero_hypothesis_is_stream_length():
-    gen = SplitMix64(71)
+    gen = ScalarSplitMix64(71)
     stream = random_examples(gen, 20, 4)
     assert hinge_loss_of(zero_comparator(stream), stream) == pytest.approx(20.0)
 
@@ -131,7 +130,7 @@ def test_hinge_loss_zero_when_confident():
 
 
 def test_hinge_loss_matches_termwise_oracle():
-    gen = SplitMix64(73)
+    gen = ScalarSplitMix64(73)
     stream = random_examples(gen, 20, 4)
     comp_terms = random_examples(gen, 6, 4)
     f = Expansion(GAUSS, dim=4)
@@ -145,7 +144,7 @@ def test_hinge_loss_matches_termwise_oracle():
 
 
 def test_hinge_loss_rejects_comparator_of_another_stream():
-    gen = SplitMix64(74)
+    gen = ScalarSplitMix64(74)
     stream = random_examples(gen, 20, 4)
     with pytest.raises(ValueError):
         hinge_loss_of(zero_comparator(stream[:19]), stream)
@@ -166,7 +165,7 @@ def test_mean_embedding_cancellation():
 
 
 def test_mean_embedding_norm_bounded():
-    gen = SplitMix64(79)
+    gen = ScalarSplitMix64(79)
     for _ in range(5):
         stream = random_examples(gen, 30, 4)
         f = mean_embedding(stream, GAUSS)
@@ -174,7 +173,7 @@ def test_mean_embedding_norm_bounded():
 
 
 def test_default_comparator_norm():
-    gen = SplitMix64(83)
+    gen = ScalarSplitMix64(83)
     stream = random_examples(gen, 30, 4)
     assert math.sqrt(default_comparator(stream, GAUSS, 0.5).sq_norm) == pytest.approx(0.5)
     assert math.sqrt(default_comparator(stream, GAUSS, 3.0).sq_norm) == pytest.approx(1.0)
@@ -183,7 +182,7 @@ def test_default_comparator_norm():
 @pytest.mark.parametrize("spec", [GAUSS, LIN], ids=["gaussian", "linear"])
 def test_blocked_kernel_times_labels_matches_one_gram(monkeypatch, spec):
     # 53 rows in blocks of 12: four full blocks and a ragged one of 5.
-    stream = random_examples(SplitMix64(87), 53, 4)
+    stream = random_examples(ScalarSplitMix64(87), 53, 4)
     monkeypatch.setattr(diagnostics, "_BLOCK_ENTRIES", 12 * 53 + 7)
     blocks = []
 
@@ -303,7 +302,7 @@ def test_alignment_diagonal_sums_left_to_right():
 
 
 def test_alignment_equals_mean_embedding_hinge_loss():
-    gen = SplitMix64(89)
+    gen = ScalarSplitMix64(89)
     for sigma in (0.5, 1.0, 2.0):
         spec = KernelSpec.gaussian(sigma)
         stream = random_examples(gen, 150, 4)
@@ -335,7 +334,7 @@ def test_perceptron_bound_with_constructed_comparator():
 
 
 def test_perceptron_bound_zero_comparator():
-    gen = SplitMix64(97)
+    gen = ScalarSplitMix64(97)
     stream = random_examples(gen, 40, 4)
     trace = run(LearnerConfig("perceptron", GAUSS), stream)
     report = check_perceptron_bound(trace, stream, zero_comparator(stream))
@@ -344,7 +343,7 @@ def test_perceptron_bound_zero_comparator():
 
 
 def test_perceptron_bound_random_comparators():
-    gen = SplitMix64(101)
+    gen = ScalarSplitMix64(101)
     stream = random_examples(gen, 60, 4)
     trace = run(LearnerConfig("perceptron", GAUSS), stream)
     for _ in range(5):

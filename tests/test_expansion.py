@@ -5,9 +5,9 @@ import pytest
 
 from ahpatron.expansion import DegenerateProjection, Expansion, GramCorruption
 from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector
-from ahpatron.prng import SplitMix64
 
 from oracles import (
+    ScalarSplitMix64,
     gram_matrix,
     naive_evaluate,
     quadratic_norm_sq,
@@ -54,7 +54,7 @@ def test_evaluate_single_term_at_its_instance():
 
 
 def test_evaluate_matches_naive_sum():
-    gen = SplitMix64(101)
+    gen = ScalarSplitMix64(101)
     f, xs = random_expansion(gen, 5)
     for _ in range(10):
         x = random_sparse(gen, 6)
@@ -63,7 +63,7 @@ def test_evaluate_matches_naive_sum():
 
 
 def test_evaluate_is_linear_under_scale():
-    gen = SplitMix64(103)
+    gen = ScalarSplitMix64(103)
     f, _ = random_expansion(gen, 6)
     x = random_sparse(gen, 6)
     before = f.score(x)[1]
@@ -96,14 +96,14 @@ def test_insert_rejects_zero_coefficient():
 
 
 def test_insert_norm_matches_quadratic_form():
-    gen = SplitMix64(107)
+    gen = ScalarSplitMix64(107)
     f, xs = random_expansion(gen, 8)
     expected = quadratic_norm_sq(GAUSS, list(zip(xs, f.alphas)))
     assert f.sq_norm == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
 def test_gram_is_maintained_incrementally():
-    gen = SplitMix64(109)
+    gen = ScalarSplitMix64(109)
     f, xs = random_expansion(gen, 7)
     assert np.allclose(f.gram, gram_matrix(GAUSS, xs), rtol=0.0, atol=1e-12)
 
@@ -112,7 +112,7 @@ def test_gram_is_maintained_incrementally():
 
 
 def test_scale_identity():
-    gen = SplitMix64(113)
+    gen = ScalarSplitMix64(113)
     f, _ = random_expansion(gen, 4)
     before = list(f.alphas)
     f.scale(1.0)
@@ -120,14 +120,14 @@ def test_scale_identity():
 
 
 def test_scale_zero_empties():
-    gen = SplitMix64(117)
+    gen = ScalarSplitMix64(117)
     f, _ = random_expansion(gen, 4)
     f.scale(0.0)
     assert f.size == 0 and f.sq_norm == 0.0
 
 
 def test_scale_squares_norm():
-    gen = SplitMix64(119)
+    gen = ScalarSplitMix64(119)
     f, _ = random_expansion(gen, 4)
     before = f.sq_norm
     f.scale(-2.0)
@@ -145,7 +145,7 @@ def test_scale_rejects_nonfinite():
 
 
 def test_project_ball_inside_is_untouched():
-    gen = SplitMix64(127)
+    gen = ScalarSplitMix64(127)
     f, _ = random_expansion(gen, 5)
     coeffs = list(f.alphas)
     f.project_ball(2.0 * f.norm() + 1.0)
@@ -167,7 +167,7 @@ def test_project_ball_zero_hypothesis():
 
 
 def test_project_ball_idempotent_coefficientwise():
-    gen = SplitMix64(131)
+    gen = ScalarSplitMix64(131)
     f, _ = random_expansion(gen, 6, coeff_scale=3.0)
     f.project_ball(1.0)
     once = list(f.alphas)
@@ -176,7 +176,7 @@ def test_project_ball_idempotent_coefficientwise():
 
 
 def test_project_ball_never_increases_norm_or_flips_signs():
-    gen = SplitMix64(137)
+    gen = ScalarSplitMix64(137)
     for _ in range(10):
         f, _ = random_expansion(gen, 5, coeff_scale=2.0)
         before_norm = f.norm()
@@ -227,13 +227,13 @@ def test_recompute_norm_single_term():
 
 
 def test_recompute_matches_cache():
-    gen = SplitMix64(139)
+    gen = ScalarSplitMix64(139)
     f, _ = random_expansion(gen, 10)
     assert f.recompute_norm() == pytest.approx(math.sqrt(f.sq_norm), rel=1e-8)
 
 
 def test_cache_coherent_after_mixed_operations():
-    gen = SplitMix64(149)
+    gen = ScalarSplitMix64(149)
     f = Expansion(GAUSS, dim=6)
     for step in range(60):
         roll = gen.below(10)
@@ -271,7 +271,7 @@ def _check_against_oracles(f, xs):
 def test_slot_map_stays_coherent_under_mixed_operations():
     # White-box: the slot map must survive periodic norm resets and a
     # capacity growth while permuted, so the test counts that both happen.
-    gen = SplitMix64(174)
+    gen = ScalarSplitMix64(174)
     f = Expansion(GAUSS, dim=4)
     xs = []
     periodic_resets = permuted_growths = 0
@@ -302,7 +302,7 @@ def test_slot_map_stays_coherent_under_mixed_operations():
 
 
 def test_clear_after_slots_are_permuted():
-    gen = SplitMix64(179)
+    gen = ScalarSplitMix64(179)
     f, xs = random_expansion(gen, 10)
     for i in (3, 0, 5):
         f.remove_term(i)
@@ -318,7 +318,7 @@ def test_clear_after_slots_are_permuted():
 
 
 def test_remove_term_updates_gram_and_examples():
-    gen = SplitMix64(151)
+    gen = ScalarSplitMix64(151)
     f, xs = random_expansion(gen, 6)
     alphas = f.alphas.tolist()
     f.remove_term(2)
@@ -328,7 +328,7 @@ def test_remove_term_updates_gram_and_examples():
 
 
 def test_replace_with_subset_reindexes_and_evicts_zeros():
-    gen = SplitMix64(157)
+    gen = ScalarSplitMix64(157)
     f, xs = random_expansion(gen, 6)
     f.replace_with_subset([1, 3, 4], [2.0, 0.0, -1.0])
     assert f.alphas.tolist() == [2.0, -1.0]
@@ -339,7 +339,7 @@ def test_replace_with_subset_reindexes_and_evicts_zeros():
 def test_replace_with_subset_rejects_out_of_range_keep(keep):
     # Out-of-range indices would read unused capacity (a zero Gram diagonal
     # for -1), so they are refused before any state changes.
-    gen = SplitMix64(158)
+    gen = ScalarSplitMix64(158)
     f, xs = random_expansion(gen, 3)
     assert f.size == 3
     before = (f.alphas.tobytes(), f.gram.tobytes(), f.sq_norm)

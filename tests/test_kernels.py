@@ -10,9 +10,9 @@ from ahpatron.kernels import (
     kernel_row,
     pairwise_kernel,
 )
-from ahpatron.prng import SplitMix64
 
 from oracles import (
+    ScalarSplitMix64,
     densify,
     gram_matrix,
     kernel_eval,
@@ -99,7 +99,7 @@ def test_sq_dist_shared_support():
 
 
 def test_sq_dist_matches_dense_oracle():
-    gen = SplitMix64(5)
+    gen = ScalarSplitMix64(5)
     for _ in range(50):
         u = random_sparse(gen, 8)
         v = random_sparse(gen, 8)
@@ -129,7 +129,7 @@ def test_linear_sparse_overlap():
 
 
 def test_kernel_symmetry_exact():
-    gen = SplitMix64(6)
+    gen = ScalarSplitMix64(6)
     specs = [GAUSS, KernelSpec.linear()]
     for _ in range(25):
         u = random_sparse(gen, 6)
@@ -139,7 +139,7 @@ def test_kernel_symmetry_exact():
 
 
 def test_gaussian_range_and_equality_condition():
-    gen = SplitMix64(9)
+    gen = ScalarSplitMix64(9)
     for _ in range(50):
         u = random_sparse(gen, 6)
         v = random_sparse(gen, 6)
@@ -166,7 +166,7 @@ def test_gram_two_identical_gaussian():
 
 
 def test_gram_matches_entrywise_eval_exactly():
-    gen = SplitMix64(17)
+    gen = ScalarSplitMix64(17)
     xs = [random_sparse(gen, 5) for _ in range(7)]
     for spec in (GAUSS, KernelSpec.linear()):
         m = gram_matrix(spec, xs)
@@ -182,7 +182,7 @@ def test_gram_rejects_empty():
 
 
 def test_gram_positive_semidefinite():
-    gen = SplitMix64(23)
+    gen = ScalarSplitMix64(23)
     for spec in (GAUSS, KernelSpec.linear()):
         for n in (5, 20, 50):
             xs = [random_sparse(gen, 10) for _ in range(n)]
@@ -191,7 +191,7 @@ def test_gram_positive_semidefinite():
 
 
 def test_pairwise_kernel_agrees_with_gram():
-    gen = SplitMix64(31)
+    gen = ScalarSplitMix64(31)
     xs = [random_sparse(gen, 6) for _ in range(12)]
     wide = SparseVector([(8, 1.5)])  # wider than every row of xs
     for spec in (GAUSS, KernelSpec.linear()):
@@ -206,7 +206,7 @@ def test_pairwise_kernel_agrees_with_gram():
 
 @pytest.mark.parametrize("spec", [GAUSS, KernelSpec.linear()], ids=["gaussian", "linear"])
 def test_kernel_row_into_buffer_is_bitwise_the_allocating_call(spec):
-    gen = SplitMix64(37)
+    gen = ScalarSplitMix64(37)
     X, xsq = densify([random_sparse(gen, 6) for _ in range(9)], 6)
     Q, qsq = densify([random_sparse(gen, 6) for _ in range(5)], 6)
     # One query row, as the learners score, and a block of five.
@@ -219,7 +219,7 @@ def test_kernel_row_into_buffer_is_bitwise_the_allocating_call(spec):
 
 @pytest.mark.parametrize("spec", [GAUSS, KernelSpec.linear()], ids=["gaussian", "linear"])
 def test_pairwise_kernel_reuses_one_buffer_for_ragged_blocks(spec):
-    gen = SplitMix64(41)
+    gen = ScalarSplitMix64(41)
     X, xsq = densify([random_sparse(gen, 6) for _ in range(23)], 6)
     Y, ysq = X.copy(), xsq.copy()
     buf = np.full((10, 23), np.nan)

@@ -18,10 +18,15 @@ from ahpatron.learners import (
     run,
     split_active_set,
 )
-from ahpatron.prng import SplitMix64
 from ahpatron.solver import SolverDiverged
 
-from oracles import gram_matrix, kernel_eval, random_examples, sorted_split
+from oracles import (
+    ScalarSplitMix64,
+    gram_matrix,
+    kernel_eval,
+    random_examples,
+    sorted_split,
+)
 
 GAUSS = KernelSpec.gaussian(1.0)
 LIN = KernelSpec.linear()
@@ -101,7 +106,7 @@ def test_predict_single_term():
 
 
 def test_predict_label_matches_score_sign():
-    gen = SplitMix64(41)
+    gen = ScalarSplitMix64(41)
     stream = random_examples(gen, 30, 5)
     y = np.array([e.y for e in stream])
     for algo in ("perceptron", "avp"):
@@ -139,7 +144,7 @@ def test_perceptron_confident_round_is_passive():
 
 
 def test_perceptron_matches_naive_reference():
-    gen = SplitMix64(43)
+    gen = ScalarSplitMix64(43)
     stream = random_examples(gen, 60, 4)
     trace = run(LearnerConfig("perceptron", GAUSS), stream)
 
@@ -220,7 +225,7 @@ def test_split_ties_remove_oldest():
 
 
 def test_split_magnitude_ordering_random():
-    gen = SplitMix64(47)
+    gen = ScalarSplitMix64(47)
     for _ in range(25):
         coeffs = [gen.uniform() * 2 - 1 for _ in range(8)]
         removed, kept = split_active_set(coeffs, 8)
@@ -232,7 +237,7 @@ def test_split_magnitude_ordering_random():
 def test_split_matches_sorted_oracle_on_ties():
     # Magnitudes from a handful of powers of two, both signs and zeros, so
     # nearly every split cuts through a run of equal magnitudes.
-    gen = SplitMix64(53)
+    gen = ScalarSplitMix64(53)
     values = (0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
     budgets = list(range(2, 66, 2)) + [100, 128, 256, 500, 512, 998, 1000]
     for budget in budgets:

@@ -1,11 +1,15 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ahpatron.prng import SplitMix64, derive_stream_seed, normal_pairs
 
-from oracles import scalar_shuffle
+from oracles import ScalarSplitMix64, scalar_shuffle
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ahpatron"
 
 
 def test_known_answer_seed_zero():
@@ -45,7 +49,7 @@ def test_below_rejects_nonpositive():
 
 
 def test_uniform_in_unit_interval():
-    gen = SplitMix64(3)
+    gen = ScalarSplitMix64(3)
     values = [gen.uniform() for _ in range(5000)]
     assert all(0.0 <= v < 1.0 for v in values)
     mean = sum(values) / len(values)
@@ -53,7 +57,7 @@ def test_uniform_in_unit_interval():
 
 
 def test_normal_moments():
-    gen = SplitMix64(11)
+    gen = ScalarSplitMix64(11)
     values = [gen.normal() for _ in range(20000)]
     mean = sum(values) / len(values)
     var = sum(v * v for v in values) / len(values) - mean * mean
@@ -100,7 +104,7 @@ class Substituted(SplitMix64):
 
     def drawn(self):
         """Outputs drawn so far: the state is origin + drawn * gamma mod 2^64."""
-        return (self.getstate()[0] - self.origin) * pow(_GAMMA, -1, 2**64) % 2**64
+        return (self.getstate() - self.origin) * pow(_GAMMA, -1, 2**64) % 2**64
 
     def next_u64(self):
         k = self.drawn()
@@ -157,8 +161,8 @@ def test_take_matches_next_u64():
 
 
 def test_take_leaves_spare_normal_pending():
-    a = SplitMix64(17)
-    b = SplitMix64(17)
+    a = ScalarSplitMix64(17)
+    b = ScalarSplitMix64(17)
     a.normal()
     b.normal()
     a.take(3)
@@ -168,7 +172,7 @@ def test_take_leaves_spare_normal_pending():
 
 
 def test_normal_pairs_match_scalar_normals():
-    gen = SplitMix64(41)
+    gen = ScalarSplitMix64(41)
     draws = SplitMix64(41).take(20_000)
     cos_part, sin_part = normal_pairs(draws[0::2], draws[1::2])
     scalar = [gen.normal() for _ in range(20_000)]
@@ -178,8 +182,20 @@ def test_normal_pairs_match_scalar_normals():
 
 def test_setstate_replays_from_getstate():
     gen = SplitMix64(3)
-    gen.normal()
+    gen.next_u64()
     saved = gen.getstate()
-    first = [gen.normal() for _ in range(5)]
+    assert isinstance(saved, int)
+    first = gen.take(5).tolist() + [gen.below(7) for _ in range(5)]
     gen.setstate(saved)
-    assert [gen.normal() for _ in range(5)] == first
+    assert gen.take(5).tolist() + [gen.below(7) for _ in range(5)] == first
+
+
+def test_library_draws_no_scalar_floats():
+    # Floats come from blocks of outputs (take, normal_pairs); the scalar
+    # uniform() and normal() draws live in oracles.ScalarSplitMix64 only.
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("normal", "uniform")]
+    assert calls == []
