@@ -476,9 +476,9 @@ _DISTANCE_SLACK = 1e-9
 def invariant_violations(trace: RunTrace) -> list[str]:
     """Check every structural run invariant; returns human-readable failures.
 
-    Covers budget safety, post-removal size, norm safety, trigger/mistake
-    consistency, removal-distance range, norm-cache drift, the gap
-    inequality, and the removal-count bound.
+    Covers finite margins, budget safety, post-removal size, norm safety,
+    trigger/mistake consistency, removal-distance range, norm-cache drift,
+    the gap inequality, and the removal-count bound.
     """
     cfg = trace.config
     out: list[str] = []
@@ -489,6 +489,9 @@ def invariant_violations(trace: RunTrace) -> list[str]:
         expected = margins <= 0.0
     if not np.array_equal(trace.triggered, expected):
         out.append("trigger log disagrees with the margin rule")
+    bad = np.flatnonzero(~np.isfinite(margins))
+    if bad.size:
+        out.append(f"{bad.size} non-finite margins, first at round {bad[0]}")
     if np.any(trace.mistakes & (margins > 0.0)):
         out.append("a counted mistake has positive margin")
     if np.any(trace.removals & ~trace.triggered):

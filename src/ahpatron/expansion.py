@@ -2,11 +2,13 @@
 
 An Expansion owns the active set of an online learner: the dense instance
 rows and their squared norms, the coefficients, an incrementally maintained
-Gram matrix, and a cached squared RKHS norm.  Each term is stored once, as
-the row that scoring reads; labels are not kept, since a term's coefficient
-already carries its sign.  Terms are a multiset -- duplicate instances are
-kept as separate terms and never merged, because budget maintenance splits
-the active set by per-update coefficients.
+Gram matrix, and a cached squared RKHS norm.  The row width is fixed at
+construction; insert and a nonempty score raise ValueError on a wider
+instance, before any state changes.  Each term is stored once, as the row
+that scoring reads; insert takes the bare instance, since a term's
+coefficient already carries its label's sign.  Terms are a multiset --
+duplicate instances are kept as separate terms and never merged, because
+budget maintenance splits the active set by per-update coefficients.
 
 Per-term arrays (coefficients, squared norms, dense rows) are kept in
 insertion order.  The Gram matrix is addressed through a slot map
@@ -18,6 +20,7 @@ The norm cache is updated incrementally on insert, scale and single-term
 eviction.  It is reset from a from-scratch quadratic form at every
 compaction (the halving path) and after every n single-term evictions,
 where n is the active-set size, so eviction drift cannot accumulate.
+max_drift keeps the largest relative drift any reset has seen.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import KernelSpec, LabeledExample, SparseVector, kernel_diag, kernel_row
+from .kernels import KernelSpec, SparseVector, kernel_diag, kernel_row
 
 _MIN_CAPACITY = 16
 
@@ -52,9 +55,9 @@ class Expansion:
     """
 
     __slots__ = ("spec", "_dim", "_n", "_alphas", "_xsq", "_X", "_gram",
-                 "_slot", "_evictions", "_sq_norm")
+                 "_slot", "_evictions", "_sq_norm", "max_drift")
 
-    def __init__(self, spec: KernelSpec, dim: int = 0):
+    def __init__(self, spec: KernelSpec, dim: int):
         self.spec = spec
         self._dim = int(dim)
         self._n = 0
@@ -67,6 +70,8 @@ class Expansion:
         # Single-term evictions since the norm cache was last reset.
         self._evictions = 0
         self._sq_norm = 0.0
+        # Largest relative drift seen by reset_norm_cache.
+        self.max_drift = 0.0
 
     # -- views ------------------------------------------------------------
 
@@ -107,8 +112,6 @@ class Expansion:
 
     def kernel_row(self, x: SparseVector) -> np.ndarray:
         """kappa(x_i, x) for every stored instance, vectorized."""
-        if x.width > self._dim:
-            self._grow_dim(x.width)
         n = self._n
         if n == 0:
             return np.empty(0)
@@ -122,9 +125,9 @@ class Expansion:
 
     # -- updates -----------------------------------------------------------
 
-    def insert(self, ex: LabeledExample, coeff: float, row: np.ndarray | None = None,
+    def insert(self, x: SparseVector, coeff: float, row: np.ndarray | None = None,
                fx: float | None = None) -> None:
-        """Append a term; ``row`` and ``fx`` may pass a precomputed score(ex.x).
+        """Append a term; ``row`` and ``fx`` may pass a precomputed score(x).
 
         The Gram matrix grows by one row/column and the norm cache is
         updated via  |f + c k(x,.)|^2 = |f|^2 + 2c f(x) + c^2 kappa(x,x).
@@ -132,20 +135,17 @@ class Expansion:
         coeff = float(coeff)
         if coeff == 0.0:
             raise ValueError("zero coefficient")
-        x = ex.x
+        xd = x.dense(self._dim)
         if row is None:
             row, fx = self.score(x)
-        else:
-            if x.width > self._dim:
-                self._grow_dim(x.width)
-            if fx is None:
-                fx = float(row @ self._alphas[: self._n])
+        elif fx is None:
+            fx = float(row @ self._alphas[: self._n])
         n = self._n
         kxx = kernel_diag(self.spec, x)
         self._reserve(n + 1)
         self._alphas[n] = coeff
         self._xsq[n] = x.sq_norm
-        self._X[n, : self._dim] = x.dense(self._dim)
+        self._X[n] = xd
         if self._slot is None:
             self._gram[n, :n] = row
             self._gram[:n, n] = row
@@ -206,20 +206,23 @@ class Expansion:
         return float(np.sqrt(self._quadratic_form()))
 
     def reset_norm_cache(self) -> float:
-        """Recompute the cache from scratch; returns the relative drift seen."""
+        """Recompute the cache from scratch; returns the relative drift seen
+        and raises max_drift to it."""
         old = self._sq_norm
         fresh = self._quadratic_form()
         self._sq_norm = fresh
         self._evictions = 0
-        return abs(old - fresh) / max(1.0, fresh)
+        drift = abs(old - fresh) / max(1.0, fresh)
+        if drift > self.max_drift:
+            self.max_drift = drift
+        return drift
 
-    def remove_term(self, i: int) -> float:
+    def remove_term(self, i: int) -> None:
         """Delete term i in O(n*d + n); later terms shift down one position.
 
         The norm cache is updated via
         |f - a_i k(x_i,.)|^2 = |f|^2 - 2 a_i (G a)_i + a_i^2 kappa(x_i,x_i),
         and reset from scratch once every n evictions (n the remaining size).
-        Returns the relative drift seen at that reset, 0.0 on other calls.
         """
         n = self._n
         if not 0 <= i < n:
@@ -240,8 +243,7 @@ class Expansion:
         self._n = n - 1
         self._evictions += 1
         if self._evictions >= self._n:
-            return self.reset_norm_cache()
-        return 0.0
+            self.reset_norm_cache()
 
     def replace_with_subset(self, keep: Sequence[int], new_coeffs: Sequence[float]) -> None:
         """Keep only ``keep`` (insertion order), assigning them new coefficients.
@@ -309,9 +311,3 @@ class Expansion:
         gram[:k, :k] = self.gram  # gathered into insertion order
         self._alphas, self._xsq, self._X, self._gram = alphas, xsq, X, gram
         self._slot = None
-
-    def _grow_dim(self, dim: int) -> None:
-        X = np.zeros((self._X.shape[0], dim))
-        X[:, : self._dim] = self._X
-        self._X = X
-        self._dim = dim

@@ -120,8 +120,8 @@ class LearnerConfig:
         if algo in MARGIN_ALGORITHMS:
             if not 0.0 <= self.epsilon < 1.0:
                 raise ConfigError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if algo in (AVP, AHPATRON, AHPATRON_NOPROJ) and not self.lam > 0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
+        if algo in (AVP, AHPATRON, AHPATRON_NOPROJ) and not 0 < self.lam < math.inf:
+            raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
         if not self.U > 0:
             raise ConfigError(f"U must be positive, got {self.U}")
         if algo not in MARGIN_ALGORITHMS and math.isfinite(self.U):
@@ -179,15 +179,14 @@ def split_active_set(coeffs: Sequence[float], budget: int) -> tuple[list[int], l
 class OnlineLearner:
     """Single-run mutable state for one algorithm.
 
-    ``dim`` pre-sizes the dense instance cache to the stream's feature
-    count; it grows on demand if an instance exceeds it.
+    ``dim`` fixes the width of the hypothesis's dense instance rows; a
+    wider instance makes step raise ValueError.
     """
 
-    def __init__(self, config: LearnerConfig, dim: int = 0):
+    def __init__(self, config: LearnerConfig, dim: int):
         config.validate()
         self.config = config
         self.hypothesis = Expansion(config.kernel, dim)
-        self.max_cache_drift = 0.0
         self._nonpos_margins = 0
         self._rng = SplitMix64(config.seed)
         algo = config.algorithm
@@ -222,7 +221,7 @@ class OnlineLearner:
                 row = score = None  # active set changed; recompute on insert
             else:
                 victim = self._rng.below(n) if self._evict_random else 0
-                self._note_drift(f.remove_term(victim))
+                f.remove_term(victim)
                 # The row without the victim's entry; the score is stale.
                 if victim == 0:
                     row = row[1:]
@@ -233,15 +232,10 @@ class OnlineLearner:
             rate = adaptive_rate(self._nonpos_margins, self.config.U)
         else:
             rate = self._rate
-        f.insert(ex, rate * y, row=row, fx=score)
+        f.insert(ex.x, rate * y, row=row, fx=score)
         f.project_ball(self.config.U)
         return RoundOutcome(pred, margin, pred != y, True,
                             distance is not None, distance)
-
-    def _note_drift(self, drift: float) -> None:
-        """Keep the largest norm-cache drift seen at a from-scratch reset."""
-        if drift > self.max_cache_drift:
-            self.max_cache_drift = drift
 
     def _halve(self) -> float:
         """Remove half the active set, projecting its mass onto the survivors.
@@ -251,7 +245,7 @@ class OnlineLearner:
         """
         cfg = self.config
         f = self.hypothesis
-        self._note_drift(f.reset_norm_cache())
+        f.reset_norm_cache()
         if cfg.ct_mode == CT_NORM_RATIO:
             radius = f.norm()
         else:
@@ -389,6 +383,7 @@ def run(
         active_sizes[t] = size
         norms[t] = norm
     elapsed_ms = (time.perf_counter() - start) * 1e3
+    max_drift = f.max_drift  # the in-run resets only
     final_drift = f.reset_norm_cache()
     return RunTrace(
         config=config,
@@ -404,6 +399,6 @@ def run(
         elapsed_ms=elapsed_ms,
         final_size=f.size,
         final_norm=f.norm(),
-        max_cache_drift=learner.max_cache_drift,
+        max_cache_drift=max_drift,
         final_cache_drift=final_drift,
     )

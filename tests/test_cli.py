@@ -58,6 +58,7 @@ def test_run_rejects_missing_dataset():
 def test_run_rejects_unknown_flag_value():
     assert main(["run", "--algo", "ahpatron", "--data", SYNTH, "--B", "8",
                  "--ct", "sometimes"]) == 1
+    assert main(["run", "--algo", "avp", "--data", SYNTH, "--lambda", "inf"]) == 1
 
 
 def test_bench_row_accounting(tmp_path):

@@ -47,7 +47,7 @@ def ex(pairs, y):
 
 
 def zero_comparator(stream, spec=GAUSS):
-    return Comparator.of(Expansion(spec), stream)
+    return Comparator.of(Expansion(spec, dim=0), stream)  # no terms: any width
 
 
 def make_trace(config, margins, *, removal_rounds=(), removal_distances=(),
@@ -124,7 +124,7 @@ def test_hinge_loss_zero_hypothesis_is_stream_length():
 def test_hinge_loss_zero_when_confident():
     x = SparseVector([(0, 1.0)])
     f = Expansion(GAUSS, dim=1)
-    f.insert(LabeledExample(x, 1), 2.0)
+    f.insert(x, 2.0)
     stream = [LabeledExample(x, 1)] * 4  # margin 2 >= 1 everywhere
     assert hinge_loss_of(Comparator.of(f, stream), stream) == 0.0
 
@@ -135,7 +135,7 @@ def test_hinge_loss_matches_termwise_oracle():
     comp_terms = random_examples(gen, 6, 4)
     f = Expansion(GAUSS, dim=4)
     for e in comp_terms:
-        f.insert(e, gen.uniform() - 0.5 or 0.2)
+        f.insert(e.x, gen.uniform() - 0.5 or 0.2)
     expected = 0.0
     for e in stream:
         score = sum(a * kernel_eval(GAUSS, t.x, e.x) for t, a in zip(comp_terms, f.alphas))
@@ -318,7 +318,7 @@ def test_alignment_equals_mean_embedding_hinge_loss():
 def _linear_comparator(ds):
     w = SparseVector(list(enumerate(ds.metadata["comparator_weights"])))
     f = Expansion(LIN, dim=ds.feature_count)
-    f.insert(LabeledExample(w, 1), 1.0)
+    f.insert(w, 1.0)
     return f
 
 
@@ -349,7 +349,7 @@ def test_perceptron_bound_random_comparators():
     for _ in range(5):
         f = Expansion(GAUSS, dim=4)
         for e in random_examples(gen, 5, 4):
-            f.insert(e, 3.0 * (gen.uniform() - 0.5) or 0.4)
+            f.insert(e.x, 3.0 * (gen.uniform() - 0.5) or 0.4)
         assert check_perceptron_bound(trace, stream, Comparator.of(f, stream)).holds
 
 
@@ -614,3 +614,9 @@ def test_invariant_scanner_flags_corruption():
     assert invariant_violations(trace) == []
     trace.triggered = ~trace.triggered
     assert any("trigger" in v for v in invariant_violations(trace))
+    # A NaN margin is neither <= 0 nor below a trigger threshold, so its
+    # round never updates and every other check still holds.
+    trace = make_trace(LearnerConfig("perceptron", GAUSS), [-0.5, 0.0, 0.7, 1.2])
+    assert invariant_violations(trace) == []
+    trace.margins[2] = np.nan
+    assert invariant_violations(trace) == ["1 non-finite margins, first at round 2"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ahpatron.expansion import DegenerateProjection, Expansion, GramCorruption
-from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector
+from ahpatron.kernels import KernelSpec, SparseVector
 
 from oracles import (
     ScalarSplitMix64,
@@ -18,10 +18,6 @@ from oracles import (
 GAUSS = KernelSpec.gaussian(1.0)
 
 
-def ex(pairs, y=1):
-    return LabeledExample(SparseVector(pairs), y)
-
-
 def random_expansion(gen, n, dim=6, coeff_scale=1.0, spec=GAUSS):
     """A random expansion and the instances inserted into it, in order.
 
@@ -33,7 +29,7 @@ def random_expansion(gen, n, dim=6, coeff_scale=1.0, spec=GAUSS):
     for e in random_examples(gen, n, dim):
         c = coeff_scale * (gen.uniform() * 2.0 - 1.0)
         if c != 0.0:
-            f.insert(e, c)
+            f.insert(e.x, c)
             xs.append(e.x)
     return f, xs
 
@@ -42,14 +38,14 @@ def random_expansion(gen, n, dim=6, coeff_scale=1.0, spec=GAUSS):
 
 
 def test_evaluate_empty_is_zero():
-    f = Expansion(GAUSS)
+    f = Expansion(GAUSS, dim=1)
     assert f.score(SparseVector([(0, 3.0)]))[1] == 0.0
 
 
 def test_evaluate_single_term_at_its_instance():
     f = Expansion(GAUSS, dim=2)
     x0 = SparseVector([(0, 1.0), (1, -1.0)])
-    f.insert(LabeledExample(x0, 1), 2.0)
+    f.insert(x0, 2.0)
     assert f.score(x0)[1] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -76,23 +72,41 @@ def test_evaluate_is_linear_under_scale():
 
 def test_insert_into_empty_sets_norm():
     f = Expansion(GAUSS, dim=1)
-    f.insert(ex([(0, 1.0)]), 0.7)
+    f.insert(SparseVector([(0, 1.0)]), 0.7)
     assert f.sq_norm == pytest.approx(0.49, abs=1e-15)
 
 
 def test_insert_cancellation_keeps_both_terms():
     f = Expansion(GAUSS, dim=1)
     x0 = SparseVector([(0, 2.0)])
-    f.insert(LabeledExample(x0, 1), 1.0)
-    f.insert(LabeledExample(x0, 1), -1.0)
+    f.insert(x0, 1.0)
+    f.insert(x0, -1.0)
     assert f.size == 2  # multiset semantics, never merged
     assert abs(f.sq_norm) <= 1e-12
+
+
+def test_too_wide_instance_fails_without_state_change():
+    # The row width is fixed at construction: a wider instance fails in
+    # SparseVector.dense on every path, and the stored terms stay as they were.
+    f = Expansion(GAUSS, dim=2)
+    x0 = SparseVector([(0, 1.0), (1, -0.5)])
+    f.insert(x0, 0.8)
+    before = (f.size, f.alphas.tobytes(), f.sq_norm)
+    wide = SparseVector([(2, 1.0)])
+    with pytest.raises(ValueError, match="width 3"):
+        f.score(wide)
+    with pytest.raises(ValueError, match="width 3"):
+        f.insert(wide, 0.5)
+    with pytest.raises(ValueError, match="width 3"):
+        f.insert(wide, 0.5, row=np.array([0.1]), fx=0.08)
+    assert (f.size, f.alphas.tobytes(), f.sq_norm) == before
+    _check_against_oracles(f, [x0])
 
 
 def test_insert_rejects_zero_coefficient():
     f = Expansion(GAUSS, dim=1)
     with pytest.raises(ValueError):
-        f.insert(ex([(0, 1.0)]), 0.0)
+        f.insert(SparseVector([(0, 1.0)]), 0.0)
 
 
 def test_insert_norm_matches_quadratic_form():
@@ -136,7 +150,7 @@ def test_scale_squares_norm():
 
 def test_scale_rejects_nonfinite():
     f = Expansion(GAUSS, dim=1)
-    f.insert(ex([(0, 1.0)]), 1.0)
+    f.insert(SparseVector([(0, 1.0)]), 1.0)
     with pytest.raises(ValueError):
         f.scale(math.inf)
 
@@ -154,14 +168,14 @@ def test_project_ball_inside_is_untouched():
 
 def test_project_ball_scales_to_boundary():
     f = Expansion(GAUSS, dim=1)
-    f.insert(ex([(0, 1.0)]), 3.0)  # norm 3
+    f.insert(SparseVector([(0, 1.0)]), 3.0)  # norm 3
     f.project_ball(1.5)
     assert f.alphas[0] == pytest.approx(1.5, rel=1e-12)
     assert f.norm() == pytest.approx(1.5, rel=1e-10)
 
 
 def test_project_ball_zero_hypothesis():
-    f = Expansion(GAUSS)
+    f = Expansion(GAUSS, dim=0)
     f.project_ball(1.0)
     assert f.size == 0 and f.norm() == 0.0
 
@@ -188,27 +202,27 @@ def test_project_ball_never_increases_norm_or_flips_signs():
 
 def test_project_sphere_noop_at_radius():
     f = Expansion(GAUSS, dim=1)
-    f.insert(ex([(0, 1.0)]), 3.0)
+    f.insert(SparseVector([(0, 1.0)]), 3.0)
     f.project_sphere(3.0)
     assert f.alphas[0] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_project_sphere_halves_coefficients():
     f = Expansion(GAUSS, dim=1)
-    f.insert(ex([(0, 1.0)]), 3.0)
+    f.insert(SparseVector([(0, 1.0)]), 3.0)
     f.project_sphere(1.5)
     assert f.alphas[0] == pytest.approx(1.5, rel=1e-12)
     assert f.norm() == pytest.approx(1.5, rel=1e-10)
 
 
 def test_project_sphere_zero_to_zero():
-    f = Expansion(GAUSS)
+    f = Expansion(GAUSS, dim=0)
     f.project_sphere(0.0)
     assert f.size == 0
 
 
 def test_project_sphere_degenerate():
-    f = Expansion(GAUSS)
+    f = Expansion(GAUSS, dim=0)
     with pytest.raises(DegenerateProjection):
         f.project_sphere(1.0)
 
@@ -217,12 +231,12 @@ def test_project_sphere_degenerate():
 
 
 def test_recompute_norm_empty():
-    assert Expansion(GAUSS).recompute_norm() == 0.0
+    assert Expansion(GAUSS, dim=0).recompute_norm() == 0.0
 
 
 def test_recompute_norm_single_term():
     f = Expansion(GAUSS, dim=1)
-    f.insert(ex([(0, 1.0)]), -1.75)
+    f.insert(SparseVector([(0, 1.0)]), -1.75)
     assert f.recompute_norm() == pytest.approx(1.75, abs=1e-15)
 
 
@@ -241,13 +255,27 @@ def test_cache_coherent_after_mixed_operations():
             c = gen.uniform() * 2.0 - 1.0
             if c == 0.0:
                 c = 0.5
-            f.insert(random_examples(gen, 1, 6)[0], c)
+            f.insert(random_examples(gen, 1, 6)[0].x, c)
         elif roll < 8:
             f.scale(0.5 + gen.uniform())
         else:
             f.remove_term(gen.below(f.size))
         scratch = f.recompute_norm() ** 2
         assert abs(f.sq_norm - scratch) <= 1e-8 * max(1.0, f.sq_norm)
+
+
+def test_norm_resets_keep_the_largest_drift():
+    gen = ScalarSplitMix64(181)
+    f, _ = random_expansion(gen, 6)
+    assert f.max_drift == 0.0
+    fresh = f.recompute_norm() ** 2
+    f._sq_norm = fresh + 0.25 * max(1.0, fresh)
+    assert f.reset_norm_cache() == pytest.approx(0.25, rel=1e-9)
+    assert f.max_drift == pytest.approx(0.25, rel=1e-9)
+    assert f.reset_norm_cache() == 0.0  # a smaller drift leaves the record
+    assert f.max_drift == pytest.approx(0.25, rel=1e-9)
+    f.clear()
+    assert f.max_drift == pytest.approx(0.25, rel=1e-9)
 
 
 def _check_against_oracles(f, xs):
@@ -282,7 +310,7 @@ def test_slot_map_stays_coherent_under_mixed_operations():
                 permuted_growths += 1
             c = gen.uniform() * 2.0 - 1.0
             e = random_examples(gen, 1, 4)[0]
-            f.insert(e, c if c != 0.0 else 0.5)
+            f.insert(e.x, c if c != 0.0 else 0.5)
             xs.append(e.x)
         elif roll < 17:
             i = gen.below(f.size)
@@ -308,12 +336,12 @@ def test_clear_after_slots_are_permuted():
         f.remove_term(i)
         del xs[i]
     e = random_examples(gen, 1, 6)[0]
-    f.insert(e, 0.7)
+    f.insert(e.x, 0.7)
     _check_against_oracles(f, xs + [e.x])
     f.clear()
     fresh = random_examples(gen, 4, 6)
     for e in fresh:
-        f.insert(e, 0.3)
+        f.insert(e.x, 0.3)
     _check_against_oracles(f, [e.x for e in fresh])
 
 
@@ -350,9 +378,9 @@ def test_replace_with_subset_rejects_out_of_range_keep(keep):
 
 
 def test_gram_corruption_detected():
-    f = Expansion(GAUSS)
-    f.insert(ex([(0, 1.0)]), 1.0)
+    f = Expansion(GAUSS, dim=2)
+    f.insert(SparseVector([(0, 1.0)]), 1.0)
     # A bogus kernel row makes the Gram [[1, 5], [5, 1]], not PSD.
-    f.insert(ex([(1, 1.0)]), -1.0, row=np.array([5.0]))
+    f.insert(SparseVector([(1, 1.0)]), -1.0, row=np.array([5.0]))
     with pytest.raises(GramCorruption):
         f.recompute_norm()

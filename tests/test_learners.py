@@ -63,6 +63,14 @@ def test_config_epsilon_range():
     LearnerConfig("avp", GAUSS, epsilon=0.0).validate()
 
 
+@pytest.mark.parametrize("algo", ["avp", "ahpatron", "ahpatron-noproj"])
+@pytest.mark.parametrize("lam", [0.0, math.inf, math.nan])
+def test_config_lambda_must_be_positive_and_finite(algo, lam):
+    cfg = LearnerConfig(algo, GAUSS, B=4, U=1.0, lam=lam)
+    with pytest.raises(ConfigError, match="lambda"):
+        cfg.validate()
+
+
 def test_config_halving_needs_finite_u_and_positive_eta():
     with pytest.raises(ConfigError):
         ahpatron_config(U=math.inf).validate()
@@ -138,7 +146,7 @@ def test_perceptron_zero_margin_updates_without_mistake():
 def test_perceptron_confident_round_is_passive():
     learner = OnlineLearner(LearnerConfig("perceptron", GAUSS), dim=1)
     x0 = SparseVector([(0, 1.0)])
-    learner.hypothesis.insert(LabeledExample(x0, 1), 0.5)
+    learner.hypothesis.insert(x0, 0.5)
     out = learner.step(LabeledExample(x0, 1))  # margin 0.5 > 0
     assert not out.triggered and learner.hypothesis.size == 1
 
@@ -169,11 +177,11 @@ def test_avp_trigger_threshold():
     cfg = LearnerConfig("avp", GAUSS, U=math.inf, lam=1.0, epsilon=0.9)
     learner = OnlineLearner(cfg, dim=1)
     x0 = SparseVector([(0, 1.0)])
-    learner.hypothesis.insert(LabeledExample(x0, 1), 0.05)
+    learner.hypothesis.insert(x0, 0.05)
     out = learner.step(LabeledExample(x0, 1))  # margin 0.05 < 0.1 -> update
     assert out.triggered and learner.hypothesis.size == 2
     learner2 = OnlineLearner(cfg, dim=1)
-    learner2.hypothesis.insert(LabeledExample(x0, 1), 0.2)
+    learner2.hypothesis.insert(x0, 0.2)
     out2 = learner2.step(LabeledExample(x0, 1))  # margin 0.2 >= 0.1 -> passive
     assert not out2.triggered and learner2.hypothesis.size == 1
 
@@ -308,8 +316,8 @@ def test_ahpatron_zero_coupling_scales_survivors():
     learner = OnlineLearner(cfg, dim=8)
     f = learner.hypothesis
     kept, dropped = ex([(0, 1.0)], +1), ex([(1, 1.0)], +1)
-    f.insert(kept, 0.9)     # survivor (larger magnitude)
-    f.insert(dropped, 0.2)  # removed
+    f.insert(kept.x, 0.9)     # survivor (larger magnitude)
+    f.insert(dropped.x, 0.2)  # removed
     new_x = ex([(2, 0.5)], +1)          # triggers (margin 0 < 0.5)
     out = learner.step(new_x)
     assert out.removal
@@ -333,9 +341,9 @@ def test_ahpatron_noproj_matches_sphere_of_survivors():
     _assert_stores(f, GAUSS, stored)
     alphas = np.asarray(f.alphas)
     removed, kept = split_active_set(alphas, 4)
-    survivors = Expansion(GAUSS)
+    survivors = Expansion(GAUSS, dim=4)
     for i in kept:
-        survivors.insert(LabeledExample(stored[i], 1), alphas[i])
+        survivors.insert(stored[i], alphas[i])
     survivors.project_sphere(0.6 * 2.0)
     expected = survivors.alphas.tolist()
     learner.step(ex([(used, 1.0)], +1))
@@ -351,8 +359,8 @@ def test_ahpatron_degenerate_projection_drops_everything():
                         ct_mode="fixed", ct=0.6)
     learner = OnlineLearner(cfg, dim=4)
     f = learner.hypothesis
-    f.insert(ex([], +1), 5.0)          # survivor: |alpha| = 5, zero norm
-    f.insert(ex([(0, 1.0)], +1), 1.0)  # removed half
+    f.insert(SparseVector([]), 5.0)          # survivor: |alpha| = 5, zero norm
+    f.insert(SparseVector([(0, 1.0)]), 1.0)  # removed half
     out = learner.step(ex([(1, 1.0)], +1))
     assert out.removal
     assert learner.hypothesis.size == 1  # only the fresh insert survives
@@ -410,21 +418,42 @@ def test_budget_baselines_respect_budget():
 
 
 def test_budget_learners_record_periodic_drift(monkeypatch):
-    # remove_term resets the norm cache once per active-set size evictions;
-    # the drift it reports must reach max_cache_drift.
+    # remove_term resets the norm cache once per active-set size evictions.
+    # The patched reset first offsets the cache by 1e-3 of the fresh norm,
+    # so every reset sees a relative drift of 1e-3; the in-run resets must
+    # reach RunTrace.max_cache_drift, and run's final reset must not.
     reset = Expansion.reset_norm_cache
+    resets = []
 
-    def reset_with_marker(self):
-        reset(self)
-        return 1e-3
+    def reset_after_offset(self):
+        fresh = self._quadratic_form()
+        self._sq_norm = fresh + 1e-3 * max(1.0, fresh)
+        resets.append(self.size)
+        return reset(self)
 
-    monkeypatch.setattr(Expansion, "reset_norm_cache", reset_with_marker)
+    monkeypatch.setattr(Expansion, "reset_norm_cache", reset_after_offset)
     ds = synth_noisy(300, 3, 0.3, seed=5)
     for algo in ("budget-oldest", "budget-random"):
-        learner = OnlineLearner(LearnerConfig(algo, GAUSS, B=6, seed=7), dim=3)
-        for e in ds.examples:
-            learner.step(e)
-        assert learner.max_cache_drift == 1e-3
+        resets.clear()
+        trace = run(LearnerConfig(algo, GAUSS, B=6, seed=7), ds.examples)
+        assert len(resets) > 1  # periodic resets, then the final one
+        assert trace.max_cache_drift == pytest.approx(1e-3, rel=1e-9)
+        assert trace.final_cache_drift == pytest.approx(1e-3, rel=1e-9)
+    resets.clear()
+    trace = run(LearnerConfig("perceptron", GAUSS), ds.examples)
+    assert len(resets) == 1  # the final reset only
+    assert trace.max_cache_drift == 0.0
+    assert trace.final_cache_drift == pytest.approx(1e-3, rel=1e-9)
+
+
+def test_step_rejects_a_too_wide_instance():
+    learner = OnlineLearner(LearnerConfig("perceptron", GAUSS), dim=2)
+    learner.step(ex([(1, 1.0)], +1))
+    f = learner.hypothesis
+    before = (f.size, f.alphas.tobytes(), f.sq_norm)
+    with pytest.raises(ValueError, match="width 3"):
+        learner.step(ex([(2, 1.0)], -1))
+    assert (f.size, f.alphas.tobytes(), f.sq_norm) == before
 
 
 def _sha256(a):
