@@ -15,10 +15,13 @@ comparator is the scaled label mean embedding
 f_bar = (1/T) sum_t y_t kappa(x_t, .), the one hypothesis guaranteed to lie
 in the radius-U ball whenever U >= 1 and the kernel has unit diagonal.  Its
 scores, its norm and the kernel alignment all follow from g = K y.  Each g
-densifies the stream once and writes its row blocks of at most
-_BLOCK_ENTRIES kernel values into one reused buffer: memory stays
-O(T d + 2 _BLOCK_ENTRIES) (the buffer and one temporary of the Gaussian
-arithmetic) while time stays quadratic in T.
+densifies the stream once and, K being symmetric, computes only its upper
+triangle: row block [i, i + rows) evaluates K[i:i+rows, i:], so a g takes
+T (T + rows) / 2 kernel values instead of T^2, with rows =
+_BLOCK_ENTRIES // T.  Every block is written into one reused buffer of at
+most _BLOCK_ENTRIES values: memory stays O(T d + 2 _BLOCK_ENTRIES) (the
+buffer and one temporary of the Gaussian arithmetic) while time stays
+quadratic in T.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ BOUND_TOL = 1e-6
 _NORM_SLACK = 1e-9
 _PARAM_RTOL = 1e-9
 # Kernel values per row block of K y: 2M float64 entries, 16 MB, one buffer
-# shared by every block of a g.  The BLAS products round according to the
-# block height, so another size changes g in its last bits.
+# shared by every block of a g.  The block height fixes the order in which
+# g is summed, so another size changes g in its last bits.
 _BLOCK_ENTRIES = 1 << 21
 
 
@@ -137,14 +140,17 @@ def _sum_left_to_right(values) -> float:
 def _kernel_times_labels(
     stream: Sequence[LabeledExample], spec: KernelSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(y, g) with g = K y, K the stream's Gram matrix, one row block at a time.
+    """(y, g) with g = K y, K the stream's Gram matrix, from its upper triangle.
 
-    The stream is densified once and every block is written into one buffer.
-    ``block @ y`` is an OpenBLAS gemv, which splits the work over its threads
-    and rounds differently with their number.  Above about 2000 examples g,
-    and every check-bounds and alignment figure derived from it, therefore
-    depends on OPENBLAS_NUM_THREADS in its last digits; OPENBLAS_NUM_THREADS=1
-    reproduces the values the tests and the benchmark pin.
+    The stream is densified once.  Row block I = [i, i + m) writes K[I, i:]
+    into one buffer, adds K[I, i:] y[i:] to g[I] and, by symmetry,
+    K[I, i+m:]' y[I] to g[i+m:].  Both reductions are np.einsum, which sums
+    in one thread in a fixed order, so they do not depend on
+    OPENBLAS_NUM_THREADS as the threaded gemv ``block @ y`` did.  The kernel
+    block itself is an OpenBLAS gemm: it agreed under 1 and 2 threads at
+    d = 8, but at d = 68 its last bits, and so g's, change with the thread
+    count; OPENBLAS_NUM_THREADS=1 reproduces the values the tests and the
+    benchmark pin.
     """
     if not stream:
         raise ValueError("stream must be nonempty")
@@ -154,16 +160,19 @@ def _kernel_times_labels(
     dim = max(x.width for x in xs)
     X = np.array([x.dense(dim) for x in xs])
     xsq = np.array([x.sq_norm for x in xs])
-    # The columns are a copy: when one block holds the whole stream, X @ X.T
-    # on one array takes numpy's syrk path, which rounds unlike gemm.
+    # The columns are a copy: a square block (the last one, or a stream that
+    # fits one block) of the same rows of one array would take numpy's syrk
+    # path, which rounds unlike gemm.
     Y = X.copy()
     rows = max(1, _BLOCK_ENTRIES // T)
-    buf = np.empty((min(rows, T), T))
-    g = np.empty(T)
+    buf = np.empty(min(rows, T) * T)
+    g = np.zeros(T)
     for i in range(0, T, rows):
-        block = buf[: min(rows, T - i)]
-        pairwise_kernel(spec, X[i : i + rows], xsq[i : i + rows], Y, xsq, out=block)
-        g[i : i + rows] = block @ y
+        m = min(rows, T - i)
+        block = buf[: m * (T - i)].reshape(m, T - i)
+        pairwise_kernel(spec, X[i : i + m], xsq[i : i + m], Y[i:], xsq[i:], out=block)
+        g[i : i + m] += np.einsum("ij,j->i", block, y[i:])
+        g[i + m :] += np.einsum("ij,i->j", block[:, m:], y[i : i + m])
     return y, g
 
 

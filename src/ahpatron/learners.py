@@ -346,7 +346,8 @@ def run(
 ) -> RunTrace:
     """Drive one learner over a stream, returning the full trace.
 
-    Learner failures propagate as RunError with the failing round index.
+    Learner failures, floating-point overflow and invalid operations
+    included, propagate as RunError with the failing round index.
     """
     config.validate()
     T = len(stream)
@@ -366,25 +367,28 @@ def run(
     step = learner.step
     size, norm = f.size, f.norm()
     start = time.perf_counter()
-    for t, ex in enumerate(stream):
-        try:
-            pred, margin, mistake, trig, removal, distance = step(ex)
-        except (SolverDiverged, GramCorruption, FloatingPointError) as e:
-            raise RunError(t, e) from e
-        margins[t] = margin
-        predictions[t] = pred
-        mistakes[t] = mistake
-        if trig:  # only a triggered round changes the hypothesis
-            triggered[t] = True
-            if removal:
-                removals[t] = True
-                removal_distances[t] = distance
-            size, norm = f.size, f.norm()
-        active_sizes[t] = size
-        norms[t] = norm
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    max_drift = f.max_drift  # the in-run resets only
-    final_drift = f.reset_norm_cache()
+    # Overflow and NaN raise FloatingPointError, which the loop reports as a
+    # RunError at its round, instead of warning and running on with NaNs.
+    with np.errstate(over="raise", invalid="raise"):
+        for t, ex in enumerate(stream):
+            try:
+                pred, margin, mistake, trig, removal, distance = step(ex)
+            except (SolverDiverged, GramCorruption, FloatingPointError) as e:
+                raise RunError(t, e) from e
+            margins[t] = margin
+            predictions[t] = pred
+            mistakes[t] = mistake
+            if trig:  # only a triggered round changes the hypothesis
+                triggered[t] = True
+                if removal:
+                    removals[t] = True
+                    removal_distances[t] = distance
+                size, norm = f.size, f.norm()
+            active_sizes[t] = size
+            norms[t] = norm
+        elapsed_ms = (time.perf_counter() - start) * 1e3
+        max_drift = f.max_drift  # the in-run resets only
+        final_drift = f.reset_norm_cache()
     return RunTrace(
         config=config,
         dataset_name=dataset_name,

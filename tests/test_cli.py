@@ -61,6 +61,16 @@ def test_run_rejects_unknown_flag_value():
     assert main(["run", "--algo", "avp", "--data", SYNTH, "--lambda", "inf"]) == 1
 
 
+def test_run_overflow_fails_at_its_round(capsys):
+    # A finite but huge rate overflows the scores; the run stops at the first
+    # overflowing round instead of logging NaN margins to the end.
+    code = main(["run", "--algo", "avp", "--lambda", "1e308",
+                 "--data", "synth:noisy:T=300,d=4,seed=1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failure: run failed at round 77: overflow")
+
+
 def test_bench_row_accounting(tmp_path):
     out = tmp_path / "bench.csv"
     code = main(["bench", "--algos", "ahpatron,budget-oldest", "--data", SYNTH,

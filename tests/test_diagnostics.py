@@ -179,11 +179,26 @@ def test_default_comparator_norm():
     assert math.sqrt(default_comparator(stream, GAUSS, 3.0).sq_norm) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("spec", [GAUSS, LIN], ids=["gaussian", "linear"])
-def test_blocked_kernel_times_labels_matches_one_gram(monkeypatch, spec):
+# (T, _BLOCK_ENTRIES or None for the module's, the (rows, columns) of each
+# kernel block).  The block of rows [i, i + m) evaluates columns i onwards.
+_TRIANGLE_CASES = {
     # 53 rows in blocks of 12: four full blocks and a ragged one of 5.
-    stream = random_examples(ScalarSplitMix64(87), 53, 4)
-    monkeypatch.setattr(diagnostics, "_BLOCK_ENTRIES", 12 * 53 + 7)
+    "": (53, 12 * 53 + 7, [(12, 53), (12, 41), (12, 29), (12, 17), (5, 5)]),
+    "-one-example": (1, None, [(1, 1)]),
+    "-inside-one-block": (7, None, [(7, 7)]),
+    "-last-block-one-row": (13, 4 * 13 + 5, [(4, 13), (4, 9), (4, 5), (1, 1)]),
+}
+
+
+@pytest.mark.parametrize(
+    "spec, T, entries, shapes",
+    [(spec, *case) for case in _TRIANGLE_CASES.values() for spec in (GAUSS, LIN)],
+    ids=[kernel + name for name in _TRIANGLE_CASES for kernel in ("gaussian", "linear")],
+)
+def test_blocked_kernel_times_labels_matches_one_gram(monkeypatch, spec, T, entries, shapes):
+    stream = random_examples(ScalarSplitMix64(87), T, 4)
+    if entries is not None:
+        monkeypatch.setattr(diagnostics, "_BLOCK_ENTRIES", entries)
     blocks = []
 
     def spy(spec, X, xsq, Y, ysq, out=None):
@@ -194,9 +209,8 @@ def test_blocked_kernel_times_labels_matches_one_gram(monkeypatch, spec):
     xs = [e.x for e in stream]
     y = np.array([float(e.y) for e in stream])
     g = sparse_kernel_block(spec, xs, xs) @ y
-    T = len(stream)
     f = mean_embedding(stream, spec)
-    assert blocks == [(12, T)] * 4 + [(5, T)]
+    assert blocks == shapes
     assert np.allclose(f.scores, g / T, rtol=0.0, atol=1e-12)
     assert f.sq_norm == pytest.approx(float(y @ g) / T**2, rel=0.0, abs=1e-12)
     diag = sum(kernel_diag(spec, x) for x in xs)
@@ -206,12 +220,14 @@ def test_blocked_kernel_times_labels_matches_one_gram(monkeypatch, spec):
 
 def test_one_block_stream_rounds_like_separate_arrays():
     # A stream that fits one block: numpy computes X @ X.T on one array by
-    # syrk, which rounds differently from the product of two arrays.
+    # syrk, which rounds differently from the product of two arrays.  With
+    # one block the triangle reduction is the einsum of the whole block.
     stream = synth_noisy(300, 4, 0.1, 0).examples
     xs = [e.x for e in stream]
     y = np.array([float(e.y) for e in stream])
+    assert diagnostics._BLOCK_ENTRIES // 300 >= 300
     for spec in (GAUSS, LIN):
-        g = sparse_kernel_block(spec, xs, xs) @ y
+        g = np.einsum("ij,j->i", sparse_kernel_block(spec, xs, xs), y)
         assert mean_embedding(stream, spec).scores.tobytes() == (g / 300).tobytes()
 
 
@@ -247,12 +263,11 @@ def test_comparator_path_peak_is_about_two_row_blocks():
 # SHA-256 of the comparator path's results on a stream that spans 5 row
 # blocks: g = K y must stay bitwise equal (this numpy/OpenBLAS build's
 # arithmetic).  Each digest covers the scores' bytes, then the reprs of
-# sq_norm and of the kernel alignment.  OpenBLAS splits the product of a
-# block with y across threads, and the split changes its rounding, so the
-# digests come from a child process held to one BLAS thread.
+# sq_norm and of the kernel alignment.  The digests come from child
+# processes, where OPENBLAS_NUM_THREADS takes effect.
 _COMPARATOR_PINS = {
-    "gaussian": "21b922811aa8d01e6d9db8777807348aa5a32b5851d2de728bafcc07be896f28",
-    "linear": "1ac460a2b70e52bcd6cca12b8af5e51ae1962ba2ce7f6edde61b947f585ea6ff",
+    "gaussian": "600a120a3106c7936c4006a10887a6cde702ef6e1a740efe73f20f2c043d4b2c",
+    "linear": "dd71d2109319ec05b0342b9aacbf5db97f6da38ffcc78671f2249d728ac58d27",
 }
 
 _COMPARATOR_DIGESTS = """
@@ -271,13 +286,23 @@ for spec in (KernelSpec.gaussian(1.0), KernelSpec.linear()):
 """
 
 
-def test_comparator_path_matches_pinned_hashes():
+def _comparator_digests(threads: str) -> dict:
     src = str(Path(diagnostics.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", _COMPARATOR_DIGESTS], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert dict(line.split() for line in out.splitlines()) == _COMPARATOR_PINS
+    return dict(line.split() for line in out.splitlines())
+
+
+def test_comparator_path_matches_pinned_hashes():
+    assert _comparator_digests("1") == _COMPARATOR_PINS
+
+
+def test_comparator_path_is_independent_of_blas_threads():
+    # The reductions of each block are single-threaded einsums; at d = 8 the
+    # kernel block itself also comes out equal under 1 and 2 threads.
+    assert _comparator_digests("2") == _comparator_digests("1")
 
 
 # -- kernel alignment ------------------------------------------------------------------
