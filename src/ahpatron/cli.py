@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -41,6 +42,7 @@ from .diagnostics import (
 from .kernels import GAUSSIAN, KernelSpec
 from .learners import (
     AHPATRON,
+    AHPATRON_NOPROJ,
     ALGORITHMS,
     AVP,
     AVP_ADAPTIVE,
@@ -122,11 +124,11 @@ def _build_parser() -> _Parser:
 
     p_bench = sub.add_parser("bench", help="grid sweep with per-cell aggregates")
     _add_run_flags(p_bench, grid=True)
-    p_bench.add_argument("--seeds", type=int, default=5,
+    p_bench.add_argument("--seeds", type=_at_least(1), default=5,
                          help="number of seeded permutations (seeds 0..N-1)")
-    p_bench.add_argument("--seed-list", default=None,
+    p_bench.add_argument("--seed-list", type=_flag_list(_flag(int)), default=None,
                          help="explicit comma-separated seeds (overrides --seeds)")
-    p_bench.add_argument("--jobs", type=int, default=1,
+    p_bench.add_argument("--jobs", type=_at_least(1), default=1,
                          help="parallel worker processes")
     p_bench.set_defaults(func=cmd_bench)
 
@@ -136,17 +138,18 @@ def _build_parser() -> _Parser:
                        help="comma list out of: " + ", ".join(SUITE_ALIASES)
                        + " (aliases accepted), or 'all'")
     p_chk.add_argument("--data", required=True)
-    p_chk.add_argument("--algo", default=None,
-                       help="halving variant for the budgeted suites "
-                       "(ahpatron or ahpatron-noproj)")
-    p_chk.add_argument("--B", type=int, default=None)
+    p_chk.add_argument("--algo", choices=(AHPATRON, AHPATRON_NOPROJ),
+                       default=AHPATRON,
+                       help="halving variant for the budgeted suites")
+    p_chk.add_argument("--B", type=_at_least(2), default=None)
     p_chk.add_argument("--U", type=float, default=None)
-    p_chk.add_argument("--sigma", type=float, default=1.0)
+    p_chk.add_argument("--sigma", type=_POSITIVE, default=1.0)
     p_chk.add_argument("--epsilon", type=float, default=None)
     p_chk.add_argument("--eta", type=float, default=5e-4)
-    p_chk.add_argument("--gamma", type=float, default=0.5)
+    p_chk.add_argument("--gamma", type=_flag(float, lambda g: 0.0 < g < 1.0, "in (0, 1)"),
+                       default=0.5)
     p_chk.add_argument("--seed", type=int, default=0)
-    p_chk.add_argument("--limit", type=int, default=5000,
+    p_chk.add_argument("--limit", type=_at_least(0), default=5000,
                        help="truncate the permuted stream; 0 keeps all of it "
                        "(comparator time is quadratic in T, its memory is "
                        "bounded by a fixed row block)")
@@ -157,7 +160,7 @@ def _build_parser() -> _Parser:
     p_al = sub.add_parser("alignment", help="kernel alignment vs. the mean "
                           "embedding's hinge loss")
     p_al.add_argument("--data", required=True)
-    p_al.add_argument("--sigma", type=float, default=1.0)
+    p_al.add_argument("--sigma", type=_POSITIVE, default=1.0)
     p_al.add_argument("--cap", type=int, default=20000,
                       help="refuse streams longer than this (O(T^2) time; "
                       "memory is bounded by a fixed row block)")
@@ -178,14 +181,16 @@ def _build_parser() -> _Parser:
 def _add_run_flags(p: argparse.ArgumentParser, grid: bool = False) -> None:
     if grid:
         p.add_argument("--algos", required=True,
+                       type=_flag_list(_flag(str.strip, lambda a: a in ALGORITHMS,
+                                             "one of " + ", ".join(ALGORITHMS))),
                        help="comma list out of: " + ", ".join(ALGORITHMS))
-        p.add_argument("--B", default=None,
-                       help="comma list of budgets (empty for unbudgeted)")
-        p.add_argument("--epsilons", default=None,
+        p.add_argument("--B", type=_flag_list(_at_least(1)), default=[None],
+                       help="comma list of budgets (omit for unbudgeted algorithms)")
+        p.add_argument("--epsilons", type=_flag_list(_flag(float)), default=EPSILON_GRID,
                        help="comma list (default 0.5,0.6,0.7,0.8,0.9)")
     else:
         p.add_argument("--algo", required=True, choices=ALGORITHMS)
-        p.add_argument("--B", type=int, default=None)
+        p.add_argument("--B", type=_at_least(1), default=None)
         p.add_argument("--epsilon", type=float, default=None)
     if grid:
         p.add_argument("--data", required=True, action="append",
@@ -193,7 +198,7 @@ def _add_run_flags(p: argparse.ArgumentParser, grid: bool = False) -> None:
     else:
         p.add_argument("--data", required=True,
                        help="LIBSVM path or synth:separable:... / synth:noisy:... descriptor")
-    p.add_argument("--sigma", type=float, default=1.0, help="Gaussian kernel width")
+    p.add_argument("--sigma", type=_POSITIVE, default=1.0, help="Gaussian kernel width")
     p.add_argument("--U", type=float, default=None,
                    help="norm ball radius (default sqrt(B)/2 for budgeted runs)")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
@@ -205,24 +210,49 @@ def _add_run_flags(p: argparse.ArgumentParser, grid: bool = False) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+# -- flag types ------------------------------------------------------------------
+# Each flag with a restricted domain checks it as argparse converts the
+# flag, so a bad value ends the command with one ``error:`` line naming the
+# flag before anything is built or loaded.
+
+
+def _flag(kind, ok=None, domain: str = ""):
+    """argparse type: ``kind(text)``, refused unless ``ok`` accepts it."""
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}") from None
+        if ok is not None and not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}")
+        return value
+    return convert
+
+
+def _at_least(low: int):
+    return _flag(int, lambda v: v >= low, f">= {low}")
+
+
+def _flag_list(item):
+    """argparse type: a comma list of ``item`` values, repeats dropped in order."""
+    return lambda text: list(dict.fromkeys(item(v) for v in text.split(",")))
+
+
+_POSITIVE = _flag(float, lambda v: v > 0, "positive")
+
+
 # -- config assembly ---------------------------------------------------------
 
 
 def _parse_ct(text: str) -> tuple[str, float]:
     if text == CT_NORM_RATIO:
-        return CT_NORM_RATIO, 0.0
+        return CT_NORM_RATIO, 0.6  # ct is not read under the norm-ratio rule
     if text.startswith("fixed:"):
         try:
             return CT_FIXED, float(text.split(":", 1)[1])
         except ValueError:
             raise CliError(f"bad --ct value {text!r}") from None
     raise CliError(f"--ct must be 'fixed:<c>' or 'norm-ratio', got {text!r}")
-
-
-def _gaussian_kernel(sigma: float) -> KernelSpec:
-    if not sigma > 0:
-        raise CliError(f"--sigma must be positive, got {sigma}")
-    return KernelSpec.gaussian(sigma)
 
 
 def build_config(
@@ -236,42 +266,34 @@ def build_config(
     ct: str,
     seed: int,
 ) -> LearnerConfig:
-    """Fill protocol defaults and validate; raises ConfigError/CliError."""
-    if algo not in ALGORITHMS:
-        raise CliError(f"unknown algorithm {algo!r} (--algo)")
+    """Fill protocol defaults; raises ConfigError/CliError.
+
+    B is None or positive, as the --B flag types ensure.  ct is parsed for
+    every algorithm, so a malformed --ct fails even where c_t is unused.
+    """
     if algo in BUDGETED_ALGORITHMS and B is None:
         raise CliError(f"{algo} requires --B")
-    if U is None:
-        if algo in HALVING_ALGORITHMS:
-            U = math.sqrt(B) / 2.0
-        elif algo == AVP_ADAPTIVE:
-            raise CliError("avp-adaptive requires --U (finite ball radius)")
-        else:
-            U = math.inf
     if algo not in MARGIN_ALGORITHMS:
         U = math.inf  # perceptron and the removal baselines never project
+    elif U is None:
+        U = math.sqrt(B) / 2.0 if algo in HALVING_ALGORITHMS else math.inf
     if lam is None:
         lam = U / (2.0 * math.sqrt(B)) if algo in HALVING_ALGORITHMS else 1.0
-    if epsilon is None:
-        epsilon = 0.5
-    if algo in HALVING_ALGORITHMS:
-        ct_mode, ct_value = _parse_ct(ct)
-    else:
-        ct_mode, ct_value = CT_FIXED, 0.6  # ignored outside the halving variants
-    config = LearnerConfig(
+    ct_mode, ct_value = _parse_ct(ct)
+    if algo not in HALVING_ALGORITHMS:
+        ct_mode, ct_value = CT_FIXED, 0.6  # placeholder; only halving reads c_t
+    return LearnerConfig(
         algorithm=algo,
-        kernel=_gaussian_kernel(sigma),
+        kernel=KernelSpec.gaussian(sigma),
         B=B if algo in BUDGETED_ALGORITHMS else None,
         U=U,
         lam=lam,
-        epsilon=epsilon,
+        epsilon=0.5 if epsilon is None else epsilon,
         eta=eta,
         ct_mode=ct_mode,
-        ct=ct_value if ct_mode == CT_FIXED else 0.6,
+        ct=ct_value,
         seed=seed,
     )
-    config.validate()
-    return config
 
 
 # -- result rows -------------------------------------------------------------
@@ -386,26 +408,17 @@ def _bench_cell(task: tuple[str, LearnerConfig], datasets: dict[str, Dataset]) -
 
 
 def cmd_bench(args) -> int:
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    budgets = _csv_list(args.B, int, "--B") if args.B else [None]
-    epsilons = (_csv_list(args.epsilons, float, "--epsilons")
-                if args.epsilons else list(EPSILON_GRID))
-    if args.seed_list:
-        seeds = _csv_list(args.seed_list, int, "--seed-list")
-    else:
-        seeds = list(range(args.seeds))
+    seeds = args.seed_list or range(args.seeds)
     data_specs = list(dict.fromkeys(args.data))
-    if not algos or not seeds or not data_specs:
-        raise CliError("need at least one algorithm, seed, and dataset")
 
     # Validate the whole grid before any run starts.  Dimensions an
     # algorithm ignores (epsilon for the perceptron-trigger baselines, B for
     # the unbudgeted learners) are collapsed so cells are not duplicated.
     tasks: list[tuple[str, LearnerConfig]] = []
     for data_spec in data_specs:
-        for algo in algos:
-            algo_budgets = budgets if algo in BUDGETED_ALGORITHMS else [None]
-            algo_epsilons = epsilons if algo in MARGIN_ALGORITHMS else [None]
+        for algo in args.algos:
+            algo_budgets = args.B if algo in BUDGETED_ALGORITHMS else [None]
+            algo_epsilons = args.epsilons if algo in MARGIN_ALGORITHMS else [None]
             for B in algo_budgets:
                 for eps in algo_epsilons:
                     for seed in seeds:
@@ -444,16 +457,9 @@ def cmd_bench(args) -> int:
     return 2 if failures else 0
 
 
-def _csv_list(text: str, kind, flag: str) -> list:
-    try:
-        return [kind(v) for v in text.split(",")]
-    except ValueError:
-        raise CliError(f"bad {flag} value {text!r}") from None
-
-
 def _aggregate_path(out: str) -> str:
-    stem, dot, ext = out.rpartition(".")
-    return f"{stem}.aggregates.{ext}" if dot else f"{out}.aggregates"
+    stem, ext = os.path.splitext(out)
+    return f"{stem}.aggregates{ext}"
 
 
 def _aggregate(rows: list[dict]) -> list[dict]:
@@ -497,7 +503,7 @@ def _aggregate(rows: list[dict]) -> list[dict]:
 
 
 def _suite_runs(suite: str, args, kernel: KernelSpec) -> list[tuple]:
-    """One suite's learner runs as (label, config, radius, check), validated.
+    """One suite's learner runs as (label, config, radius, check).
 
     Unset flags take the settings each bound assumes.  ``check`` takes the
     trace, plus the stream and the default comparator at ``radius`` unless
@@ -506,18 +512,12 @@ def _suite_runs(suite: str, args, kernel: KernelSpec) -> list[tuple]:
     B = 64 if args.B is None else args.B
     avp_eps = 0.75 if args.epsilon is None else args.epsilon
 
-    def config(algo: str, **settings) -> LearnerConfig:
-        cfg = LearnerConfig(algo, kernel, seed=args.seed, **settings)
-        cfg.validate()
-        return cfg
+    config = partial(LearnerConfig, kernel=kernel, seed=args.seed)
 
     def halving(U: float, eps: float, lam: float | None = None,
                 ct_mode: str = CT_NORM_RATIO) -> LearnerConfig:
-        algo = args.algo or AHPATRON
-        if algo not in HALVING_ALGORITHMS:
-            raise CliError(f"--algo for budgeted suites must be a halving variant, got {algo}")
         lam = U / (2.0 * math.sqrt(B)) if lam is None else lam
-        return config(algo, B=B, U=U, lam=lam, epsilon=eps, eta=args.eta,
+        return config(args.algo, B=B, U=U, lam=lam, epsilon=eps, eta=args.eta,
                       ct_mode=ct_mode)
 
     if suite == "perceptron":
@@ -562,13 +562,7 @@ def cmd_check_bounds(args) -> int:
         for name in names:
             if name not in SUITE_ALIASES:
                 raise CliError(f"unknown suite {name!r}")
-    if args.limit < 0:
-        raise CliError(f"--limit must be >= 0, got {args.limit}")
-    if args.B is not None and args.B < 2:
-        raise CliError(f"--B must be >= 2, got {args.B}")
-    if not 0.0 < args.gamma < 1.0:
-        raise CliError(f"--gamma must be in (0, 1), got {args.gamma}")
-    kernel = _gaussian_kernel(args.sigma)
+    kernel = KernelSpec.gaussian(args.sigma)
     runs = [r for name in names for r in _suite_runs(name, args, kernel)]
     ds = _load(args.data)
     stream = permute(ds, args.seed)
@@ -614,7 +608,7 @@ def cmd_check_bounds(args) -> int:
 
 
 def cmd_alignment(args) -> int:
-    kernel = _gaussian_kernel(args.sigma)
+    kernel = KernelSpec.gaussian(args.sigma)
     ds = _load(args.data)
     if len(ds.examples) > args.cap:
         raise CliError(

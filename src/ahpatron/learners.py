@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -90,6 +90,8 @@ class LearnerConfig:
     U may be math.inf for the unbudgeted ball-free variants.  ct_mode is
     "fixed" (sphere radius ct * U) or "norm-ratio" (radius equal to the
     current hypothesis norm).  seed only drives budget-random evictions.
+    Construction validates: a setting the algorithm does not allow raises
+    ConfigError, so every LearnerConfig that exists is valid.
     """
 
     algorithm: str
@@ -103,7 +105,7 @@ class LearnerConfig:
     ct: float = 0.6
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         algo = self.algorithm
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")
@@ -184,7 +186,6 @@ class OnlineLearner:
     """
 
     def __init__(self, config: LearnerConfig, dim: int):
-        config.validate()
         self.config = config
         self.hypothesis = Expansion(config.kernel, dim)
         self._nonpos_margins = 0
@@ -320,23 +321,17 @@ class RunTrace:
         return max(d for _, d in events) / self.config.U
 
     def same_as(self, other: "RunTrace") -> bool:
-        """Bitwise equality of everything except wall-clock timing."""
-        return (
-            self.config == other.config
-            and self.dataset_name == other.dataset_name
-            and np.array_equal(self.margins, other.margins)
-            and np.array_equal(self.predictions, other.predictions)
-            and np.array_equal(self.mistakes, other.mistakes)
-            and np.array_equal(self.triggered, other.triggered)
-            and np.array_equal(self.removals, other.removals)
-            and np.array_equal(
-                self.removal_distances, other.removal_distances, equal_nan=True
-            )
-            and np.array_equal(self.active_sizes, other.active_sizes)
-            and np.array_equal(self.norms, other.norms)
-            and self.final_size == other.final_size
-            and self.final_norm == other.final_norm
-        )
+        """Bitwise equality of every field except the wall-clock elapsed_ms."""
+        for field in fields(self):
+            if field.name == "elapsed_ms":
+                continue
+            a, b = getattr(self, field.name), getattr(other, field.name)
+            if isinstance(a, np.ndarray):
+                if not np.array_equal(a, b, equal_nan=True):
+                    return False
+            elif a != b:
+                return False
+        return True
 
 
 def run(
@@ -349,7 +344,6 @@ def run(
     Learner failures, floating-point overflow and invalid operations
     included, propagate as RunError with the failing round index.
     """
-    config.validate()
     T = len(stream)
     if T == 0:
         raise ConfigError("stream must be nonempty")

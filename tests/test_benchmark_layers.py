@@ -1,14 +1,16 @@
 """What the benchmark relies on in the program still holds.
 
 perfbench/workloads.py wraps each callable in its LAYERS table by owner and
-attribute name and calls the data functions by name, and perfbench/spans.py
-times learner rounds from run()'s last pass over its stream.  Checking both here makes a change in src/ that
-breaks them fail the package's own tests, not only
-``python3 -m pytest perfbench``.
+attribute name, calls the data functions by name and builds each learner
+cell's config through cli.build_config, and perfbench/spans.py times
+learner rounds from run()'s last pass over its stream.  Checking these here
+makes a change in src/ that breaks them fail the package's own tests, not
+only ``python3 -m pytest perfbench``.
 """
 
 import ast
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -50,6 +52,30 @@ def test_benchmark_data_calls_name_existing_functions():
     assert {"load_libsvm", "format_libsvm", "synth_noisy", "permute",
             "load_dataset"} <= called
     assert sorted(name for name in called if name not in vars(data)) == []
+
+
+def test_benchmark_cells_build_their_configs_through_the_cli(monkeypatch):
+    # Cells._cell builds each config with cli.build_config at the benchmark's
+    # protocol constants; run every cell's real call on a short stream.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = _load(monkeypatch, "perfbench_workloads", "workloads.py")
+    cells = [w for w in (make() for make in workloads.WORKLOADS.values())
+             if isinstance(w, workloads.Cells)]
+    assert cells
+    for w in cells:
+        stream = permute(synth_noisy(60, w.d, workloads.FLIP, 1), 0)
+        for (algo, B), op in ((cell, w._cell(workloads.Pass(), *cell, stream))
+                              for cell in w.cells):
+            assert op.errors == []
+            cfg = op.trace.config
+            assert (cfg.algorithm, cfg.B, cfg.kernel, cfg.epsilon, cfg.eta, cfg.seed) \
+                == (algo, B, KernelSpec.gaussian(1.0), 0.7, 5e-4, 0)
+            if algo in learners.HALVING_ALGORITHMS:
+                U = math.sqrt(B) / 2.0
+                assert (cfg.U, cfg.lam, cfg.ct_mode) \
+                    == (U, U / (2.0 * math.sqrt(B)), "norm-ratio")
+            else:
+                assert (cfg.U, cfg.lam) == (math.inf, 1.0)
 
 
 @pytest.mark.parametrize("config", [

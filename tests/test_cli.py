@@ -145,6 +145,35 @@ def test_bench_reads_a_rewritten_file_afresh(tmp_path, jobs):
         assert read_csv(tmp_path / f"run{T}.csv")[0]["T"] == str(T)
 
 
+def test_bench_out_in_dotted_directory(tmp_path):
+    out = tmp_path / "runs.v2" / "bench"
+    out.parent.mkdir()
+    code = main(["bench", "--algos", "perceptron", "--data", SYNTH, "--seeds", "1",
+                 "--out", str(out)])
+    assert code == 0
+    assert len(read_csv(out)) == 1
+    assert len(read_csv(tmp_path / "runs.v2" / "bench.aggregates")) == 1
+    assert cli._aggregate_path("bench.csv") == "bench.aggregates.csv"
+    assert cli._aggregate_path("bench") == "bench.aggregates"
+
+
+@pytest.mark.parametrize("flag, repeated", [
+    ("--seed-list", "1,1"),
+    ("--algos", "ahpatron,ahpatron"),
+    ("--B", "8,8"),
+    ("--epsilons", "0.7,0.70"),
+], ids=["seed-list", "algos", "B", "epsilons"])
+def test_bench_drops_repeated_list_items(flag, repeated, tmp_path):
+    flags = {"--algos": "ahpatron", "--B": "8", "--epsilons": "0.7", "--seed-list": "1"}
+    flags[flag] = repeated
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--data", SYNTH, "--out", str(out)]
+                + [v for item in flags.items() for v in item])
+    assert code == 0
+    assert len(read_csv(out)) == 1
+    assert [a["seeds"] for a in read_csv(tmp_path / "bench.aggregates.csv")] == ["1"]
+
+
 def test_bench_json_mirror(tmp_path):
     out = tmp_path / "bench.json"
     code = main(["bench", "--algos", "perceptron", "--data", SYNTH,
@@ -218,6 +247,39 @@ def _recorded_configs(monkeypatch, argv):
 
 SETTINGS = ("algorithm", "B", "U", "lam", "epsilon", "eta", "ct_mode", "ct", "seed")
 INF = float("inf")
+
+
+# Each bad value exits 1 with one error line naming its flag, before any
+# learner runs, whether or not the chosen algorithm uses the flag.
+BAD_FLAGS = {
+    "run-B-zero": ["run", "--algo", "ahpatron", "--B", "0"],
+    "bench-B-zero": ["bench", "--algos", "ahpatron", "--B", "0"],
+    "run-B-negative": ["run", "--algo", "ahpatron", "--B", "-4"],
+    "bench-B-negative": ["bench", "--algos", "ahpatron", "--B", "-4"],
+    "jobs-zero": ["bench", "--algos", "perceptron", "--jobs", "0"],
+    "jobs-negative": ["bench", "--algos", "perceptron", "--jobs", "-1"],
+    "ct-unused": ["run", "--algo", "perceptron", "--ct", "bogus"],
+    "epsilons-empty": ["bench", "--algos", "ahpatron", "--B", "8", "--epsilons", ""],
+    "run-sigma": ["run", "--algo", "perceptron", "--sigma", "0"],
+    "bench-sigma": ["bench", "--algos", "perceptron", "--sigma", "0"],
+    "check-bounds-sigma": ["check-bounds", "--sigma", "0"],
+    "alignment-sigma": ["alignment", "--sigma", "0"],
+    "check-bounds-B-one": ["check-bounds", "--B", "1"],
+    "check-bounds-limit": ["check-bounds", "--limit", "-5"],
+    "check-bounds-gamma": ["check-bounds", "--gamma", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+def test_bad_flag_is_one_error_line_and_runs_nothing(argv, monkeypatch, capsys):
+    code, configs = _recorded_configs(monkeypatch, argv + ["--data", SYNTH])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert configs == []
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    flag = [a for a in argv if a.startswith("--")][-1]
+    assert len(lines) == 1 and lines[0].startswith("error:") and flag in lines[0]
 
 
 @pytest.mark.parametrize("flags, expected", [

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -45,57 +46,56 @@ def ahpatron_config(B=4, U=1.0, lam=0.25, eps=0.5, **kw):
 
 def test_config_rejects_odd_budget():
     with pytest.raises(ConfigError):
-        ahpatron_config(B=5).validate()
+        ahpatron_config(B=5)
 
 
 def test_config_requires_budget():
     with pytest.raises(ConfigError):
-        LearnerConfig("ahpatron", GAUSS, U=1.0).validate()
+        LearnerConfig("ahpatron", GAUSS, U=1.0)
     with pytest.raises(ConfigError):
-        LearnerConfig("budget-oldest", GAUSS, B=0).validate()
+        LearnerConfig("budget-oldest", GAUSS, B=0)
 
 
 def test_config_epsilon_range():
     with pytest.raises(ConfigError):
-        LearnerConfig("avp", GAUSS, epsilon=1.0).validate()
+        LearnerConfig("avp", GAUSS, epsilon=1.0)
     with pytest.raises(ConfigError):
-        LearnerConfig("avp", GAUSS, epsilon=-0.1).validate()
-    LearnerConfig("avp", GAUSS, epsilon=0.0).validate()
+        LearnerConfig("avp", GAUSS, epsilon=-0.1)
+    LearnerConfig("avp", GAUSS, epsilon=0.0)
 
 
 @pytest.mark.parametrize("algo", ["avp", "ahpatron", "ahpatron-noproj"])
 @pytest.mark.parametrize("lam", [0.0, math.inf, math.nan])
 def test_config_lambda_must_be_positive_and_finite(algo, lam):
-    cfg = LearnerConfig(algo, GAUSS, B=4, U=1.0, lam=lam)
     with pytest.raises(ConfigError, match="lambda"):
-        cfg.validate()
+        LearnerConfig(algo, GAUSS, B=4, U=1.0, lam=lam)
 
 
 def test_config_halving_needs_finite_u_and_positive_eta():
     with pytest.raises(ConfigError):
-        ahpatron_config(U=math.inf).validate()
+        ahpatron_config(U=math.inf)
     with pytest.raises(ConfigError):
-        ahpatron_config(eta=0.0).validate()
+        ahpatron_config(eta=0.0)
     with pytest.raises(ConfigError):
-        ahpatron_config(ct_mode="fixed", ct=1.5).validate()
+        ahpatron_config(ct_mode="fixed", ct=1.5)
 
 
 def test_config_adaptive_needs_finite_u():
     with pytest.raises(ConfigError):
-        LearnerConfig("avp-adaptive", GAUSS).validate()
-    LearnerConfig("avp-adaptive", GAUSS, U=2.0).validate()
+        LearnerConfig("avp-adaptive", GAUSS)
+    LearnerConfig("avp-adaptive", GAUSS, U=2.0)
 
 
 def test_config_baselines_reject_finite_u():
     with pytest.raises(ConfigError):
-        LearnerConfig("budget-oldest", GAUSS, B=4, U=2.0).validate()
+        LearnerConfig("budget-oldest", GAUSS, B=4, U=2.0)
     with pytest.raises(ConfigError):
-        LearnerConfig("perceptron", GAUSS, U=2.0).validate()
+        LearnerConfig("perceptron", GAUSS, U=2.0)
 
 
 def test_config_unknown_algorithm():
     with pytest.raises(ConfigError):
-        LearnerConfig("svm", GAUSS).validate()
+        LearnerConfig("svm", GAUSS)
 
 
 # -- predict ------------------------------------------------------------------------
@@ -636,6 +636,15 @@ def test_run_is_deterministic():
     cfg = ahpatron_config(B=8, U=math.sqrt(8) / 2, lam=0.25, eps=0.7,
                           ct_mode="norm-ratio")
     assert run(cfg, ds.examples).same_as(run(cfg, ds.examples))
+
+
+@pytest.mark.parametrize("field", ["max_cache_drift", "final_cache_drift"])
+def test_same_as_compares_every_field_but_elapsed(field):
+    ds = synth_noisy(250, 4, 0.1, seed=2)
+    trace = run(ahpatron_config(B=8, U=math.sqrt(8) / 2, eps=0.7), ds.examples)
+    assert trace.same_as(dataclasses.replace(trace, elapsed_ms=trace.elapsed_ms + 1.0))
+    other = dataclasses.replace(trace, **{field: getattr(trace, field) + 1e-9})
+    assert not trace.same_as(other)
 
 
 def test_run_wraps_solver_failures_with_round_index(monkeypatch):
