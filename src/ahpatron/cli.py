@@ -144,8 +144,8 @@ def _build_parser() -> _Parser:
     p_chk.add_argument("--B", type=_at_least(2), default=None)
     p_chk.add_argument("--U", type=float, default=None)
     p_chk.add_argument("--sigma", type=_POSITIVE, default=1.0)
-    p_chk.add_argument("--epsilon", type=float, default=None)
-    p_chk.add_argument("--eta", type=float, default=5e-4)
+    p_chk.add_argument("--epsilon", type=_EPSILON, default=None)
+    p_chk.add_argument("--eta", type=_POSITIVE, default=5e-4)
     p_chk.add_argument("--gamma", type=_flag(float, lambda g: 0.0 < g < 1.0, "in (0, 1)"),
                        default=0.5)
     p_chk.add_argument("--seed", type=int, default=0)
@@ -186,12 +186,12 @@ def _add_run_flags(p: argparse.ArgumentParser, grid: bool = False) -> None:
                        help="comma list out of: " + ", ".join(ALGORITHMS))
         p.add_argument("--B", type=_flag_list(_at_least(1)), default=[None],
                        help="comma list of budgets (omit for unbudgeted algorithms)")
-        p.add_argument("--epsilons", type=_flag_list(_flag(float)), default=EPSILON_GRID,
+        p.add_argument("--epsilons", type=_flag_list(_EPSILON), default=EPSILON_GRID,
                        help="comma list (default 0.5,0.6,0.7,0.8,0.9)")
     else:
         p.add_argument("--algo", required=True, choices=ALGORITHMS)
         p.add_argument("--B", type=_at_least(1), default=None)
-        p.add_argument("--epsilon", type=float, default=None)
+        p.add_argument("--epsilon", type=_EPSILON, default=None)
     if grid:
         p.add_argument("--data", required=True, action="append",
                        help="LIBSVM path or synth: descriptor (repeatable)")
@@ -201,11 +201,11 @@ def _add_run_flags(p: argparse.ArgumentParser, grid: bool = False) -> None:
     p.add_argument("--sigma", type=_POSITIVE, default=1.0, help="Gaussian kernel width")
     p.add_argument("--U", type=float, default=None,
                    help="norm ball radius (default sqrt(B)/2 for budgeted runs)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--lambda", dest="lam", type=_POSITIVE_FINITE, default=None,
                    help="learning rate (default U/(2 sqrt(B)) for halving runs)")
-    p.add_argument("--eta", type=float, default=5e-4)
-    p.add_argument("--ct", default=CT_NORM_RATIO,
-                   help="sphere rule: fixed:<c> or norm-ratio")
+    p.add_argument("--eta", type=_POSITIVE, default=5e-4)
+    p.add_argument("--ct", type=_CT, default=CT_NORM_RATIO,
+                   help="sphere rule: fixed:<c> with c in (0, 1], or norm-ratio")
     p.add_argument("--out", default=None, help="results file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -239,20 +239,29 @@ def _flag_list(item):
 
 
 _POSITIVE = _flag(float, lambda v: v > 0, "positive")
+_POSITIVE_FINITE = _flag(float, lambda v: 0 < v < math.inf, "positive and finite")
+_EPSILON = _flag(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
 
 # -- config assembly ---------------------------------------------------------
 
 
-def _parse_ct(text: str) -> tuple[str, float]:
+_CT_DOMAIN = "'norm-ratio' or 'fixed:<c>' with c in (0, 1]"
+
+
+def _parse_ct(text: str) -> tuple[str, float] | None:
+    """(ct_mode, c) of a --ct value, or None unless it is in _CT_DOMAIN."""
     if text == CT_NORM_RATIO:
         return CT_NORM_RATIO, 0.6  # ct is not read under the norm-ratio rule
-    if text.startswith("fixed:"):
-        try:
-            return CT_FIXED, float(text.split(":", 1)[1])
-        except ValueError:
-            raise CliError(f"bad --ct value {text!r}") from None
-    raise CliError(f"--ct must be 'fixed:<c>' or 'norm-ratio', got {text!r}")
+    mode, _, value = text.partition(":")
+    try:
+        c = float(value)
+    except ValueError:
+        return None
+    return (CT_FIXED, c) if mode == CT_FIXED and 0.0 < c <= 1.0 else None
+
+
+_CT = _flag(str, lambda text: _parse_ct(text) is not None, _CT_DOMAIN)
 
 
 def build_config(
@@ -269,7 +278,8 @@ def build_config(
     """Fill protocol defaults; raises ConfigError/CliError.
 
     B is None or positive, as the --B flag types ensure.  ct is parsed for
-    every algorithm, so a malformed --ct fails even where c_t is unused.
+    every algorithm, so a malformed or out-of-range --ct fails even where
+    c_t is unused.
     """
     if algo in BUDGETED_ALGORITHMS and B is None:
         raise CliError(f"{algo} requires --B")
@@ -279,7 +289,10 @@ def build_config(
         U = math.sqrt(B) / 2.0 if algo in HALVING_ALGORITHMS else math.inf
     if lam is None:
         lam = U / (2.0 * math.sqrt(B)) if algo in HALVING_ALGORITHMS else 1.0
-    ct_mode, ct_value = _parse_ct(ct)
+    parsed = _parse_ct(ct)
+    if parsed is None:
+        raise CliError(f"--ct must be {_CT_DOMAIN}, got {ct!r}")
+    ct_mode, ct_value = parsed
     if algo not in HALVING_ALGORITHMS:
         ct_mode, ct_value = CT_FIXED, 0.6  # placeholder; only halving reads c_t
     return LearnerConfig(
@@ -573,6 +586,7 @@ def cmd_check_bounds(args) -> int:
 
     violations = 0
     rows = []
+    embedding = None  # g = K y is quadratic in T: built once, at first need
     for label, config, radius, check in runs:
         trace = run(config, examples, stream.name)
         problems = invariant_violations(trace)
@@ -580,9 +594,11 @@ def cmd_check_bounds(args) -> int:
             violations += 1
             print(f"{label}: INVARIANT FAIL ({'; '.join(problems)})")
             continue
+        if radius is not None and embedding is None:
+            embedding = mean_embedding(examples, kernel)
         try:
             rep = check(trace) if radius is None else \
-                check(trace, examples, default_comparator(examples, kernel, radius))
+                check(trace, examples, default_comparator(embedding, radius))
         except PreconditionViolation as e:
             print(f"{label}: PRECONDITION ({e})")
             continue
@@ -616,8 +632,7 @@ def cmd_alignment(args) -> int:
             "(alignment time is O(T^2))"
         )
     examples = ds.examples
-    value = kernel_alignment(examples, kernel)
-    embedding = mean_embedding(examples, kernel)
+    value, embedding = kernel_alignment(examples, kernel)
     loss = hinge_loss_of(embedding, examples)
     diff = abs(value - loss)
     print(f"T={len(examples)} alignment={value!r} "

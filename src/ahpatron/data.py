@@ -226,12 +226,12 @@ def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:
     must lie in (0, 1] for the unit-ball construction to be feasible.
     Dataset metadata carries the comparator description.
 
-    The stream is drawn _BLOCK examples at a time (see _draw).  At the first
-    example r of a block that fails its acceptance test, the generator is
-    rewound to the block start and redraws examples 0..r, which leaves it
-    and the Box-Muller spare just after example r's first attempt; each
-    further attempt draws d fresh normals and keeps the label, and the next
-    block starts after example r.
+    The stream is drawn up to _BLOCK examples at a time (see _draw).  At
+    the first example r of a block that fails its acceptance test, the
+    generator is rewound to the block start and redraws examples 0..r,
+    which leaves it and the Box-Muller spare just after example r's first
+    attempt; each further attempt draws d fresh normals and keeps the
+    label, and the next block starts after example r.
     """
     if T < 1 or d < 1:
         raise ValueError("T and d must be positive")
@@ -241,8 +241,13 @@ def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:
     gen = SplitMix64(seed)
     spare = None
     examples: list[LabeledExample] = []
+    rejections = 0
     while len(examples) < T:
-        n = min(_BLOCK, T - len(examples))
+        # A block ends at its first rejection, and what it drew after that
+        # example is drawn again, so once rejections occur a block spans
+        # twice the mean run between them; the stream does not depend on it.
+        size = 2 * len(examples) // rejections + 1 if rejections else _BLOCK
+        n = min(_BLOCK, T - len(examples), size)
         start = gen.getstate()
         y, normals, carried = _draw(gen, spare, n, d)
         offsets = (y * center * u)[:, None]
@@ -252,6 +257,7 @@ def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:
             spare = carried
         else:
             r = int(accepted.argmin())
+            rejections += 1
             gen.setstate(start)
             _, _, spare = _draw(gen, spare, r + 1, d)
             for _ in range(_REJECTION_CAP - 1):

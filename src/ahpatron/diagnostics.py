@@ -11,10 +11,12 @@ implementation bug, not bad luck.
 The bounds see a fixed comparator f only through its scores f(x_t) on the
 stream and its squared norm |f|^2, so a comparator is a Comparator holding
 exactly those; Comparator.of evaluates any Expansion into one.  The default
-comparator is the scaled label mean embedding
-f_bar = (1/T) sum_t y_t kappa(x_t, .), the one hypothesis guaranteed to lie
-in the radius-U ball whenever U >= 1 and the kernel has unit diagonal.  Its
-scores, its norm and the kernel alignment all follow from g = K y.  Each g
+comparator is the label mean embedding f_bar = (1/T) sum_t y_t kappa(x_t, .)
+rescaled to norm min(1, U), so it lies in the radius-U ball.  Its scores,
+its norm and the kernel alignment all follow from g = K y, which is
+quadratic in T, so each command builds g once: mean_embedding makes the
+embedding (kernel_alignment returns it beside the alignment), and
+default_comparator only rescales the embedding it is given.  Each g
 densifies the stream once and, K being symmetric, computes only its upper
 triangle: row block [i, i + rows) evaluates K[i:i+rows, i:], so a g takes
 T (T + rows) / 2 kernel values instead of T^2, with rows =
@@ -176,31 +178,34 @@ def _kernel_times_labels(
     return y, g
 
 
-def mean_embedding(stream: Sequence[LabeledExample], spec: KernelSpec) -> Comparator:
-    """(1/T) sum_t y_t kappa(x_t, .); norm <= 1 for unit-diagonal kernels."""
-    y, g = _kernel_times_labels(stream, spec)
+def _embedding(y: np.ndarray, g: np.ndarray) -> Comparator:
     T = len(y)
     sq = float(y @ g) / (T * T)
     # Exact cancellations can land a hair below zero.
     return Comparator(g / T, sq if sq > 0.0 else 0.0)
 
 
-def default_comparator(
-    stream: Sequence[LabeledExample], spec: KernelSpec, U: float
-) -> Comparator:
-    """Mean embedding rescaled to norm min(1, U); zero if the embedding is zero."""
-    f = mean_embedding(stream, spec)
+def mean_embedding(stream: Sequence[LabeledExample], spec: KernelSpec) -> Comparator:
+    """(1/T) sum_t y_t kappa(x_t, .); norm <= 1 for unit-diagonal kernels."""
+    return _embedding(*_kernel_times_labels(stream, spec))
+
+
+def default_comparator(f: Comparator, U: float) -> Comparator:
+    """The mean embedding f rescaled to norm min(1, U); zero if f is zero."""
     if f.sq_norm == 0.0:
         return Comparator(np.zeros_like(f.scores), 0.0)
     c = min(1.0, U) / math.sqrt(f.sq_norm)
     return Comparator(c * f.scores, c * c * f.sq_norm)
 
 
-def kernel_alignment(stream: Sequence[LabeledExample], spec: KernelSpec) -> float:
-    """sum_t kappa(x_t, x_t) - (1/T) y' K y; >= 0 for PSD kernels."""
+def kernel_alignment(
+    stream: Sequence[LabeledExample], spec: KernelSpec
+) -> tuple[float, Comparator]:
+    """(sum_t kappa(x_t, x_t) - (1/T) y' K y, mean embedding) from one g;
+    the alignment is >= 0 for PSD kernels."""
     y, g = _kernel_times_labels(stream, spec)
     diag = _sum_left_to_right(kernel_diag(spec, ex.x) for ex in stream)
-    return float(diag - (y @ g) / len(y))
+    return float(diag - (y @ g) / len(y)), _embedding(y, g)
 
 
 # -- bound checks ----------------------------------------------------------

@@ -90,8 +90,10 @@ class LearnerConfig:
     U may be math.inf for the unbudgeted ball-free variants.  ct_mode is
     "fixed" (sphere radius ct * U) or "norm-ratio" (radius equal to the
     current hypothesis norm).  seed only drives budget-random evictions.
-    Construction validates: a setting the algorithm does not allow raises
-    ConfigError, so every LearnerConfig that exists is valid.
+    Construction validates each setting's domain, whether or not the
+    algorithm reads it, and the rules tying settings to the algorithm; a
+    bad setting raises ConfigError, so every LearnerConfig that exists is
+    valid.
     """
 
     algorithm: str
@@ -109,38 +111,32 @@ class LearnerConfig:
         algo = self.algorithm
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")
-        if algo in BUDGETED_ALGORITHMS:
-            if self.B is None or self.B < 1:
-                raise ConfigError(f"{algo} requires a positive budget B")
-            if algo in HALVING_ALGORITHMS:
-                if self.B < 2:
-                    raise ConfigError(f"{algo} requires B >= 2")
-                if self.B % 2 != 0:
-                    raise ConfigError(
-                        f"{algo} requires an even budget, got B={self.B}"
-                    )
-        if algo in MARGIN_ALGORITHMS:
-            if not 0.0 <= self.epsilon < 1.0:
-                raise ConfigError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if algo in (AVP, AHPATRON, AHPATRON_NOPROJ) and not 0 < self.lam < math.inf:
-            raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
+        # Each setting's own domain, whether or not the algorithm reads it.
+        if self.B is not None and self.B < 1:
+            raise ConfigError(f"B must be positive, got {self.B}")
         if not self.U > 0:
             raise ConfigError(f"U must be positive, got {self.U}")
+        if not 0 < self.lam < math.inf:
+            raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
+        if not 0.0 <= self.epsilon < 1.0:
+            raise ConfigError(f"epsilon must be in [0, 1), got {self.epsilon}")
+        if not self.eta > 0:
+            raise ConfigError(f"eta must be positive, got {self.eta}")
+        if self.ct_mode not in (CT_FIXED, CT_NORM_RATIO):
+            raise ConfigError(f"unknown ct_mode {self.ct_mode!r}")
+        if self.ct_mode == CT_FIXED and not 0.0 < self.ct <= 1.0:
+            raise ConfigError(f"fixed ct must be in (0, 1], got {self.ct}")
+        # Rules that tie settings to the algorithm.
+        if algo in BUDGETED_ALGORITHMS and self.B is None:
+            raise ConfigError(f"{algo} requires a positive budget B")
+        if algo in HALVING_ALGORITHMS and self.B % 2 != 0:
+            raise ConfigError(f"{algo} requires an even budget, got B={self.B}")
         if algo not in MARGIN_ALGORITHMS and math.isfinite(self.U):
             raise ConfigError(
                 f"{algo} never projects onto a norm ball; U must stay +inf"
             )
-        if algo in HALVING_ALGORITHMS:
-            if not math.isfinite(self.U):
-                raise ConfigError(f"{algo} requires finite U")
-            if not self.eta > 0:
-                raise ConfigError(f"eta must be positive, got {self.eta}")
-            if self.ct_mode not in (CT_FIXED, CT_NORM_RATIO):
-                raise ConfigError(f"unknown ct_mode {self.ct_mode!r}")
-            if self.ct_mode == CT_FIXED and not 0.0 < self.ct <= 1.0:
-                raise ConfigError(f"fixed ct must be in (0, 1], got {self.ct}")
-        if algo == AVP_ADAPTIVE and not math.isfinite(self.U):
-            raise ConfigError("avp-adaptive requires finite U")
+        if algo in (AVP_ADAPTIVE, *HALVING_ALGORITHMS) and not math.isfinite(self.U):
+            raise ConfigError(f"{algo} requires finite U")
 
 
 class RoundOutcome(NamedTuple):

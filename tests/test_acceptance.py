@@ -294,7 +294,7 @@ def test_criterion_5_bound_suite():
 
     for ds in _bound_suite_streams():
         stream = ds.examples
-        comparator = default_comparator(stream, GAUSS, 1.0)
+        comparator = default_comparator(mean_embedding(stream, GAUSS), 1.0)
 
         trace = _run_checked(LearnerConfig("perceptron", GAUSS), stream, ds.name)
         rep = check_perceptron_bound(trace, stream, comparator)
@@ -346,7 +346,7 @@ def test_criterion_5_bound_suite():
                           lam=U6 / (2.0 * math.sqrt(B)), epsilon=0.75,
                           ct_mode="norm-ratio"),
             stream, ds.name)
-        comp6 = default_comparator(stream, GAUSS, U6)
+        comp6 = default_comparator(mean_embedding(stream, GAUSS), U6)
         rep = check_refined_bound(trace, stream, comp6, gamma=gamma)
         ran["refined"] += 1
         if not rep.holds:
@@ -378,7 +378,7 @@ def test_criterion_6_alignment_identity():
         else:
             ds = synth_separable(1000 + 100 * i, 3 + i % 3, 0.5, seed=300 + i)
         stream = ds.examples
-        value = kernel_alignment(stream, spec)
+        value = kernel_alignment(stream, spec)[0]
         loss = hinge_loss_of(mean_embedding(stream, spec), stream)
         assert abs(value - loss) <= 1e-9 * len(stream), (i, value, loss)
         assert value >= -1e-6

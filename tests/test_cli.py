@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 import ahpatron.cli as cli
+import ahpatron.diagnostics as diagnostics
 import ahpatron.learners as learners
 from ahpatron.cli import CSV_HEADER, main
 from ahpatron.data import format_libsvm, parse_libsvm, synth_noisy
@@ -267,6 +269,16 @@ BAD_FLAGS = {
     "check-bounds-B-one": ["check-bounds", "--B", "1"],
     "check-bounds-limit": ["check-bounds", "--limit", "-5"],
     "check-bounds-gamma": ["check-bounds", "--gamma", "2"],
+    # Out of range for a setting the chosen algorithm never reads.
+    "run-epsilon-unused": ["run", "--algo", "perceptron", "--epsilon", "5"],
+    "run-eta-unused": ["run", "--algo", "avp", "--eta", "-1"],
+    "run-ct-unused": ["run", "--algo", "budget-oldest", "--B", "8", "--ct", "fixed:7"],
+    "bench-epsilons-unused": ["bench", "--algos", "perceptron", "--epsilons", "5"],
+    "run-ct-above-one": ["run", "--algo", "ahpatron", "--B", "8", "--ct", "fixed:1.5"],
+    "run-ct-zero": ["run", "--algo", "ahpatron", "--B", "8", "--ct", "fixed:0"],
+    "run-lambda-zero": ["run", "--algo", "ahpatron", "--B", "8", "--lambda", "0"],
+    "check-bounds-epsilon": ["check-bounds", "--epsilon", "1"],
+    "check-bounds-eta": ["check-bounds", "--eta", "0"],
 }
 
 
@@ -418,6 +430,66 @@ def test_alignment_cap(capsys):
     code = main(["alignment", "--data", SYNTH, "--cap", "100"])
     assert code == 1
     assert "cap" in capsys.readouterr().err
+
+
+def _g_builds(monkeypatch, argv):
+    """Exit code of ``argv`` and the number of g = K y it computed."""
+    builds = []
+
+    def spy(stream, spec):
+        builds.append(len(stream))
+        return kernel_times_labels(stream, spec)
+
+    kernel_times_labels = diagnostics._kernel_times_labels
+    monkeypatch.setattr(diagnostics, "_kernel_times_labels", spy)
+    return main(argv), len(builds)
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["check-bounds", "--suite", "all"], 1),
+    (["check-bounds", "--suite", "theorem1,ahpatron,refined"], 1),
+    (["check-bounds", "--suite", "removals,gap"], 0),
+    (["alignment"], 1),
+], ids=["check-bounds-all", "check-bounds-radius-suites", "check-bounds-no-radius",
+        "alignment"])
+def test_each_command_builds_one_g(argv, builds, monkeypatch, capsys):
+    assert _g_builds(monkeypatch, argv + ["--data", SYNTH]) == (0, builds)
+
+
+def test_check_bounds_builds_no_g_when_no_radius_suite_reaches_its_check(
+        monkeypatch, capsys):
+    # The embedding is built at the first suite with a radius that passes
+    # its invariants; here both radius suites fail them and gap still runs.
+    def failing(trace):
+        if trace.config.algorithm in (learners.PERCEPTRON, learners.AVP_ADAPTIVE):
+            return ["forced"]
+        return diagnostics.invariant_violations(trace)
+
+    monkeypatch.setattr(cli, "invariant_violations", failing)
+    argv = ["check-bounds", "--suite", "perceptron,avp-adaptive,gap", "--data", SYNTH]
+    assert _g_builds(monkeypatch, argv) == (3, 0)
+    out = capsys.readouterr().out
+    assert out.count("INVARIANT FAIL") == 2 and out.count("PASS") == 2
+
+
+# SHA-256 of check-bounds' JSON file and of alignment's stdout, captured
+# before g was shared between suites: one g per command changes no byte.
+PINNED_DATA = "synth:noisy:T=2000,d=8,flip=0.1,seed=3"
+CHECK_BOUNDS_JSON_SHA256 = "4de59fb85e3ea51ad1d86cd0b64ae6e2d558491ee886405ae6ae1a59528b6944"
+ALIGNMENT_STDOUT_SHA256 = "80be1606ac9a74833a98caac2ce36411907e86c954161a275cc96d047a828b5c"
+
+
+def test_check_bounds_json_matches_pinned_hash(tmp_path, capsys):
+    out = tmp_path / "bounds.json"
+    assert main(["check-bounds", "--suite", "all", "--data", PINNED_DATA,
+                 "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CHECK_BOUNDS_JSON_SHA256
+
+
+def test_alignment_stdout_matches_pinned_hash(capsys):
+    assert main(["alignment", "--data", PINNED_DATA]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ALIGNMENT_STDOUT_SHA256
 
 
 def test_gen_roundtrips_through_parser(tmp_path):

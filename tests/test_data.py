@@ -471,6 +471,23 @@ def test_stream_is_a_prefix_of_longer_streams(monkeypatch, block, d, T):
     assert synth_noisy(T, d, 0.2, 1, margin=0.9).examples == short
 
 
+def test_blocks_shrink_to_the_rejection_rate(monkeypatch):
+    # At d = 1, margin 0.9 about one first attempt in 20 is rejected; each
+    # rejection redraws the rest of its block, so blocks of 1024 would draw
+    # the stream's examples about 40 times over.
+    drawn = []
+    draw = data._draw
+
+    def spy(gen, spare, n, d, labels=True):
+        drawn.append(n if labels else 0)
+        return draw(gen, spare, n, d, labels)
+
+    monkeypatch.setattr(data, "_draw", spy)
+    T = 5000
+    synth_separable(T, 1, 0.9, 3)
+    assert sum(drawn) < 4 * T
+
+
 @pytest.mark.parametrize("T, seed, most", [
     (500, 3, 3),  # example 218 takes 3 attempts
     (700, 2, 4),  # example 401 takes 4 attempts

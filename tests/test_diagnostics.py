@@ -175,8 +175,9 @@ def test_mean_embedding_norm_bounded():
 def test_default_comparator_norm():
     gen = ScalarSplitMix64(83)
     stream = random_examples(gen, 30, 4)
-    assert math.sqrt(default_comparator(stream, GAUSS, 0.5).sq_norm) == pytest.approx(0.5)
-    assert math.sqrt(default_comparator(stream, GAUSS, 3.0).sq_norm) == pytest.approx(1.0)
+    f = mean_embedding(stream, GAUSS)
+    assert math.sqrt(default_comparator(f, 0.5).sq_norm) == pytest.approx(0.5)
+    assert math.sqrt(default_comparator(f, 3.0).sq_norm) == pytest.approx(1.0)
 
 
 # (T, _BLOCK_ENTRIES or None for the module's, the (rows, columns) of each
@@ -214,7 +215,7 @@ def test_blocked_kernel_times_labels_matches_one_gram(monkeypatch, spec, T, entr
     assert np.allclose(f.scores, g / T, rtol=0.0, atol=1e-12)
     assert f.sq_norm == pytest.approx(float(y @ g) / T**2, rel=0.0, abs=1e-12)
     diag = sum(kernel_diag(spec, x) for x in xs)
-    assert kernel_alignment(stream, spec) == pytest.approx(
+    assert kernel_alignment(stream, spec)[0] == pytest.approx(
         diag - float(y @ g) / T, rel=0.0, abs=1e-12)
 
 
@@ -281,7 +282,7 @@ for spec in (KernelSpec.gaussian(1.0), KernelSpec.linear()):
     f = diagnostics.mean_embedding(stream, spec)
     h = hashlib.sha256(f.scores.tobytes())
     h.update(repr(f.sq_norm).encode())
-    h.update(repr(diagnostics.kernel_alignment(stream, spec)).encode())
+    h.update(repr(diagnostics.kernel_alignment(stream, spec)[0]).encode())
     print(spec.family, h.hexdigest())
 """
 
@@ -309,13 +310,13 @@ def test_comparator_path_is_independent_of_blas_threads():
 
 
 def test_alignment_single_example_is_zero():
-    assert kernel_alignment([ex([(0, 2.0)], +1)], GAUSS) == pytest.approx(0.0)
+    assert kernel_alignment([ex([(0, 2.0)], +1)], GAUSS)[0] == pytest.approx(0.0)
 
 
 def test_alignment_two_identical_same_label():
     x = SparseVector([(0, 1.0)])
     stream = [LabeledExample(x, 1), LabeledExample(x, 1)]
-    assert kernel_alignment(stream, GAUSS) == pytest.approx(0.0, abs=1e-12)
+    assert kernel_alignment(stream, GAUSS)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_alignment_diagonal_sums_left_to_right():
@@ -323,7 +324,7 @@ def test_alignment_diagonal_sums_left_to_right():
     # compensated sum would give 1 + 2^-52), and y'Ky = (sum y x)^2 = 1.
     tiny = 2.0**-27
     stream = [ex([(0, 1.0)], 1)] + [ex([(0, tiny)], y) for y in (1, -1, 1, -1)]
-    assert kernel_alignment(stream, LIN) == 1.0 - 1.0 / 5
+    assert kernel_alignment(stream, LIN)[0] == 1.0 - 1.0 / 5
 
 
 def test_alignment_equals_mean_embedding_hinge_loss():
@@ -331,7 +332,7 @@ def test_alignment_equals_mean_embedding_hinge_loss():
     for sigma in (0.5, 1.0, 2.0):
         spec = KernelSpec.gaussian(sigma)
         stream = random_examples(gen, 150, 4)
-        a = kernel_alignment(stream, spec)
+        a = kernel_alignment(stream, spec)[0]
         loss = hinge_loss_of(mean_embedding(stream, spec), stream)
         assert abs(a - loss) <= 1e-9 * len(stream)
         assert a >= -1e-6
@@ -438,10 +439,10 @@ def test_avp_bounds_hold_on_runs():
         stream = ds.examples
         t1 = run(LearnerConfig("avp", GAUSS, U=math.inf, lam=1.0, epsilon=0.75),
                  stream)
-        c1 = default_comparator(stream, GAUSS, 1.0)
+        c1 = default_comparator(mean_embedding(stream, GAUSS), 1.0)
         assert check_avp_bound(t1, stream, c1, "constant").holds
         t2 = run(LearnerConfig("avp-adaptive", GAUSS, U=2.0, epsilon=0.75), stream)
-        c2 = default_comparator(stream, GAUSS, 2.0)
+        c2 = default_comparator(mean_embedding(stream, GAUSS), 2.0)
         report = check_avp_bound(t2, stream, c2, "adaptive")
         assert report.holds
         assert report.components["rate_slack"] <= 0.0
@@ -451,7 +452,7 @@ def test_avp_adaptive_rejects_comparator_outside_ball():
     ds = synth_separable(40, 3, 0.5, seed=3)
     trace = run(LearnerConfig("avp-adaptive", GAUSS, U=0.3, epsilon=0.75),
                 ds.examples)
-    comp = default_comparator(ds.examples, GAUSS, 1.0)  # norm 1 > U
+    comp = default_comparator(mean_embedding(ds.examples, GAUSS), 1.0)  # norm 1 > U
     with pytest.raises(PreconditionViolation):
         check_avp_bound(trace, ds.examples, comp, "adaptive")
 
@@ -468,7 +469,7 @@ def _theorem_config(B=64, U=2.0, eps=0.8, algo="ahpatron"):
 def test_ahpatron_bound_epsilon_precondition_boundary():
     # B=64, U=2 puts the admissible epsilon range at (0.75, 1).
     ds = synth_noisy(300, 4, 0.1, seed=4)
-    comp = default_comparator(ds.examples, GAUSS, 2.0)
+    comp = default_comparator(mean_embedding(ds.examples, GAUSS), 2.0)
     bad = run(_theorem_config(eps=0.7), ds.examples)
     with pytest.raises(PreconditionViolation):
         check_ahpatron_bound(bad, ds.examples, comp)
@@ -481,7 +482,7 @@ def test_ahpatron_bound_requires_large_budget():
     trace = run(_theorem_config(B=32, U=math.sqrt(32) / 4.0, eps=0.8), ds.examples)
     with pytest.raises(PreconditionViolation) as err:
         check_ahpatron_bound(trace, ds.examples,
-                             default_comparator(ds.examples, GAUSS, 1.0))
+                             default_comparator(mean_embedding(ds.examples, GAUSS), 1.0))
     assert "B >= 50" in str(err.value)
 
 
@@ -501,7 +502,7 @@ def test_ahpatron_bound_holds_on_runs_including_noproj():
     for algo in ("ahpatron", "ahpatron-noproj"):
         ds = synth_noisy(600, 4, 0.15, seed=6)
         trace = run(_theorem_config(algo=algo), ds.examples)
-        comp = default_comparator(ds.examples, GAUSS, 2.0)
+        comp = default_comparator(mean_embedding(ds.examples, GAUSS), 2.0)
         report = check_ahpatron_bound(trace, ds.examples, comp)
         assert report.holds
         assert report.components["upper_slack"] <= 0.0
@@ -540,7 +541,7 @@ def test_refined_bound_records_measured_zeta():
     cfg = _refined_config()
     trace = run(cfg, ds.examples)
     assert metrics(trace).removals > 0
-    comp = default_comparator(ds.examples, GAUSS, cfg.U)
+    comp = default_comparator(mean_embedding(ds.examples, GAUSS), cfg.U)
     report = check_refined_bound(trace, ds.examples, comp, gamma=0.5)
     assert report.holds
     assert 0.0 < report.components["zeta"] <= 2.0

@@ -11,6 +11,8 @@ from ahpatron.diagnostics import invariant_violations, metrics
 from ahpatron.expansion import Expansion
 from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector
 from ahpatron.learners import (
+    ALGORITHMS,
+    HALVING_ALGORITHMS,
     ConfigError,
     LearnerConfig,
     OnlineLearner,
@@ -91,6 +93,32 @@ def test_config_baselines_reject_finite_u():
         LearnerConfig("budget-oldest", GAUSS, B=4, U=2.0)
     with pytest.raises(ConfigError):
         LearnerConfig("perceptron", GAUSS, U=2.0)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("setting", [
+    dict(epsilon=1.0), dict(epsilon=-0.1), dict(epsilon=5.0),
+    dict(eta=0.0), dict(eta=-1.0),
+    dict(ct_mode="fixed", ct=7.0), dict(ct_mode="fixed", ct=0.0),
+    dict(ct_mode="sometimes"),
+    dict(lam=0.0), dict(lam=math.inf),
+    dict(B=0),
+], ids=repr)
+def test_config_checks_each_setting_domain_for_every_algorithm(algo, setting):
+    valid = dict(_valid_settings(algo))
+    LearnerConfig(algo, GAUSS, **valid)
+    with pytest.raises(ConfigError):
+        LearnerConfig(algo, GAUSS, **{**valid, **setting})
+
+
+def _valid_settings(algo):
+    if algo in HALVING_ALGORITHMS:
+        return dict(B=8, U=2.0, lam=0.25)
+    if algo in ("budget-oldest", "budget-random"):
+        return dict(B=8)
+    if algo == "avp-adaptive":
+        return dict(U=2.0)
+    return {}
 
 
 def test_config_unknown_algorithm():

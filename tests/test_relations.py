@@ -28,7 +28,7 @@ import pytest
 import ahpatron.cli as cli
 import ahpatron.learners as learners
 from ahpatron.data import Dataset, format_libsvm, permute, synth_noisy
-from ahpatron.diagnostics import default_comparator, hinge_loss_of
+from ahpatron.diagnostics import default_comparator, hinge_loss_of, mean_embedding
 from ahpatron.kernels import KernelSpec, LabeledExample
 from ahpatron.learners import ALGORITHMS, LearnerConfig, run
 
@@ -118,7 +118,8 @@ def _negated(ds):
 def test_negating_labels_negates_the_default_comparator():
     ds = synth_noisy(2000, 8, 0.1, 3)
     a, b = ds.examples, _negated(ds).examples
-    fa, fb = default_comparator(a, GAUSS, 0.5), default_comparator(b, GAUSS, 0.5)
+    fa = default_comparator(mean_embedding(a, GAUSS), 0.5)
+    fb = default_comparator(mean_embedding(b, GAUSS), 0.5)
     assert fa.sq_norm == fb.sq_norm
     assert fa.scores.tobytes() == (-fb.scores).tobytes()
     assert hinge_loss_of(fa, a) == hinge_loss_of(fb, b)
