@@ -188,6 +188,149 @@ def sorted_split(coeffs, budget: int) -> tuple[list[int], list[int]]:
     return sorted(order[:half]), sorted(order[half:])
 
 
+# -- a whole learner run, term by term --------------------------------------
+
+
+_MARGIN_ALGORITHMS = ("avp", "avp-adaptive", "ahpatron", "ahpatron-noproj")
+_HALVING_ALGORITHMS = ("ahpatron", "ahpatron-noproj")
+_BUDGETED_ALGORITHMS = (*_HALVING_ALGORITHMS, "budget-oldest", "budget-random")
+
+
+def _quadratic(coeffs, gram) -> float:
+    """sum_ij c_i c_j G_ij over a list-of-lists Gram."""
+    total = 0.0
+    for c_i, row in zip(coeffs, gram):
+        for c_j, g in zip(coeffs, row):
+            total += c_i * c_j * g
+    return total
+
+
+def _ladder_solve(K2: np.ndarray, b: np.ndarray, eta: float) -> tuple[np.ndarray, int]:
+    """(K2 + eta I)^-1 b by np.linalg.solve, doubling eta up to 20 times while
+    Cholesky of K2 + eta I fails; returns (theta, doublings)."""
+    for doublings in range(21):
+        A = K2 + eta * np.eye(len(K2))
+        try:
+            np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            eta *= 2.0
+            continue
+        return np.linalg.solve(A, b), doublings
+    raise RuntimeError("eta ladder exhausted")
+
+
+class ReferenceTrace:
+    """Per-round columns of reference_run: margins, predictions, mistakes,
+    triggered, removals (halvings), distances (NaN off halving rounds),
+    sizes and norms after the round; victims lists each single-term
+    eviction as (round, insertion-order index), and doublings counts the
+    eta-ladder steps over every halving."""
+
+    def __init__(self):
+        self.margins, self.predictions, self.mistakes = [], [], []
+        self.triggered, self.removals, self.distances = [], [], []
+        self.sizes, self.norms, self.victims = [], [], []
+        self.doublings = 0
+
+
+def reference_run(config, stream) -> ReferenceTrace:
+    """One learner run rebuilt term by term from the paper's update rules.
+
+    The hypothesis is a plain list of (instance, coefficient) terms in
+    insertion order with a list-of-lists Gram of kernel_eval values; every
+    score is a fresh kernel_eval sum and every norm a from-scratch double
+    sum over that Gram.  A full budget is met by halving (sorted_split, the
+    projection solved on the eta-doubling ladder, then the sphere
+    rescale), by evicting the oldest term, or by evicting term below(n) of
+    a SplitMix64 seeded with config.seed.  config is read by attribute, so
+    any object with LearnerConfig's fields works.
+    """
+    spec, algo = config.kernel, config.algorithm
+    margin_algo = algo in _MARGIN_ALGORITHMS
+    threshold = 1.0 - config.epsilon if margin_algo else 0.0
+    budget = config.B if algo in _BUDGETED_ALGORITHMS else None
+    rng = SplitMix64(config.seed)
+    xs: list[SparseVector] = []
+    coeffs: list[float] = []
+    gram: list[list[float]] = []
+    nonpositive = 0
+    out = ReferenceTrace()
+
+    def halve() -> float:
+        before = list(coeffs)
+        sq_before = _quadratic(before, gram)
+        if config.ct_mode == "norm-ratio":
+            radius = math.sqrt(sq_before)
+        else:
+            radius = config.ct * config.U
+        removed, kept = sorted_split(before, budget)
+        if algo == "ahpatron-noproj":
+            theta = np.zeros(len(kept))
+        else:
+            K2 = np.array([[gram[i][j] for j in kept] for i in kept])
+            b = np.array([sum(gram[i][j] * before[j] for j in removed) for i in kept])
+            theta, doublings = _ladder_solve(K2, b, config.eta)
+            out.doublings += doublings
+        survivors = [before[i] + float(t) for i, t in zip(kept, theta)]
+        live = [(i, c) for i, c in zip(kept, survivors) if c != 0.0]
+        mid_sq = _quadratic([c for _, c in live], [[gram[i][j] for j, _ in live]
+                                                   for i, _ in live])
+        scale = radius / math.sqrt(mid_sq) if radius > 0.0 and mid_sq > 0.0 else 0.0
+        after = {i: scale * c for i, c in live} if scale > 0.0 else {}
+        # The distance is the norm of the coefficient difference over the
+        # pre-halving terms.
+        diff = [a - after.get(i, 0.0) for i, a in enumerate(before)]
+        dist_sq = _quadratic(diff, gram)
+        keep = sorted(after)
+        xs[:] = [xs[i] for i in keep]
+        coeffs[:] = [after[i] for i in keep]
+        gram[:] = [[gram[i][j] for j in keep] for i in keep]
+        return math.sqrt(dist_sq) if dist_sq > 0.0 else 0.0
+
+    for t, ex in enumerate(stream):
+        score = sum(c * kernel_eval(spec, xi, ex.x) for xi, c in zip(xs, coeffs))
+        margin = ex.y * score
+        pred = 1 if score > 0.0 else -1
+        out.margins.append(margin)
+        out.predictions.append(pred)
+        out.mistakes.append(pred != ex.y)
+        if margin <= 0.0:
+            nonpositive += 1
+        trig = margin <= 0.0 or margin < threshold
+        distance = math.nan
+        if trig:
+            if len(xs) == budget:
+                if algo in _HALVING_ALGORITHMS:
+                    distance = halve()
+                else:
+                    victim = rng.below(budget) if algo == "budget-random" else 0
+                    out.victims.append((t, victim))
+                    del xs[victim], coeffs[victim], gram[victim]
+                    for row in gram:
+                        del row[victim]
+            if algo == "avp-adaptive":
+                rate = config.U / math.sqrt(config.U * config.U + nonpositive)
+            else:
+                rate = config.lam if margin_algo else 1.0
+            new_row = [kernel_eval(spec, xi, ex.x) for xi in xs]
+            for row, k in zip(gram, new_row):
+                row.append(k)
+            gram.append(new_row + [kernel_eval(spec, ex.x, ex.x)])
+            xs.append(ex.x)
+            coeffs.append(rate * ex.y)
+            sq = _quadratic(coeffs, gram)
+            if sq > config.U * config.U:
+                c = config.U / math.sqrt(sq)
+                coeffs[:] = [c * a for a in coeffs]
+        out.triggered.append(trig)
+        out.removals.append(not math.isnan(distance))
+        out.distances.append(distance)
+        out.sizes.append(len(xs))
+        sq = _quadratic(coeffs, gram)
+        out.norms.append(math.sqrt(sq) if sq > 0.0 else 0.0)
+    return out
+
+
 def densify(xs, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense rows of sparse vectors at width dim, and their squared norms."""
     return np.array([x.dense(dim) for x in xs]), np.array([x.sq_norm for x in xs])

@@ -13,6 +13,7 @@ from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector
 from ahpatron.learners import (
     ALGORITHMS,
     HALVING_ALGORITHMS,
+    MARGIN_ALGORITHMS,
     ConfigError,
     LearnerConfig,
     OnlineLearner,
@@ -28,6 +29,7 @@ from oracles import (
     gram_matrix,
     kernel_eval,
     random_examples,
+    reference_run,
     sorted_split,
 )
 
@@ -196,6 +198,74 @@ def test_perceptron_matches_naive_reference():
             terms.append((e, float(e.y)))
     assert metrics(trace).mistakes == ref_mistakes
     assert trace.final_size == len(terms)
+
+
+def _ladder_stream():
+    # Term 5 repeats term 3, and ties send the three oldest terms to the
+    # removed half, so the first halving's K2 holds two equal columns: at
+    # eta = 1e-20 its Cholesky fails until eta has doubled past 1e-16.
+    e = random_examples(ScalarSplitMix64(1), 9, 3)
+    return [e[0], e[1], e[2], e[3], e[4], e[3], e[5], e[6], e[7], e[8]]
+
+
+_REFERENCE_STREAMS = {
+    "random": (lambda: random_examples(ScalarSplitMix64(11), 70, 4), 5e-4),
+    "spread": (lambda: random_examples(ScalarSplitMix64(12), 70, 5, scale=2.0), 5e-4),
+    "ladder": (_ladder_stream, 1e-20),
+}
+
+
+def _reference_config(algo, ct_mode, eta):
+    kw = {}
+    if algo in ("avp-adaptive", *HALVING_ALGORITHMS):
+        kw["U"] = 1.5
+    if algo in ("budget-oldest", "budget-random", *HALVING_ALGORITHMS):
+        kw["B"] = 6
+    return LearnerConfig(algo, GAUSS, lam=0.3, epsilon=0.45, eta=eta,
+                         ct_mode=ct_mode, seed=3, **kw)
+
+
+def _close(a, b, tol=1e-11):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert np.array_equal(np.isnan(a), np.isnan(b))
+    ok = np.isnan(b) | (np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b)))
+    return np.flatnonzero(~ok).tolist()
+
+
+@pytest.mark.parametrize("stream_name", sorted(_REFERENCE_STREAMS))
+@pytest.mark.parametrize("ct_mode", ["fixed", "norm-ratio"])
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_run_matches_scalar_reference_learner(algo, ct_mode, stream_name):
+    make, eta = _REFERENCE_STREAMS[stream_name]
+    stream = make()
+    cfg = _reference_config(algo, ct_mode, eta)
+    ref = reference_run(cfg, stream)
+    # Near a trigger boundary the two sums may round to different sides, so
+    # such a stream cannot be compared; it must be changed, never skipped.
+    threshold = 1.0 - cfg.epsilon if algo in MARGIN_ALGORITHMS else 0.0
+    for t, m in enumerate(ref.margins):
+        if t == 0 or ref.sizes[t - 1] == 0:
+            continue  # an empty hypothesis scores exactly 0 in both
+        for boundary in {0.0, threshold}:
+            assert abs(m - boundary) > 1e-9, (
+                f"round {t}: margin {m!r} within 1e-9 of {boundary}; "
+                "the comparison is ill-posed on this stream")
+    trace = run(cfg, stream)
+    for name, col in [("triggered", ref.triggered), ("mistakes", ref.mistakes),
+                      ("removals", ref.removals), ("predictions", ref.predictions),
+                      ("active_sizes", ref.sizes)]:
+        assert getattr(trace, name).tolist() == list(col), name
+    assert _close(trace.margins, ref.margins) == []
+    assert _close(trace.norms, ref.norms) == []
+    assert _close(trace.removal_distances, ref.distances) == []
+    # Every halving learner halves, the random streams make the baselines
+    # evict, and the ladder stream makes the projecting halving escalate eta.
+    if algo in HALVING_ALGORITHMS:
+        assert any(ref.removals)
+    elif algo in ("budget-oldest", "budget-random") and stream_name != "ladder":
+        assert ref.victims
+    if algo == "ahpatron" and stream_name == "ladder":
+        assert ref.doublings > 0
 
 
 # -- AVP --------------------------------------------------------------------------------
