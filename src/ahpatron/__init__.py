@@ -16,7 +16,6 @@ from .data import (
     load_libsvm,
     parse_libsvm,
     permute,
-    subsample,
     synth_noisy,
     synth_separable,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "solve_theta_ladder",
     "spd_solve",
     "split_active_set",
-    "subsample",
     "synth_noisy",
     "synth_separable",
 ]

@@ -142,10 +142,10 @@ def _build_parser() -> _Parser:
                        default=AHPATRON,
                        help="halving variant for the budgeted suites")
     p_chk.add_argument("--B", type=_at_least(2), default=None)
-    p_chk.add_argument("--U", type=float, default=None)
-    p_chk.add_argument("--sigma", type=_POSITIVE, default=1.0)
+    p_chk.add_argument("--U", type=_RADIUS, default=None)
+    p_chk.add_argument("--sigma", type=_POSITIVE_FINITE, default=1.0)
     p_chk.add_argument("--epsilon", type=_EPSILON, default=None)
-    p_chk.add_argument("--eta", type=_POSITIVE, default=5e-4)
+    p_chk.add_argument("--eta", type=_POSITIVE_FINITE, default=5e-4)
     p_chk.add_argument("--gamma", type=_flag(float, lambda g: 0.0 < g < 1.0, "in (0, 1)"),
                        default=0.5)
     p_chk.add_argument("--seed", type=int, default=0)
@@ -160,7 +160,7 @@ def _build_parser() -> _Parser:
     p_al = sub.add_parser("alignment", help="kernel alignment vs. the mean "
                           "embedding's hinge loss")
     p_al.add_argument("--data", required=True)
-    p_al.add_argument("--sigma", type=_POSITIVE, default=1.0)
+    p_al.add_argument("--sigma", type=_POSITIVE_FINITE, default=1.0)
     p_al.add_argument("--cap", type=int, default=20000,
                       help="refuse streams longer than this (O(T^2) time; "
                       "memory is bounded by a fixed row block)")
@@ -198,12 +198,13 @@ def _add_run_flags(p: argparse.ArgumentParser, grid: bool = False) -> None:
     else:
         p.add_argument("--data", required=True,
                        help="LIBSVM path or synth:separable:... / synth:noisy:... descriptor")
-    p.add_argument("--sigma", type=_POSITIVE, default=1.0, help="Gaussian kernel width")
-    p.add_argument("--U", type=float, default=None,
+    p.add_argument("--sigma", type=_POSITIVE_FINITE, default=1.0,
+                   help="Gaussian kernel width")
+    p.add_argument("--U", type=_RADIUS, default=None,
                    help="norm ball radius (default sqrt(B)/2 for budgeted runs)")
     p.add_argument("--lambda", dest="lam", type=_POSITIVE_FINITE, default=None,
                    help="learning rate (default U/(2 sqrt(B)) for halving runs)")
-    p.add_argument("--eta", type=_POSITIVE, default=5e-4)
+    p.add_argument("--eta", type=_POSITIVE_FINITE, default=5e-4)
     p.add_argument("--ct", type=_CT, default=CT_NORM_RATIO,
                    help="sphere rule: fixed:<c> with c in (0, 1], or norm-ratio")
     p.add_argument("--out", default=None, help="results file")
@@ -238,9 +239,12 @@ def _flag_list(item):
     return lambda text: list(dict.fromkeys(item(v) for v in text.split(",")))
 
 
-_POSITIVE = _flag(float, lambda v: v > 0, "positive")
 _POSITIVE_FINITE = _flag(float, lambda v: 0 < v < math.inf, "positive and finite")
 _EPSILON = _flag(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+# The learners compare squared norms with U^2, so U^2 must stay a finite,
+# nonzero float.
+_RADIUS = _flag(float, lambda v: v == math.inf or 0 < v * v < math.inf,
+                "inf, or positive with U^2 finite and nonzero")
 
 
 # -- config assembly ---------------------------------------------------------

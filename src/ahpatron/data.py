@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 import numpy as np
@@ -206,14 +206,6 @@ def permute(ds: Dataset, seed: int) -> Dataset:
     SplitMix64(seed).shuffle(examples)
     return Dataset(examples, name=ds.name, feature_count=ds.feature_count,
                    metadata=dict(ds.metadata))
-
-
-def subsample(ds: Dataset, n: int, seed: int) -> Dataset:
-    """Uniform sample of n examples without replacement (shuffle prefix)."""
-    if not 1 <= n <= len(ds.examples):
-        raise ValueError(f"n must be in [1, {len(ds.examples)}], got {n}")
-    shuffled = permute(ds, seed)
-    return replace(shuffled, examples=shuffled.examples[:n])
 
 
 def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:

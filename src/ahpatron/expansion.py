@@ -10,11 +10,13 @@ coefficient already carries its label's sign.  Terms are a multiset --
 duplicate instances are kept as separate terms and never merged, because
 budget maintenance splits the active set by per-update coefficients.
 
-Per-term arrays (coefficients, squared norms, dense rows) are kept in
-insertion order.  The Gram matrix is addressed through a slot map
-(logical position -> Gram slot) so that evicting one term moves no Gram
-entries; the map stays the identity, with contiguous Gram slices, until the
-first single-term eviction and returns to it at every compaction.
+Each term has one slot, the same index in every per-term array
+(coefficients, squared norms, dense rows) and in the Gram matrix, and the
+live slots are always [0, n); coefficients, Gram and kernel rows are all
+read by slot.  Evicting one term moves the last slot into its hole, so
+nothing else shifts.  The int array order[:n] lists the slots in insertion
+order: it stays the identity until the first single-term eviction, and
+every compaction writes the survivors back in that order, restoring it.
 
 The norm cache is updated incrementally on insert, scale and single-term
 eviction.  It is reset from a from-scratch quadratic form at every
@@ -55,7 +57,7 @@ class Expansion:
     """
 
     __slots__ = ("spec", "_dim", "_n", "_alphas", "_xsq", "_X", "_gram",
-                 "_slot", "_evictions", "_sq_norm", "max_drift")
+                 "_order", "_evictions", "_sq_norm", "max_drift")
 
     def __init__(self, spec: KernelSpec, dim: int):
         self.spec = spec
@@ -65,8 +67,8 @@ class Expansion:
         self._xsq = np.zeros(_MIN_CAPACITY)
         self._X = np.zeros((_MIN_CAPACITY, self._dim))
         self._gram = np.zeros((_MIN_CAPACITY, _MIN_CAPACITY))
-        # Gram slot of each logical position; None is the identity map.
-        self._slot: np.ndarray | None = None
+        # The live slots in insertion order.
+        self._order = np.zeros(_MIN_CAPACITY, dtype=np.intp)
         # Single-term evictions since the norm cache was last reset.
         self._evictions = 0
         self._sq_norm = 0.0
@@ -81,25 +83,18 @@ class Expansion:
 
     @property
     def alphas(self) -> np.ndarray:
-        """Read-only view of the coefficient vector."""
-        view = self._alphas[: self._n]
-        view.flags.writeable = False
-        return view
+        """Read-only view of the coefficients, by slot."""
+        return _read_only(self._alphas[: self._n])
 
     @property
     def gram(self) -> np.ndarray:
-        """Read-only active-set Gram matrix in insertion order.
+        """Read-only view of the active-set Gram matrix, by slot."""
+        return _read_only(self._gram[: self._n, : self._n])
 
-        A view while the slot map is the identity, else a gathered copy.
-        """
-        n = self._n
-        if self._slot is None:
-            g = self._gram[:n, :n]
-        else:
-            s = self._slot[:n]
-            g = self._gram.take(s, 0).take(s, 1)
-        g.flags.writeable = False
-        return g
+    @property
+    def order(self) -> np.ndarray:
+        """Read-only view of the live slots in insertion order."""
+        return _read_only(self._order[: self._n])
 
     @property
     def sq_norm(self) -> float:
@@ -146,17 +141,10 @@ class Expansion:
         self._alphas[n] = coeff
         self._xsq[n] = x.sq_norm
         self._X[n] = xd
-        if self._slot is None:
-            self._gram[n, :n] = row
-            self._gram[:n, n] = row
-            self._gram[n, n] = kxx
-        else:
-            # Fancy indexing into a 1-D row or column view costs about half
-            # as much as 2-D fancy indexing with a scalar.
-            live, j = self._slot[:n], self._slot[n]
-            self._gram[j][live] = row
-            self._gram[:, j][live] = row
-            self._gram[j, j] = kxx
+        self._gram[n, :n] = row
+        self._gram[:n, n] = row
+        self._gram[n, n] = kxx
+        self._order[n] = n
         self._n = n + 1
         sq = self._sq_norm + 2.0 * coeff * fx + coeff * coeff * kxx
         # Exact cancellations can land a hair below zero.
@@ -183,6 +171,8 @@ class Expansion:
             return
         if self._sq_norm <= radius * radius:
             return
+        if not self._sq_norm < math.inf:  # a Python-float update overflowed
+            raise FloatingPointError("overflow in the cached squared norm")
         self.scale(radius / np.sqrt(self._sq_norm))
 
     def project_sphere(self, radius: float) -> None:
@@ -217,54 +207,61 @@ class Expansion:
             self.max_drift = drift
         return drift
 
-    def remove_term(self, i: int) -> None:
-        """Delete term i in O(n*d + n); later terms shift down one position.
+    def remove_term(self, k: int, row: np.ndarray | None = None) -> np.ndarray | None:
+        """Delete the k-th oldest term (k = 0 the oldest) in O(n + d): the last
+        slot moves into the victim's slot i.
 
-        The norm cache is updated via
+        ``row``, a kernel row over the slots before the eviction, gets the
+        same move in place and comes back as a view over the remaining
+        slots.  The norm cache is updated via
         |f - a_i k(x_i,.)|^2 = |f|^2 - 2 a_i (G a)_i + a_i^2 kappa(x_i,x_i),
         and reset from scratch once every n evictions (n the remaining size).
         """
         n = self._n
-        if not 0 <= i < n:
-            raise IndexError(i)
-        if self._slot is None:
-            self._slot = np.arange(self._alphas.shape[0])
-        s = self._slot
-        victim = s[i]
-        a = self._alphas[:n]
-        g = self._gram[victim][s[:n]]
+        if not 0 <= k < n:
+            raise IndexError(k)
+        order = self._order[:n]
+        i = int(order[k])
+        a, G = self._alphas, self._gram
         ai = a[i]
-        sq = self._sq_norm - 2.0 * ai * float(g @ a) + ai * ai * g[i]
+        sq = self._sq_norm - 2.0 * ai * float(G[i, :n] @ a[:n]) + ai * ai * G[i, i]
         self._sq_norm = sq if sq > 0.0 else 0.0
-        # Overlapping slice assignments are buffered by numpy.
-        for arr in (self._alphas, self._xsq, self._X, s):
-            arr[i : n - 1] = arr[i + 1 : n]
-        s[n - 1] = victim  # the freed slot is the next insert's
-        self._n = n - 1
+        last = n - 1
+        order[order == last] = i
+        order[k:last] = order[k + 1 :]  # numpy buffers the overlap
+        if i != last:
+            a[i], self._xsq[i], self._X[i] = a[last], self._xsq[last], self._X[last]
+            moved = G[last, :last]
+            G[i, :last] = moved
+            G[:last, i] = moved
+            G[i, i] = G[last, last]
+            if row is not None:
+                row[i] = row[last]
+        self._n = last
         self._evictions += 1
-        if self._evictions >= self._n:
+        if self._evictions >= last:
             self.reset_norm_cache()
+        return None if row is None else row[:last]
 
     def replace_with_subset(self, keep: Sequence[int], new_coeffs: Sequence[float]) -> None:
-        """Keep only ``keep`` (insertion order), assigning them new coefficients.
+        """Keep only the slots ``keep``, assigning them new coefficients.
 
-        Zero coefficients are evicted.  Used by the halving step, where the
-        survivors absorb the projected mass of the removed half.
+        The survivors move to slots [0, m) in the order given, which becomes
+        the insertion order; zero coefficients are evicted.  Used by the
+        halving step, where the survivors absorb the projected mass of the
+        removed half.
         """
         keep = list(keep)
         coeffs = np.asarray(new_coeffs, dtype=float)
         if len(keep) != len(coeffs):
             raise ValueError("keep/new_coeffs length mismatch")
-        if any(keep[i] >= keep[i + 1] for i in range(len(keep) - 1)):
-            raise ValueError("keep indices must be strictly increasing")
-        if keep and not (keep[0] >= 0 and keep[-1] < self._n):
-            raise ValueError(f"keep indices must lie in [0, {self._n})")
+        if len(set(keep)) != len(keep) or not all(0 <= k < self._n for k in keep):
+            raise ValueError(f"keep slots must be distinct and lie in [0, {self._n})")
         nz = coeffs != 0.0
         self._compact([k for k, m in zip(keep, nz) if m], coeffs[nz])
 
     def clear(self) -> None:
         self._n = 0
-        self._slot = None
         self._evictions = 0
         self._sq_norm = 0.0
 
@@ -275,7 +272,7 @@ class Expansion:
         if n == 0:
             return 0.0
         a = self._alphas[:n]
-        q = float(a @ (self.gram @ a))
+        q = float(a @ (self._gram[:n, :n] @ a))
         if q < -_NEG_QFORM_TOL:
             raise GramCorruption(f"quadratic form {q} < -{_NEG_QFORM_TOL}")
         return q if q > 0.0 else 0.0
@@ -286,9 +283,8 @@ class Expansion:
         self._alphas[:m] = coeffs
         self._xsq[:m] = self._xsq[keep]
         self._X[:m] = self._X[keep]
-        slots = keep if self._slot is None else self._slot[keep]
-        self._gram[:m, :m] = self._gram.take(slots, 0).take(slots, 1)
-        self._slot = None
+        self._gram[:m, :m] = self._gram.take(keep, 0).take(keep, 1)
+        self._order[:m] = np.arange(m)
         self._n = m
         self._sq_norm = self._quadratic_form()
         self._evictions = 0
@@ -301,13 +297,16 @@ class Expansion:
         while new_cap < n:
             new_cap *= 2
         k = self._n
-        alphas = np.zeros(new_cap)
-        alphas[:k] = self._alphas[:k]
-        xsq = np.zeros(new_cap)
-        xsq[:k] = self._xsq[:k]
-        X = np.zeros((new_cap, self._dim))
-        X[:k] = self._X[:k]
         gram = np.zeros((new_cap, new_cap))
-        gram[:k, :k] = self.gram  # gathered into insertion order
-        self._alphas, self._xsq, self._X, self._gram = alphas, xsq, X, gram
-        self._slot = None
+        gram[:k, :k] = self._gram[:k, :k]
+        self._gram = gram
+        for name in ("_alphas", "_xsq", "_X", "_order"):
+            old = getattr(self, name)
+            grown = np.zeros((new_cap, *old.shape[1:]), dtype=old.dtype)
+            grown[:k] = old[:k]
+            setattr(self, name, grown)
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view

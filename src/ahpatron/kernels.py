@@ -163,8 +163,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in (GAUSSIAN, LINEAR):
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == GAUSSIAN and not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if self.family == GAUSSIAN and not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
     @classmethod
     def gaussian(cls, sigma: float) -> "KernelSpec":

@@ -114,14 +114,14 @@ class LearnerConfig:
         # Each setting's own domain, whether or not the algorithm reads it.
         if self.B is not None and self.B < 1:
             raise ConfigError(f"B must be positive, got {self.B}")
-        if not self.U > 0:
-            raise ConfigError(f"U must be positive, got {self.U}")
+        if not (self.U == math.inf or 0 < self.U * self.U < math.inf):
+            raise ConfigError(f"U must be +inf or have 0 < U^2 < inf, got {self.U}")
         if not 0 < self.lam < math.inf:
             raise ConfigError(f"lambda must be positive and finite, got {self.lam}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ConfigError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if not self.eta > 0:
-            raise ConfigError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < math.inf:
+            raise ConfigError(f"eta must be positive and finite, got {self.eta}")
         if self.ct_mode not in (CT_FIXED, CT_NORM_RATIO):
             raise ConfigError(f"unknown ct_mode {self.ct_mode!r}")
         if self.ct_mode == CT_FIXED and not 0.0 < self.ct <= 1.0:
@@ -218,13 +218,8 @@ class OnlineLearner:
                 row = score = None  # active set changed; recompute on insert
             else:
                 victim = self._rng.below(n) if self._evict_random else 0
-                f.remove_term(victim)
-                # The row without the victim's entry; the score is stale.
-                if victim == 0:
-                    row = row[1:]
-                else:
-                    row = np.concatenate((row[:victim], row[victim + 1:]))
-                score = None
+                row = f.remove_term(victim, row)
+                score = None  # stale once a term is gone
         if self._adaptive:
             rate = adaptive_rate(self._nonpos_margins, self.config.U)
         else:
@@ -248,22 +243,24 @@ class OnlineLearner:
         else:
             radius = cfg.ct * cfg.U
         gram = f.gram
-        alphas = f.alphas
+        order = f.order
+        alphas = f.alphas[order]  # insertion order
         removed, kept = split_active_set(alphas, cfg.B)
+        kept_slots = order[kept]
         if cfg.algorithm == AHPATRON_NOPROJ:
             theta = np.zeros(len(kept))
         else:
             problem = ProjectionProblem(
-                K2=gram[np.ix_(kept, kept)],
-                K21=gram[np.ix_(kept, removed)],
+                K2=gram[np.ix_(kept_slots, kept_slots)],
+                K21=gram[np.ix_(kept_slots, order[removed])],
                 alpha=alphas[removed],
                 eta=cfg.eta,
             )
             theta, _ = solve_theta_ladder(problem)
         survivors = alphas[kept] + theta
         before_sq = f.sq_norm
-        cross_mid = float(alphas @ (gram[:, kept] @ survivors))
-        f.replace_with_subset(kept, survivors)
+        cross_mid = float(f.alphas @ (gram[:, kept_slots] @ survivors))
+        f.replace_with_subset(kept_slots, survivors)
         mid_norm = f.norm()
         try:
             f.project_sphere(radius)
@@ -338,7 +335,8 @@ def run(
     """Drive one learner over a stream, returning the full trace.
 
     Learner failures, floating-point overflow and invalid operations
-    included, propagate as RunError with the failing round index.
+    included, propagate as RunError with the failing round index; a failure
+    in the closing norm reset is reported at the last round.
     """
     T = len(stream)
     if T == 0:
@@ -357,28 +355,28 @@ def run(
     step = learner.step
     size, norm = f.size, f.norm()
     start = time.perf_counter()
-    # Overflow and NaN raise FloatingPointError, which the loop reports as a
+    # Overflow and NaN raise FloatingPointError, which is reported as a
     # RunError at its round, instead of warning and running on with NaNs.
     with np.errstate(over="raise", invalid="raise"):
-        for t, ex in enumerate(stream):
-            try:
+        try:
+            for t, ex in enumerate(stream):
                 pred, margin, mistake, trig, removal, distance = step(ex)
-            except (SolverDiverged, GramCorruption, FloatingPointError) as e:
-                raise RunError(t, e) from e
-            margins[t] = margin
-            predictions[t] = pred
-            mistakes[t] = mistake
-            if trig:  # only a triggered round changes the hypothesis
-                triggered[t] = True
-                if removal:
-                    removals[t] = True
-                    removal_distances[t] = distance
-                size, norm = f.size, f.norm()
-            active_sizes[t] = size
-            norms[t] = norm
-        elapsed_ms = (time.perf_counter() - start) * 1e3
-        max_drift = f.max_drift  # the in-run resets only
-        final_drift = f.reset_norm_cache()
+                margins[t] = margin
+                predictions[t] = pred
+                mistakes[t] = mistake
+                if trig:  # only a triggered round changes the hypothesis
+                    triggered[t] = True
+                    if removal:
+                        removals[t] = True
+                        removal_distances[t] = distance
+                    size, norm = f.size, f.norm()
+                active_sizes[t] = size
+                norms[t] = norm
+            elapsed_ms = (time.perf_counter() - start) * 1e3
+            max_drift = f.max_drift  # the in-run resets only
+            final_drift = f.reset_norm_cache()
+        except (SolverDiverged, GramCorruption, FloatingPointError) as e:
+            raise RunError(t, e) from e
     return RunTrace(
         config=config,
         dataset_name=dataset_name,

@@ -17,8 +17,8 @@ sequential loop, and leaves the state where n next_u64 calls would.
 Bounded integers use rejection sampling (no modulo bias), and
 normal_pairs turns arrays of output pairs into standard normals by the
 Box-Muller transform through math.log/cos/sin.  All dataset permutations,
-subsampling, synthetic streams, and the random-removal baseline draw from
-this generator only.
+synthetic streams, and the random-removal baseline draw from this
+generator only.
 """
 
 from __future__ import annotations

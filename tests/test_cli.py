@@ -73,6 +73,25 @@ def test_run_overflow_fails_at_its_round(capsys):
     assert err.startswith("run failure: run failed at round 77: overflow")
 
 
+@pytest.mark.parametrize("argv, code, first_line", [
+    (["--algo", "avp", "--lambda", "1e300"], 2,
+     "run failure: run failed at round 199: overflow"),
+    (["--algo", "avp-adaptive", "--U", "1e300"], 1, "error: argument --U:"),
+    (["--algo", "ahpatron", "--B", "4", "--lambda", "1e200"], 2,
+     "run failure: run failed at round 0: overflow in the cached squared norm"),
+    (["--algo", "perceptron", "--sigma", "inf"], 1, "error: argument --sigma:"),
+    (["--algo", "ahpatron", "--B", "4", "--eta", "inf"], 1, "error: argument --eta:"),
+], ids=["avp-lambda", "adaptive-U", "ahpatron-lambda", "sigma-inf", "eta-inf"])
+def test_overflowing_or_infinite_setting_ends_in_one_line(argv, code, first_line,
+                                                          capsys):
+    # A setting whose arithmetic overflows stops the run at the round that
+    # overflows, or is refused as its flag converts; neither ends in a
+    # traceback, a zero coefficient, or a run that silently clears f.
+    assert main(["run", *argv, "--data", "synth:noisy:T=200,d=3"]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(first_line)
+
+
 def test_bench_row_accounting(tmp_path):
     out = tmp_path / "bench.csv"
     code = main(["bench", "--algos", "ahpatron,budget-oldest", "--data", SYNTH,

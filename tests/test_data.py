@@ -18,13 +18,13 @@ from ahpatron.data import (
     load_libsvm,
     parse_libsvm,
     permute,
-    subsample,
     synth_noisy,
     synth_separable,
 )
 from ahpatron.kernels import LabeledExample, SparseVector
 from ahpatron.prng import SplitMix64
 
+from helpers import subsample
 from oracles import ScalarSplitMix64, per_line_parse, random_examples, scalar_synth
 
 

@@ -281,77 +281,86 @@ def test_norm_resets_keep_the_largest_drift():
 def _check_against_oracles(f, xs):
     """f against the scalar oracles on the instances the test inserted.
 
-    The stored coefficients come from f.alphas; the Gram, the norm cache
-    and the kernel rows that scoring reads must all match those instances.
+    xs is in insertion order, so f.order[k] is the slot holding xs[k].  The
+    stored coefficients come from f.alphas; the Gram, the norm cache and
+    the kernel rows that scoring reads must all match those instances.
     """
     assert f.size == len(xs)
+    assert sorted(f.order.tolist()) == list(range(len(xs)))
     if not xs:
         assert f.gram.shape == (0, 0) and f.sq_norm == 0.0
         return
-    exact = gram_matrix(GAUSS, xs)
+    by_slot = [None] * len(xs)
+    for k, slot in enumerate(f.order):
+        by_slot[slot] = xs[k]
+    exact = gram_matrix(GAUSS, by_slot)
     assert np.allclose(f.gram, exact, rtol=0.0, atol=1e-12)
-    rows = np.array([f.kernel_row(x) for x in xs])
+    rows = np.array([f.kernel_row(x) for x in by_slot])
     assert np.allclose(rows, exact, rtol=0.0, atol=1e-12)
-    assert f.sq_norm == pytest.approx(quadratic_norm_sq(GAUSS, list(zip(xs, f.alphas))),
+    assert f.sq_norm == pytest.approx(quadratic_norm_sq(GAUSS, list(zip(by_slot, f.alphas))),
                                       rel=1e-10, abs=1e-12)
 
 
-def test_slot_map_stays_coherent_under_mixed_operations():
-    # White-box: the slot map must survive periodic norm resets and a
-    # capacity growth while permuted, so the test counts that both happen.
+def test_order_stays_coherent_under_mixed_operations():
+    # Random inserts, evictions by insertion position, scalings and compactions against the oracles.  The test counts that
+    # the last slot is itself evicted, that the arrays grow after
+    # evictions, that periodic norm resets happen and that clear works.
     gen = ScalarSplitMix64(174)
     f = Expansion(GAUSS, dim=4)
     xs = []
-    periodic_resets = permuted_growths = 0
-    for _ in range(260):
-        roll = gen.below(20)
-        if roll < 10 or f.size == 0:
-            if f._slot is not None and f.size == f._alphas.shape[0]:
-                permuted_growths += 1
+    last_slot_evictions = grown_after_eviction = periodic_resets = clears = 0
+    evicted = False
+    for _ in range(300):
+        roll = gen.below(40)
+        if roll < 20 or f.size == 0:
+            if evicted and f.size == len(f._alphas):
+                grown_after_eviction += 1
             c = gen.uniform() * 2.0 - 1.0
             e = random_examples(gen, 1, 4)[0]
             f.insert(e.x, c if c != 0.0 else 0.5)
             xs.append(e.x)
-        elif roll < 17:
-            i = gen.below(f.size)
-            f.remove_term(i)
-            del xs[i]
+        elif roll < 34:
+            pos = gen.below(f.size)
+            probe = random_sparse(gen, 4)
+            last_slot_evictions += f.order[pos] == f.size - 1
+            row = f.remove_term(pos, f.kernel_row(probe))
+            del xs[pos]
+            evicted = True
             periodic_resets += f._evictions == 0
-        elif roll < 19:
+            assert np.allclose(row, f.kernel_row(probe), rtol=0.0, atol=1e-12)
+        elif roll < 37:
             f.scale(0.5 + gen.uniform())
-        else:
-            keep = [i for i in range(f.size) if gen.below(4) != 0]
+        elif roll < 39:
+            keep = [k for k in range(f.size) if gen.below(4) != 0]
             coeffs = [gen.uniform() for _ in keep]
-            f.replace_with_subset(keep, coeffs)
+            f.replace_with_subset(f.order[keep], coeffs)
             xs = [xs[k] for k, c in zip(keep, coeffs) if c != 0.0]
+            assert f.order.tolist() == list(range(f.size))
+        else:
+            f.clear()
+            xs = []
+            clears += 1
         _check_against_oracles(f, xs)
+    assert last_slot_evictions >= 1
+    assert grown_after_eviction >= 1
     assert periodic_resets >= 1
-    assert permuted_growths >= 1
+    assert clears >= 1
 
 
-def test_clear_after_slots_are_permuted():
-    gen = ScalarSplitMix64(179)
-    f, xs = random_expansion(gen, 10)
-    for i in (3, 0, 5):
-        f.remove_term(i)
-        del xs[i]
-    e = random_examples(gen, 1, 6)[0]
-    f.insert(e.x, 0.7)
-    _check_against_oracles(f, xs + [e.x])
-    f.clear()
-    fresh = random_examples(gen, 4, 6)
-    for e in fresh:
-        f.insert(e.x, 0.3)
-    _check_against_oracles(f, [e.x for e in fresh])
-
-
-def test_remove_term_updates_gram_and_examples():
+def test_remove_term_moves_the_last_slot_into_the_hole():
     gen = ScalarSplitMix64(151)
     f, xs = random_expansion(gen, 6)
     alphas = f.alphas.tolist()
-    f.remove_term(2)
-    del xs[2], alphas[2]
-    assert f.alphas.tolist() == alphas
+    probe = random_sparse(gen, 6)
+    row = f.kernel_row(probe)
+    expected_row = [*row[:2], row[5], *row[3:5]]
+    got_row = f.remove_term(2, row)
+    assert f.alphas.tolist() == [*alphas[:2], alphas[5], *alphas[3:5]]
+    assert f.order.tolist() == [0, 1, 3, 4, 2]
+    assert got_row.tolist() == expected_row
+    assert f.remove_term(4) is None  # the term in slot 2, which is not last
+    assert f.order.tolist() == [0, 1, 3, 2]
+    del xs[5], xs[2]
     _check_against_oracles(f, xs)
 
 

@@ -74,6 +74,8 @@ def test_labeled_example_validates_label():
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec.gaussian(0.0)
+    with pytest.raises(ValueError, match="finite"):
+        KernelSpec.gaussian(float("inf"))
     with pytest.raises(ValueError):
         KernelSpec("spline")
 

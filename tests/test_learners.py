@@ -100,7 +100,8 @@ def test_config_baselines_reject_finite_u():
 @pytest.mark.parametrize("algo", ALGORITHMS)
 @pytest.mark.parametrize("setting", [
     dict(epsilon=1.0), dict(epsilon=-0.1), dict(epsilon=5.0),
-    dict(eta=0.0), dict(eta=-1.0),
+    dict(eta=0.0), dict(eta=-1.0), dict(eta=math.inf),
+    dict(U=1e300), dict(U=1e-200),  # U^2 overflows or underflows
     dict(ct_mode="fixed", ct=7.0), dict(ct_mode="fixed", ct=0.0),
     dict(ct_mode="sometimes"),
     dict(lam=0.0), dict(lam=math.inf),
@@ -398,6 +399,20 @@ def test_ahpatron_removal_leaves_half_plus_one():
     assert out.removal_distance is not None and out.removal_distance >= 0.0
 
 
+@pytest.mark.parametrize("algo", sorted(HALVING_ALGORITHMS))
+def test_halving_keeps_slots_in_insertion_order(algo):
+    # A halving learner never evicts one term, so every term's slot is its
+    # insertion position and its sums run in insertion order.
+    cfg = LearnerConfig(algo, GAUSS, B=8, U=1.5, lam=0.3, epsilon=0.45)
+    learner = OnlineLearner(cfg, dim=4)
+    halvings = 0
+    for e in synth_noisy(300, 4, 0.1, seed=4).examples:
+        halvings += learner.step(e).removal
+    f = learner.hypothesis
+    assert halvings >= 5
+    assert f.order.tolist() == list(range(f.size))
+
+
 def test_ahpatron_below_budget_is_plain_update():
     cfg = ahpatron_config(B=4, U=2.0, lam=0.5, eps=0.5)
     learner = OnlineLearner(cfg, dim=12)
@@ -560,8 +575,10 @@ def _sha256(a):
 
 # Hashes and counts of reference traces: margins, counts and every other
 # per-round column must not move.  Budget baseline norms are not pinned,
-# since the incremental eviction norm update changed their last bits; the
-# other learners never evict a single term, so their norms stay bitwise.
+# since the incremental eviction norm update changed their last bits, and
+# their margins were re-captured when an eviction began moving the last
+# slot into the victim's, which reorders their sums; the other learners
+# never evict a single term, so their sums and norms stay bitwise.
 # Column hashes are of the raw bytes, NaN entries of removal_distances
 # included.
 _PINNED = {
@@ -602,7 +619,7 @@ _PINNED = {
             "active_sizes": "857e191adfdee1613c6e2d4602ce0ac384ce25b97d8d4c842027408e63f4a495",
         }),
     "budget-oldest": (
-        "fe4efefee66c093a55272458cab5ad8bb7df32101cd24c3796f1de38aa6b1b72",
+        "82eb5dea90befc3c4463c0e33ba8d3ed389d2b28ee8df797d3607ee5751350df",
         None, (370, 371, 0, 0), 371, 16,
         {
             "predictions": "73f04242a6daea8e7729c785b1abd42418b018bdc56dcad2d7b37d78c7d14de8",
@@ -613,7 +630,7 @@ _PINNED = {
             "active_sizes": "9b6e85d07eda827c0ad788051c5ec15e1042daf505d1c7f48555b5bee64df77f",
         }),
     "budget-random": (
-        "8ebc5d93361bc38f82acc3a4d96d75fd20f3ca7b37e0bee6f609e32b8b86f31e",
+        "b30a079707ac5fa2896ed08666accfa35f74dabeb76e036e80978395e6193e1c",
         None, (377, 378, 0, 0), 378, 16,
         {
             "predictions": "94dddfc526cfe50fdce5eace761fd3ea0fc5b561d61e2e076a60c35d7b4e7c8a",

@@ -15,10 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ahpatron.data import load_libsvm, permute, subsample
+from ahpatron.data import load_libsvm, permute
 from ahpatron.diagnostics import invariant_violations, metrics
 from ahpatron.kernels import KernelSpec
 from ahpatron.learners import LearnerConfig, run
+
+from helpers import subsample
 
 DATA_DIR = Path(os.environ.get("AHPATRON_DATA_DIR",
                                Path(__file__).resolve().parent.parent / "datasets"))
