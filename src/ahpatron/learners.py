@@ -21,8 +21,9 @@ updates, keeping mistakes a subset of updates.
 
 A round scores x_t with one kernel row and one dot product
 (Expansion.score) and returns a RoundOutcome, a NamedTuple; a round that
-does not trigger returns at once.  A triggered round reuses the row and the
-score for the insert unless a removal changed the active set.  run() unpacks
+does not trigger returns at once.  The insert reuses the score unless a
+removal changed the active set, and the row unless a halving did (an
+eviction hands back the row over the remaining terms).  run() unpacks
 each outcome and writes the RunTrace columns one by one.
 
 Halving: split the full active set into the half with the smallest
@@ -198,8 +199,8 @@ class OnlineLearner:
     def step(self, ex: LabeledExample) -> RoundOutcome:
         """Process one example: predict, then update if the trigger fires.
 
-        One kernel row and one dot product score the example; the row and
-        the score are reused by the insert unless the active set changed.
+        One kernel row and one dot product score the example; the insert
+        reuses whichever of the two a removal leaves valid.
         """
         f = self.hypothesis
         y = ex.y
