@@ -283,13 +283,12 @@ def build_config(
 
     B is None or positive, as the --B flag types ensure.  ct is parsed for
     every algorithm, so a malformed or out-of-range --ct fails even where
-    c_t is unused.
+    c_t is unused.  U is filled in only when it is None, so a finite U for
+    an algorithm that never projects fails in LearnerConfig.
     """
     if algo in BUDGETED_ALGORITHMS and B is None:
         raise CliError(f"{algo} requires --B")
-    if algo not in MARGIN_ALGORITHMS:
-        U = math.inf  # perceptron and the removal baselines never project
-    elif U is None:
+    if U is None:
         U = math.sqrt(B) / 2.0 if algo in HALVING_ALGORITHMS else math.inf
     if lam is None:
         lam = U / (2.0 * math.sqrt(B)) if algo in HALVING_ALGORITHMS else 1.0
@@ -429,17 +428,18 @@ def cmd_bench(args) -> int:
     data_specs = list(dict.fromkeys(args.data))
 
     # Validate the whole grid before any run starts.  Dimensions an
-    # algorithm ignores (epsilon for the perceptron-trigger baselines, B for
-    # the unbudgeted learners) are collapsed so cells are not duplicated.
+    # algorithm ignores (epsilon and U for the perceptron-trigger baselines,
+    # B for the unbudgeted learners) are collapsed so cells are not duplicated.
     tasks: list[tuple[str, LearnerConfig]] = []
     for data_spec in data_specs:
         for algo in args.algos:
             algo_budgets = args.B if algo in BUDGETED_ALGORITHMS else [None]
             algo_epsilons = args.epsilons if algo in MARGIN_ALGORITHMS else [None]
+            algo_U = args.U if algo in MARGIN_ALGORITHMS else None
             for B in algo_budgets:
                 for eps in algo_epsilons:
                     for seed in seeds:
-                        config = build_config(algo, args.sigma, B, args.U,
+                        config = build_config(algo, args.sigma, B, algo_U,
                                               args.lam, eps, args.eta, args.ct,
                                               seed)
                         tasks.append((data_spec, config))

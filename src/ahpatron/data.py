@@ -15,6 +15,12 @@ to right, pass; a Box-Muller spare carries over to the next example when d
 is odd.  Since SplitMix64 is counter-based, one vectorized draw (_draw)
 computes a whole block of examples, or one example's resampled normals, at
 a time.
+
+A synthetic instance is stored once, as a read-only row of the block it was
+drawn in (SparseVector.from_rows): that row is its dense row, and its index
+and value tuples are built only if something asks for them (format_libsvm,
+equality).  Parsed instances hold tuples, since a file's width is known
+only at its end.
 """
 
 from __future__ import annotations
@@ -47,7 +53,11 @@ class NonBinaryLabels(ValueError):
 
 @dataclass
 class Dataset:
-    """Immutable-by-convention list of labeled examples."""
+    """Immutable-by-convention list of labeled examples.
+
+    Synthetic examples share their blocks, so a permuted or relabeled copy
+    (permute, synth_noisy's flips) adds no instance storage.
+    """
 
     examples: list[LabeledExample]
     name: str = ""

@@ -1,20 +1,25 @@
 """Sparse instances, kernel specifications, and the dense kernel routine.
 
 Instances are immutable sparse vectors (sorted index/value pairs, explicit
-zeros dropped) that hand out cached dense rows.  Supported kernel families:
-Gaussian (RBF) and linear.  Kernel values come from one BLAS routine,
-kernel_row, of dense rows and their squared norms: a single query row for
-scoring and Gram updates, or a whole block (pairwise_kernel) for the
-comparator and alignment passes; kernel_diag gives a new term's Gram
-diagonal.  All evaluations are double precision; the Gaussian kernel is
-normalized (kappa(x, x) = 1) so the unit-diagonal assumption needed by the
-bound checkers holds automatically.
+zeros dropped) that hand out cached dense rows.  A vector parsed from text
+or built from pairs holds index and value tuples; a vector from
+SparseVector.from_rows holds only a read-only row of the block it was
+drawn in, which is its dense row, and builds its tuples on demand.
+
+Supported kernel families: Gaussian (RBF) and linear.  Kernel values come
+from one BLAS routine, kernel_row, of dense rows and their squared norms:
+a single query row for scoring and Gram updates, or a whole block
+(pairwise_kernel) for the comparator and alignment passes; kernel_diag
+gives a new term's Gram diagonal.  All evaluations are double precision;
+the Gaussian kernel is normalized (kappa(x, x) = 1) so the unit-diagonal
+assumption needed by the bound checkers holds automatically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -28,9 +33,16 @@ class SparseVector:
 
     Explicit zeros in the input are dropped, so the all-zero vector is
     canonically empty and equality/hashing are well defined.
+
+    A vector has one of two sources.  The constructor (from pairs) and
+    parse_libsvm (_of) hold index and value tuples.  from_rows holds a
+    read-only row of the block it was given instead, and that row is the
+    vector's dense cache at the block's width; its indices and values are
+    built from the row on first access.  Such a row keeps its whole block
+    alive.
     """
 
-    __slots__ = ("indices", "values", "_sq", "_dense_dim", "_dense")
+    __slots__ = ("_indices", "_values", "_sq", "_width", "_dense_dim", "_dense")
 
     def __init__(self, pairs: Iterable[tuple[int, float]] = ()):
         indices: list[int] = []
@@ -51,13 +63,15 @@ class SparseVector:
                 values.append(v)
         self._fill(tuple(indices), tuple(values), None)
 
-    def _fill(self, indices: tuple[int, ...], values: tuple[float, ...],
-              sq: float | None) -> None:
-        self.indices = indices
-        self.values = values
+    def _fill(self, indices: tuple[int, ...] | None,
+              values: tuple[float, ...] | None, sq: float | None,
+              width: int | None = None, row: np.ndarray | None = None) -> None:
+        self._indices = indices
+        self._values = values
         self._sq = sq
-        self._dense_dim = -1
-        self._dense: np.ndarray | None = None
+        self._width = (indices[-1] + 1 if indices else 0) if width is None else width
+        self._dense_dim = -1 if row is None else len(row)
+        self._dense = row
 
     @classmethod
     def _of(cls, indices: tuple[int, ...], values: tuple[float, ...],
@@ -70,34 +84,57 @@ class SparseVector:
 
     @classmethod
     def from_rows(cls, matrix: np.ndarray) -> list["SparseVector"]:
-        """One vector per row of a 2-D array, as SparseVector(enumerate(row)).
+        """One vector per row of a 2-D array, equal to SparseVector(enumerate(row)).
 
         Raises the same ValueError on the first non-finite entry (row-major
-        order).  Rows without zeros share one index tuple, and each squared
-        norm is the row's left-to-right sum of squares, bit-equal to what
-        sq_norm would compute.
+        order).  The array is copied once, with -0.0 made +0.0 as dense()
+        writes it, and the copy is made read-only; each vector keeps its
+        row as its dense cache.  Each squared norm is the row's left-to-right
+        sum of squares, bit-equal to what sq_norm would compute, and each
+        width is the row's last nonzero index + 1.
         """
-        matrix = np.asarray(matrix, dtype=float)
-        n, d = matrix.shape
-        bad = np.argwhere(~np.isfinite(matrix))
+        block = np.asarray(matrix, dtype=float) + 0.0
+        n, d = block.shape
+        bad = np.argwhere(~np.isfinite(block))
         if len(bad):
             raise ValueError(f"non-finite value at index {bad[0][1]}")
-        sq = np.cumsum(matrix * matrix, axis=1)[:, -1] if d else np.zeros(n)
-        full = tuple(range(d))
+        block.flags.writeable = False
+        sq = np.cumsum(block * block, axis=1)[:, -1] if d else np.zeros(n)
+        width = ((block != 0.0) * np.arange(1, d + 1)).max(axis=1, initial=0)
         out = []
-        for row, row_sq, no_zeros in zip(matrix.tolist(), sq.tolist(),
-                                         (matrix != 0.0).all(axis=1).tolist()):
-            if no_zeros:
-                out.append(cls._of(full, tuple(row), row_sq))
-            else:
-                indices = tuple(i for i, x in enumerate(row) if x != 0.0)
-                out.append(cls._of(indices, tuple(row[i] for i in indices), row_sq))
+        for row, row_sq, row_width in zip(block, sq.tolist(), width.tolist()):
+            v = cls.__new__(cls)
+            v._fill(None, None, row_sq, row_width, row)
+            out.append(v)
         return out
+
+    def _from_row(self) -> None:
+        """Build the index and value tuples from the block row."""
+        row = self._dense
+        nonzero = np.flatnonzero(row)
+        if len(nonzero) == len(row):
+            self._indices = _index_range(len(row))
+            self._values = tuple(row.tolist())
+        else:
+            self._indices = tuple(nonzero.tolist())
+            self._values = tuple(row[nonzero].tolist())
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        if self._indices is None:
+            self._from_row()
+        return self._indices  # type: ignore[return-value]
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        if self._values is None:
+            self._from_row()
+        return self._values  # type: ignore[return-value]
 
     @property
     def width(self) -> int:
         """max index + 1 (0 for the empty vector)."""
-        return self.indices[-1] + 1 if self.indices else 0
+        return self._width
 
     @property
     def sq_norm(self) -> float:
@@ -109,14 +146,19 @@ class SparseVector:
         return self._sq
 
     def dense(self, dim: int) -> np.ndarray:
-        """Dense copy of length ``dim`` (cached for repeated use at the same dim)."""
+        """Dense copy of length ``dim`` (cached for repeated use at the same dim).
+
+        A from_rows vector returns its read-only block row at the block's
+        width; at any other width it builds its tuples, then a padded copy.
+        """
         if self._dense_dim == dim:
             return self._dense  # type: ignore[return-value]
-        if dim < self.width:
-            raise ValueError(f"dim {dim} < width {self.width}")
+        if dim < self._width:
+            raise ValueError(f"dim {dim} < width {self._width}")
         out = np.zeros(dim)
-        if self.indices:
-            out[list(self.indices)] = self.values
+        indices = self.indices  # before the block row leaves the cache
+        if indices:
+            out[list(indices)] = self.values
         self._dense = out
         self._dense_dim = dim
         return out
@@ -137,7 +179,13 @@ class SparseVector:
         return f"SparseVector({{{inner}}})"
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=16)
+def _index_range(d: int) -> tuple[int, ...]:
+    """The index tuple 0..d-1, shared by the full block rows of width d."""
+    return tuple(range(d))
+
+
+@dataclass(frozen=True, slots=True)
 class LabeledExample:
     """Instance plus binary label in {-1, +1}."""
 

@@ -313,6 +313,32 @@ def test_bad_flag_is_one_error_line_and_runs_nothing(argv, monkeypatch, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:") and flag in lines[0]
 
 
+@pytest.mark.parametrize("algo", [
+    ["--algo", "perceptron"],
+    ["--algo", "budget-oldest", "--B", "4"],
+], ids=["perceptron", "budget-oldest"])
+def test_run_refuses_a_finite_U_where_nothing_projects(algo, monkeypatch, capsys):
+    code, configs = _recorded_configs(
+        monkeypatch, ["run", *algo, "--U", "5", "--data", SYNTH])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert configs == []
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert "U must stay +inf" in lines[0]
+
+
+def test_bench_passes_U_to_margin_algorithms_only(tmp_path, monkeypatch):
+    code, configs = _recorded_configs(
+        monkeypatch, ["bench", "--algos", "perceptron,budget-random,ahpatron",
+                      "--B", "8", "--U", "5", "--epsilons", "0.7", "--seeds", "1",
+                      "--data", SYNTH, "--out", str(tmp_path / "bench.csv")])
+    assert code == 0
+    assert [(c.algorithm, c.U) for c in configs] == [
+        ("perceptron", INF), ("budget-random", INF), ("ahpatron", 5.0)]
+
+
 @pytest.mark.parametrize("flags, expected", [
     ([], [
         ("perceptron", None, INF, 1.0, 0.5, 0.0005, "fixed", 0.6, 0),

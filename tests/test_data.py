@@ -529,6 +529,68 @@ def test_from_rows_matches_constructor():
     assert built[0].indices is built[4].indices  # rows without zeros share
 
 
+# Rows with a -0.0, an all-zero row and rows with trailing zeros.
+_BLOCK_ROWS = [[0.5, -1.0, 2.0], [0.0, 3.0, 0.0], [0.0, 0.0, 0.0],
+               [-0.0, 1e-300, 4.0], [1.0, -0.0, 0.0], [-0.0, -0.0, -0.0]]
+
+
+def test_from_rows_holds_no_tuples_until_asked():
+    built = SparseVector.from_rows(np.array(_BLOCK_ROWS))
+    for x in built:
+        x.dense(3), x.sq_norm, x.width
+    assert all(x._indices is None and x._values is None for x in built)
+    for x, row in zip(built, _BLOCK_ROWS):
+        plain = SparseVector(enumerate(row))
+        assert x.indices == plain.indices
+        assert repr(x.values) == repr(plain.values)  # no -0.0 survives either
+        assert x == plain and hash(x) == hash(plain) and repr(x) == repr(plain)
+
+
+def test_from_rows_dense_rows_are_read_only_views_of_one_block():
+    rows = np.array(_BLOCK_ROWS)
+    built = SparseVector.from_rows(rows)
+    block = built[0].dense(3).base
+    assert block is not None and not np.shares_memory(block, rows)
+    for x, row in zip(built, _BLOCK_ROWS):
+        d = x.dense(3)
+        assert d.base is block and not d.flags.writeable
+        assert d.tobytes() == SparseVector(enumerate(row)).dense(3).tobytes()
+        with pytest.raises(ValueError):
+            d[0] = 7.0
+    rows[:] = 9.0  # the caller's array is not the store
+    assert built[1].dense(3).tolist() == [0.0, 3.0, 0.0]
+
+
+def test_from_rows_pads_a_copy_at_another_width():
+    for x, row in zip(SparseVector.from_rows(np.array(_BLOCK_ROWS)), _BLOCK_ROWS):
+        plain = SparseVector(enumerate(row))
+        assert x.dense(6).tobytes() == plain.dense(6).tobytes()
+        assert x.dense(3).tobytes() == plain.dense(3).tobytes()
+
+
+def test_from_rows_width_ignores_trailing_zeros():
+    built = SparseVector.from_rows(np.array(_BLOCK_ROWS))
+    assert [x.width for x in built] == [3, 2, 0, 3, 1, 0]
+    assert [x.width for x in SparseVector.from_rows(np.zeros((2, 0)))] == [0, 0]
+    with pytest.raises(ValueError, match="dim 0 < width 1"):
+        built[4].dense(0)
+
+
+def test_synthetic_example_memory_after_dense_rows():
+    # Each value lives once, in its block; boxed float tuples plus a second
+    # dense copy took 3,066 B per example here.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = synth_noisy(20_000, 68, 0.1, 3)
+        for ex in ds.examples:
+            ex.x.dense(68)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / len(ds) <= 1_000
+
+
 def test_from_rows_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite value at index 1"):
         SparseVector.from_rows(np.array([[1.0, 2.0], [0.0, math.nan]]))

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -69,6 +70,26 @@ def test_labeled_example_validates_label():
     LabeledExample(x, -1)
     with pytest.raises(ValueError):
         LabeledExample(x, 0)
+
+
+def test_labeled_example_is_slotted_and_frozen():
+    ex = LabeledExample(SparseVector([(0, 1.0)]), 1)
+    assert not hasattr(ex, "__dict__")
+    with pytest.raises(AttributeError):
+        ex.y = -1
+    assert ex == LabeledExample(SparseVector([(0, 1.0)]), 1)
+    assert ex != LabeledExample(SparseVector([(0, 1.0)]), -1)
+
+
+def test_examples_and_block_rows_survive_pickling():
+    xs = SparseVector.from_rows(np.array([[0.5, -0.0, 2.0], [0.0, 0.0, 0.0]]))
+    examples = [LabeledExample(x, y) for x, y in zip(xs, (1, -1))]
+    back = pickle.loads(pickle.dumps(examples))
+    for a, b in zip(back, examples):
+        assert a.x.dense(3).tobytes() == b.x.dense(3).tobytes()
+        assert (a.x.sq_norm, a.x.width) == (b.x.sq_norm, b.x.width)
+    assert back == examples
+    assert pickle.loads(pickle.dumps(back)) == examples  # tuples built too
 
 
 def test_kernel_spec_validation():
