@@ -536,8 +536,8 @@ _BLOCK_ROWS = [[0.5, -1.0, 2.0], [0.0, 3.0, 0.0], [0.0, 0.0, 0.0],
 
 def test_from_rows_holds_no_tuples_until_asked():
     built = SparseVector.from_rows(np.array(_BLOCK_ROWS))
-    for x in built:
-        x.dense(3), x.sq_norm, x.width
+    read = [(x.dense(3), x.sq_norm, x.width) for x in built]
+    assert len(read) == len(_BLOCK_ROWS)
     assert all(x._indices is None and x._values is None for x in built)
     for x, row in zip(built, _BLOCK_ROWS):
         plain = SparseVector(enumerate(row))
