@@ -16,11 +16,11 @@ is odd.  Since SplitMix64 is counter-based, one vectorized draw (_draw)
 computes a whole block of examples, or one example's resampled normals, at
 a time.
 
-A synthetic instance is stored once, as a read-only row of the block it was
-drawn in (SparseVector.from_rows): that row is its dense row, and its index
-and value tuples are built only if something asks for them (format_libsvm,
-equality).  Parsed instances hold tuples, since a file's width is known
-only at its end.
+Every instance is stored once, as a read-only row of a block
+(SparseVector.from_rows): a synthetic one of the block it was drawn in, a
+parsed one of the single block its file fills once every line is read.
+That row is its dense row, and its index and value tuples are built only
+if something asks for them (format_libsvm, equality).
 """
 
 from __future__ import annotations
@@ -28,15 +28,17 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from itertools import chain
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .kernels import LabeledExample, SparseVector
+from .kernels import LabeledExample, SparseVector, check_pairs
 from .prng import SplitMix64, derive_stream_seed, normal_pairs
 
 _REJECTION_CAP = 10_000
 _BLOCK = 1024  # examples per vectorized synthetic block
+_CHUNK = 1 << 16  # parsed values held as Python objects before a flush to arrays
 
 
 class MalformedLine(ValueError):
@@ -55,8 +57,10 @@ class NonBinaryLabels(ValueError):
 class Dataset:
     """Immutable-by-convention list of labeled examples.
 
-    Synthetic examples share their blocks, so a permuted or relabeled copy
-    (permute, synth_noisy's flips) adds no instance storage.
+    Examples hold rows of shared blocks, so a permuted or relabeled copy
+    (permute, synth_noisy's flips) adds no instance storage.  feature_count
+    is d for a synthetic stream and, for a parsed file, its largest index
+    + 1, explicit zeros included.
     """
 
     examples: list[LabeledExample]
@@ -72,12 +76,21 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
     """Parse LIBSVM sparse text into a Dataset, normalizing labels to +/-1.
 
     Lines as format_libsvm writes them take a bulk path (_bulk_line), and a
-    line whose index strings repeat the previous bulk line's shares its
-    index tuple; every other line goes through _parse_line, which gives the
-    same result or the same MalformedLine.
+    line whose index strings repeat the previous bulk line's reuses its
+    parsed indices; every other line goes through _parse_line, which gives
+    the same result or the same MalformedLine.  The lines' indices and
+    values go to flat arrays every _CHUNK values, so no more than a chunk
+    of them is held as Python objects.  At the end they fill one block, a
+    row per example and as wide as the largest nonzero index + 1, and
+    SparseVector.from_rows keeps each example's row of it.  feature_count
+    also counts explicit zeros, so it can exceed the block width.
     """
     raw_labels: list[float] = []
-    instances: list[SparseVector] = []
+    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    # Each line's indices and values since the last flush, nnz values in all.
+    cols: list[Sequence[int]] = []
+    vals: list[Sequence[float]] = []
+    nnz = 0
     feature_count = 0
     keys: list[str] | None = None  # index strings of the last bulk line
     indices: tuple[int, ...] = ()
@@ -85,22 +98,44 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
         bulk = _bulk_line(line, keys, indices)
         if bulk is not None:
             label, keys, indices, values = bulk
-            x = SparseVector._of(indices, values)
+            line_cols = indices
             width = indices[-1] + 1 if indices else 0
         else:
             parsed = _parse_line(lineno, line)
             if parsed is None:
                 continue
-            label, x, width = parsed
-        instances.append(x)
+            label, line_cols, values, width = parsed
         raw_labels.append(label)
+        cols.append(line_cols)
+        vals.append(values)
+        nnz += len(values)
         if width > feature_count:
             feature_count = width
+        if nnz >= _CHUNK:
+            chunks.append(_arrays(cols, vals, nnz))
+            cols, vals, nnz = [], [], 0
     if not raw_labels:
         raise NonBinaryLabels("empty dataset")
     labels = _normalize_labels(raw_labels)
+    chunks.append(_arrays(cols, vals, nnz))
+    block = np.zeros((len(raw_labels),
+                      max((at.max() + 1 for _, at, _ in chunks if len(at)), default=0)))
+    start = 0
+    for counts, at, values in chunks:
+        rows = np.repeat(np.arange(start, start + len(counts)), counts)
+        block[rows, at] = values
+        start += len(counts)
+    instances = SparseVector.from_rows(block)
     examples = [LabeledExample(x, y) for x, y in zip(instances, labels)]
     return Dataset(examples, name=name, feature_count=feature_count)
+
+
+def _arrays(cols: list[Sequence[int]], vals: list[Sequence[float]],
+            nnz: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nonzeros per line, flat indices, flat values) of a run of lines."""
+    return (np.fromiter(map(len, vals), np.intp, len(vals)),
+            np.fromiter(chain.from_iterable(cols), np.intp, nnz),
+            np.fromiter(chain.from_iterable(vals), float, nnz))
 
 
 # Every byte but those that decide how a line splits: ASCII whitespace
@@ -146,10 +181,13 @@ def _bulk_line(line: str, keys: list[str] | None, indices: tuple[int, ...]):
     return label, line_keys, indices, values
 
 
-def _parse_line(lineno: int, line: str) -> tuple[float, SparseVector, int] | None:
-    """(label, instance, width) of one line, None if it is blank or a comment.
+def _parse_line(lineno: int, line: str
+                ) -> tuple[float, list[int], list[float], int] | None:
+    """(label, indices, values, width) of one line, None if it is blank or a
+    comment.
 
-    The width counts explicit zeros, which SparseVector drops.
+    Explicit zeros are dropped from indices and values, as SparseVector
+    drops them, but the width counts them.
     """
     hash_pos = line.find("#")
     if hash_pos >= 0:
@@ -173,10 +211,10 @@ def _parse_line(lineno: int, line: str) -> tuple[float, SparseVector, int] | Non
         except ValueError:
             raise MalformedLine(lineno, f"bad feature {tok!r}") from None
     try:
-        x = SparseVector(pairs)
+        indices, values = check_pairs(pairs)
     except ValueError as e:
         raise MalformedLine(lineno, str(e)) from None
-    return label, x, pairs[-1][0] + 1 if pairs else 0
+    return label, indices, values, pairs[-1][0] + 1 if pairs else 0
 
 
 def _normalize_labels(raw: list[float]) -> list[int]:

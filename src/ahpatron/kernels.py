@@ -1,10 +1,11 @@
 """Sparse instances, kernel specifications, and the dense kernel routine.
 
 Instances are immutable sparse vectors (sorted index/value pairs, explicit
-zeros dropped) that hand out cached dense rows.  A vector parsed from text
-or built from pairs holds index and value tuples; a vector from
-SparseVector.from_rows holds only a read-only row of the block it was
-drawn in, which is its dense row, and builds its tuples on demand.
+zeros dropped).  Every vector is stored as one read-only float64 row of a
+block, with its squared norm and width: a synthetic draw or a parsed file
+is one block (SparseVector.from_rows), and a vector built from pairs is a
+one-row block.  The row is the vector's dense row; its index and value
+tuples are derived from it on demand.
 
 Supported kernel families: Gaussian (RBF) and linear.  Kernel values come
 from one BLAS routine, kernel_row, of dense rows and their squared norms:
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -28,108 +28,100 @@ GAUSSIAN = "gaussian"
 LINEAR = "linear"
 
 
+def check_pairs(pairs: Iterable[tuple[int, float]]) -> tuple[list[int], list[float]]:
+    """Indices and values of the nonzero pairs, explicit zeros dropped.
+
+    Raises ValueError on a negative index, indices that do not strictly
+    increase, or a non-finite value (the texts parse_libsvm reports).
+    """
+    indices: list[int] = []
+    values: list[float] = []
+    last = -1
+    for i, v in pairs:
+        i = int(i)
+        v = float(v)
+        if i < 0:
+            raise ValueError(f"negative index {i}")
+        if i <= last:
+            raise ValueError(f"indices not strictly increasing at {i}")
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite value at index {i}")
+        last = i
+        if v != 0.0:
+            indices.append(i)
+            values.append(v)
+    return indices, values
+
+
 class SparseVector:
     """Immutable sparse vector: strictly increasing indices, nonzero finite values.
 
     Explicit zeros in the input are dropped, so the all-zero vector is
     canonically empty and equality/hashing are well defined.
 
-    A vector has one of two sources.  The constructor (from pairs) and
-    parse_libsvm (_of) hold index and value tuples.  from_rows holds a
-    read-only row of the block it was given instead, and that row is the
-    vector's dense cache at the block's width; its indices and values are
-    built from the row on first access.  Such a row keeps its whole block
-    alive.
+    A vector is stored as one read-only float64 row of a block, with the
+    row's squared norm and width (last nonzero index + 1) computed when the
+    block is.  from_rows makes one block for many vectors (a synthetic
+    draw, a parsed file), and the constructor a one-row block of the
+    vector's width.  The index and value tuples are derived from the row
+    on first access and cached.  A row keeps its whole block alive.
     """
 
-    __slots__ = ("_indices", "_values", "_sq", "_width", "_dense_dim", "_dense")
+    __slots__ = ("_row", "_sq", "_width", "_pairs")
 
     def __init__(self, pairs: Iterable[tuple[int, float]] = ()):
-        indices: list[int] = []
-        values: list[float] = []
-        last = -1
-        for i, v in pairs:
-            i = int(i)
-            v = float(v)
-            if i < 0:
-                raise ValueError(f"negative index {i}")
-            if i <= last:
-                raise ValueError(f"indices not strictly increasing at {i}")
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite value at index {i}")
-            last = i
-            if v != 0.0:
-                indices.append(i)
-                values.append(v)
-        self._fill(tuple(indices), tuple(values), None)
+        indices, values = check_pairs(pairs)
+        block = np.zeros((1, indices[-1] + 1 if indices else 0))
+        block[0, indices] = values
+        self._fill(*next(_rows(block)))
 
-    def _fill(self, indices: tuple[int, ...] | None,
-              values: tuple[float, ...] | None, sq: float | None,
-              width: int | None = None, row: np.ndarray | None = None) -> None:
-        self._indices = indices
-        self._values = values
+    def _fill(self, row: np.ndarray, sq: float, width: int) -> None:
+        self._row = row
         self._sq = sq
-        self._width = (indices[-1] + 1 if indices else 0) if width is None else width
-        self._dense_dim = -1 if row is None else len(row)
-        self._dense = row
-
-    @classmethod
-    def _of(cls, indices: tuple[int, ...], values: tuple[float, ...],
-            sq: float | None = None) -> "SparseVector":
-        """A vector holding already-validated tuples as given (no checks, no
-        copies, so callers can share one index tuple among vectors)."""
-        v = cls.__new__(cls)
-        v._fill(indices, values, sq)
-        return v
+        self._width = width
+        self._pairs = None  # (indices, values), derived from the row on demand
 
     @classmethod
     def from_rows(cls, matrix: np.ndarray) -> list["SparseVector"]:
         """One vector per row of a 2-D array, equal to SparseVector(enumerate(row)).
 
         Raises the same ValueError on the first non-finite entry (row-major
-        order).  The array is copied once, with -0.0 made +0.0 as dense()
-        writes it, and the copy is made read-only; each vector keeps its
-        row as its dense cache.  Each squared norm is the row's left-to-right
-        sum of squares, bit-equal to what sq_norm would compute, and each
-        width is the row's last nonzero index + 1.
+        order).  The array is copied once, with -0.0 made +0.0, and each
+        vector keeps its row of the copy.
         """
         block = np.asarray(matrix, dtype=float) + 0.0
-        n, d = block.shape
         bad = np.argwhere(~np.isfinite(block))
         if len(bad):
             raise ValueError(f"non-finite value at index {bad[0][1]}")
-        block.flags.writeable = False
-        sq = np.cumsum(block * block, axis=1)[:, -1] if d else np.zeros(n)
-        width = ((block != 0.0) * np.arange(1, d + 1)).max(axis=1, initial=0)
         out = []
-        for row, row_sq, row_width in zip(block, sq.tolist(), width.tolist()):
+        for state in _rows(block):
             v = cls.__new__(cls)
-            v._fill(None, None, row_sq, row_width, row)
+            v._fill(*state)
             out.append(v)
         return out
 
-    def _from_row(self) -> None:
-        """Build the index and value tuples from the block row."""
-        row = self._dense
-        nonzero = np.flatnonzero(row)
-        if len(nonzero) == len(row):
-            self._indices = _index_range(len(row))
-            self._values = tuple(row.tolist())
-        else:
-            self._indices = tuple(nonzero.tolist())
-            self._values = tuple(row[nonzero].tolist())
+    def __getstate__(self):
+        return self._row, self._sq, self._width
+
+    def __setstate__(self, state) -> None:
+        row, sq, width = state
+        row.flags.writeable = False  # an unpickled array comes back writable
+        self._fill(row, sq, width)
+
+    def _tuples(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        if self._pairs is None:
+            nonzero = np.flatnonzero(self._row)
+            self._pairs = (tuple(nonzero.tolist()),
+                           tuple(self._row[nonzero].tolist()))
+        return self._pairs
 
     @property
     def indices(self) -> tuple[int, ...]:
-        if self._indices is None:
-            self._from_row()
-        return self._indices  # type: ignore[return-value]
+        return self._tuples()[0]
 
     @property
     def values(self) -> tuple[float, ...]:
-        if self._values is None:
-            self._from_row()
-        return self._values  # type: ignore[return-value]
+        return self._tuples()[1]
 
     @property
     def width(self) -> int:
@@ -138,29 +130,23 @@ class SparseVector:
 
     @property
     def sq_norm(self) -> float:
-        if self._sq is None:
-            s = 0.0
-            for v in self.values:
-                s += v * v
-            self._sq = s
         return self._sq
 
     def dense(self, dim: int) -> np.ndarray:
-        """Dense copy of length ``dim`` (cached for repeated use at the same dim).
+        """The read-only dense row of length ``dim``.
 
-        A from_rows vector returns its read-only block row at the block's
-        width; at any other width it builds its tuples, then a padded copy.
+        At the block's width this is the stored row itself; at any other
+        width a read-only copy, zero-padded or cut after the last nonzero.
         """
-        if self._dense_dim == dim:
-            return self._dense  # type: ignore[return-value]
+        row = self._row
+        if dim == len(row):
+            return row
         if dim < self._width:
             raise ValueError(f"dim {dim} < width {self._width}")
         out = np.zeros(dim)
-        indices = self.indices  # before the block row leaves the cache
-        if indices:
-            out[list(indices)] = self.values
-        self._dense = out
-        self._dense_dim = dim
+        kept = row[:dim]
+        out[:len(kept)] = kept
+        out.flags.writeable = False
         return out
 
     def __len__(self) -> int:
@@ -169,20 +155,31 @@ class SparseVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseVector):
             return NotImplemented
-        return self.indices == other.indices and self.values == other.values
+        return self._tuples() == other._tuples()
 
     def __hash__(self) -> int:
-        return hash((self.indices, self.values))
+        return hash(self._tuples())
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{i}:{v:g}" for i, v in zip(self.indices, self.values))
         return f"SparseVector({{{inner}}})"
 
 
-@lru_cache(maxsize=16)
-def _index_range(d: int) -> tuple[int, ...]:
-    """The index tuple 0..d-1, shared by the full block rows of width d."""
-    return tuple(range(d))
+def _rows(block: np.ndarray):
+    """Make a finite, signed-zero-free block read-only; return an iterator of
+    (row, squared norm, width) triples.  The squared norm is the row's
+    left-to-right sum of squares (+inf on overflow), the width its last
+    nonzero index + 1."""
+    block.flags.writeable = False
+    n, d = block.shape
+    sq = np.zeros(n)
+    with np.errstate(over="ignore"):
+        for column in block.T:
+            sq += column * column
+    # The narrowest dtype, so a wide block's ranks cost 1-4 bytes an entry.
+    ranks = np.arange(1, d + 1, dtype=np.min_scalar_type(d))
+    width = ((block != 0.0) * ranks).max(axis=1, initial=0)
+    return zip(block, sq.tolist(), width.tolist())
 
 
 @dataclass(frozen=True, slots=True)

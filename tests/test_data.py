@@ -2,6 +2,7 @@ import hashlib
 import io
 from collections import Counter
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -107,27 +108,43 @@ def test_roundtrip_identity():
 
 
 def _outcome(parse, lines):
-    """(labels, indices, value bytes, feature count, name) of a parse, or the
-    (type, message, line number) of the error it raised."""
+    """(labels, indices, value bytes, widths, squared-norm bytes, dense-row
+    bytes, feature count, name) of a parse, or the (type, message, line
+    number) of the error it raised."""
     try:
-        labels, xs, width, name = parse(lines)
+        labels, xs, widths, norms, rows, width, name = parse(lines)
     except ValueError as e:
         return type(e), str(e), getattr(e, "line_number", None)
     values = b"".join(np.array(x.values, dtype=float).tobytes() for x in xs)
-    return labels, [x.indices for x in xs], values, width, name
+    return (labels, [x.indices for x in xs], values, widths,
+            np.array(norms, dtype=float).tobytes(), b"".join(rows), width, name)
 
 
 def _library(lines):
     ds = parse_libsvm(lines, name="f")
-    return [ex.y for ex in ds.examples], [ex.x for ex in ds.examples], \
-        ds.feature_count, ds.name
+    xs = [ex.x for ex in ds.examples]
+    return ([ex.y for ex in ds.examples], xs, [x.width for x in xs],
+            [x.sq_norm for x in xs], [x.dense(ds.feature_count).tobytes() for x in xs],
+            ds.feature_count, ds.name)
 
 
 def _reference(lines):
+    """per_line_parse, with each width, squared norm (a left-to-right float
+    loop, +inf on overflow) and dense row computed from the tuples alone."""
     raw, xs, width = per_line_parse(lines)
     if not raw:
         raise NonBinaryLabels("empty dataset")
-    return data._normalize_labels(raw), xs, width, "f"
+    norms, rows = [], []
+    for x in xs:
+        sq = 0.0
+        for v in x.values:
+            sq += v * v
+        norms.append(sq)
+        row = np.zeros(width)
+        row[list(x.indices)] = x.values
+        rows.append(row.tobytes())
+    widths = [x.indices[-1] + 1 if x.indices else 0 for x in xs]
+    return data._normalize_labels(raw), xs, widths, norms, rows, width, "f"
 
 
 def _check_against_reference(lines):
@@ -204,7 +221,7 @@ def test_parse_fuzz_matches_per_line_reference():
     assert kinds["parsed"] > 300 and kinds[MalformedLine] > 300, kinds
 
 
-def test_parse_pin_and_shared_index_tuples(tmp_path):
+def test_parse_pin_and_one_block(tmp_path):
     path = tmp_path / "noisy.libsvm"
     with open(path, "w", encoding="utf-8") as fh:
         format_libsvm(synth_noisy(2000, 18, 0.1, 3), fh)
@@ -218,9 +235,9 @@ def test_parse_pin_and_shared_index_tuples(tmp_path):
     assert h.hexdigest() == (
         "ebfef2623937c08bcb9f95370a5be0d264aaf68deb06751552dc802e0811bb81")
     assert (ds.name, ds.feature_count, len(ds)) == ("noisy.libsvm", 18, 2000)
-    xs = [ex.x for ex in ds.examples]
-    same = [(a, b) for a, b in zip(xs, xs[1:]) if a.indices == b.indices]
-    assert same and all(a.indices is b.indices for a, b in same)
+    block = ds.examples[0].x.dense(18).base
+    assert block.shape == (2000, 18)
+    assert all(ex.x.dense(18).base is block for ex in ds.examples)
 
 
 # -- permutation / subsampling ------------------------------------------------------
@@ -526,7 +543,6 @@ def test_from_rows_matches_constructor():
         assert (x.indices, x.values) == (plain.indices, plain.values)
         assert x.sq_norm == plain.sq_norm
         assert np.array_equal(x.dense(3), plain.dense(3))
-    assert built[0].indices is built[4].indices  # rows without zeros share
 
 
 # Rows with a -0.0, an all-zero row and rows with trailing zeros.
@@ -538,7 +554,7 @@ def test_from_rows_holds_no_tuples_until_asked():
     built = SparseVector.from_rows(np.array(_BLOCK_ROWS))
     read = [(x.dense(3), x.sq_norm, x.width) for x in built]
     assert len(read) == len(_BLOCK_ROWS)
-    assert all(x._indices is None and x._values is None for x in built)
+    assert all(x._pairs is None for x in built)
     for x, row in zip(built, _BLOCK_ROWS):
         plain = SparseVector(enumerate(row))
         assert x.indices == plain.indices
@@ -576,19 +592,43 @@ def test_from_rows_width_ignores_trailing_zeros():
         built[4].dense(0)
 
 
-def test_synthetic_example_memory_after_dense_rows():
-    # Each value lives once, in its block; boxed float tuples plus a second
-    # dense copy took 3,066 B per example here.
+@pytest.mark.parametrize("source, d, most", [
+    # Boxed float tuples plus a second dense copy took 3,066 B per example.
+    ("drawn", 68, 1_000),
+    # Parsed tuples plus a dense copy took 1,009 B per example.
+    ("parsed", 18, 600),
+])
+def test_synthetic_example_memory_after_dense_rows(tmp_path, source, d, most):
+    # Each value lives once, in its block.
+    path = tmp_path / "noisy.libsvm"
+    if source == "parsed":
+        with open(path, "w", encoding="utf-8") as fh:
+            format_libsvm(synth_noisy(20_000, d, 0.1, 3), fh)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ds = synth_noisy(20_000, 68, 0.1, 3)
+        ds = (load_libsvm(str(path)) if source == "parsed"
+              else synth_noisy(20_000, d, 0.1, 3))
         for ex in ds.examples:
-            ex.x.dense(68)
+            ex.x.dense(d)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held / len(ds) <= 1_000
+    assert held / len(ds) <= most
+
+
+def test_every_dense_row_is_read_only():
+    built = SparseVector([(0, 1.0), (2, 3.0)])
+    parsed = parse_libsvm(["+1 0:1 2:-7\n", "-1 1:2 \n"]).examples
+    drawn = SparseVector.from_rows(np.array(_BLOCK_ROWS))
+    xs = [built, parsed[0].x, parsed[1].x, *drawn]
+    rows = [x.dense(3) for x in xs] + [x.dense(x.width + 2) for x in xs]
+    rows += [x.dense(3) for x in pickle.loads(pickle.dumps(xs))]
+    for row in rows:
+        with pytest.raises(ValueError):
+            row[0] = 100.0
+    assert built.dense(3).tolist() == [1.0, 0.0, 3.0] and built.sq_norm == 10.0
+    assert parsed[0].x.dense(3).tolist() == [1.0, 0.0, -7.0]
 
 
 def test_from_rows_rejects_non_finite():
