@@ -149,7 +149,7 @@ def _bulk_line(line: str, keys: list[str] | None, indices: tuple[int, ...]):
 
     A well-formed line is ASCII, and its separators are exactly one space
     before each idx:val token and one colon inside it: no other whitespace
-    (a trailing newline aside), no '#', and no colon in the label.  Its label
+    (trailing whitespace aside), no '#', and no colon in the label.  Its label
     and values must convert to finite floats, the values must be nonzero,
     and the indices nonnegative and strictly increasing; if the index
     strings equal keys, the line reuses indices, the tuple already parsed
@@ -157,7 +157,7 @@ def _bulk_line(line: str, keys: list[str] | None, indices: tuple[int, ...]):
     """
     if not line.isascii():
         return None
-    body = line.rstrip("\n")
+    body = line.rstrip(" \t\r\n\v\f")
     signature = body.encode().translate(None, _NOT_SEPARATORS)
     if signature != b" :" * (len(signature) >> 1):
         return None

@@ -17,13 +17,13 @@ its norm and the kernel alignment all follow from g = K y, which is
 quadratic in T, so each command builds g once: mean_embedding makes the
 embedding (kernel_alignment returns it beside the alignment), and
 default_comparator only rescales the embedding it is given.  Each g
-densifies the stream once and, K being symmetric, computes only its upper
-triangle: row block [i, i + rows) evaluates K[i:i+rows, i:], so a g takes
-T (T + rows) / 2 kernel values instead of T^2, with rows =
-_BLOCK_ENTRIES // T.  Every block is written into one reused buffer of at
-most _BLOCK_ENTRIES values: memory stays O(T d + 2 _BLOCK_ENTRIES) (the
-buffer and one temporary of the Gaussian arithmetic) while time stays
-quadratic in T.
+builds the stream's stored and query kernel operands once and, K being
+symmetric, computes only its upper triangle: row block [i, i + rows)
+evaluates K[i:i+rows, i:], so a g takes T (T + rows) / 2 kernel values
+instead of T^2, with rows = _BLOCK_ENTRIES // T.  Every block is written
+into one reused buffer of at most _BLOCK_ENTRIES values, and the kernel
+arithmetic runs in place on it: memory stays O(T d + _BLOCK_ENTRIES) while
+time stays quadratic in T.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from .kernels import (
     LabeledExample,
     kernel_diag,
     pairwise_kernel,
+    query_rows,
+    stored_rows,
 )
 from .learners import (
     AVP,
@@ -144,15 +146,18 @@ def _kernel_times_labels(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(y, g) with g = K y, K the stream's Gram matrix, from its upper triangle.
 
-    The stream is densified once.  Row block I = [i, i + m) writes K[I, i:]
-    into one buffer, adds K[I, i:] y[i:] to g[I] and, by symmetry,
-    K[I, i+m:]' y[I] to g[i+m:].  Both reductions are np.einsum, which sums
-    in one thread in a fixed order, so they do not depend on
-    OPENBLAS_NUM_THREADS as the threaded gemv ``block @ y`` did.  The kernel
-    block itself is an OpenBLAS gemm: it agreed under 1 and 2 threads at
-    d = 8, but at d = 68 its last bits, and so g's, change with the thread
-    count; OPENBLAS_NUM_THREADS=1 reproduces the values the tests and the
-    benchmark pin.
+    The stream's stored operand rows Z and query operand rows Q
+    (kernels.stored_rows, query_rows) are built once; they are distinct
+    arrays, so even a square block is a gemm.  Row block I = [i, i + m)
+    writes K[I, i:] = pairwise_kernel(Z[I], Q[i:]) into one buffer, adds
+    K[I, i:] y[i:] to g[I] and, by symmetry, K[I, i+m:]' y[I] to g[i+m:].
+    Both reductions are np.einsum, which sums in one thread in a fixed
+    order, so they do not depend on OPENBLAS_NUM_THREADS as the threaded
+    gemv ``block @ y`` did.  The kernel
+    block itself is an OpenBLAS gemm whose last bits, and so g's, can change
+    with the thread count (at sigma = 0.7 they did at d = 8 and d = 68);
+    OPENBLAS_NUM_THREADS=1 reproduces the values the tests and the benchmark
+    pin.
     """
     if not stream:
         raise ValueError("stream must be nonempty")
@@ -162,17 +167,15 @@ def _kernel_times_labels(
     dim = max(x.width for x in xs)
     X = np.array([x.dense(dim) for x in xs])
     xsq = np.array([x.sq_norm for x in xs])
-    # The columns are a copy: a square block (the last one, or a stream that
-    # fits one block) of the same rows of one array would take numpy's syrk
-    # path, which rounds unlike gemm.
-    Y = X.copy()
+    Z = stored_rows(spec, X, xsq, np.empty((T, dim + 2)))
+    Q = query_rows(spec, X, xsq, np.empty((T, dim + 2)))
     rows = max(1, _BLOCK_ENTRIES // T)
     buf = np.empty(min(rows, T) * T)
     g = np.zeros(T)
     for i in range(0, T, rows):
         m = min(rows, T - i)
         block = buf[: m * (T - i)].reshape(m, T - i)
-        pairwise_kernel(spec, X[i : i + m], xsq[i : i + m], Y[i:], xsq[i:], out=block)
+        pairwise_kernel(spec, Z[i : i + m], Q[i:], out=block)
         g[i : i + m] += np.einsum("ij,j->i", block, y[i:])
         g[i + m :] += np.einsum("ij,i->j", block[:, m:], y[i : i + m])
     return y, g

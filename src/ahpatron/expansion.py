@@ -1,20 +1,23 @@
 """Kernel expansion hypotheses: f = sum_i alpha_i * kappa(x_i, .).
 
-An Expansion owns the active set of an online learner: the dense instance
-rows and their squared norms, the coefficients, an incrementally maintained
-Gram matrix, and a cached squared RKHS norm.  The row width is fixed at
-construction; insert and a nonempty score raise ValueError on a wider
-instance, before any state changes.  Each term is stored once, as the row
+An Expansion owns the active set of an online learner: each instance as
+its stored kernel operand row z (kernels.stored_rows: the dense row with
+its norm term folded in), the coefficients, an incrementally maintained
+Gram matrix, and a cached squared RKHS norm.  A score fills one reused
+query operand row q (kernels.query_rows), and its kernel row is
+kernel_row(Z, q): one matrix product, then for the Gaussian kernel a clamp
+and an exp.  The row width is fixed at construction; insert and a nonempty
+score raise ValueError on a wider instance, before any state changes.  Each term is stored once, as the row
 that scoring reads; insert takes the bare instance, since a term's
 coefficient already carries its label's sign.  Terms are a multiset --
 duplicate instances are kept as separate terms and never merged, because
 budget maintenance splits the active set by per-update coefficients.
 
 Each term has one slot, the same index in every per-term array
-(coefficients, squared norms, dense rows) and in the Gram matrix, and the
-live slots are always [0, n); coefficients, Gram and kernel rows are all
-read by slot.  Evicting one term moves the last slot into its hole, so
-nothing else shifts.  The int array order[:n] lists the slots in insertion
+(coefficients, operand rows) and in the Gram matrix, and the live slots
+are always [0, n); coefficients, Gram and kernel rows are all read by
+slot.  Evicting one term moves the last slot into its hole, so nothing
+else shifts.  The int array order[:n] lists the slots in insertion
 order: it stays the identity until the first single-term eviction, and
 every compaction writes the survivors back in that order, restoring it.
 
@@ -32,7 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import KernelSpec, SparseVector, kernel_diag, kernel_row
+from .kernels import (KernelSpec, SparseVector, kernel_diag, kernel_row,
+                      query_rows, stored_rows)
 
 _MIN_CAPACITY = 16
 
@@ -56,7 +60,7 @@ class Expansion:
     proceed concurrently on shared immutable inputs.
     """
 
-    __slots__ = ("spec", "_dim", "_n", "_alphas", "_xsq", "_X", "_gram",
+    __slots__ = ("spec", "_dim", "_n", "_alphas", "_Z", "_q", "_gram",
                  "_order", "_evictions", "_sq_norm", "max_drift")
 
     def __init__(self, spec: KernelSpec, dim: int):
@@ -64,8 +68,9 @@ class Expansion:
         self._dim = int(dim)
         self._n = 0
         self._alphas = np.zeros(_MIN_CAPACITY)
-        self._xsq = np.zeros(_MIN_CAPACITY)
-        self._X = np.zeros((_MIN_CAPACITY, self._dim))
+        # Stored operand rows by slot, and the query operand buffer.
+        self._Z = np.zeros((_MIN_CAPACITY, self._dim + 2))
+        self._q = np.zeros(self._dim + 2)
         self._gram = np.zeros((_MIN_CAPACITY, _MIN_CAPACITY))
         # The live slots in insertion order.
         self._order = np.zeros(_MIN_CAPACITY, dtype=np.intp)
@@ -110,8 +115,8 @@ class Expansion:
         n = self._n
         if n == 0:
             return np.empty(0)
-        xd = x.dense(self._dim)
-        return kernel_row(self.spec, self._X[:n], self._xsq[:n], xd, x.sq_norm)
+        q = query_rows(self.spec, x.dense(self._dim), x.sq_norm, self._q)
+        return kernel_row(self.spec, self._Z[:n], q)
 
     def score(self, x: SparseVector) -> tuple[np.ndarray, float]:
         """(kernel_row(x), f(x)) from one kernel row and one dot product."""
@@ -139,8 +144,7 @@ class Expansion:
         kxx = kernel_diag(self.spec, x)
         self._reserve(n + 1)
         self._alphas[n] = coeff
-        self._xsq[n] = x.sq_norm
-        self._X[n] = xd
+        stored_rows(self.spec, xd, x.sq_norm, self._Z[n])
         self._gram[n, :n] = row
         self._gram[:n, n] = row
         self._gram[n, n] = kxx
@@ -230,7 +234,7 @@ class Expansion:
         order[order == last] = i
         order[k:last] = order[k + 1 :]  # numpy buffers the overlap
         if i != last:
-            a[i], self._xsq[i], self._X[i] = a[last], self._xsq[last], self._X[last]
+            a[i], self._Z[i] = a[last], self._Z[last]
             moved = G[last, :last]
             G[i, :last] = moved
             G[:last, i] = moved
@@ -281,8 +285,7 @@ class Expansion:
         m = len(keep)
         # Fancy indexing copies, so overlapping writes are safe.
         self._alphas[:m] = coeffs
-        self._xsq[:m] = self._xsq[keep]
-        self._X[:m] = self._X[keep]
+        self._Z[:m] = self._Z[keep]
         self._gram[:m, :m] = self._gram.take(keep, 0).take(keep, 1)
         self._order[:m] = np.arange(m)
         self._n = m
@@ -300,7 +303,7 @@ class Expansion:
         gram = np.zeros((new_cap, new_cap))
         gram[:k, :k] = self._gram[:k, :k]
         self._gram = gram
-        for name in ("_alphas", "_xsq", "_X", "_order"):
+        for name in ("_alphas", "_Z", "_order"):
             old = getattr(self, name)
             grown = np.zeros((new_cap, *old.shape[1:]), dtype=old.dtype)
             grown[:k] = old[:k]

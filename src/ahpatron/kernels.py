@@ -8,12 +8,19 @@ one-row block.  The row is the vector's dense row; its index and value
 tuples are derived from it on demand.
 
 Supported kernel families: Gaussian (RBF) and linear.  Kernel values come
-from one BLAS routine, kernel_row, of dense rows and their squared norms:
-a single query row for scoring and Gram updates, or a whole block
-(pairwise_kernel) for the comparator and alignment passes; kernel_diag
-gives a new term's Gram diagonal.  All evaluations are double precision;
-the Gaussian kernel is normalized (kappa(x, x) = 1) so the unit-diagonal
-assumption needed by the bound checkers holds automatically.
+from one formula, kernel_row, on operand rows of width dim + 2 that carry
+each side's norm term, so one BLAS product yields the exponent.  With
+gamma = 1 / (2 sigma^2), an instance x_i on the stored side is
+z_i = [2 gamma x_i, -gamma |x_i|^2, 1] (stored_rows) and a query x is
+q = [x, 1, -gamma |x|^2] (query_rows), so z_i . q = -gamma |x_i - x|^2
+and the Gaussian kernel is exp(min(Z q, 0)); the clamp keeps every value
+in [0, 1].  For the linear kernel z_i = [x_i, 0, 0], q = [x, 0, 0] and the
+product is the kernel.  kernel_row takes a single query for scoring and
+Gram updates, pairwise_kernel a whole block for the comparator and
+alignment passes; kernel_diag gives a new term's Gram diagonal (exact 1.0
+for Gaussian).  All evaluations are double precision; the Gaussian kernel
+is normalized (kappa(x, x) = 1) so the unit-diagonal assumption needed by
+the bound checkers holds automatically.
 """
 
 from __future__ import annotations
@@ -135,17 +142,19 @@ class SparseVector:
     def dense(self, dim: int) -> np.ndarray:
         """The read-only dense row of length ``dim``.
 
-        At the block's width this is the stored row itself; at any other
-        width a read-only copy, zero-padded or cut after the last nonzero.
+        Up to the block's width this is the stored row or a view of it, cut
+        after the last nonzero; only a wider dim makes a zero-padded
+        read-only copy.
         """
         row = self._row
         if dim == len(row):
             return row
         if dim < self._width:
             raise ValueError(f"dim {dim} < width {self._width}")
+        if dim < len(row):
+            return row[:dim]  # a view of a read-only row is read-only
         out = np.zeros(dim)
-        kept = row[:dim]
-        out[:len(kept)] = kept
+        out[: len(row)] = row
         out.flags.writeable = False
         return out
 
@@ -227,42 +236,64 @@ def kernel_diag(spec: KernelSpec, x: SparseVector) -> float:
     return x.sq_norm
 
 
-def pairwise_kernel(
-    spec: KernelSpec,
-    X: np.ndarray,
-    xsq: np.ndarray,
-    Y: np.ndarray,
-    ysq: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Kernel block K[i, j] = kappa(X[i], Y[j]) of dense rows with squared norms
-    xsq and ysq, through kernel_row's BLAS arithmetic (written into out if given)."""
-    return kernel_row(spec, X, xsq[:, None], Y.T, ysq, out=out)
+def _gamma(spec: KernelSpec) -> float:
+    return 1.0 / (2.0 * spec.sigma * spec.sigma)
 
 
-def kernel_row(
-    spec: KernelSpec,
-    X: np.ndarray,
-    xsq: np.ndarray,
-    xd: np.ndarray,
-    x_sq: float,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Kernel values of a dense query against stored dense rows.
+def stored_rows(spec: KernelSpec, X: np.ndarray, xsq: float | np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Write the stored operand z of dense rows X (squared norms xsq) into out.
 
-    X and xsq are the stored instances and their cached squared norms; xd
-    and x_sq the query.  This is the hot path shared by hypothesis
-    evaluation and incremental Gram updates.  With xsq a column, xd a
-    (dim, m) matrix and x_sq a length-m vector it returns the whole
-    len(X) x m block (pairwise_kernel).  The product goes into out (a new
-    array if None) and the Gaussian arithmetic runs in place on it, so a
-    caller can reuse one buffer for many blocks.
+    X is one row (xsq a float) or a block of rows (xsq a vector); out has
+    X's shape with each row 2 entries wider.  Gaussian:
+    z = [2 gamma x, -gamma |x|^2, 1]; linear: z = [x, 0, 0].
     """
-    out = np.matmul(X, xd, out=out)
+    d = X.shape[-1]
+    if spec.family == LINEAR:
+        out[..., :d] = X
+        out[..., d:] = 0.0
+        return out
+    gamma = _gamma(spec)
+    np.multiply(X, 2.0 * gamma, out=out[..., :d])
+    out[..., d] = xsq * -gamma
+    out[..., d + 1] = 1.0
+    return out
+
+
+def query_rows(spec: KernelSpec, X: np.ndarray, xsq: float | np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """Write the query operand q of dense rows X (squared norms xsq) into out,
+    shaped as for stored_rows.  Gaussian: q = [x, 1, -gamma |x|^2]; linear:
+    q = [x, 0, 0]."""
+    d = X.shape[-1]
+    out[..., :d] = X
+    if spec.family == LINEAR:
+        out[..., d:] = 0.0
+        return out
+    out[..., d] = 1.0
+    out[..., d + 1] = xsq * -_gamma(spec)
+    return out
+
+
+def pairwise_kernel(spec: KernelSpec, Z: np.ndarray, Q: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Kernel block K[i, j] = kappa(x_i, x_j) of stored operand rows Z and
+    query operand rows Q, through kernel_row (written into out if given)."""
+    return kernel_row(spec, Z, Q.T, out=out)
+
+
+def kernel_row(spec: KernelSpec, Z: np.ndarray, q: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Kernel values of a query operand q against stored operand rows Z.
+
+    This is the hot path shared by hypothesis evaluation and incremental
+    Gram updates.  With q a (dim + 2, m) matrix of query columns it returns
+    the whole len(Z) x m block (pairwise_kernel).  The product goes into
+    out (a new array if None) and the clamp and exp run in place on it, so
+    a caller can reuse one buffer for many blocks.
+    """
+    out = np.matmul(Z, q, out=out)
     if spec.family == LINEAR:
         return out
-    out *= 2.0
-    np.subtract(xsq + x_sq, out, out=out)
-    np.maximum(out, 0.0, out=out)
-    out *= -1.0 / (2.0 * spec.sigma * spec.sigma)
+    np.minimum(out, 0.0, out=out)
     return np.exp(out, out=out)

@@ -6,9 +6,9 @@ its kernel rows through one dense BLAS routine), naive per-term sums, a
 plain coordinate descent minimizer, and uniforms and normals drawn one
 output at a time (the library draws them in blocks).  The oracles stay
 independent of whatever they check: from the library they take only the
-input types, the PRNG, the parser's error type, and pairwise_kernel for
-the sparse_kernel_block call-site helper (test_oracles_are_independent
-guards this).
+input types, the PRNG, the parser's error type, and pairwise_kernel with
+its operand builders for the sparse_kernel_block call-site helper
+(test_oracles_are_independent guards this).
 """
 
 from __future__ import annotations
@@ -18,7 +18,14 @@ import math
 import numpy as np
 
 from ahpatron.data import MalformedLine
-from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector, pairwise_kernel
+from ahpatron.kernels import (
+    KernelSpec,
+    LabeledExample,
+    SparseVector,
+    pairwise_kernel,
+    query_rows,
+    stored_rows,
+)
 from ahpatron.prng import SplitMix64, derive_stream_seed
 
 
@@ -336,13 +343,21 @@ def densify(xs, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array([x.dense(dim) for x in xs]), np.array([x.sq_norm for x in xs])
 
 
+def operands(spec: KernelSpec, xs, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stored and query kernel operand rows of sparse vectors at width dim."""
+    X, xsq = densify(xs, dim)
+    shape = (len(xs), dim + 2)
+    return (stored_rows(spec, X, xsq, np.empty(shape)),
+            query_rows(spec, X, xsq, np.empty(shape)))
+
+
 def sparse_kernel_block(spec: KernelSpec, xs, ys) -> np.ndarray:
     """pairwise_kernel of sparse rows, each side densified at the common width.
 
     A call-site helper for tests that build kernel blocks, not an oracle.
     """
     dim = max(v.width for v in [*xs, *ys])
-    return pairwise_kernel(spec, *densify(xs, dim), *densify(ys, dim))
+    return pairwise_kernel(spec, operands(spec, xs, dim)[0], operands(spec, ys, dim)[1])
 
 
 def random_sparse(gen: ScalarSplitMix64, dim: int, density: float = 0.7,

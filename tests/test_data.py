@@ -215,10 +215,23 @@ def test_parse_fuzz_matches_per_line_reference():
             else:
                 line = line[:pos] + ch + line[pos + 1:]
             lines[i] = line
+        if rng.random() < 0.25:  # trailing whitespace, as some files have
+            i = rng.randrange(len(lines))
+            body = lines[i].rstrip("\n")
+            lines[i] = body + rng.choice([" ", "\t", " \t", "  "]) + lines[i][len(body):]
         got = _check_against_reference(lines)
         kinds[got[0] if isinstance(got[0], type) else "parsed"] += 1
     # Both outcomes are common, so both paths and the errors are exercised.
     assert kinds["parsed"] > 300 and kinds[MalformedLine] > 300, kinds
+
+
+def test_trailing_whitespace_takes_the_bulk_path():
+    # Files such as a9a end every line in a space; those lines stay on the
+    # fast path (the fuzz above checks that the result is unchanged).
+    for tail in ("", "\n", " \n", "\t\n", " \r\n", " \t "):
+        assert data._bulk_line("1 1:2 3:4" + tail, None, ()) == (
+            1.0, ["1", "3"], (1, 3), (2.0, 4.0)), repr(tail)
+    assert data._bulk_line("1 1:2 3:4\x1c\n", None, ()) is None
 
 
 def test_parse_pin_and_one_block(tmp_path):

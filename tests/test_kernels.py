@@ -4,7 +4,9 @@ import pickle
 import numpy as np
 import pytest
 
+from ahpatron.expansion import Expansion
 from ahpatron.kernels import (
+    GAUSSIAN,
     KernelSpec,
     LabeledExample,
     SparseVector,
@@ -14,9 +16,9 @@ from ahpatron.kernels import (
 
 from oracles import (
     ScalarSplitMix64,
-    densify,
     gram_matrix,
     kernel_eval,
+    operands,
     random_sparse,
     sparse_kernel_block,
     sparse_sq_dist,
@@ -62,6 +64,21 @@ def test_sparse_vector_dense_and_width():
     with pytest.raises(ValueError):
         v.dense(2)
     assert SparseVector([]).width == 0
+
+
+def test_dense_narrower_than_the_block_is_a_view():
+    # A row of width 3 in a 5-wide block: up to the block width dense() is
+    # the stored row or a view of it; only padding beyond it copies.
+    x = SparseVector.from_rows(np.array([[1.0, 0.0, 2.0, 0.0, 0.0],
+                                         [0.5, 0.0, 0.0, 0.0, 3.0]]))[0]
+    alone = SparseVector([(0, 1.0), (2, 2.0)])
+    for dim in (3, 4, 5):
+        d = x.dense(dim)
+        assert np.shares_memory(d, x.dense(5)) and not d.flags.writeable
+        assert d.tobytes() == alone.dense(dim).tobytes()
+    padded = x.dense(7)
+    assert not np.shares_memory(padded, x.dense(5)) and not padded.flags.writeable
+    assert padded.tobytes() == alone.dense(7).tobytes()
 
 
 def test_labeled_example_validates_label():
@@ -221,7 +238,9 @@ def test_pairwise_kernel_agrees_with_gram():
         fast = sparse_kernel_block(spec, xs, xs)
         exact = gram_matrix(spec, xs)
         assert np.allclose(fast, exact, rtol=0.0, atol=1e-12)
-        assert np.array_equal(fast, fast.T)
+        # z_i . q_j and z_j . q_i add the two norm terms in opposite orders,
+        # so a Gaussian block is symmetric to rounding, not bitwise.
+        assert np.allclose(fast, fast.T, rtol=0.0, atol=1e-15)
         block = sparse_kernel_block(spec, xs, xs[:4] + [wide])
         exact = gram_matrix(spec, xs + [wide])[:12, [0, 1, 2, 3, 12]]
         assert np.allclose(block, exact, rtol=0.0, atol=1e-12)
@@ -230,11 +249,10 @@ def test_pairwise_kernel_agrees_with_gram():
 @pytest.mark.parametrize("spec", [GAUSS, KernelSpec.linear()], ids=["gaussian", "linear"])
 def test_kernel_row_into_buffer_is_bitwise_the_allocating_call(spec):
     gen = ScalarSplitMix64(37)
-    X, xsq = densify([random_sparse(gen, 6) for _ in range(9)], 6)
-    Q, qsq = densify([random_sparse(gen, 6) for _ in range(5)], 6)
+    Z, _ = operands(spec, [random_sparse(gen, 6) for _ in range(9)], 6)
+    _, Q = operands(spec, [random_sparse(gen, 6) for _ in range(5)], 6)
     # One query row, as the learners score, and a block of five.
-    for args, shape in (((X, xsq, Q[0], qsq[0]), (9,)),
-                        ((X, xsq[:, None], Q.T, qsq), (9, 5))):
+    for args, shape in (((Z, Q[0]), (9,)), ((Z, Q.T), (9, 5))):
         buf = np.full(shape, np.nan)
         assert kernel_row(spec, *args, out=buf) is buf
         assert buf.tobytes() == kernel_row(spec, *args).tobytes()
@@ -243,12 +261,37 @@ def test_kernel_row_into_buffer_is_bitwise_the_allocating_call(spec):
 @pytest.mark.parametrize("spec", [GAUSS, KernelSpec.linear()], ids=["gaussian", "linear"])
 def test_pairwise_kernel_reuses_one_buffer_for_ragged_blocks(spec):
     gen = ScalarSplitMix64(41)
-    X, xsq = densify([random_sparse(gen, 6) for _ in range(23)], 6)
-    Y, ysq = X.copy(), xsq.copy()
+    Z, Q = operands(spec, [random_sparse(gen, 6) for _ in range(23)], 6)
     buf = np.full((10, 23), np.nan)
     for i in range(0, 23, 10):  # blocks of 10, 10 and 3 rows
         block = buf[: min(10, 23 - i)]
         rows = slice(i, i + 10)
-        assert pairwise_kernel(spec, X[rows], xsq[rows], Y, ysq, out=block) is block
-        fresh = pairwise_kernel(spec, X[rows].copy(), xsq[rows].copy(), Y, ysq)
+        assert pairwise_kernel(spec, Z[rows], Q, out=block) is block
+        fresh = pairwise_kernel(spec, Z[rows].copy(), Q)
         assert block.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("spec", [KernelSpec.gaussian(s) for s in (0.05, 1.0, 30.0)]
+                         + [KernelSpec.linear()],
+                         ids=["sigma-0.05", "sigma-1", "sigma-30", "linear"])
+def test_fused_rows_match_the_scalar_kernel(spec):
+    # Expansion rows and pairwise blocks are one product of operand rows;
+    # the oracle merges sparse supports.  Near-copies of stored rows keep
+    # sigma = 0.05 off an all-zero block.
+    gen = ScalarSplitMix64(43)
+    xs = [random_sparse(gen, 7, scale=2.0) for _ in range(12)]
+    near = [SparseVector((i, v + 0.01 * gen.uniform()) for i, v in zip(x.indices, x.values))
+            for x in xs[:4]]
+    queries = xs[:4] + near + [random_sparse(gen, 7) for _ in range(4)]
+    f = Expansion(spec, 7)
+    for x in xs:
+        f.insert(x, 1.0)
+    exact = np.array([[kernel_eval(spec, x, q) for q in queries] for x in xs])
+    rows = np.array([f.kernel_row(q) for q in queries]).T
+    for K in (rows, sparse_kernel_block(spec, xs, queries)):
+        assert np.allclose(K, exact, rtol=0.0, atol=1e-12)
+        if spec.family == GAUSSIAN:
+            assert ((0.0 <= K) & (K <= 1.0)).all()
+            own = K[range(4), range(4)]  # stored instances against themselves
+            assert (own <= 1.0).all() and (1.0 - own <= 1e-12).all()
+            assert (exact[range(4), range(4)] == 1.0).all()

@@ -578,13 +578,18 @@ def _sha256(a):
 # since the incremental eviction norm update changed their last bits, and
 # their margins were re-captured when an eviction began moving the last
 # slot into the victim's, which reorders their sums; the other learners
-# never evict a single term, so their sums and norms stay bitwise.
-# Column hashes are of the raw bytes, NaN entries of removal_distances
-# included.
+# never evict a single term, so their sums and norms stay bitwise.  Every
+# margin, norm and removal-distance digest was re-captured again when a
+# kernel row became one product of operand rows that carry each side's norm
+# term (kernels.stored_rows, query_rows): that rounds the Gaussian exponent
+# differently, moving these values in their last bits, while every count
+# and every prediction, mistake, trigger, removal and size column stayed
+# equal.  Column hashes are of the raw bytes, NaN entries of
+# removal_distances included.
 _PINNED = {
     "perceptron": (
-        "7c9a72b247290dd8ddabb7ec3d6d58163a137e9958058492a90ac7d2567959f0",
-        "2400db4998a9f45583e6fee21ec70262e0477405df86d465021326fd93173aff",
+        "4279ab8d063b4b999c0dace7d2900ff8f4559dc3d83ab912e26179314cbda90c",
+        "4138f3fd27777d48c429f4f5c0aebeff586bd620dd25f95c8a8876edf2836972",
         (335, 336, 0, 0), 336, 336,
         {
             "predictions": "36205152afb0da39dc09a509aef4d6f9232368e7cb00c30073195117864d51b0",
@@ -595,8 +600,8 @@ _PINNED = {
             "active_sizes": "fb16e3f1ba37790dca6304a4a7285dd947ca192c41f2e1901874af8f7175c709",
         }),
     "avp": (
-        "ec82a328549c272126333a7051fd0aae02ad9e30755ce0bd2325ce7331b4b7fc",
-        "e53b2e33e1772989a330c908908c9373bfa668774e740826d3e5951212442923",
+        "50a8eccb1b925ee525968b3e828483c6e7b7d089515f30608dcab051268bed2d",
+        "42ecaf4477f86e954550453b8f58f902d6bbc3380acfc2f39a6eb852bdf7e749",
         (327, 328, 24, 0), 352, 352,
         {
             "predictions": "e2ab5df37497852b2fd5caf3ef8d58aaf0446534a3ec02d4e743adbb4c17db42",
@@ -607,8 +612,8 @@ _PINNED = {
             "active_sizes": "fbf18e9bdbc83ab12e7598f1810b7f8c399620ef187778f4c60302e8b2a51fac",
         }),
     "avp-adaptive": (
-        "195fb365c67408b93c1745cb45f975bef3f59759d79329b165ee49686c7869c0",
-        "af109bfda24e10d590c10704254fd1f0b40ae90dd6c1d8644143940a7a3e5f63",
+        "312c57a213be6cbfb2ef1aff6a870bd95bc87f3218e4a142c575137c6f2aaaae",
+        "bfae8bc87f3abf2472c1d018de68975c038f4a6ab06a3d0327b3348d79a72c6e",
         (208, 209, 174, 0), 383, 383,
         {
             "predictions": "3b863fe010783c1387fef63946300a3cd50b612fa9f6fc9bca67abc892ff6ade",
@@ -619,7 +624,7 @@ _PINNED = {
             "active_sizes": "857e191adfdee1613c6e2d4602ce0ac384ce25b97d8d4c842027408e63f4a495",
         }),
     "budget-oldest": (
-        "82eb5dea90befc3c4463c0e33ba8d3ed389d2b28ee8df797d3607ee5751350df",
+        "8d39feb2c08b4a50c6c8784badfeb6286b782bf57da9a0c757515ede1b153a72",
         None, (370, 371, 0, 0), 371, 16,
         {
             "predictions": "73f04242a6daea8e7729c785b1abd42418b018bdc56dcad2d7b37d78c7d14de8",
@@ -630,7 +635,7 @@ _PINNED = {
             "active_sizes": "9b6e85d07eda827c0ad788051c5ec15e1042daf505d1c7f48555b5bee64df77f",
         }),
     "budget-random": (
-        "b30a079707ac5fa2896ed08666accfa35f74dabeb76e036e80978395e6193e1c",
+        "d13f046a31c3f1da0f6cd7031399dbef126fdd06536a2dcdf1a4dcd4ec81b745",
         None, (377, 378, 0, 0), 378, 16,
         {
             "predictions": "94dddfc526cfe50fdce5eace761fd3ea0fc5b561d61e2e076a60c35d7b4e7c8a",
@@ -641,27 +646,27 @@ _PINNED = {
             "active_sizes": "9b6e85d07eda827c0ad788051c5ec15e1042daf505d1c7f48555b5bee64df77f",
         }),
     "ahpatron": (
-        "7945bba917d4e80e9d84bd706799e1277d3f52504a479cce488d0fa707a7159f",
-        "baf8445d805324f782efe07ac75ed2e1770811c7710851f27e72defe15ee87df",
+        "70c1004c8dd69be8c796d9bd93d8518e5f232321a1788d3ff1a5e9fa93f7f409",
+        "f46776cf4235959a1f8c0ffbd7e70db61efc780b98f6ed78b3b24507ca1991e4",
         (204, 205, 179, 46), 384, 16,
         {
             "predictions": "2cfc856171445d75e6cd3ded195fa3ac2439b088ffed731c0d5344460e5e2c77",
             "mistakes": "3960caebbbd27c7e9f06427f16c3ef03f452f16acc521bcd22add5b1b9bdc86d",
             "triggered": "574516fbdd23311ba2361630cc4c6d6b4fc6c0ab00940b349f1277944fac85d9",
             "removals": "afb894d6b1551d89c3a5e2574fca4d4dbade0aadf0964e8fde5ade8e0caa27a0",
-            "removal_distances": "77b648e3e5bed5ef6a08f688b2413c8ee862f9903ee47ab447161d0749eba811",
+            "removal_distances": "11f403815ea1fb579a3deb75896487b3102d5149de2e352da0afa84ba087d8be",
             "active_sizes": "16bffda6f48eb8512cbf91ff534c99bb010d0213f30c7a40dff8c7d5a90ad8c2",
         }),
     "ahpatron-noproj": (
-        "1164c4979a6068fb2b3efdba56e0e09108a3b260920c400c96980da76c01a7d6",
-        "b258222a20c3feae9d7ad300a978c3e13e9a0a1a16deb23fe18d60f282c226b3",
+        "9af2f1c6ed0e34c749937fe6eb13ff07a77d5ae5ac20ac755e5fea8a52c414e5",
+        "c19052ad9d8ef63481719b8eda4d3d8573e51937c93753be3757191442c46f2b",
         (213, 214, 164, 46), 378, 10,
         {
             "predictions": "d56e082196cd3824da8861712863a3c8a339317256083e1a144e61687dcc39b0",
             "mistakes": "37a6685a1eea36ffed932d96b6af33707aaa7010d7f8df9bfd5efb1532c98f2e",
             "triggered": "e76670e447002ce8f32661203a30ecad6d89970253996c6bb0c6c1258beb20ec",
             "removals": "38de34984be75812aca73687aeca36ea4bab3bb3e724e9fd346ce6364c7c5fb4",
-            "removal_distances": "5fa152c04605b1692cf1058c631709de8004299952f16f416df4c74fb9f0cdc2",
+            "removal_distances": "73208d6012c98a2a5015c5c13fd2eefd0cbea2e6389bbc1619707faeb09fc3cf",
             "active_sizes": "7df79e371609a7c46ed704f67d005fc1124c0fa8119f90b93f269d63204ba9b4",
         }),
 }
