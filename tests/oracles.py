@@ -357,7 +357,9 @@ def sparse_kernel_block(spec: KernelSpec, xs, ys) -> np.ndarray:
     A call-site helper for tests that build kernel blocks, not an oracle.
     """
     dim = max(v.width for v in [*xs, *ys])
-    return pairwise_kernel(spec, operands(spec, xs, dim)[0], operands(spec, ys, dim)[1])
+    Z, _ = operands(spec, xs, dim)
+    _, Q = operands(spec, ys, dim)
+    return pairwise_kernel(spec, Z, Q)
 
 
 def random_sparse(gen: ScalarSplitMix64, dim: int, density: float = 0.7,

@@ -4,9 +4,8 @@ tests/oracles.py may take from the library only its input types, the PRNG,
 the parser's error type (so the reference parser raises what parse_libsvm
 raises), and pairwise_kernel with its operand builders (for the
 sparse_kernel_block call-site helper, which builds kernel blocks and is not
-itself an oracle).  Anything else -- a
-kernel evaluation, a norm, a solver -- would make the oracle agree with the
-library by construction.
+itself an oracle).  Anything else -- a kernel evaluation, a norm, a solver
+-- would make the oracle agree with the library by construction.
 """
 
 from __future__ import annotations
