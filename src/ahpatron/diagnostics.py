@@ -40,9 +40,8 @@ from .kernels import (
     KernelSpec,
     LabeledExample,
     kernel_diag,
+    operands,
     pairwise_kernel,
-    query_rows,
-    stored_rows,
 )
 from .learners import (
     AVP,
@@ -146,29 +145,24 @@ def _kernel_times_labels(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(y, g) with g = K y, K the stream's Gram matrix, from its upper triangle.
 
-    The stream's stored operand rows Z and query operand rows Q
-    (kernels.stored_rows, query_rows) are built once; they are distinct
-    arrays, so even a square block is a gemm.  Row block I = [i, i + m)
-    writes K[I, i:] = pairwise_kernel(Z[I], Q[i:]) into one buffer, adds
-    K[I, i:] y[i:] to g[I] and, by symmetry, K[I, i+m:]' y[I] to g[i+m:].
-    Both reductions are np.einsum, which sums in one thread in a fixed
-    order, so they do not depend on OPENBLAS_NUM_THREADS as the threaded
-    gemv ``block @ y`` did.  The kernel
-    block itself is an OpenBLAS gemm whose last bits, and so g's, can change
-    with the thread count (at sigma = 0.7 they did at d = 8 and d = 68);
-    OPENBLAS_NUM_THREADS=1 reproduces the values the tests and the benchmark
-    pin.
+    kernels.operands densifies the stream once into its stored and query
+    operand rows Z and Q; they are distinct arrays, so even a square block
+    is a gemm.  Row block I = [i, i + m) writes K[I, i:] =
+    pairwise_kernel(Z[I], Q[i:]) into one buffer, adds K[I, i:] y[i:] to
+    g[I] and, by symmetry, K[I, i+m:]' y[I] to g[i+m:].  Both reductions
+    are np.einsum, which sums in one thread in a fixed order, so they do
+    not depend on OPENBLAS_NUM_THREADS as the threaded gemv ``block @ y``
+    did.  The kernel block itself is an OpenBLAS gemm whose last bits, and
+    so g's, can change with the thread count (at sigma = 0.7 they did at
+    d = 8 and d = 68); OPENBLAS_NUM_THREADS=1 reproduces the values the
+    tests and the benchmark pin.
     """
     if not stream:
         raise ValueError("stream must be nonempty")
     xs = [ex.x for ex in stream]
     y = _labels(stream)
     T = len(xs)
-    dim = max(x.width for x in xs)
-    X = np.array([x.dense(dim) for x in xs])
-    xsq = np.array([x.sq_norm for x in xs])
-    Z = stored_rows(spec, X, xsq, np.empty((T, dim + 2)))
-    Q = query_rows(spec, X, xsq, np.empty((T, dim + 2)))
+    Z, Q = operands(spec, xs, max(x.width for x in xs))
     rows = max(1, _BLOCK_ENTRIES // T)
     buf = np.empty(min(rows, T) * T)
     g = np.zeros(T)

@@ -6,8 +6,9 @@ its norm term folded in), the coefficients, an incrementally maintained
 Gram matrix, and a cached squared RKHS norm.  A score fills one reused
 query operand row q (kernels.query_rows), and its kernel row is
 kernel_row(Z, q): one matrix product, then for the Gaussian kernel a clamp
-and an exp.  The row width is fixed at construction; insert and a nonempty
-score raise ValueError on a wider instance, before any state changes.  Each term is stored once, as the row
+and an exp.  The row width is fixed at construction (kernels shapes the
+operand buffers); insert and a nonempty score raise ValueError on a wider
+instance, before any state changes.  Each term is stored once, as the row
 that scoring reads; insert takes the bare instance, since a term's
 coefficient already carries its label's sign.  Terms are a multiset --
 duplicate instances are kept as separate terms and never merged, because
@@ -69,8 +70,9 @@ class Expansion:
         self._n = 0
         self._alphas = np.zeros(_MIN_CAPACITY)
         # Stored operand rows by slot, and the query operand buffer.
-        self._Z = np.zeros((_MIN_CAPACITY, self._dim + 2))
-        self._q = np.zeros(self._dim + 2)
+        self._Z = stored_rows(spec, np.zeros((_MIN_CAPACITY, self._dim)),
+                              np.zeros(_MIN_CAPACITY))
+        self._q = query_rows(spec, np.zeros(self._dim), 0.0)
         self._gram = np.zeros((_MIN_CAPACITY, _MIN_CAPACITY))
         # The live slots in insertion order.
         self._order = np.zeros(_MIN_CAPACITY, dtype=np.intp)
@@ -121,7 +123,7 @@ class Expansion:
     def score(self, x: SparseVector) -> tuple[np.ndarray, float]:
         """(kernel_row(x), f(x)) from one kernel row and one dot product."""
         row = self.kernel_row(x)
-        return row, float(row @ self._alphas[: self._n])
+        return row, float(row.dot(self._alphas[: self._n]))
 
     # -- updates -----------------------------------------------------------
 
@@ -139,7 +141,7 @@ class Expansion:
         if row is None:
             row, fx = self.score(x)
         elif fx is None:
-            fx = float(row @ self._alphas[: self._n])
+            fx = float(row.dot(self._alphas[: self._n]))
         n = self._n
         kxx = kernel_diag(self.spec, x)
         self._reserve(n + 1)

@@ -15,10 +15,12 @@ z_i = [2 gamma x_i, -gamma |x_i|^2, 1] (stored_rows) and a query x is
 q = [x, 1, -gamma |x|^2] (query_rows), so z_i . q = -gamma |x_i - x|^2
 and the Gaussian kernel is exp(min(Z q, 0)); the clamp keeps every value
 in [0, 1].  For the linear kernel z_i = [x_i, 0, 0], q = [x, 0, 0] and the
-product is the kernel.  kernel_row takes a single query for scoring and
-Gram updates, pairwise_kernel a whole block for the comparator and
-alignment passes; kernel_diag gives a new term's Gram diagonal (exact 1.0
-for Gaussian).  All evaluations are double precision; the Gaussian kernel
+product is the kernel.  The operand layout lives here alone: the two
+builders allocate when given no buffer, and operands builds both sides of
+a whole stream.  kernel_row takes a single query for scoring and Gram
+updates, pairwise_kernel a whole block for the comparator and alignment
+passes; kernel_diag gives a new term's Gram diagonal (exact 1.0 for
+Gaussian).  All evaluations are double precision; the Gaussian kernel
 is normalized (kappa(x, x) = 1) so the unit-diagonal assumption needed by
 the bound checkers holds automatically.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -241,14 +243,17 @@ def _gamma(spec: KernelSpec) -> float:
 
 
 def stored_rows(spec: KernelSpec, X: np.ndarray, xsq: float | np.ndarray,
-                out: np.ndarray) -> np.ndarray:
-    """Write the stored operand z of dense rows X (squared norms xsq) into out.
+                out: np.ndarray | None = None) -> np.ndarray:
+    """The stored operand z of dense rows X with squared norms xsq.
 
-    X is one row (xsq a float) or a block of rows (xsq a vector); out has
-    X's shape with each row 2 entries wider.  Gaussian:
-    z = [2 gamma x, -gamma |x|^2, 1]; linear: z = [x, 0, 0].
+    X is one row (xsq a float) or a block of rows (xsq a vector); the
+    result, written into out if given, has X's shape with each row 2
+    entries wider.  Gaussian: z = [2 gamma x, -gamma |x|^2, 1]; linear:
+    z = [x, 0, 0].
     """
     d = X.shape[-1]
+    if out is None:
+        out = np.empty((*X.shape[:-1], d + 2))
     if spec.family == LINEAR:
         out[..., :d] = X
         out[..., d:] = 0.0
@@ -261,11 +266,13 @@ def stored_rows(spec: KernelSpec, X: np.ndarray, xsq: float | np.ndarray,
 
 
 def query_rows(spec: KernelSpec, X: np.ndarray, xsq: float | np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-    """Write the query operand q of dense rows X (squared norms xsq) into out,
-    shaped as for stored_rows.  Gaussian: q = [x, 1, -gamma |x|^2]; linear:
-    q = [x, 0, 0]."""
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The query operand q of dense rows X with squared norms xsq, shaped
+    and written as by stored_rows.  Gaussian: q = [x, 1, -gamma |x|^2];
+    linear: q = [x, 0, 0]."""
     d = X.shape[-1]
+    if out is None:
+        out = np.empty((*X.shape[:-1], d + 2))
     out[..., :d] = X
     if spec.family == LINEAR:
         out[..., d:] = 0.0
@@ -273,6 +280,22 @@ def query_rows(spec: KernelSpec, X: np.ndarray, xsq: float | np.ndarray,
     out[..., d] = 1.0
     out[..., d + 1] = xsq * -_gamma(spec)
     return out
+
+
+def operands(spec: KernelSpec, xs: Sequence[SparseVector],
+             dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, Q): the stored and query operand rows of xs at width dim.
+
+    Each vector is densified once, straight into Q's instance columns, and
+    Z is built from those, so the rows are held twice, not three times.
+    """
+    Q = np.empty((len(xs), dim + 2))
+    X = Q[:, :dim]
+    for row, x in zip(X, xs):
+        row[:] = x.dense(dim)
+    xsq = np.fromiter((x.sq_norm for x in xs), float, len(xs))
+    # X is Q's own view, and numpy skips copying an array onto itself.
+    return stored_rows(spec, X, xsq), query_rows(spec, X, xsq, out=Q)
 
 
 def pairwise_kernel(spec: KernelSpec, Z: np.ndarray, Q: np.ndarray,

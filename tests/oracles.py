@@ -7,7 +7,7 @@ plain coordinate descent minimizer, and uniforms and normals drawn one
 output at a time (the library draws them in blocks).  The oracles stay
 independent of whatever they check: from the library they take only the
 input types, the PRNG, the parser's error type, and pairwise_kernel with
-its operand builders for the sparse_kernel_block call-site helper
+its operand builder for the sparse_kernel_block call-site helper
 (test_oracles_are_independent guards this).
 """
 
@@ -22,9 +22,8 @@ from ahpatron.kernels import (
     KernelSpec,
     LabeledExample,
     SparseVector,
+    operands,
     pairwise_kernel,
-    query_rows,
-    stored_rows,
 )
 from ahpatron.prng import SplitMix64, derive_stream_seed
 
@@ -336,19 +335,6 @@ def reference_run(config, stream) -> ReferenceTrace:
         sq = _quadratic(coeffs, gram)
         out.norms.append(math.sqrt(sq) if sq > 0.0 else 0.0)
     return out
-
-
-def densify(xs, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense rows of sparse vectors at width dim, and their squared norms."""
-    return np.array([x.dense(dim) for x in xs]), np.array([x.sq_norm for x in xs])
-
-
-def operands(spec: KernelSpec, xs, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stored and query kernel operand rows of sparse vectors at width dim."""
-    X, xsq = densify(xs, dim)
-    shape = (len(xs), dim + 2)
-    return (stored_rows(spec, X, xsq, np.empty(shape)),
-            query_rows(spec, X, xsq, np.empty(shape)))
 
 
 def sparse_kernel_block(spec: KernelSpec, xs, ys) -> np.ndarray:

@@ -304,8 +304,9 @@ def test_comparator_path_matches_pinned_hashes():
 
 
 def test_comparator_path_is_independent_of_blas_threads():
-    # The reductions of each block are single-threaded einsums; at d = 8 the
-    # kernel block itself also comes out equal under 1 and 2 threads.
+    # The reductions of each block are single-threaded einsums; at d = 8,
+    # sigma = 1 and for the linear kernel the kernel block itself also comes
+    # out equal under 1 and 2 threads.
     assert _comparator_digests("2") == _comparator_digests("1")
 
 

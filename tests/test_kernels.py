@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,14 +12,16 @@ from ahpatron.kernels import (
     LabeledExample,
     SparseVector,
     kernel_row,
+    operands,
     pairwise_kernel,
+    query_rows,
+    stored_rows,
 )
 
 from oracles import (
     ScalarSplitMix64,
     gram_matrix,
     kernel_eval,
-    operands,
     random_sparse,
     sparse_kernel_block,
     sparse_sq_dist,
@@ -238,9 +241,12 @@ def test_pairwise_kernel_agrees_with_gram():
         fast = sparse_kernel_block(spec, xs, xs)
         exact = gram_matrix(spec, xs)
         assert np.allclose(fast, exact, rtol=0.0, atol=1e-12)
-        # z_i . q_j and z_j . q_i add the two norm terms in opposite orders,
-        # so a Gaussian block is symmetric to rounding, not bitwise.
-        assert np.allclose(fast, fast.T, rtol=0.0, atol=1e-15)
+        if spec.family == GAUSSIAN:
+            # z_i . q_j and z_j . q_i add the two norm terms in opposite
+            # orders, so a Gaussian block is symmetric to rounding only.
+            assert np.allclose(fast, fast.T, rtol=0.0, atol=1e-15)
+        else:
+            assert np.array_equal(fast, fast.T)
         block = sparse_kernel_block(spec, xs, xs[:4] + [wide])
         exact = gram_matrix(spec, xs + [wide])[:12, [0, 1, 2, 3, 12]]
         assert np.allclose(block, exact, rtol=0.0, atol=1e-12)
@@ -295,3 +301,23 @@ def test_fused_rows_match_the_scalar_kernel(spec):
             own = K[range(4), range(4)]  # stored instances against themselves
             assert (own <= 1.0).all() and (1.0 - own <= 1e-12).all()
             assert (exact[range(4), range(4)] == 1.0).all()
+
+
+@pytest.mark.parametrize("spec", [GAUSS, KernelSpec.linear()], ids=["gaussian", "linear"])
+def test_operands_densify_once_into_the_query_rows(spec):
+    # A stream's operand rows equal the builders' on its densified rows,
+    # bitwise, and the rows are held twice (Z and Q), with no third copy;
+    # the rest of the peak is numpy's fixed-size ufunc buffers.
+    gen = ScalarSplitMix64(47)
+    xs = [random_sparse(gen, 9) for _ in range(10000)]
+    X = np.array([x.dense(9) for x in xs])
+    xsq = np.array([x.sq_norm for x in xs])
+    tracemalloc.start()
+    try:
+        Z, Q = operands(spec, xs, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert Z.tobytes() == stored_rows(spec, X, xsq).tobytes()
+    assert Q.tobytes() == query_rows(spec, X, xsq).tobytes()
+    assert peak < 2.5 * Z.nbytes, peak / Z.nbytes

@@ -2,7 +2,7 @@
 
 tests/oracles.py may take from the library only its input types, the PRNG,
 the parser's error type (so the reference parser raises what parse_libsvm
-raises), and pairwise_kernel with its operand builders (for the
+raises), and pairwise_kernel with its operand builder (for the
 sparse_kernel_block call-site helper, which builds kernel blocks and is not
 itself an oracle).  Anything else -- a kernel evaluation, a norm, a solver
 -- would make the oracle agree with the library by construction.
@@ -19,7 +19,7 @@ ALLOWED = {
     "KernelSpec", "LabeledExample", "SparseVector",  # input types
     "SplitMix64", "derive_stream_seed",               # the PRNG
     "MalformedLine",                                  # the parser's error type
-    "pairwise_kernel", "stored_rows", "query_rows",   # sparse_kernel_block
+    "pairwise_kernel", "operands",                    # sparse_kernel_block
 }
 
 
