@@ -32,6 +32,7 @@ max_drift keeps the largest relative drift any reset has seen.
 from __future__ import annotations
 
 import math
+import mmap
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +41,11 @@ from .kernels import (KernelSpec, SparseVector, kernel_diag, kernel_row,
                       query_rows, stored_rows)
 
 _MIN_CAPACITY = 16
+
+# An anonymous mapping is shared across fork unless made private; a
+# forked --jobs worker must write its own copy.  (Windows has no flag: an
+# untagged anonymous mapping there is private already.)
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 
 # Quadratic forms more negative than this indicate a corrupted Gram cache
 # rather than rounding error.
@@ -73,7 +79,7 @@ class Expansion:
         self._Z = stored_rows(spec, np.zeros((_MIN_CAPACITY, self._dim)),
                               np.zeros(_MIN_CAPACITY))
         self._q = query_rows(spec, np.zeros(self._dim), 0.0)
-        self._gram = np.zeros((_MIN_CAPACITY, _MIN_CAPACITY))
+        self._gram = _square_buffer(_MIN_CAPACITY)
         # The live slots in insertion order.
         self._order = np.zeros(_MIN_CAPACITY, dtype=np.intp)
         # Single-term evictions since the norm cache was last reset.
@@ -302,7 +308,7 @@ class Expansion:
         while new_cap < n:
             new_cap *= 2
         k = self._n
-        gram = np.zeros((new_cap, new_cap))
+        gram = _square_buffer(new_cap)
         gram[:k, :k] = self._gram[:k, :k]
         self._gram = gram
         for name in ("_alphas", "_Z", "_order"):
@@ -310,6 +316,24 @@ class Expansion:
             grown = np.zeros((new_cap, *old.shape[1:]), dtype=old.dtype)
             grown[:k] = old[:k]
             setattr(self, name, grown)
+
+
+def _square_buffer(cap: int) -> np.ndarray:
+    """A zero cap x cap float64 matrix in an anonymous mapping of its own.
+
+    The Gram is filled a prefix of rows and columns at a time, so after a
+    doubling most of its pages are untouched.  Its own mapping leaves them
+    unbacked (numpy advises huge pages for large arrays, which back every
+    2 MB piece a stride touches) and hands every page back to the system
+    when the buffer is dropped (the allocator may otherwise keep a freed
+    block resident).  The resident size then follows the live terms, not
+    the capacity or what earlier runs left behind.
+    """
+    try:
+        buf = mmap.mmap(-1, cap * cap * 8, **_PRIVATE)
+    except OSError as e:  # the MemoryError numpy would raise
+        raise MemoryError(f"cannot map a {cap} x {cap} Gram matrix: {e}") from e
+    return np.frombuffer(buf, dtype=np.float64).reshape(cap, cap)
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:

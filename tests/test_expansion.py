@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -119,6 +120,23 @@ def test_insert_norm_matches_quadratic_form():
 def test_gram_is_maintained_incrementally():
     gen = ScalarSplitMix64(109)
     f, xs = random_expansion(gen, 7)
+    assert np.allclose(f.gram, gram_matrix(GAUSS, xs), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_changes_only_its_own_gram():
+    # The Gram lives in an anonymous mapping; a --jobs worker is a forked
+    # process, and its writes must not reach the parent's copy.
+    gen = ScalarSplitMix64(111)
+    f, xs = random_expansion(gen, 40)  # grown past two doublings
+    before = f.gram.tobytes()
+    pid = os.fork()
+    if pid == 0:
+        f.remove_term(0)  # moves the last Gram row and column into slot 0
+        os._exit(0 if f.gram.tobytes() != before[: f.gram.nbytes] else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert f.gram.tobytes() == before
     assert np.allclose(f.gram, gram_matrix(GAUSS, xs), rtol=0.0, atol=1e-12)
 
 
