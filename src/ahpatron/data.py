@@ -39,6 +39,8 @@ from .prng import SplitMix64, derive_stream_seed, normal_pairs
 _REJECTION_CAP = 10_000
 _BLOCK = 1024  # examples per vectorized synthetic block
 _CHUNK = 1 << 16  # parsed values held as Python objects before a flush to arrays
+# Bytes of a parsed block with its from_rows copy (SUSY's need 1.52 GB).
+_BLOCK_BYTES_LIMIT = 2 << 30
 
 
 class MalformedLine(ValueError):
@@ -51,6 +53,10 @@ class MalformedLine(ValueError):
 
 class NonBinaryLabels(ValueError):
     """The file does not contain a two-valued label set."""
+
+
+class BlockTooLarge(ValueError):
+    """The file's dense block would exceed _BLOCK_BYTES_LIMIT."""
 
 
 @dataclass
@@ -83,7 +89,8 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
     of them is held as Python objects.  At the end they fill one block, a
     row per example and as wide as the largest nonzero index + 1, and
     SparseVector.from_rows keeps each example's row of it.  feature_count
-    also counts explicit zeros, so it can exceed the block width.
+    also counts explicit zeros, so it can exceed the block width.  A block
+    past _BLOCK_BYTES_LIMIT raises BlockTooLarge before it is allocated.
     """
     raw_labels: list[float] = []
     chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -118,8 +125,12 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
         raise NonBinaryLabels("empty dataset")
     labels = _normalize_labels(raw_labels)
     chunks.append(_arrays(cols, vals, nnz))
-    block = np.zeros((len(raw_labels),
-                      max((at.max() + 1 for _, at, _ in chunks if len(at)), default=0)))
+    width = max((int(at.max()) + 1 for _, at, _ in chunks if len(at)), default=0)
+    if (needed := 2 * len(raw_labels) * width * 8) > _BLOCK_BYTES_LIMIT:
+        raise BlockTooLarge(f"{name or 'input'}: {len(raw_labels)} rows of width "
+                            f"{width} need {needed:,} bytes with a copy, over "
+                            f"{_BLOCK_BYTES_LIMIT:,}")
+    block = np.zeros((len(raw_labels), width))
     start = 0
     for counts, at, values in chunks:
         rows = np.repeat(np.arange(start, start + len(counts)), counts)

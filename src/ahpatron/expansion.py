@@ -3,11 +3,11 @@
 An Expansion owns the active set of an online learner: each instance as
 its stored kernel operand row z (kernels.stored_rows: the dense row with
 its norm term folded in), the coefficients, an incrementally maintained
-Gram matrix, and a cached squared RKHS norm.  A score fills one reused
-query operand row q (kernels.query_rows), and its kernel row is
-kernel_row(Z, q): one matrix product, then for the Gaussian kernel a clamp
-and an exp.  The row width is fixed at construction (kernels shapes the
-operand buffers); insert and a nonempty score raise ValueError on a wider
+Gram matrix, and a cached squared RKHS norm.  score, the one scoring
+path, writes x and its norm term into a reused query row q in place
+(kernels.query_slots); kernel_row(Z, q) is one dot, then a clamp and an
+exp (Gaussian), and f(x) one more dot.  The row width is fixed at
+construction; insert and a nonempty score raise ValueError on a wider
 instance, before any state changes.  Each term is stored once, as the row
 that scoring reads; insert takes the bare instance, since a term's
 coefficient already carries its label's sign.  Terms are a multiset --
@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import (KernelSpec, SparseVector, kernel_diag, kernel_row,
-                      query_rows, stored_rows)
+                      query_rows, query_slots, stored_rows)
 
 _MIN_CAPACITY = 16
 
@@ -67,18 +67,19 @@ class Expansion:
     proceed concurrently on shared immutable inputs.
     """
 
-    __slots__ = ("spec", "_dim", "_n", "_alphas", "_Z", "_q", "_gram",
-                 "_order", "_evictions", "_sq_norm", "max_drift")
+    __slots__ = ("spec", "_dim", "_n", "_alphas", "_Z", "_q", "_qx", "_qnorm",
+                 "_factor", "_gram", "_order", "_evictions", "_sq_norm", "max_drift")
 
     def __init__(self, spec: KernelSpec, dim: int):
         self.spec = spec
         self._dim = int(dim)
         self._n = 0
         self._alphas = np.zeros(_MIN_CAPACITY)
-        # Stored operand rows by slot, and the query operand buffer.
+        # Stored operand rows by slot; the query operand buffer and its views.
         self._Z = stored_rows(spec, np.zeros((_MIN_CAPACITY, self._dim)),
                               np.zeros(_MIN_CAPACITY))
         self._q = query_rows(spec, np.zeros(self._dim), 0.0)
+        self._qx, self._qnorm, self._factor = query_slots(spec, self._q)
         self._gram = _square_buffer(_MIN_CAPACITY)
         # The live slots in insertion order.
         self._order = np.zeros(_MIN_CAPACITY, dtype=np.intp)
@@ -120,16 +121,17 @@ class Expansion:
 
     def kernel_row(self, x: SparseVector) -> np.ndarray:
         """kappa(x_i, x) for every stored instance, vectorized."""
-        n = self._n
-        if n == 0:
-            return np.empty(0)
-        q = query_rows(self.spec, x.dense(self._dim), x.sq_norm, self._q)
-        return kernel_row(self.spec, self._Z[:n], q)
+        return self.score(x)[0]
 
     def score(self, x: SparseVector) -> tuple[np.ndarray, float]:
-        """(kernel_row(x), f(x)) from one kernel row and one dot product."""
-        row = self.kernel_row(x)
-        return row, float(row.dot(self._alphas[: self._n]))
+        """(kernel row of x, f(x)); the row is a new array on every call."""
+        n = self._n
+        if n == 0:
+            return np.empty(0), 0.0
+        self._qx[...] = x.dense(self._dim)
+        self._qnorm[0] = x.sq_norm * self._factor
+        row = kernel_row(self.spec, self._Z[:n], self._q)
+        return row, float(row.dot(self._alphas[:n]))
 
     # -- updates -----------------------------------------------------------
 
@@ -291,10 +293,10 @@ class Expansion:
 
     def _compact(self, keep: list[int], coeffs: np.ndarray) -> None:
         m = len(keep)
-        # Fancy indexing copies, so overlapping writes are safe.
+        # Fancy indexing copies (ix_ only the m x m block), so overlapping writes are safe.
         self._alphas[:m] = coeffs
         self._Z[:m] = self._Z[keep]
-        self._gram[:m, :m] = self._gram.take(keep, 0).take(keep, 1)
+        self._gram[:m, :m] = self._gram[np.ix_(keep, keep)]
         self._order[:m] = np.arange(m)
         self._n = m
         self._sq_norm = self._quadratic_form()
@@ -327,13 +329,15 @@ def _square_buffer(cap: int) -> np.ndarray:
     2 MB piece a stride touches) and hands every page back to the system
     when the buffer is dropped (the allocator may otherwise keep a freed
     block resident).  The resident size then follows the live terms, not
-    the capacity or what earlier runs left behind.
+    the capacity or what earlier runs left behind.  Rows are padded by 8
+    entries: a page-multiple stride would put a column's entries in the
+    same few cache sets.
     """
     try:
-        buf = mmap.mmap(-1, cap * cap * 8, **_PRIVATE)
+        buf = mmap.mmap(-1, cap * (cap + 8) * 8, **_PRIVATE)
     except OSError as e:  # the MemoryError numpy would raise
         raise MemoryError(f"cannot map a {cap} x {cap} Gram matrix: {e}") from e
-    return np.frombuffer(buf, dtype=np.float64).reshape(cap, cap)
+    return np.frombuffer(buf, dtype=np.float64).reshape(cap, cap + 8)[:, :cap]
 
 
 def _read_only(view: np.ndarray) -> np.ndarray:

@@ -16,8 +16,9 @@ q = [x, 1, -gamma |x|^2] (query_rows), so z_i . q = -gamma |x_i - x|^2
 and the Gaussian kernel is exp(min(Z q, 0)); the clamp keeps every value
 in [0, 1].  For the linear kernel z_i = [x_i, 0, 0], q = [x, 0, 0] and the
 product is the kernel.  The operand layout lives here alone: the two
-builders allocate when given no buffer, and operands builds both sides of
-a whole stream.  kernel_row takes a single query for scoring and Gram
+builders allocate when given no buffer, operands builds a whole stream's,
+and query_slots lets a score refill one query row in place.  kernel_row
+(one dot, a clamp, an exp) takes a single query for scoring and Gram
 updates, pairwise_kernel a whole block for the comparator and alignment
 passes; kernel_diag gives a new term's Gram diagonal (exact 1.0 for
 Gaussian).  All evaluations are double precision; the Gaussian kernel
@@ -282,6 +283,15 @@ def query_rows(spec: KernelSpec, X: np.ndarray, xsq: float | np.ndarray,
     return out
 
 
+def query_slots(spec: KernelSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(x view, norm view, factor) of a query_rows row q: x written into the
+    first and |x|^2 * factor into the second make q query_rows of x.  The
+    linear kernel has no norm term, so its norm view is scratch outside q."""
+    if spec.family == LINEAR:
+        return q[:-2], np.zeros(1), 0.0
+    return q[:-2], q[-1:], -_gamma(spec)
+
+
 def operands(spec: KernelSpec, xs: Sequence[SparseVector],
              dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(Z, Q): the stored and query operand rows of xs at width dim.
@@ -315,7 +325,7 @@ def kernel_row(spec: KernelSpec, Z: np.ndarray, q: np.ndarray,
     out (a new array if None) and the clamp and exp run in place on it, so
     a caller can reuse one buffer for many blocks.
     """
-    out = np.matmul(Z, q, out=out)
+    out = Z.dot(q, out=out)
     if spec.family == LINEAR:
         return out
     np.minimum(out, 0.0, out=out)

@@ -93,6 +93,27 @@ def test_bound_comparison_follows_the_better_direction(bp):
     assert (stats["run_s"]["wins"], stats["run_s"]["pairs"]) == (0, 3)
 
 
+def test_gain_needs_nine_tenths_of_all_pairs_and_a_shift_beyond_the_base_iqr(bp):
+    base = [10.0, 11.0, 12.0, 13.0, 14.0] * 2  # median 12, inclusive IQR 2
+    assert bp.iqr(base) == 2.0
+
+    def pairs(heads):
+        return list(zip(base, heads))
+
+    assert bp.is_gain(pairs([b - 3.0 for b in base]), "lower")
+    assert not bp.is_gain(pairs([b - 3.0 for b in base]), "higher")
+    assert bp.is_gain(pairs([b + 3.0 for b in base]), "higher")
+    # Every pair won, but the medians differ by less than the base's IQR.
+    assert not bp.is_gain(pairs([b - 1.5 for b in base]), "lower")
+    # 9 of 10 won and one tie: nine tenths of all pairs.
+    assert bp.is_gain(pairs([10.0] + [b - 3.0 for b in base[1:]]), "lower")
+    # 8 won and 2 ties, no loss: ties count for neither side, so 8 of 10.
+    assert not bp.is_gain(pairs([10.0, 11.0] + [b - 3.0 for b in base[2:]]), "lower")
+    # 9 won and one lost.
+    assert bp.is_gain(pairs([99.0] + [b - 3.0 for b in base[1:]]), "lower")
+    assert not bp.is_gain(pairs([99.0, 99.0] + [b - 3.0 for b in base[2:]]), "lower")
+
+
 def test_bench_file_schema(bp):
     pairs = []
     for seed, (b, h) in zip((20, 21, 22), ((2.0, 1.3), (1.8, 1.2), (2.2, 1.4))):
@@ -112,10 +133,11 @@ def test_bench_file_schema(bp):
     run_s = body["metrics"]["run_s"]
     assert set(run_s) == {"unit", "better", "bound", "base", "head",
                           "head_over_base", "worse_by", "beyond_bound", "wins",
-                          "pairs"}
+                          "pairs", "gain"}
     assert run_s["base"] == {"median": 2.0, "iqr": pytest.approx(0.2)}
     assert run_s["head"]["median"] == 1.3
     assert (run_s["wins"], run_s["bound"], run_s["beyond_bound"]) == (3, 0.25, False)
+    assert run_s["gain"] is True  # 3 of 3 pairs, a 0.7 shift against an IQR of 0.2
     assert body["metrics"]["rounds_per_s"]["wins"] == 3
     assert doc["previous"] == {"verify": {"run_s": 2.0}}
 

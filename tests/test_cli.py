@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,24 @@ def test_run_rejects_odd_budget(capsys):
 
 def test_run_rejects_missing_dataset():
     assert main(["run", "--algo", "perceptron", "--data", "/nonexistent.libsvm"]) == 1
+
+
+def test_run_refuses_a_block_too_large_to_hold(tmp_path, capsys):
+    # One stray index of 2^40 would ask for a 52 TB dense block; the parser
+    # refuses before allocating it, in one line.
+    path = tmp_path / "wide.libsvm"
+    path.write_text("1 1:1\n-1 2:0.5\n1 1099511627776:1\n")
+    tracemalloc.start()
+    try:
+        code = main(["run", "--algo", "perceptron", "--data", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1
+    assert err[0].startswith("error: wide.libsvm: 3 rows of width 1099511627777 need ")
+    assert peak < 1 << 20
 
 
 def test_run_rejects_unknown_flag_value():

@@ -11,6 +11,7 @@ import pytest
 
 from ahpatron import data
 from ahpatron.data import (
+    BlockTooLarge,
     Dataset,
     MalformedLine,
     NonBinaryLabels,
@@ -251,6 +252,17 @@ def test_parse_pin_and_one_block(tmp_path):
     block = ds.examples[0].x.dense(18).base
     assert block.shape == (2000, 18)
     assert all(ex.x.dense(18).base is block for ex in ds.examples)
+
+
+def test_block_limit_counts_the_block_and_its_copy(monkeypatch):
+    # SUSY, 5,000,000 rows of width 19, must still fit.
+    assert 2 * 5_000_000 * 19 * 8 <= data._BLOCK_BYTES_LIMIT
+    lines = ["1 1:1", "-1 3:2"]  # 2 rows of width 4: 64 bytes, 128 with the copy
+    monkeypatch.setattr(data, "_BLOCK_BYTES_LIMIT", 128)
+    assert len(parse_libsvm(lines)) == 2
+    monkeypatch.setattr(data, "_BLOCK_BYTES_LIMIT", 127)
+    with pytest.raises(BlockTooLarge, match="^wide: 2 rows of width 4 need 128 bytes"):
+        parse_libsvm(lines, name="wide")
 
 
 # -- permutation / subsampling ------------------------------------------------------

@@ -1,11 +1,12 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ahpatron.expansion import DegenerateProjection, Expansion, GramCorruption
-from ahpatron.kernels import KernelSpec, SparseVector
+from ahpatron.kernels import KernelSpec, SparseVector, kernel_row, query_rows, stored_rows
 
 from oracles import (
     ScalarSplitMix64,
@@ -68,6 +69,38 @@ def test_evaluate_is_linear_under_scale():
     assert f.score(x)[1] == pytest.approx(-2.5 * before, rel=1e-12)
 
 
+@pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.7), GAUSS, KernelSpec.linear()],
+                         ids=["sigma=0.7", "sigma=1", "linear"])
+@pytest.mark.parametrize("terms", [1, 6])
+def test_score_is_bitwise_the_fresh_query_row(spec, terms):
+    # score refills one query row in place; its row and f(x) are the bytes of
+    # the module's kernel_row on a q built afresh by query_rows.
+    gen = ScalarSplitMix64(113 + terms)
+    dim = 6
+    f, xs = random_expansion(gen, terms, dim, spec=spec)
+    assert (f.size > 1) == (terms > 1)
+    Z = stored_rows(spec, np.array([x.dense(dim) for x in xs]),
+                    np.array([x.sq_norm for x in xs]))
+    narrow = SparseVector([(0, 0.3), (2, -0.4)])  # dense(dim) pads a copy
+    for x in [narrow] + [random_sparse(gen, dim) for _ in range(4)]:
+        expected = kernel_row(spec, Z, query_rows(spec, x.dense(dim), x.sq_norm))
+        row, fx = f.score(x)
+        assert row.tobytes() == expected.tobytes()
+        assert fx.hex() == float(expected.dot(f.alphas)).hex()
+
+
+def test_successive_scores_return_distinct_rows():
+    # Callers keep rows (Comparator.of, remove_term edits one in place), so
+    # a score must not hand out a buffer the next score overwrites.
+    gen = ScalarSplitMix64(127)
+    f, xs = random_expansion(gen, 4)
+    first, _ = f.score(xs[0])
+    kept = first.copy()
+    second, _ = f.score(xs[1])
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+
+
 # -- insert ---------------------------------------------------------------------
 
 
@@ -121,6 +154,38 @@ def test_gram_is_maintained_incrementally():
     gen = ScalarSplitMix64(109)
     f, xs = random_expansion(gen, 7)
     assert np.allclose(f.gram, gram_matrix(GAUSS, xs), rtol=0.0, atol=1e-12)
+
+
+def test_gram_row_stride_is_not_a_page_multiple():
+    # From capacity 512 up a bare capacity-wide row is a whole number of
+    # 4 KiB pages, and every entry of a column write would land in the same
+    # few cache sets.
+    f = Expansion(GAUSS, dim=1)
+    x = SparseVector([(0, 1.0)])
+    strides = set()
+    for _ in range(1025):  # capacities 16 through 2048
+        f.insert(x, 1.0)
+        strides.add(f.gram.strides[0])
+    assert len(strides) == 8 and max(strides) > 2048 * 8
+    assert [s for s in strides if s % 4096 == 0] == []
+    assert (f.gram == 1.0).all()
+
+
+def test_compaction_allocates_only_the_kept_block():
+    # The Gram is a strided view of its padded mapping: gathering the kept
+    # block must not copy the whole capacity x capacity buffer (8 MB here).
+    gen = ScalarSplitMix64(137)
+    f, xs = random_expansion(gen, 600, dim=2)  # capacity 1024
+    keep = list(range(0, f.size, 2))
+    expected = f.gram[np.ix_(keep, keep)].copy()
+    tracemalloc.start()
+    try:
+        f.replace_with_subset(keep, np.ones(len(keep)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.gram.tobytes() == expected.tobytes()
+    assert peak < 2 * len(keep) ** 2 * 8
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

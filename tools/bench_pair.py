@@ -18,10 +18,11 @@ The result goes to ``BENCH_<n>.json`` at the repository root, n one more
 than the highest existing file: both revisions, the environment line, per
 workload the raw pairs and, per end-to-end metric, each side's median and
 interquartile range, the number of pairs the working tree won, its bound
-from BENCHMARK.json and whether the median moved the wrong way by more
-than that bound.  The previous BENCH file's working-tree medians are kept
-beside them.  ``name:k`` in ``--workloads`` runs that workload on the first
-k seeds only.
+from BENCHMARK.json, whether the median moved the wrong way by more than
+that bound, and whether the working tree gained (``is_gain``).  The
+previous BENCH file's working-tree medians are kept beside them.
+``name:k`` in ``--workloads`` runs that workload on the first k seeds
+only.
 """
 
 from __future__ import annotations
@@ -78,6 +79,17 @@ def wins(pairs: list[tuple[float, float]], better: str) -> int:
     return sum(head > base for base, head in pairs)
 
 
+def is_gain(pairs: list[tuple[float, float]], better: str) -> bool:
+    """Whether head beats base in pairs (base, head): it wins at least nine
+    tenths of all pairs, ties counting for neither side, and its median is
+    better than the base's by more than the base's interquartile range."""
+    base = [b for b, _ in pairs]
+    shift = statistics.median(base) - statistics.median([h for _, h in pairs])
+    if better == "higher":
+        shift = -shift
+    return 10 * wins(pairs, better) >= 9 * len(pairs) and shift > iqr(base)
+
+
 def worse_by(base: float, head: float, better: str) -> float:
     """Relative change of head against base, positive when head is worse."""
     if base == 0.0:
@@ -112,6 +124,7 @@ def summarize(pairs: list[dict], specs: list[dict]) -> dict:
             "beyond_bound": change > spec["bound"],
             "wins": wins(both, better),
             "pairs": len(both),
+            "gain": is_gain(both, better),
         }
     return out
 
@@ -258,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     path.write_text(json.dumps(doc, indent=2) + "\n")
     for workload, body in doc["workloads"].items():
         for name, s in body["metrics"].items():
-            flag = "  BEYOND BOUND" if s["beyond_bound"] else ""
+            flag = "  BEYOND BOUND" if s["beyond_bound"] else "  GAIN" if s["gain"] else ""
             print(f"{workload:8} {name:14} base {s['base']['median']:.4g} "
                   f"head {s['head']['median']:.4g} wins {s['wins']}/{s['pairs']}{flag}")
     print(f"wrote {path.name}")
