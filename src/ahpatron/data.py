@@ -16,11 +16,11 @@ is odd.  Since SplitMix64 is counter-based, one vectorized draw (_draw)
 computes a whole block of examples, or one example's resampled normals, at
 a time.
 
-Every instance is stored once, as a read-only row of a block
-(SparseVector.from_rows): a synthetic one of the block it was drawn in, a
-parsed one of the single block its file fills once every line is read.
-That row is its dense row, and its index and value tuples are built only
-if something asks for them (format_libsvm, equality).
+Every instance is stored once, as a read-only row of a block: a synthetic
+one of the block it was drawn in (SparseVector.from_rows), a parsed one of
+the single block its file fills once every line is read (adopt).  That row
+is its dense row, which format_libsvm writes from; index and value tuples
+are built only for equality, hashing or repr, and never kept.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from .prng import SplitMix64, derive_stream_seed, normal_pairs
 _REJECTION_CAP = 10_000
 _BLOCK = 1024  # examples per vectorized synthetic block
 _CHUNK = 1 << 16  # parsed values held as Python objects before a flush to arrays
-# Bytes of a parsed block with its from_rows copy (SUSY's need 1.52 GB).
+# Twice a parsed block's bytes: the block, and headroom for the parse's
+# transient index and value arrays (SUSY needs 1.52 GB).
 _BLOCK_BYTES_LIMIT = 2 << 30
 
 
@@ -88,9 +89,10 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
     values go to flat arrays every _CHUNK values, so no more than a chunk
     of them is held as Python objects.  At the end they fill one block, a
     row per example and as wide as the largest nonzero index + 1, and
-    SparseVector.from_rows keeps each example's row of it.  feature_count
-    also counts explicit zeros, so it can exceed the block width.  A block
-    past _BLOCK_BYTES_LIMIT raises BlockTooLarge before it is allocated.
+    SparseVector.adopt keeps it, uncopied (its values are finite and nonzero,
+    np.zeros' +0.0 elsewhere).  feature_count also counts explicit zeros, so
+    it can exceed the block width.  A block past _BLOCK_BYTES_LIMIT, or an
+    index past np.intp, raises BlockTooLarge before it is allocated.
     """
     raw_labels: list[float] = []
     chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -119,16 +121,16 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
         if width > feature_count:
             feature_count = width
         if nnz >= _CHUNK:
-            chunks.append(_arrays(cols, vals, nnz))
+            chunks.append(_arrays(cols, vals, nnz, name))
             cols, vals, nnz = [], [], 0
     if not raw_labels:
         raise NonBinaryLabels("empty dataset")
     labels = _normalize_labels(raw_labels)
-    chunks.append(_arrays(cols, vals, nnz))
+    chunks.append(_arrays(cols, vals, nnz, name))
     width = max((int(at.max()) + 1 for _, at, _ in chunks if len(at)), default=0)
     if (needed := 2 * len(raw_labels) * width * 8) > _BLOCK_BYTES_LIMIT:
         raise BlockTooLarge(f"{name or 'input'}: {len(raw_labels)} rows of width "
-                            f"{width} need {needed:,} bytes with a copy, over "
+                            f"{width} need {needed:,} bytes with headroom, over "
                             f"{_BLOCK_BYTES_LIMIT:,}")
     block = np.zeros((len(raw_labels), width))
     start = 0
@@ -136,16 +138,21 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
         rows = np.repeat(np.arange(start, start + len(counts)), counts)
         block[rows, at] = values
         start += len(counts)
-    instances = SparseVector.from_rows(block)
+    instances = SparseVector.adopt(block)
     examples = [LabeledExample(x, y) for x, y in zip(instances, labels)]
     return Dataset(examples, name=name, feature_count=feature_count)
 
 
-def _arrays(cols: list[Sequence[int]], vals: list[Sequence[float]],
-            nnz: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _arrays(cols: list[Sequence[int]], vals: list[Sequence[float]], nnz: int,
+            name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(nonzeros per line, flat indices, flat values) of a run of lines."""
-    return (np.fromiter(map(len, vals), np.intp, len(vals)),
-            np.fromiter(chain.from_iterable(cols), np.intp, nnz),
+    try:
+        at = np.fromiter(chain.from_iterable(cols), np.intp, nnz)
+    except OverflowError:
+        raise BlockTooLarge(f"{name or 'input'}: an index of "
+                            f"{np.iinfo(np.intp).max + 1:,} or more needs a block "
+                            f"over {_BLOCK_BYTES_LIMIT:,} bytes") from None
+    return (np.fromiter(map(len, vals), np.intp, len(vals)), at,
             np.fromiter(chain.from_iterable(vals), float, nnz))
 
 
@@ -253,8 +260,10 @@ def load_libsvm(path: str, name: str = "") -> Dataset:
 def format_libsvm(ds: Dataset, out: IO[str]) -> None:
     """Serialize back to LIBSVM text; reparsing yields an identical dataset."""
     for ex in ds.examples:
+        row = ex.x.dense(ex.x.width)
+        at = np.flatnonzero(row)
         parts = ["+1" if ex.y > 0 else "-1"]
-        parts.extend(f"{i}:{v!r}" for i, v in zip(ex.x.indices, ex.x.values))
+        parts.extend(f"{i}:{v!r}" for i, v in zip(at.tolist(), row[at].tolist()))
         out.write(" ".join(parts))
         out.write("\n")
 

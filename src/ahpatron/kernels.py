@@ -2,10 +2,10 @@
 
 Instances are immutable sparse vectors (sorted index/value pairs, explicit
 zeros dropped).  Every vector is stored as one read-only float64 row of a
-block, with its squared norm and width: a synthetic draw or a parsed file
-is one block (SparseVector.from_rows), and a vector built from pairs is a
+block, with its squared norm and width: a synthetic draw (from_rows) or a
+parsed file (adopt) is one block, and a vector built from pairs is a
 one-row block.  The row is the vector's dense row; its index and value
-tuples are derived from it on demand.
+tuples are derived from it at each access and never cached.
 
 Supported kernel families: Gaussian (RBF) and linear.  Kernel values come
 from one formula, kernel_row, on operand rows of width dim + 2 that carry
@@ -72,12 +72,13 @@ class SparseVector:
     A vector is stored as one read-only float64 row of a block, with the
     row's squared norm and width (last nonzero index + 1) computed when the
     block is.  from_rows makes one block for many vectors (a synthetic
-    draw, a parsed file), and the constructor a one-row block of the
-    vector's width.  The index and value tuples are derived from the row
-    on first access and cached.  A row keeps its whole block alive.
+    draw), adopt takes a block its caller built to that standard (a parsed
+    file), and the constructor makes a one-row block of the vector's width.
+    The index and value tuples are derived from the row at each access, and
+    nothing else is kept beside it.  A row keeps its whole block alive.
     """
 
-    __slots__ = ("_row", "_sq", "_width", "_pairs")
+    __slots__ = ("_row", "_sq", "_width")
 
     def __init__(self, pairs: Iterable[tuple[int, float]] = ()):
         indices, values = check_pairs(pairs)
@@ -89,7 +90,6 @@ class SparseVector:
         self._row = row
         self._sq = sq
         self._width = width
-        self._pairs = None  # (indices, values), derived from the row on demand
 
     @classmethod
     def from_rows(cls, matrix: np.ndarray) -> list["SparseVector"]:
@@ -97,12 +97,18 @@ class SparseVector:
 
         Raises the same ValueError on the first non-finite entry (row-major
         order).  The array is copied once, with -0.0 made +0.0, and each
-        vector keeps its row of the copy.
+        vector keeps its row of the copy (adopt).
         """
         block = np.asarray(matrix, dtype=float) + 0.0
         bad = np.argwhere(~np.isfinite(block))
         if len(bad):
             raise ValueError(f"non-finite value at index {bad[0][1]}")
+        return cls.adopt(block)
+
+    @classmethod
+    def adopt(cls, block: np.ndarray) -> list["SparseVector"]:
+        """from_rows of a finite, -0.0-free float64 block, without its copy and
+        check: the block itself becomes the vectors' read-only store."""
         out = []
         for state in _rows(block):
             v = cls.__new__(cls)
@@ -118,20 +124,13 @@ class SparseVector:
         row.flags.writeable = False  # an unpickled array comes back writable
         self._fill(row, sq, width)
 
-    def _tuples(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        if self._pairs is None:
-            nonzero = np.flatnonzero(self._row)
-            self._pairs = (tuple(nonzero.tolist()),
-                           tuple(self._row[nonzero].tolist()))
-        return self._pairs
-
     @property
     def indices(self) -> tuple[int, ...]:
-        return self._tuples()[0]
+        return tuple(np.flatnonzero(self._row).tolist())
 
     @property
     def values(self) -> tuple[float, ...]:
-        return self._tuples()[1]
+        return tuple(self._row[self._row != 0.0].tolist())
 
     @property
     def width(self) -> int:
@@ -167,10 +166,10 @@ class SparseVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseVector):
             return NotImplemented
-        return self._tuples() == other._tuples()
+        return (self.indices, self.values) == (other.indices, other.values)
 
     def __hash__(self) -> int:
-        return hash(self._tuples())
+        return hash((self.indices, self.values))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{i}:{v:g}" for i, v in zip(self.indices, self.values))

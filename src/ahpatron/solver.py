@@ -8,7 +8,8 @@ of the survivors by solving
 the minimizer of  theta' (K2 + eta I) theta - 2 theta' K21 alpha.  K2 + eta*I
 is SPD for PSD kernel blocks and eta > 0, so a Cholesky factorization is
 used; a failed factorization signals Gram corruption or an eta too small
-for the conditioning, and callers retry on a doubling ladder.
+for the conditioning, and callers retry on a doubling ladder.  scipy.linalg
+(LAPACK, tens of MB resident) loads at the first solve: only a run that solves pays.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 _RESIDUAL_TOL = 1e-8
 _SYMMETRY_TOL = 1e-12
@@ -69,6 +69,7 @@ def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     Raises FactorizationFailure on a non-positive pivot.  One step of
     iterative refinement keeps the residual within 1e-8 * (1 + |b|_inf).
     """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     try:

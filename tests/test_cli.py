@@ -76,6 +76,24 @@ def test_run_refuses_a_block_too_large_to_hold(tmp_path, capsys):
     assert peak < 1 << 20
 
 
+def test_run_refuses_an_index_past_intp(tmp_path, capsys):
+    # An index of 2^64 does not fit the parser's index arrays; it ends in one
+    # line, like any block too large to hold, not in an OverflowError.
+    path = tmp_path / "huge.libsvm"
+    path.write_text("1 1:1\n-1 99999999999999999999:1\n")
+    tracemalloc.start()
+    try:
+        code = main(["run", "--algo", "perceptron", "--data", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1
+    assert err[0].startswith("error: huge.libsvm: an index of ")
+    assert peak < 1 << 20
+
+
 def test_run_rejects_unknown_flag_value():
     assert main(["run", "--algo", "ahpatron", "--data", SYNTH, "--B", "8",
                  "--ct", "sometimes"]) == 1

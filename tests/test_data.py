@@ -254,6 +254,38 @@ def test_parse_pin_and_one_block(tmp_path):
     assert all(ex.x.dense(18).base is block for ex in ds.examples)
 
 
+class _Discard:
+    def write(self, text: str) -> None:
+        pass
+
+
+def test_formatting_keeps_nothing_per_row():
+    # Each row is written from its dense row; a cached index and value tuple
+    # per vector took ~4 MB at this size.
+    ds = synth_noisy(5000, 18, 0.1, 3)
+    tracemalloc.start()
+    try:
+        format_libsvm(ds, _Discard())
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and retained < 1 << 16
+
+
+def test_parse_allocates_its_block_once():
+    # The block becomes the store as it is; copying it would double the peak.
+    T, width = 2000, 1000
+    lines = [f"{(-1) ** t} {width - 1}:{t + 1}" for t in range(T)]
+    tracemalloc.start()
+    try:
+        ds = parse_libsvm(lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.examples[-1].x.dense(width).base.shape == (T, width)
+    assert peak < 1.5 * T * width * 8
+
+
 def test_block_limit_counts_the_block_and_its_copy(monkeypatch):
     # SUSY, 5,000,000 rows of width 19, must still fit.
     assert 2 * 5_000_000 * 19 * 8 <= data._BLOCK_BYTES_LIMIT
@@ -579,7 +611,7 @@ def test_from_rows_holds_no_tuples_until_asked():
     built = SparseVector.from_rows(np.array(_BLOCK_ROWS))
     read = [(x.dense(3), x.sq_norm, x.width) for x in built]
     assert len(read) == len(_BLOCK_ROWS)
-    assert all(x._pairs is None for x in built)
+    assert SparseVector.__slots__ == ("_row", "_sq", "_width")  # no tuple cache
     for x, row in zip(built, _BLOCK_ROWS):
         plain = SparseVector(enumerate(row))
         assert x.indices == plain.indices

@@ -1,8 +1,14 @@
+import json
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ahpatron
 from ahpatron.kernels import KernelSpec
 from ahpatron.solver import (
     FactorizationFailure,
@@ -175,3 +181,33 @@ def test_ladder_gives_up():
     p = ProjectionProblem(k2, np.array([[1.0]]), np.array([1.0]), eta=0.0005)
     with pytest.raises(SolverDiverged):
         solve_theta_ladder(p)
+
+
+_LAPACK_LOADS = """
+import contextlib, io, json, sys
+import ahpatron.cli
+def run(algo):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert ahpatron.cli.main(["run", "--algo", algo, "--B", "8",
+                                  "--data", "synth:noisy:T=300,d=4,seed=2"]) == 0
+    fields = dict(f.split("=") for f in out.getvalue().split())
+    return {"mistakes": int(fields["mistakes"]), "removals": int(fields["removals"]),
+            "lapack": "scipy.linalg" in sys.modules}
+print(json.dumps({"import": "scipy.linalg" in sys.modules,
+                  "budget-oldest": run("budget-oldest"), "ahpatron": run("ahpatron")}))
+"""
+
+
+def test_lapack_loads_at_the_first_projection_solve():
+    # A run that never halves, such as an eviction baseline, does not pay
+    # for importing scipy.linalg; the first halving imports it.
+    src = str(Path(ahpatron.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = json.loads(subprocess.run([sys.executable, "-c", _LAPACK_LOADS], env=env,
+                                    capture_output=True, text=True, check=True).stdout)
+    assert out["import"] is False
+    # B = 8 and more mistakes than that: the baseline evicted, and solved nothing.
+    assert out["budget-oldest"]["mistakes"] > 8
+    assert out["budget-oldest"]["lapack"] is False
+    assert out["ahpatron"]["removals"] > 0 and out["ahpatron"]["lapack"] is True
