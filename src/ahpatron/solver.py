@@ -8,8 +8,9 @@ of the survivors by solving
 the minimizer of  theta' (K2 + eta I) theta - 2 theta' K21 alpha.  K2 + eta*I
 is SPD for PSD kernel blocks and eta > 0, so a Cholesky factorization is
 used; a failed factorization signals Gram corruption or an eta too small
-for the conditioning, and callers retry on a doubling ladder.  scipy.linalg
-(LAPACK, tens of MB resident) loads at the first solve: only a run that solves pays.
+for the conditioning, and callers retry on a doubling ladder.  The factor
+comes from numpy's own LAPACK (np.linalg.cholesky), and the two triangular
+solves are row-by-row substitutions, so no second BLAS library loads.
 """
 
 from __future__ import annotations
@@ -63,25 +64,37 @@ class ProjectionProblem:
             raise ValueError("K2 is not symmetric")
 
 
+def _substitute(L: np.ndarray, U: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L U x = b for the Cholesky factor L and U = L', both C-contiguous:
+    forward substitution over the rows of L, then back substitution over U's."""
+    x = b.copy()
+    for i, row in enumerate(L):
+        x[i] = (x[i] - row[:i].dot(x[:i])) / row[i]
+    for i in range(len(x) - 1, -1, -1):
+        row = U[i]
+        x[i] = (x[i] - row[i + 1:].dot(x[i + 1:])) / row[i]
+    return x
+
+
 def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve Ax = b for symmetric positive definite A via Cholesky.
 
     Raises FactorizationFailure on a non-positive pivot.  One step of
     iterative refinement keeps the residual within 1e-8 * (1 + |b|_inf).
     """
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     try:
-        factor = cho_factor(A, lower=True, check_finite=False)
-    except LinAlgError as e:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as e:
         raise FactorizationFailure(str(e)) from e
-    x = cho_solve(factor, b, check_finite=False)
+    U = np.ascontiguousarray(L.T)
+    x = _substitute(L, U, b)
     if b.size:
         resid = b - A @ x
         tol = _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(b))))
         if float(np.max(np.abs(resid))) > tol:
-            x = x + cho_solve(factor, resid, check_finite=False)
+            x = x + _substitute(L, U, resid)
     return x
 
 

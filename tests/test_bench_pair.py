@@ -132,14 +132,38 @@ def test_bench_file_schema(bp):
     assert body["seeds"] == [20, 21, 22] and body["pairs"] == pairs
     run_s = body["metrics"]["run_s"]
     assert set(run_s) == {"unit", "better", "bound", "base", "head",
-                          "head_over_base", "worse_by", "beyond_bound", "wins",
-                          "pairs", "gain"}
+                          "head_over_base", "worse_by", "beyond_bound", "resolved",
+                          "wins", "pairs", "gain"}
     assert run_s["base"] == {"median": 2.0, "iqr": pytest.approx(0.2)}
     assert run_s["head"]["median"] == 1.3
     assert (run_s["wins"], run_s["bound"], run_s["beyond_bound"]) == (3, 0.25, False)
     assert run_s["gain"] is True  # 3 of 3 pairs, a 0.7 shift against an IQR of 0.2
     assert body["metrics"]["rounds_per_s"]["wins"] == 3
     assert doc["previous"] == {"verify": {"run_s": 2.0}}
+
+
+def test_a_move_beyond_the_bound_is_resolved_only_outside_both_spreads(bp):
+    def stats(base, head):
+        pairs = [{"seed": s, "base": {"run_s": b, "rounds_per_s": 1.0},
+                  "head": {"run_s": h, "rounds_per_s": 1.0}}
+                 for s, (b, h) in enumerate(zip(base, head))]
+        return bp.summarize(pairs, SPECS)["run_s"]
+
+    base = [1.0, 1.01, 0.99, 1.0, 1.02]  # median 1.0, IQR 0.01
+    # Medians 1.0 -> 1.3 against IQRs of 0.01 and 0.02: a real slowdown.
+    tight = stats(base, [1.3, 1.31, 1.29, 1.3, 1.32])
+    assert tight["beyond_bound"] and tight["resolved"]
+    assert bp.verdict(tight) == "BEYOND BOUND"
+    # The same medians, but the head's own IQR (0.6) spans the shift.
+    wide = stats(base, [0.9, 1.3, 1.9, 1.0, 1.6])
+    assert wide["beyond_bound"] and not wide["resolved"]
+    assert bp.verdict(wide) == "BEYOND BOUND (unresolved)"
+    # A wide base spread hides the shift as well.
+    assert not stats([0.9, 1.0, 1.7, 0.95, 1.4], [1.3] * 5)["resolved"]
+    within = stats(base, [b - 0.5 for b in base])
+    assert not within["beyond_bound"] and within["resolved"]
+    assert bp.verdict(within) == "GAIN"
+    assert bp.verdict(stats(base, base)) == ""
 
 
 def test_seed_and_workload_lists(bp):

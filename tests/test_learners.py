@@ -584,8 +584,14 @@ def _sha256(a):
 # term (kernels.stored_rows, query_rows): that rounds the Gaussian exponent
 # differently, moving these values in their last bits, while every count
 # and every prediction, mistake, trigger, removal and size column stayed
-# equal.  Column hashes are of the raw bytes, NaN entries of
-# removal_distances included.
+# equal.  ahpatron's margin, norm and removal-distance digests were
+# re-captured once more when the halving solve moved from LAPACK's
+# triangular solves to row-by-row substitution on numpy's Cholesky factor:
+# that rounds theta differently, moving margins by at most 4.9e-15 and
+# removal distances by 1.2e-13 relative here, while every count and every
+# other column stayed equal; ahpatron-noproj never solves and is unchanged.
+# Column hashes are of the raw bytes, NaN entries of removal_distances
+# included.
 _PINNED = {
     "perceptron": (
         "4279ab8d063b4b999c0dace7d2900ff8f4559dc3d83ab912e26179314cbda90c",
@@ -646,15 +652,15 @@ _PINNED = {
             "active_sizes": "9b6e85d07eda827c0ad788051c5ec15e1042daf505d1c7f48555b5bee64df77f",
         }),
     "ahpatron": (
-        "70c1004c8dd69be8c796d9bd93d8518e5f232321a1788d3ff1a5e9fa93f7f409",
-        "f46776cf4235959a1f8c0ffbd7e70db61efc780b98f6ed78b3b24507ca1991e4",
+        "479ec1e931fc225f762f771b523b89c16fbfa64c8a154a24c7735dbadb1b0be6",
+        "2086902e878c4f340f84abfc81acae77ae1fa25d918b23bb617dab70eabd069b",
         (204, 205, 179, 46), 384, 16,
         {
             "predictions": "2cfc856171445d75e6cd3ded195fa3ac2439b088ffed731c0d5344460e5e2c77",
             "mistakes": "3960caebbbd27c7e9f06427f16c3ef03f452f16acc521bcd22add5b1b9bdc86d",
             "triggered": "574516fbdd23311ba2361630cc4c6d6b4fc6c0ab00940b349f1277944fac85d9",
             "removals": "afb894d6b1551d89c3a5e2574fca4d4dbade0aadf0964e8fde5ade8e0caa27a0",
-            "removal_distances": "11f403815ea1fb579a3deb75896487b3102d5149de2e352da0afa84ba087d8be",
+            "removal_distances": "8feceafc11e38b63da618b51fbd04211becc67b1cf5aabb0fec85ac7afb30ae8",
             "active_sizes": "16bffda6f48eb8512cbf91ff534c99bb010d0213f30c7a40dff8c7d5a90ad8c2",
         }),
     "ahpatron-noproj": (

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import ahpatron
+from ahpatron import solver
+from ahpatron.data import synth_noisy
 from ahpatron.kernels import KernelSpec
 from ahpatron.solver import (
     FactorizationFailure,
@@ -183,31 +185,77 @@ def test_ladder_gives_up():
         solve_theta_ladder(p)
 
 
-_LAPACK_LOADS = """
+_NO_SCIPY = """
 import contextlib, io, json, sys
 import ahpatron.cli
-def run(algo):
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert ahpatron.cli.main(["run", "--algo", algo, "--B", "8",
-                                  "--data", "synth:noisy:T=300,d=4,seed=2"]) == 0
-    fields = dict(f.split("=") for f in out.getvalue().split())
-    return {"mistakes": int(fields["mistakes"]), "removals": int(fields["removals"]),
-            "lapack": "scipy.linalg" in sys.modules}
-print(json.dumps({"import": "scipy.linalg" in sys.modules,
-                  "budget-oldest": run("budget-oldest"), "ahpatron": run("ahpatron")}))
+data = "synth:noisy:T=300,d=4,seed=2"
+out = {}
+for argv in (["run", "--algo", "ahpatron", "--B", "8", "--data", data],
+             ["check-bounds", "--suite", "all", "--data", data],
+             ["alignment", "--data", data]):
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        out[argv[0]] = [ahpatron.cli.main(argv), buf.getvalue()]
+out["scipy"] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps(out))
 """
 
 
-def test_lapack_loads_at_the_first_projection_solve():
-    # A run that never halves, such as an eviction baseline, does not pay
-    # for importing scipy.linalg; the first halving imports it.
+def test_no_command_imports_scipy():
+    # The halving solve runs on numpy's LAPACK alone, so a run that halves,
+    # the bound checks and alignment load no second BLAS library.
     src = str(Path(ahpatron.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    out = json.loads(subprocess.run([sys.executable, "-c", _LAPACK_LOADS], env=env,
+    out = json.loads(subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
                                     capture_output=True, text=True, check=True).stdout)
-    assert out["import"] is False
-    # B = 8 and more mistakes than that: the baseline evicted, and solved nothing.
-    assert out["budget-oldest"]["mistakes"] > 8
-    assert out["budget-oldest"]["lapack"] is False
-    assert out["ahpatron"]["removals"] > 0 and out["ahpatron"]["lapack"] is True
+    assert [out[c][0] for c in ("run", "check-bounds", "alignment")] == [0, 0, 0]
+    fields = dict(f.split("=") for f in out["run"][1].split())
+    assert int(fields["removals"]) > 0  # the run halved, so it solved
+    assert "removals: PASS" in out["check-bounds"][1]
+    assert out["scipy"] == []
+
+
+# -- production sizes ------------------------------------------------------------
+
+
+def halving_system(m, seed=0):
+    """(K2 + eta I, K21 alpha) of a halving from 2m to m terms at eta = 5e-4:
+    Gaussian kernel blocks of a d=68 synthetic stream, as the learner sees."""
+    xs = [e.x for e in synth_noisy(2 * m, 68, 0.1, seed).examples]
+    K = sparse_kernel_block(KernelSpec.gaussian(1.0), xs, xs)
+    return K[:m, :m] + 5e-4 * np.eye(m), K[:m, m:] @ np.linspace(-1.0, 1.0, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 32, 200, 500])
+def test_spd_solve_at_halving_sizes(m):
+    A, b = halving_system(m)
+    x = spd_solve(A, b)
+    assert np.max(np.abs(A @ x - b)) <= 1e-8 * (1.0 + np.max(np.abs(b)))
+    ref = np.linalg.solve(A, b)
+    assert np.max(np.abs(x - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_refinement_lowers_the_residual_of_a_coarse_factor(monkeypatch):
+    # A factor rounded to single precision leaves a first residual above the
+    # tolerance; the refinement step, with the same factor, brings it under.
+    # The larger ridge (condition number ~4e3) lets one step converge.
+    A, b = halving_system(64, seed=1)
+    A += 0.01 * np.eye(64)
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda a: cholesky(a).astype(np.float32).astype(float))
+    firsts = []
+    substitute = solver._substitute
+
+    def spy(L, U, rhs):
+        firsts.append(substitute(L, U, rhs))
+        return firsts[-1]
+
+    monkeypatch.setattr(solver, "_substitute", spy)
+    x = spd_solve(A, b)
+    assert len(firsts) == 2  # the solve and one refinement step
+    tol = 1e-8 * (1.0 + np.max(np.abs(b)))
+    first = np.max(np.abs(A @ firsts[0] - b))
+    final = np.max(np.abs(A @ x - b))
+    assert first > tol
+    assert final <= tol and final < 1e-3 * first

@@ -19,7 +19,10 @@ than the highest existing file: both revisions, the environment line, per
 workload the raw pairs and, per end-to-end metric, each side's median and
 interquartile range, the number of pairs the working tree won, its bound
 from BENCHMARK.json, whether the median moved the wrong way by more than
-that bound, and whether the working tree gained (``is_gain``).  The
+that bound, whether the medians moved apart by more than either side's
+interquartile range (``resolved``), and whether the working tree gained
+(``is_gain``).  A move beyond the bound that is not resolved prints as
+``BEYOND BOUND (unresolved)``: the runs spread too widely to tell.  The
 previous BENCH file's working-tree medians are kept beside them.
 ``name:k`` in ``--workloads`` runs that workload on the first k seeds
 only.
@@ -122,11 +125,19 @@ def summarize(pairs: list[dict], specs: list[dict]) -> dict:
             "head_over_base": head_med / base_med if base_med else None,
             "worse_by": change,
             "beyond_bound": change > spec["bound"],
+            "resolved": abs(head_med - base_med) > max(iqr(base), iqr(head)),
             "wins": wins(both, better),
             "pairs": len(both),
             "gain": is_gain(both, better),
         }
     return out
+
+
+def verdict(stats: dict) -> str:
+    """The flag printed after one metric's summary line."""
+    if stats["beyond_bound"]:
+        return "BEYOND BOUND" if stats["resolved"] else "BEYOND BOUND (unresolved)"
+    return "GAIN" if stats["gain"] else ""
 
 
 def previous_medians(bench: dict | None) -> dict | None:
@@ -271,9 +282,10 @@ def main(argv: list[str] | None = None) -> int:
     path.write_text(json.dumps(doc, indent=2) + "\n")
     for workload, body in doc["workloads"].items():
         for name, s in body["metrics"].items():
-            flag = "  BEYOND BOUND" if s["beyond_bound"] else "  GAIN" if s["gain"] else ""
+            flag = verdict(s)
             print(f"{workload:8} {name:14} base {s['base']['median']:.4g} "
-                  f"head {s['head']['median']:.4g} wins {s['wins']}/{s['pairs']}{flag}")
+                  f"head {s['head']['median']:.4g} wins {s['wins']}/{s['pairs']}"
+                  + (f"  {flag}" if flag else ""))
     print(f"wrote {path.name}")
     return 0
 
