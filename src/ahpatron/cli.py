@@ -39,7 +39,7 @@ from .diagnostics import (
     mean_embedding,
     metrics,
 )
-from .kernels import GAUSSIAN, KernelSpec
+from .kernels import KernelSpec
 from .learners import (
     AHPATRON,
     AHPATRON_NOPROJ,
@@ -325,7 +325,7 @@ def trace_row(trace: RunTrace) -> dict:
         "dataset": trace.dataset_name,
         "algo": cfg.algorithm,
         "B": "" if cfg.B is None else cfg.B,
-        "sigma": repr(cfg.kernel.sigma) if cfg.kernel.family == GAUSSIAN else "",
+        "sigma": repr(cfg.kernel.sigma),
         "epsilon": repr(cfg.epsilon) if margin_algo else "",
         "U": "inf" if cfg.U == math.inf else repr(cfg.U),
         "lambda": ("adaptive" if cfg.algorithm == AVP_ADAPTIVE

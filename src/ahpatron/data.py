@@ -279,8 +279,7 @@ def permute(ds: Dataset, seed: int) -> Dataset:
 def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:
     """Two Gaussian clusters, linearly separable with functional margin 1.
 
-    Instances stay inside the unit ball (so linear-kernel streams satisfy
-    the unit-diagonal assumption) and every example satisfies
+    Instances stay inside the unit ball and every example satisfies
     y * <w, x> >= 1 for the comparator direction w = u / margin, where u is
     the unit diagonal direction.  Outliers are rejection-resampled; margin
     must lie in (0, 1] for the unit-ball construction to be feasible.

@@ -6,7 +6,8 @@ verifies the inequality's hypotheses against the trace's configuration
 (raising PreconditionViolation otherwise) and then evaluates both sides,
 reporting all named components.  Checks that run with satisfied
 preconditions must hold on every run; a violation indicates an
-implementation bug, not bad luck.
+implementation bug, not bad luck.  The kernel is the normalized Gaussian,
+so the bounds' assumption kappa(x, x) <= 1 holds on every stream.
 
 The bounds see a fixed comparator f only through its scores f(x_t) on the
 stream and its squared norm |f|^2, so a comparator is a Comparator holding
@@ -35,14 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .expansion import Expansion
-from .kernels import (
-    GAUSSIAN,
-    KernelSpec,
-    LabeledExample,
-    kernel_diag,
-    operands,
-    pairwise_kernel,
-)
+from .kernels import KernelSpec, LabeledExample, operands, pairwise_kernel
 from .learners import (
     AVP,
     AVP_ADAPTIVE,
@@ -169,7 +163,7 @@ def _kernel_times_labels(
     for i in range(0, T, rows):
         m = min(rows, T - i)
         block = buf[: m * (T - i)].reshape(m, T - i)
-        pairwise_kernel(spec, Z[i : i + m], Q[i:], out=block)
+        pairwise_kernel(Z[i : i + m], Q[i:], out=block)
         g[i : i + m] += np.einsum("ij,j->i", block, y[i:])
         g[i + m :] += np.einsum("ij,i->j", block[:, m:], y[i : i + m])
     return y, g
@@ -183,7 +177,7 @@ def _embedding(y: np.ndarray, g: np.ndarray) -> Comparator:
 
 
 def mean_embedding(stream: Sequence[LabeledExample], spec: KernelSpec) -> Comparator:
-    """(1/T) sum_t y_t kappa(x_t, .); norm <= 1 for unit-diagonal kernels."""
+    """(1/T) sum_t y_t kappa(x_t, .); its norm is <= 1."""
     return _embedding(*_kernel_times_labels(stream, spec))
 
 
@@ -199,10 +193,9 @@ def kernel_alignment(
     stream: Sequence[LabeledExample], spec: KernelSpec
 ) -> tuple[float, Comparator]:
     """(sum_t kappa(x_t, x_t) - (1/T) y' K y, mean embedding) from one g;
-    the alignment is >= 0 for PSD kernels."""
+    the diagonal sums to T and the alignment is >= 0."""
     y, g = _kernel_times_labels(stream, spec)
-    diag = _sum_left_to_right(kernel_diag(spec, ex.x) for ex in stream)
-    return float(diag - (y @ g) / len(y)), _embedding(y, g)
+    return float(len(y) - (y @ g) / len(y)), _embedding(y, g)
 
 
 # -- bound checks ----------------------------------------------------------
@@ -211,17 +204,6 @@ def kernel_alignment(
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise PreconditionViolation(msg)
-
-
-def _require_unit_diagonal(spec: KernelSpec, stream: Sequence[LabeledExample]) -> None:
-    if spec.family == GAUSSIAN:
-        return
-    worst = max(kernel_diag(spec, ex.x) for ex in stream)
-    _require(
-        worst <= 1.0 + _NORM_SLACK,
-        f"kernel diagonal up to {worst} > 1 on this stream; "
-        "bounds assume kappa(x, x) <= 1",
-    )
 
 
 def _require_in_ball(comparator: Comparator, U: float) -> float:
@@ -252,7 +234,6 @@ def check_perceptron_bound(
     """Mistakes <= 2 L_T(f) + |f|^2, for any comparator f in the RKHS."""
     cfg = trace.config
     _require(cfg.algorithm == PERCEPTRON, f"expected a perceptron trace, got {cfg.algorithm}")
-    _require_unit_diagonal(cfg.kernel, stream)
     m = metrics(trace)
     loss = hinge_loss_of(comparator, stream)
     norm_sq = comparator.sq_norm
@@ -283,7 +264,6 @@ def check_avp_bound(
     the bound is  M <= max(Q, 0) + 9 U^2 + 3 U sqrt(max(Q, 0)).
     """
     cfg = trace.config
-    _require_unit_diagonal(cfg.kernel, stream)
     m = metrics(trace)
     loss = hinge_loss_of(comparator, stream)
     if variant == "constant":
@@ -347,7 +327,6 @@ def check_ahpatron_bound(
     cfg = trace.config
     _require(cfg.algorithm in HALVING_ALGORITHMS,
              f"expected a halving-variant trace, got {cfg.algorithm}")
-    _require_unit_diagonal(cfg.kernel, stream)
     B, U = cfg.B, cfg.U
     _require(cfg.ct_mode == CT_FIXED and _close(cfg.ct, 0.6),
              f"bound needs fixed c_t = 0.6, got {cfg.ct_mode}:{cfg.ct}")
@@ -401,14 +380,12 @@ def check_refined_bound(
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     _require(cfg.algorithm in HALVING_ALGORITHMS,
              f"expected a halving-variant trace, got {cfg.algorithm}")
-    _require_unit_diagonal(cfg.kernel, stream)
     B, U = cfg.B, cfg.U
     _require(cfg.ct_mode == CT_NORM_RATIO,
              f"refined bound needs norm-ratio c_t, got {cfg.ct_mode}")
     _require(_close(cfg.lam, U / (2.0 * math.sqrt(B))),
              f"refined bound needs lambda = U / (2 sqrt(B)), got {cfg.lam}")
     _require(B >= 16, f"refined bound needs B >= 16, got {B}")
-    events = trace.removal_events()
     zeta = trace.zeta_max()
     coef = 0.25 + 4.5 * zeta
     _require(U <= (1.0 - gamma) * math.sqrt(B) / coef * (1.0 + _PARAM_RTOL),
@@ -424,8 +401,8 @@ def check_refined_bound(
            + (1.0 / gamma) * ratio * loss
            + (1.0 - 2.0 * zeta) / gamma * norm_sq * math.sqrt(B) / U
            + slack)
-    mean_dist = (_sum_left_to_right(d for _, d in events) / (len(events) * U)
-                 if events else 0.0)
+    dists = trace.removal_distances[trace.removals].tolist()
+    mean_dist = _sum_left_to_right(dists) / (len(dists) * U) if dists else 0.0
     return _report(
         "ahpatron_refined_bound",
         float(m.mistakes),

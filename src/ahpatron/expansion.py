@@ -6,7 +6,7 @@ its norm term folded in), the coefficients, an incrementally maintained
 Gram matrix, and a cached squared RKHS norm.  score, the one scoring
 path, writes x and its norm term into a reused query row q in place
 (kernels.query_slots); kernel_row(Z, q) is one dot, then a clamp and an
-exp (Gaussian), and f(x) one more dot.  The row width is fixed at
+exp, and f(x) one more dot.  The row width is fixed at
 construction; insert and a nonempty score raise ValueError on a wider
 instance, before any state changes.  Each term is stored once, as the row
 that scoring reads; insert takes the bare instance, since a term's
@@ -37,8 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import (KernelSpec, SparseVector, kernel_diag, kernel_row,
-                      query_rows, query_slots, stored_rows)
+from .kernels import (KernelSpec, SparseVector, kernel_row, query_rows,
+                      query_slots, stored_rows)
 
 _MIN_CAPACITY = 16
 
@@ -130,7 +130,7 @@ class Expansion:
             return np.empty(0), 0.0
         self._qx[...] = x.dense(self._dim)
         self._qnorm[0] = x.sq_norm * self._factor
-        row = kernel_row(self.spec, self._Z[:n], self._q)
+        row = kernel_row(self._Z[:n], self._q)
         return row, float(row.dot(self._alphas[:n]))
 
     # -- updates -----------------------------------------------------------
@@ -140,7 +140,8 @@ class Expansion:
         """Append a term; ``row`` and ``fx`` may pass a precomputed score(x).
 
         The Gram matrix grows by one row/column and the norm cache is
-        updated via  |f + c k(x,.)|^2 = |f|^2 + 2c f(x) + c^2 kappa(x,x).
+        updated via  |f + c k(x,.)|^2 = |f|^2 + 2c f(x) + c^2, since
+        kappa(x, x) = 1.
         """
         coeff = float(coeff)
         if coeff == 0.0:
@@ -151,16 +152,15 @@ class Expansion:
         elif fx is None:
             fx = float(row.dot(self._alphas[: self._n]))
         n = self._n
-        kxx = kernel_diag(self.spec, x)
         self._reserve(n + 1)
         self._alphas[n] = coeff
         stored_rows(self.spec, xd, x.sq_norm, self._Z[n])
         self._gram[n, :n] = row
         self._gram[:n, n] = row
-        self._gram[n, n] = kxx
+        self._gram[n, n] = 1.0
         self._order[n] = n
         self._n = n + 1
-        sq = self._sq_norm + 2.0 * coeff * fx + coeff * coeff * kxx
+        sq = self._sq_norm + 2.0 * coeff * fx + coeff * coeff
         # Exact cancellations can land a hair below zero.
         self._sq_norm = sq if sq > 0.0 else 0.0
 

@@ -7,23 +7,21 @@ parsed file (adopt) is one block, and a vector built from pairs is a
 one-row block.  The row is the vector's dense row; its index and value
 tuples are derived from it at each access and never cached.
 
-Supported kernel families: Gaussian (RBF) and linear.  Kernel values come
-from one formula, kernel_row, on operand rows of width dim + 2 that carry
-each side's norm term, so one BLAS product yields the exponent.  With
+The kernel is the normalized Gaussian exp(-|x - x'|^2 / (2 sigma^2)),
+the only family: kappa(x, x) = 1, the unit diagonal the mistake bounds
+assume, holds by construction.  Kernel values come from one formula,
+kernel_row, on operand rows of width dim + 2 that carry each side's norm
+term, so one BLAS product yields the exponent.  With
 gamma = 1 / (2 sigma^2), an instance x_i on the stored side is
 z_i = [2 gamma x_i, -gamma |x_i|^2, 1] (stored_rows) and a query x is
 q = [x, 1, -gamma |x|^2] (query_rows), so z_i . q = -gamma |x_i - x|^2
-and the Gaussian kernel is exp(min(Z q, 0)); the clamp keeps every value
-in [0, 1].  For the linear kernel z_i = [x_i, 0, 0], q = [x, 0, 0] and the
-product is the kernel.  The operand layout lives here alone: the two
-builders allocate when given no buffer, operands builds a whole stream's,
-and query_slots lets a score refill one query row in place.  kernel_row
-(one dot, a clamp, an exp) takes a single query for scoring and Gram
-updates, pairwise_kernel a whole block for the comparator and alignment
-passes; kernel_diag gives a new term's Gram diagonal (exact 1.0 for
-Gaussian).  All evaluations are double precision; the Gaussian kernel
-is normalized (kappa(x, x) = 1) so the unit-diagonal assumption needed by
-the bound checkers holds automatically.
+and the kernel is exp(min(Z q, 0)); the clamp keeps every value in
+[0, 1].  The operand layout lives here alone: the two builders allocate
+when given no buffer, operands builds a whole stream's, and query_slots
+lets a score refill one query row in place.  kernel_row (one dot, a
+clamp, an exp) takes a single query for scoring and Gram updates,
+pairwise_kernel a whole block for the comparator and alignment passes.
+All evaluations are double precision.
 """
 
 from __future__ import annotations
@@ -33,9 +31,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-
-GAUSSIAN = "gaussian"
-LINEAR = "linear"
 
 
 def check_pairs(pairs: Iterable[tuple[int, float]]) -> tuple[list[int], list[float]]:
@@ -207,35 +202,17 @@ class LabeledExample:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family and parameters.
+    """The Gaussian kernel's width sigma, positive and finite."""
 
-    sigma applies to the Gaussian family; the linear kernel takes no
-    parameters.
-    """
-
-    family: str
-    sigma: float = 1.0
+    sigma: float
 
     def __post_init__(self):
-        if self.family not in (GAUSSIAN, LINEAR):
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == GAUSSIAN and not 0 < self.sigma < math.inf:
+        if not 0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
 
     @classmethod
     def gaussian(cls, sigma: float) -> "KernelSpec":
-        return cls(GAUSSIAN, sigma=float(sigma))
-
-    @classmethod
-    def linear(cls) -> "KernelSpec":
-        return cls(LINEAR)
-
-
-def kernel_diag(spec: KernelSpec, x: SparseVector) -> float:
-    """kappa(x, x) without a kernel row (exact 1.0 for Gaussian)."""
-    if spec.family == GAUSSIAN:
-        return 1.0
-    return x.sq_norm
+        return cls(float(sigma))
 
 
 def _gamma(spec: KernelSpec) -> float:
@@ -248,16 +225,11 @@ def stored_rows(spec: KernelSpec, X: np.ndarray, xsq: float | np.ndarray,
 
     X is one row (xsq a float) or a block of rows (xsq a vector); the
     result, written into out if given, has X's shape with each row 2
-    entries wider.  Gaussian: z = [2 gamma x, -gamma |x|^2, 1]; linear:
-    z = [x, 0, 0].
+    entries wider: z = [2 gamma x, -gamma |x|^2, 1].
     """
     d = X.shape[-1]
     if out is None:
         out = np.empty((*X.shape[:-1], d + 2))
-    if spec.family == LINEAR:
-        out[..., :d] = X
-        out[..., d:] = 0.0
-        return out
     gamma = _gamma(spec)
     np.multiply(X, 2.0 * gamma, out=out[..., :d])
     out[..., d] = xsq * -gamma
@@ -268,15 +240,11 @@ def stored_rows(spec: KernelSpec, X: np.ndarray, xsq: float | np.ndarray,
 def query_rows(spec: KernelSpec, X: np.ndarray, xsq: float | np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
     """The query operand q of dense rows X with squared norms xsq, shaped
-    and written as by stored_rows.  Gaussian: q = [x, 1, -gamma |x|^2];
-    linear: q = [x, 0, 0]."""
+    and written as by stored_rows: q = [x, 1, -gamma |x|^2]."""
     d = X.shape[-1]
     if out is None:
         out = np.empty((*X.shape[:-1], d + 2))
     out[..., :d] = X
-    if spec.family == LINEAR:
-        out[..., d:] = 0.0
-        return out
     out[..., d] = 1.0
     out[..., d + 1] = xsq * -_gamma(spec)
     return out
@@ -284,10 +252,7 @@ def query_rows(spec: KernelSpec, X: np.ndarray, xsq: float | np.ndarray,
 
 def query_slots(spec: KernelSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(x view, norm view, factor) of a query_rows row q: x written into the
-    first and |x|^2 * factor into the second make q query_rows of x.  The
-    linear kernel has no norm term, so its norm view is scratch outside q."""
-    if spec.family == LINEAR:
-        return q[:-2], np.zeros(1), 0.0
+    first and |x|^2 * factor into the second make q query_rows of x."""
     return q[:-2], q[-1:], -_gamma(spec)
 
 
@@ -307,14 +272,14 @@ def operands(spec: KernelSpec, xs: Sequence[SparseVector],
     return stored_rows(spec, X, xsq), query_rows(spec, X, xsq, out=Q)
 
 
-def pairwise_kernel(spec: KernelSpec, Z: np.ndarray, Q: np.ndarray,
+def pairwise_kernel(Z: np.ndarray, Q: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Kernel block K[i, j] = kappa(x_i, x_j) of stored operand rows Z and
     query operand rows Q, through kernel_row (written into out if given)."""
-    return kernel_row(spec, Z, Q.T, out=out)
+    return kernel_row(Z, Q.T, out=out)
 
 
-def kernel_row(spec: KernelSpec, Z: np.ndarray, q: np.ndarray,
+def kernel_row(Z: np.ndarray, q: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
     """Kernel values of a query operand q against stored operand rows Z.
 
@@ -325,7 +290,5 @@ def kernel_row(spec: KernelSpec, Z: np.ndarray, q: np.ndarray,
     a caller can reuse one buffer for many blocks.
     """
     out = Z.dot(q, out=out)
-    if spec.family == LINEAR:
-        return out
     np.minimum(out, 0.0, out=out)
     return np.exp(out, out=out)

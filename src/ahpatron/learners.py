@@ -302,17 +302,12 @@ class RunTrace:
     def T(self) -> int:
         return len(self.margins)
 
-    def removal_events(self) -> list[tuple[int, float]]:
-        """(round, distance) for every halving event, in order."""
-        idx = np.flatnonzero(self.removals)
-        return [(int(t), float(self.removal_distances[t])) for t in idx]
-
     def zeta_max(self) -> float:
         """max removal_distance / U over the run; 0.0 when nothing was removed."""
-        events = self.removal_events()
-        if not events or not math.isfinite(self.config.U):
+        dists = self.removal_distances[self.removals]
+        if not dists.size or not math.isfinite(self.config.U):
             return 0.0
-        return max(d for _, d in events) / self.config.U
+        return float(dists.max()) / self.config.U
 
     def same_as(self, other: "RunTrace") -> bool:
         """Bitwise equality of every field except the wall-clock elapsed_ms."""

@@ -63,24 +63,6 @@ class ScalarSplitMix64(SplitMix64):
 # -- the scalar kernel: merge iteration over sorted sparse supports ----------
 
 
-def sparse_dot(u: SparseVector, v: SparseVector) -> float:
-    """Sparse dot product via merge iteration."""
-    ia = ib = 0
-    na, nb = len(u.indices), len(v.indices)
-    s = 0.0
-    while ia < na and ib < nb:
-        da, db = u.indices[ia], v.indices[ib]
-        if da == db:
-            s += u.values[ia] * v.values[ib]
-            ia += 1
-            ib += 1
-        elif da < db:
-            ia += 1
-        else:
-            ib += 1
-    return s
-
-
 def sparse_sq_dist(u: SparseVector, v: SparseVector) -> float:
     """Squared Euclidean distance over the union of supports."""
     ia = ib = 0
@@ -113,10 +95,8 @@ def sparse_sq_dist(u: SparseVector, v: SparseVector) -> float:
 
 
 def kernel_eval(spec: KernelSpec, u: SparseVector, v: SparseVector) -> float:
-    """Scalar kernel evaluation; symmetric in (u, v)."""
-    if spec.family == "gaussian":
-        return math.exp(-sparse_sq_dist(u, v) / (2.0 * spec.sigma * spec.sigma))
-    return sparse_dot(u, v)
+    """Scalar Gaussian kernel evaluation; symmetric in (u, v)."""
+    return math.exp(-sparse_sq_dist(u, v) / (2.0 * spec.sigma * spec.sigma))
 
 
 def gram_matrix(spec: KernelSpec, xs) -> np.ndarray:
@@ -345,7 +325,7 @@ def sparse_kernel_block(spec: KernelSpec, xs, ys) -> np.ndarray:
     dim = max(v.width for v in [*xs, *ys])
     Z, _ = operands(spec, xs, dim)
     _, Q = operands(spec, ys, dim)
-    return pairwise_kernel(spec, Z, Q)
+    return pairwise_kernel(Z, Q)
 
 
 def random_sparse(gen: ScalarSplitMix64, dim: int, density: float = 0.7,

@@ -7,7 +7,6 @@ import pytest
 
 from ahpatron.expansion import Expansion
 from ahpatron.kernels import (
-    GAUSSIAN,
     KernelSpec,
     LabeledExample,
     SparseVector,
@@ -118,7 +117,7 @@ def test_kernel_spec_validation():
     with pytest.raises(ValueError, match="finite"):
         KernelSpec.gaussian(float("inf"))
     with pytest.raises(ValueError):
-        KernelSpec("spline")
+        KernelSpec.gaussian(math.nan)
 
 
 # -- sparse_sq_dist -------------------------------------------------------------
@@ -165,20 +164,12 @@ def test_gaussian_against_empty_vector():
     assert kernel_eval(GAUSS, u, empty) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
 
-def test_linear_sparse_overlap():
-    u = SparseVector([(1, 2.0), (3, 1.0)])
-    v = SparseVector([(1, 0.5), (2, 4.0)])
-    assert kernel_eval(KernelSpec.linear(), u, v) == 1.0
-
-
 def test_kernel_symmetry_exact():
     gen = ScalarSplitMix64(6)
-    specs = [GAUSS, KernelSpec.linear()]
     for _ in range(25):
         u = random_sparse(gen, 6)
         v = random_sparse(gen, 6)
-        for spec in specs:
-            assert kernel_eval(spec, u, v) == kernel_eval(spec, v, u)
+        assert kernel_eval(GAUSS, u, v) == kernel_eval(GAUSS, v, u)
 
 
 def test_gaussian_range_and_equality_condition():
@@ -211,12 +202,11 @@ def test_gram_two_identical_gaussian():
 def test_gram_matches_entrywise_eval_exactly():
     gen = ScalarSplitMix64(17)
     xs = [random_sparse(gen, 5) for _ in range(7)]
-    for spec in (GAUSS, KernelSpec.linear()):
-        m = gram_matrix(spec, xs)
-        for i in range(len(xs)):
-            for j in range(len(xs)):
-                assert m[i, j] == kernel_eval(spec, xs[i], xs[j])
-        assert np.array_equal(m, m.T)
+    m = gram_matrix(GAUSS, xs)
+    for i in range(len(xs)):
+        for j in range(len(xs)):
+            assert m[i, j] == kernel_eval(GAUSS, xs[i], xs[j])
+    assert np.array_equal(m, m.T)
 
 
 def test_gram_rejects_empty():
@@ -226,60 +216,52 @@ def test_gram_rejects_empty():
 
 def test_gram_positive_semidefinite():
     gen = ScalarSplitMix64(23)
-    for spec in (GAUSS, KernelSpec.linear()):
-        for n in (5, 20, 50):
-            xs = [random_sparse(gen, 10) for _ in range(n)]
-            eigs = np.linalg.eigvalsh(gram_matrix(spec, xs))
-            assert eigs.min() >= -1e-9 * n
+    for n in (5, 20, 50):
+        xs = [random_sparse(gen, 10) for _ in range(n)]
+        eigs = np.linalg.eigvalsh(gram_matrix(GAUSS, xs))
+        assert eigs.min() >= -1e-9 * n
 
 
 def test_pairwise_kernel_agrees_with_gram():
     gen = ScalarSplitMix64(31)
     xs = [random_sparse(gen, 6) for _ in range(12)]
     wide = SparseVector([(8, 1.5)])  # wider than every row of xs
-    for spec in (GAUSS, KernelSpec.linear()):
-        fast = sparse_kernel_block(spec, xs, xs)
-        exact = gram_matrix(spec, xs)
-        assert np.allclose(fast, exact, rtol=0.0, atol=1e-12)
-        if spec.family == GAUSSIAN:
-            # z_i . q_j and z_j . q_i add the two norm terms in opposite
-            # orders, so a Gaussian block is symmetric to rounding only.
-            assert np.allclose(fast, fast.T, rtol=0.0, atol=1e-15)
-        else:
-            assert np.array_equal(fast, fast.T)
-        block = sparse_kernel_block(spec, xs, xs[:4] + [wide])
-        exact = gram_matrix(spec, xs + [wide])[:12, [0, 1, 2, 3, 12]]
-        assert np.allclose(block, exact, rtol=0.0, atol=1e-12)
+    fast = sparse_kernel_block(GAUSS, xs, xs)
+    exact = gram_matrix(GAUSS, xs)
+    assert np.allclose(fast, exact, rtol=0.0, atol=1e-12)
+    # z_i . q_j and z_j . q_i add the two norm terms in opposite orders, so
+    # the block is symmetric to rounding only.
+    assert np.allclose(fast, fast.T, rtol=0.0, atol=1e-15)
+    block = sparse_kernel_block(GAUSS, xs, xs[:4] + [wide])
+    exact = gram_matrix(GAUSS, xs + [wide])[:12, [0, 1, 2, 3, 12]]
+    assert np.allclose(block, exact, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("spec", [GAUSS, KernelSpec.linear()], ids=["gaussian", "linear"])
-def test_kernel_row_into_buffer_is_bitwise_the_allocating_call(spec):
+def test_kernel_row_into_buffer_is_bitwise_the_allocating_call():
     gen = ScalarSplitMix64(37)
-    Z, _ = operands(spec, [random_sparse(gen, 6) for _ in range(9)], 6)
-    _, Q = operands(spec, [random_sparse(gen, 6) for _ in range(5)], 6)
+    Z, _ = operands(GAUSS, [random_sparse(gen, 6) for _ in range(9)], 6)
+    _, Q = operands(GAUSS, [random_sparse(gen, 6) for _ in range(5)], 6)
     # One query row, as the learners score, and a block of five.
     for args, shape in (((Z, Q[0]), (9,)), ((Z, Q.T), (9, 5))):
         buf = np.full(shape, np.nan)
-        assert kernel_row(spec, *args, out=buf) is buf
-        assert buf.tobytes() == kernel_row(spec, *args).tobytes()
+        assert kernel_row(*args, out=buf) is buf
+        assert buf.tobytes() == kernel_row(*args).tobytes()
 
 
-@pytest.mark.parametrize("spec", [GAUSS, KernelSpec.linear()], ids=["gaussian", "linear"])
-def test_pairwise_kernel_reuses_one_buffer_for_ragged_blocks(spec):
+def test_pairwise_kernel_reuses_one_buffer_for_ragged_blocks():
     gen = ScalarSplitMix64(41)
-    Z, Q = operands(spec, [random_sparse(gen, 6) for _ in range(23)], 6)
+    Z, Q = operands(GAUSS, [random_sparse(gen, 6) for _ in range(23)], 6)
     buf = np.full((10, 23), np.nan)
     for i in range(0, 23, 10):  # blocks of 10, 10 and 3 rows
         block = buf[: min(10, 23 - i)]
         rows = slice(i, i + 10)
-        assert pairwise_kernel(spec, Z[rows], Q, out=block) is block
-        fresh = pairwise_kernel(spec, Z[rows].copy(), Q)
+        assert pairwise_kernel(Z[rows], Q, out=block) is block
+        fresh = pairwise_kernel(Z[rows].copy(), Q)
         assert block.tobytes() == fresh.tobytes()
 
 
-@pytest.mark.parametrize("spec", [KernelSpec.gaussian(s) for s in (0.05, 1.0, 30.0)]
-                         + [KernelSpec.linear()],
-                         ids=["sigma-0.05", "sigma-1", "sigma-30", "linear"])
+@pytest.mark.parametrize("spec", [KernelSpec.gaussian(s) for s in (0.05, 1.0, 30.0)],
+                         ids=["sigma-0.05", "sigma-1", "sigma-30"])
 def test_fused_rows_match_the_scalar_kernel(spec):
     # Expansion rows and pairwise blocks are one product of operand rows;
     # the oracle merges sparse supports.  Near-copies of stored rows keep
@@ -296,15 +278,13 @@ def test_fused_rows_match_the_scalar_kernel(spec):
     rows = np.array([f.kernel_row(q) for q in queries]).T
     for K in (rows, sparse_kernel_block(spec, xs, queries)):
         assert np.allclose(K, exact, rtol=0.0, atol=1e-12)
-        if spec.family == GAUSSIAN:
-            assert ((0.0 <= K) & (K <= 1.0)).all()
-            own = K[range(4), range(4)]  # stored instances against themselves
-            assert (own <= 1.0).all() and (1.0 - own <= 1e-12).all()
-            assert (exact[range(4), range(4)] == 1.0).all()
+        assert ((0.0 <= K) & (K <= 1.0)).all()
+        own = K[range(4), range(4)]  # stored instances against themselves
+        assert (own <= 1.0).all() and (1.0 - own <= 1e-12).all()
+        assert (exact[range(4), range(4)] == 1.0).all()
 
 
-@pytest.mark.parametrize("spec", [GAUSS, KernelSpec.linear()], ids=["gaussian", "linear"])
-def test_operands_densify_once_into_the_query_rows(spec):
+def test_operands_densify_once_into_the_query_rows():
     # A stream's operand rows equal the builders' on its densified rows,
     # bitwise, and the rows are held twice (Z and Q), with no third copy;
     # the rest of the peak is numpy's fixed-size ufunc buffers.
@@ -314,10 +294,10 @@ def test_operands_densify_once_into_the_query_rows(spec):
     xsq = np.array([x.sq_norm for x in xs])
     tracemalloc.start()
     try:
-        Z, Q = operands(spec, xs, 9)
+        Z, Q = operands(GAUSS, xs, 9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert Z.tobytes() == stored_rows(spec, X, xsq).tobytes()
-    assert Q.tobytes() == query_rows(spec, X, xsq).tobytes()
+    assert Z.tobytes() == stored_rows(GAUSS, X, xsq).tobytes()
+    assert Q.tobytes() == query_rows(GAUSS, X, xsq).tobytes()
     assert peak < 2.5 * Z.nbytes, peak / Z.nbytes

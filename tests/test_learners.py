@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ahpatron.learners as learners_mod
-from ahpatron.data import synth_noisy, synth_separable
+from ahpatron.data import synth_noisy
 from ahpatron.diagnostics import invariant_violations, metrics
 from ahpatron.expansion import Expansion
 from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector
@@ -34,7 +34,6 @@ from oracles import (
 )
 
 GAUSS = KernelSpec.gaussian(1.0)
-LIN = KernelSpec.linear()
 
 
 def ex(pairs, y):
@@ -421,20 +420,21 @@ def test_ahpatron_below_budget_is_plain_update():
 
 
 def test_ahpatron_zero_coupling_scales_survivors():
-    # Linear kernel with disjoint supports: the survivor/removed coupling
-    # block is exactly zero, so the solve returns zero and the survivors are
-    # only rescaled onto the sphere.
-    cfg = LearnerConfig("ahpatron", LIN, B=2, U=1.0, lam=0.1, epsilon=0.5,
+    # Instances 40 apart: every kernel value between two of them underflows
+    # to exactly 0.0, so the survivor/removed coupling block is zero, the
+    # solve returns zero and the survivors are only rescaled onto the sphere.
+    cfg = LearnerConfig("ahpatron", GAUSS, B=2, U=1.0, lam=0.1, epsilon=0.5,
                         ct_mode="fixed", ct=0.6)
     learner = OnlineLearner(cfg, dim=8)
     f = learner.hypothesis
-    kept, dropped = ex([(0, 1.0)], +1), ex([(1, 1.0)], +1)
+    kept, dropped = ex([(0, 40.0)], +1), ex([(1, 40.0)], +1)
     f.insert(kept.x, 0.9)     # survivor (larger magnitude)
     f.insert(dropped.x, 0.2)  # removed
-    new_x = ex([(2, 0.5)], +1)          # triggers (margin 0 < 0.5)
+    assert f.gram[0, 1] == 0.0
+    new_x = ex([(2, 40.0)], +1)         # triggers (margin 0 < 0.5)
     out = learner.step(new_x)
     assert out.removal
-    _assert_stores(f, LIN, [kept.x, new_x.x], probes=[dropped.x])
+    _assert_stores(f, GAUSS, [kept.x, new_x.x], probes=[dropped.x])
     # Survivor rescaled from norm 0.9 to radius ct*U = 0.6: coefficient 0.6.
     assert f.alphas[0] == pytest.approx(0.6, rel=1e-10)
     assert f.alphas[1] == pytest.approx(0.1, rel=1e-10)
@@ -465,16 +465,22 @@ def test_ahpatron_noproj_matches_sphere_of_survivors():
 
 
 def test_ahpatron_degenerate_projection_drops_everything():
-    # A zero-norm survivor half: the empty instance has kappa = 0 under the
-    # linear kernel, so the survivor combination has norm zero and the
-    # sphere target is undefined; the fallback empties the set.
-    cfg = LearnerConfig("ahpatron", LIN, B=2, U=1.0, lam=0.5, epsilon=0.5,
+    # A zero-norm survivor half: one instance stored twice, with +5 and -5,
+    # so the survivor combination has norm zero and the sphere target is
+    # undefined; the fallback empties the set.  The removed terms lie 40
+    # away, so their coupling to the survivors is exactly zero and the
+    # projection adds nothing to the survivors.
+    cfg = LearnerConfig("ahpatron", GAUSS, B=4, U=1.0, lam=0.5, epsilon=0.5,
                         ct_mode="fixed", ct=0.6)
     learner = OnlineLearner(cfg, dim=4)
     f = learner.hypothesis
-    f.insert(SparseVector([]), 5.0)          # survivor: |alpha| = 5, zero norm
-    f.insert(SparseVector([(0, 1.0)]), 1.0)  # removed half
-    out = learner.step(ex([(1, 1.0)], +1))
+    twin = SparseVector([(0, 40.0)])
+    f.insert(twin, 5.0)                       # survivors: |alpha| = 5
+    f.insert(twin, -5.0)
+    f.insert(SparseVector([(1, 40.0)]), 1.0)  # removed half
+    f.insert(SparseVector([(2, 40.0)]), 1.0)
+    assert f.sq_norm == 2.0
+    out = learner.step(ex([(3, 40.0)], +1))
     assert out.removal
     assert learner.hypothesis.size == 1  # only the fresh insert survives
     assert learner.hypothesis.alphas[0] == pytest.approx(0.5)
@@ -745,16 +751,6 @@ def test_run_handles_empty_instances():
     trace = run(LearnerConfig("perceptron", GAUSS), stream)
     assert trace.T == 4
     assert invariant_violations(trace) == []
-
-
-def test_perceptron_mistake_bound_on_separable_stream():
-    # Separable construction gives a comparator with zero hinge loss, so the
-    # mistake count is bounded by its squared norm alone.
-    ds = synth_separable(400, 3, margin=0.6, seed=11)
-    trace = run(LearnerConfig("perceptron", LIN), ds.examples)
-    w = ds.metadata["comparator_weights"]
-    norm_sq = sum(v * v for v in w)
-    assert metrics(trace).mistakes <= norm_sq + 1e-9
 
 
 def test_run_is_deterministic():
