@@ -185,10 +185,12 @@ _TRIANGLE_CASES = {
 
 
 @pytest.mark.parametrize(
-    "T, entries, shapes", _TRIANGLE_CASES.values(),
-    ids=["gaussian" + name for name in _TRIANGLE_CASES],
+    "spec, T, entries, shapes",
+    [(spec, *case) for case in _TRIANGLE_CASES.values()
+     for spec in (GAUSS, KernelSpec.gaussian(0.7))],
+    ids=[width + name for name in _TRIANGLE_CASES for width in ("gaussian", "sigma-0.7")],
 )
-def test_blocked_kernel_times_labels_matches_one_gram(monkeypatch, T, entries, shapes):
+def test_blocked_kernel_times_labels_matches_one_gram(monkeypatch, spec, T, entries, shapes):
     stream = random_examples(ScalarSplitMix64(87), T, 4)
     if entries is not None:
         monkeypatch.setattr(diagnostics, "_BLOCK_ENTRIES", entries)
@@ -201,12 +203,12 @@ def test_blocked_kernel_times_labels_matches_one_gram(monkeypatch, T, entries, s
     monkeypatch.setattr(diagnostics, "pairwise_kernel", spy)
     xs = [e.x for e in stream]
     y = np.array([float(e.y) for e in stream])
-    g = sparse_kernel_block(GAUSS, xs, xs) @ y
-    f = mean_embedding(stream, GAUSS)
+    g = sparse_kernel_block(spec, xs, xs) @ y
+    f = mean_embedding(stream, spec)
     assert blocks == shapes
     assert np.allclose(f.scores, g / T, rtol=0.0, atol=1e-12)
     assert f.sq_norm == pytest.approx(float(y @ g) / T**2, rel=0.0, abs=1e-12)
-    assert kernel_alignment(stream, GAUSS)[0] == pytest.approx(
+    assert kernel_alignment(stream, spec)[0] == pytest.approx(
         T - float(y @ g) / T, rel=0.0, abs=1e-12)
 
 
@@ -368,6 +370,26 @@ def test_perceptron_bound_random_comparators():
         for e in random_examples(gen, 5, 4):
             f.insert(e.x, 3.0 * (gen.uniform() - 0.5) or 0.4)
         assert check_perceptron_bound(trace, stream, Comparator.of(f, stream)).holds
+
+
+def test_perceptron_bound_is_tight_on_far_apart_instances():
+    # Instances of norm ~1e3 still have kappa(x, x) = 1, so the bound needs
+    # no rescaling.  Every cross kernel value underflows to 0.0: the
+    # perceptron scores 0 and updates on every round (M' = T), and
+    # f = sum_t y_t kappa(x_t, .) has |f|^2 = T and loss ~0, so the bound
+    # is T: the update count meets it.
+    gen = ScalarSplitMix64(103)
+    stream = random_examples(gen, 20, 8, scale=1e3)
+    f = Expansion(GAUSS, dim=8)
+    for e in stream:
+        f.insert(e.x, float(e.y))
+    assert f.sq_norm == 20.0
+    trace = run(LearnerConfig("perceptron", GAUSS), stream)
+    report = check_perceptron_bound(trace, stream, Comparator.of(f, stream))
+    assert report.holds
+    assert report.components["margin_mistakes"] == 20
+    assert report.components["mistakes"] <= 20
+    assert report.rhs == pytest.approx(20.0, rel=1e-9)
 
 
 def test_perceptron_bound_wrong_algorithm():

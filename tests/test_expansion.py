@@ -69,8 +69,8 @@ def test_evaluate_is_linear_under_scale():
     assert f.score(x)[1] == pytest.approx(-2.5 * before, rel=1e-12)
 
 
-@pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.7), GAUSS],
-                         ids=["sigma=0.7", "sigma=1"])
+@pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.7), GAUSS, KernelSpec.gaussian(30.0)],
+                         ids=["sigma=0.7", "sigma=1", "sigma=30"])
 @pytest.mark.parametrize("terms", [1, 6])
 def test_score_is_bitwise_the_fresh_query_row(spec, terms):
     # score refills one query row in place; its row and f(x) are the bytes of
@@ -108,6 +108,20 @@ def test_insert_into_empty_sets_norm():
     f = Expansion(GAUSS, dim=1)
     f.insert(SparseVector([(0, 1.0)]), 0.7)
     assert f.sq_norm == pytest.approx(0.49, abs=1e-15)
+
+
+def test_insert_writes_a_unit_gram_diagonal():
+    # kappa(x, x) = 1 for every x, so insert writes each diagonal entry as
+    # 1.0 and adds coeff^2 to the norm, whatever the instance's scale; the
+    # fused row can round an instance's own entry just below 1.
+    gen = ScalarSplitMix64(131)
+    f, xs = random_expansion(gen, 9, dim=5, coeff_scale=2.0)
+    for x in random_examples(gen, 3, 5, scale=1e3):
+        f.insert(x.x, 0.5)
+    assert (np.diag(f.gram) == 1.0).all()
+    g = Expansion(GAUSS, dim=5)
+    g.insert(SparseVector([(4, 1e3)]), 0.7)
+    assert g.sq_norm == 0.7 * 0.7
 
 
 def test_insert_cancellation_keeps_both_terms():

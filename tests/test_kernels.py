@@ -164,6 +164,17 @@ def test_gaussian_against_empty_vector():
     assert kernel_eval(GAUSS, u, empty) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
 
+def test_gaussian_sparse_overlap():
+    # Index 1 is in both supports and adds its difference squared; indices 2
+    # and 3 are in one each and add their squares: |u - v|^2 = 2.25 + 16 + 1.
+    u = SparseVector([(1, 2.0), (3, 1.0)])
+    v = SparseVector([(1, 0.5), (2, 4.0)])
+    assert sparse_sq_dist(u, v) == 19.25
+    assert kernel_eval(GAUSS, u, v) == math.exp(-9.625)
+    assert sparse_kernel_block(GAUSS, [u], [v])[0, 0] == pytest.approx(
+        math.exp(-9.625), rel=1e-12)
+
+
 def test_kernel_symmetry_exact():
     gen = ScalarSplitMix64(6)
     for _ in range(25):
@@ -237,10 +248,17 @@ def test_pairwise_kernel_agrees_with_gram():
     assert np.allclose(block, exact, rtol=0.0, atol=1e-12)
 
 
-def test_kernel_row_into_buffer_is_bitwise_the_allocating_call():
+# sigma = 30 puts the exponents near 0, where the norm terms in the
+# operand rows nearly cancel.
+_WIDTHS = pytest.mark.parametrize("spec", [GAUSS, KernelSpec.gaussian(30.0)],
+                                  ids=["gaussian", "sigma-30"])
+
+
+@_WIDTHS
+def test_kernel_row_into_buffer_is_bitwise_the_allocating_call(spec):
     gen = ScalarSplitMix64(37)
-    Z, _ = operands(GAUSS, [random_sparse(gen, 6) for _ in range(9)], 6)
-    _, Q = operands(GAUSS, [random_sparse(gen, 6) for _ in range(5)], 6)
+    Z, _ = operands(spec, [random_sparse(gen, 6) for _ in range(9)], 6)
+    _, Q = operands(spec, [random_sparse(gen, 6) for _ in range(5)], 6)
     # One query row, as the learners score, and a block of five.
     for args, shape in (((Z, Q[0]), (9,)), ((Z, Q.T), (9, 5))):
         buf = np.full(shape, np.nan)
@@ -248,9 +266,10 @@ def test_kernel_row_into_buffer_is_bitwise_the_allocating_call():
         assert buf.tobytes() == kernel_row(*args).tobytes()
 
 
-def test_pairwise_kernel_reuses_one_buffer_for_ragged_blocks():
+@_WIDTHS
+def test_pairwise_kernel_reuses_one_buffer_for_ragged_blocks(spec):
     gen = ScalarSplitMix64(41)
-    Z, Q = operands(GAUSS, [random_sparse(gen, 6) for _ in range(23)], 6)
+    Z, Q = operands(spec, [random_sparse(gen, 6) for _ in range(23)], 6)
     buf = np.full((10, 23), np.nan)
     for i in range(0, 23, 10):  # blocks of 10, 10 and 3 rows
         block = buf[: min(10, 23 - i)]
@@ -260,8 +279,8 @@ def test_pairwise_kernel_reuses_one_buffer_for_ragged_blocks():
         assert block.tobytes() == fresh.tobytes()
 
 
-@pytest.mark.parametrize("spec", [KernelSpec.gaussian(s) for s in (0.05, 1.0, 30.0)],
-                         ids=["sigma-0.05", "sigma-1", "sigma-30"])
+@pytest.mark.parametrize("spec", [KernelSpec.gaussian(s) for s in (0.05, 0.3, 1.0, 30.0)],
+                         ids=["sigma-0.05", "sigma-0.3", "sigma-1", "sigma-30"])
 def test_fused_rows_match_the_scalar_kernel(spec):
     # Expansion rows and pairwise blocks are one product of operand rows;
     # the oracle merges sparse supports.  Near-copies of stored rows keep
@@ -284,7 +303,8 @@ def test_fused_rows_match_the_scalar_kernel(spec):
         assert (exact[range(4), range(4)] == 1.0).all()
 
 
-def test_operands_densify_once_into_the_query_rows():
+@_WIDTHS
+def test_operands_densify_once_into_the_query_rows(spec):
     # A stream's operand rows equal the builders' on its densified rows,
     # bitwise, and the rows are held twice (Z and Q), with no third copy;
     # the rest of the peak is numpy's fixed-size ufunc buffers.
@@ -294,10 +314,10 @@ def test_operands_densify_once_into_the_query_rows():
     xsq = np.array([x.sq_norm for x in xs])
     tracemalloc.start()
     try:
-        Z, Q = operands(GAUSS, xs, 9)
+        Z, Q = operands(spec, xs, 9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert Z.tobytes() == stored_rows(GAUSS, X, xsq).tobytes()
-    assert Q.tobytes() == query_rows(GAUSS, X, xsq).tobytes()
+    assert Z.tobytes() == stored_rows(spec, X, xsq).tobytes()
+    assert Q.tobytes() == query_rows(spec, X, xsq).tobytes()
     assert peak < 2.5 * Z.nbytes, peak / Z.nbytes
