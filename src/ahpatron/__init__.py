@@ -19,7 +19,7 @@ from .diagnostics import (
     metrics,
 )
 from .expansion import Expansion
-from .kernels import KernelSpec, SparseVector
+from .kernels import SparseVector
 from .learners import LearnerConfig, run
 
 __version__ = "0.1.0"
@@ -27,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Comparator",
     "Expansion",
-    "KernelSpec",
     "LearnerConfig",
     "SparseVector",
     "check_refined_bound",

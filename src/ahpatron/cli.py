@@ -39,7 +39,6 @@ from .diagnostics import (
     mean_embedding,
     metrics,
 )
-from .kernels import KernelSpec
 from .learners import (
     AHPATRON,
     AHPATRON_NOPROJ,
@@ -47,7 +46,6 @@ from .learners import (
     AVP,
     AVP_ADAPTIVE,
     BUDGETED_ALGORITHMS,
-    CT_FIXED,
     CT_NORM_RATIO,
     HALVING_ALGORITHMS,
     MARGIN_ALGORITHMS,
@@ -253,19 +251,27 @@ _RADIUS = _flag(float, lambda v: v == math.inf or 0 < v * v < math.inf,
 _CT_DOMAIN = "'norm-ratio' or 'fixed:<c>' with c in (0, 1]"
 
 
-def _parse_ct(text: str) -> tuple[str, float] | None:
-    """(ct_mode, c) of a --ct value, or None unless it is in _CT_DOMAIN."""
+def _parse_ct(text: str) -> float | None:
+    """c of a 'fixed:<c>' --ct value, None for 'norm-ratio'; CliError unless
+    text is in _CT_DOMAIN."""
     if text == CT_NORM_RATIO:
-        return CT_NORM_RATIO, 0.6  # ct is not read under the norm-ratio rule
+        return None
     mode, _, value = text.partition(":")
     try:
-        c = float(value)
+        if mode == "fixed" and 0.0 < float(value) <= 1.0:
+            return float(value)
     except ValueError:
-        return None
-    return (CT_FIXED, c) if mode == CT_FIXED and 0.0 < c <= 1.0 else None
+        pass
+    raise CliError(f"--ct must be {_CT_DOMAIN}, got {text!r}")
 
 
-_CT = _flag(str, lambda text: _parse_ct(text) is not None, _CT_DOMAIN)
+def _CT(text: str) -> str:
+    """argparse type of --ct: the text, refused unless _parse_ct accepts it."""
+    try:
+        _parse_ct(text)
+    except CliError:
+        raise argparse.ArgumentTypeError(f"must be {_CT_DOMAIN}, got {text!r}") from None
+    return text
 
 
 def build_config(
@@ -292,22 +298,15 @@ def build_config(
         U = math.sqrt(B) / 2.0 if algo in HALVING_ALGORITHMS else math.inf
     if lam is None:
         lam = U / (2.0 * math.sqrt(B)) if algo in HALVING_ALGORITHMS else 1.0
-    parsed = _parse_ct(ct)
-    if parsed is None:
-        raise CliError(f"--ct must be {_CT_DOMAIN}, got {ct!r}")
-    ct_mode, ct_value = parsed
-    if algo not in HALVING_ALGORITHMS:
-        ct_mode, ct_value = CT_FIXED, 0.6  # placeholder; only halving reads c_t
     return LearnerConfig(
         algorithm=algo,
-        kernel=KernelSpec.gaussian(sigma),
+        sigma=sigma,
         B=B if algo in BUDGETED_ALGORITHMS else None,
         U=U,
         lam=lam,
         epsilon=0.5 if epsilon is None else epsilon,
         eta=eta,
-        ct_mode=ct_mode,
-        ct=ct_value,
+        ct=_parse_ct(ct),
         seed=seed,
     )
 
@@ -325,13 +324,13 @@ def trace_row(trace: RunTrace) -> dict:
         "dataset": trace.dataset_name,
         "algo": cfg.algorithm,
         "B": "" if cfg.B is None else cfg.B,
-        "sigma": repr(cfg.kernel.sigma),
+        "sigma": repr(cfg.sigma),
         "epsilon": repr(cfg.epsilon) if margin_algo else "",
         "U": "inf" if cfg.U == math.inf else repr(cfg.U),
         "lambda": ("adaptive" if cfg.algorithm == AVP_ADAPTIVE
                    else repr(cfg.lam) if margin_algo else ""),
         "eta": repr(cfg.eta) if halving else "",
-        "ct_mode": ((f"fixed:{cfg.ct!r}" if cfg.ct_mode == CT_FIXED else CT_NORM_RATIO)
+        "ct_mode": ((CT_NORM_RATIO if cfg.ct is None else f"fixed:{cfg.ct!r}")
                     if halving else ""),
         "seed": cfg.seed,
         "T": trace.T,
@@ -519,7 +518,7 @@ def _aggregate(rows: list[dict]) -> list[dict]:
 # -- check-bounds ---------------------------------------------------------------
 
 
-def _suite_runs(suite: str, args, kernel: KernelSpec) -> list[tuple]:
+def _suite_runs(suite: str, args) -> list[tuple]:
     """One suite's learner runs as (label, config, radius, check).
 
     Unset flags take the settings each bound assumes.  ``check`` takes the
@@ -529,13 +528,12 @@ def _suite_runs(suite: str, args, kernel: KernelSpec) -> list[tuple]:
     B = 64 if args.B is None else args.B
     avp_eps = 0.75 if args.epsilon is None else args.epsilon
 
-    config = partial(LearnerConfig, kernel=kernel, seed=args.seed)
+    config = partial(LearnerConfig, sigma=args.sigma, seed=args.seed)
 
     def halving(U: float, eps: float, lam: float | None = None,
-                ct_mode: str = CT_NORM_RATIO) -> LearnerConfig:
+                ct: float | None = None) -> LearnerConfig:
         lam = U / (2.0 * math.sqrt(B)) if lam is None else lam
-        return config(args.algo, B=B, U=U, lam=lam, epsilon=eps, eta=args.eta,
-                      ct_mode=ct_mode)
+        return config(args.algo, B=B, U=U, lam=lam, epsilon=eps, eta=args.eta, ct=ct)
 
     if suite == "perceptron":
         return [(suite, config(PERCEPTRON), 1.0, check_perceptron_bound)]
@@ -550,7 +548,7 @@ def _suite_runs(suite: str, args, kernel: KernelSpec) -> list[tuple]:
         U = math.sqrt(B) / 4.0 if args.U is None else args.U
         eps = (3.0 * U / math.sqrt(B) + 1.0) / 2.0 if args.epsilon is None \
             else args.epsilon
-        return [(suite, halving(U, eps, math.sqrt(2.0) * U / math.sqrt(B), CT_FIXED),
+        return [(suite, halving(U, eps, math.sqrt(2.0) * U / math.sqrt(B), 0.6),
                  U, check_ahpatron_bound)]
     if suite == "refined":
         worst_coef = 0.25 + 4.5 * 2.0  # zeta is measured post-hoc; size U for the worst case
@@ -579,8 +577,7 @@ def cmd_check_bounds(args) -> int:
         for name in names:
             if name not in SUITE_ALIASES:
                 raise CliError(f"unknown suite {name!r}")
-    kernel = KernelSpec.gaussian(args.sigma)
-    runs = [r for name in names for r in _suite_runs(name, args, kernel)]
+    runs = [r for name in names for r in _suite_runs(name, args)]
     ds = _load(args.data)
     stream = permute(ds, args.seed)
     if args.limit and len(stream.examples) > args.limit:
@@ -599,7 +596,7 @@ def cmd_check_bounds(args) -> int:
             print(f"{label}: INVARIANT FAIL ({'; '.join(problems)})")
             continue
         if radius is not None and embedding is None:
-            embedding = mean_embedding(examples, kernel)
+            embedding = mean_embedding(examples, args.sigma)
         try:
             rep = check(trace) if radius is None else \
                 check(trace, examples, default_comparator(embedding, radius))
@@ -628,7 +625,6 @@ def cmd_check_bounds(args) -> int:
 
 
 def cmd_alignment(args) -> int:
-    kernel = KernelSpec.gaussian(args.sigma)
     ds = _load(args.data)
     if len(ds.examples) > args.cap:
         raise CliError(
@@ -636,7 +632,7 @@ def cmd_alignment(args) -> int:
             "(alignment time is O(T^2))"
         )
     examples = ds.examples
-    value, embedding = kernel_alignment(examples, kernel)
+    value, embedding = kernel_alignment(examples, args.sigma)
     loss = hinge_loss_of(embedding, examples)
     diff = abs(value - loss)
     print(f"T={len(examples)} alignment={value!r} "

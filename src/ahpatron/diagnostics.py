@@ -36,12 +36,10 @@ from typing import Sequence
 import numpy as np
 
 from .expansion import Expansion
-from .kernels import KernelSpec, LabeledExample, operands, pairwise_kernel
+from .kernels import LabeledExample, operands, pairwise_kernel
 from .learners import (
     AVP,
     AVP_ADAPTIVE,
-    CT_FIXED,
-    CT_NORM_RATIO,
     HALVING_ALGORITHMS,
     MARGIN_ALGORITHMS,
     PERCEPTRON,
@@ -106,9 +104,10 @@ class Comparator:
 
     @classmethod
     def of(cls, f: Expansion, stream: Sequence[LabeledExample]) -> "Comparator":
-        """Score an expansion on every stream example."""
+        """Score an expansion on every stream example; its squared norm is the
+        from-scratch quadratic form itself (Expansion.recompute_sq_norm)."""
         scores = np.array([f.score(ex.x)[1] for ex in stream])
-        return cls(scores, f.recompute_norm() ** 2)
+        return cls(scores, f.recompute_sq_norm())
 
 
 def hinge_loss_of(f: Comparator, stream: Sequence[LabeledExample]) -> float:
@@ -135,7 +134,7 @@ def _sum_left_to_right(values) -> float:
 
 
 def _kernel_times_labels(
-    stream: Sequence[LabeledExample], spec: KernelSpec
+    stream: Sequence[LabeledExample], sigma: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(y, g) with g = K y, K the stream's Gram matrix, from its upper triangle.
 
@@ -156,7 +155,7 @@ def _kernel_times_labels(
     xs = [ex.x for ex in stream]
     y = _labels(stream)
     T = len(xs)
-    Z, Q = operands(spec, xs, max(x.width for x in xs))
+    Z, Q = operands(sigma, xs, max(x.width for x in xs))
     rows = max(1, _BLOCK_ENTRIES // T)
     buf = np.empty(min(rows, T) * T)
     g = np.zeros(T)
@@ -176,9 +175,9 @@ def _embedding(y: np.ndarray, g: np.ndarray) -> Comparator:
     return Comparator(g / T, sq if sq > 0.0 else 0.0)
 
 
-def mean_embedding(stream: Sequence[LabeledExample], spec: KernelSpec) -> Comparator:
+def mean_embedding(stream: Sequence[LabeledExample], sigma: float) -> Comparator:
     """(1/T) sum_t y_t kappa(x_t, .); its norm is <= 1."""
-    return _embedding(*_kernel_times_labels(stream, spec))
+    return _embedding(*_kernel_times_labels(stream, sigma))
 
 
 def default_comparator(f: Comparator, U: float) -> Comparator:
@@ -190,11 +189,11 @@ def default_comparator(f: Comparator, U: float) -> Comparator:
 
 
 def kernel_alignment(
-    stream: Sequence[LabeledExample], spec: KernelSpec
+    stream: Sequence[LabeledExample], sigma: float
 ) -> tuple[float, Comparator]:
     """(sum_t kappa(x_t, x_t) - (1/T) y' K y, mean embedding) from one g;
     the diagonal sums to T and the alignment is >= 0."""
-    y, g = _kernel_times_labels(stream, spec)
+    y, g = _kernel_times_labels(stream, sigma)
     return float(len(y) - (y @ g) / len(y)), _embedding(y, g)
 
 
@@ -328,8 +327,8 @@ def check_ahpatron_bound(
     _require(cfg.algorithm in HALVING_ALGORITHMS,
              f"expected a halving-variant trace, got {cfg.algorithm}")
     B, U = cfg.B, cfg.U
-    _require(cfg.ct_mode == CT_FIXED and _close(cfg.ct, 0.6),
-             f"bound needs fixed c_t = 0.6, got {cfg.ct_mode}:{cfg.ct}")
+    _require(cfg.ct is not None and _close(cfg.ct, 0.6),
+             f"bound needs fixed c_t = 0.6, got ct={cfg.ct}")
     _require(_close(cfg.lam, math.sqrt(2.0) * U / math.sqrt(B)),
              f"bound needs lambda = sqrt(2) U / sqrt(B), got {cfg.lam}")
     _require(B >= 50, f"bound needs B >= 50, got {B}")
@@ -381,8 +380,8 @@ def check_refined_bound(
     _require(cfg.algorithm in HALVING_ALGORITHMS,
              f"expected a halving-variant trace, got {cfg.algorithm}")
     B, U = cfg.B, cfg.U
-    _require(cfg.ct_mode == CT_NORM_RATIO,
-             f"refined bound needs norm-ratio c_t, got {cfg.ct_mode}")
+    _require(cfg.ct is None,
+             f"refined bound needs norm-ratio c_t, got fixed c_t = {cfg.ct}")
     _require(_close(cfg.lam, U / (2.0 * math.sqrt(B))),
              f"refined bound needs lambda = U / (2 sqrt(B)), got {cfg.lam}")
     _require(B >= 16, f"refined bound needs B >= 16, got {B}")

@@ -37,8 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import (KernelSpec, SparseVector, kernel_row, query_rows,
-                      query_slots, stored_rows)
+from .kernels import SparseVector, kernel_row, query_rows, query_slots, stored_rows
 
 _MIN_CAPACITY = 16
 
@@ -67,19 +66,19 @@ class Expansion:
     proceed concurrently on shared immutable inputs.
     """
 
-    __slots__ = ("spec", "_dim", "_n", "_alphas", "_Z", "_q", "_qx", "_qnorm",
+    __slots__ = ("sigma", "_dim", "_n", "_alphas", "_Z", "_q", "_qx", "_qnorm",
                  "_factor", "_gram", "_order", "_evictions", "_sq_norm", "max_drift")
 
-    def __init__(self, spec: KernelSpec, dim: int):
-        self.spec = spec
+    def __init__(self, sigma: float, dim: int):
+        self.sigma = sigma
         self._dim = int(dim)
         self._n = 0
         self._alphas = np.zeros(_MIN_CAPACITY)
         # Stored operand rows by slot; the query operand buffer and its views.
-        self._Z = stored_rows(spec, np.zeros((_MIN_CAPACITY, self._dim)),
+        self._Z = stored_rows(sigma, np.zeros((_MIN_CAPACITY, self._dim)),
                               np.zeros(_MIN_CAPACITY))
-        self._q = query_rows(spec, np.zeros(self._dim), 0.0)
-        self._qx, self._qnorm, self._factor = query_slots(spec, self._q)
+        self._q = query_rows(sigma, np.zeros(self._dim), 0.0)
+        self._qx, self._qnorm, self._factor = query_slots(sigma, self._q)
         self._gram = _square_buffer(_MIN_CAPACITY)
         # The live slots in insertion order.
         self._order = np.zeros(_MIN_CAPACITY, dtype=np.intp)
@@ -154,7 +153,7 @@ class Expansion:
         n = self._n
         self._reserve(n + 1)
         self._alphas[n] = coeff
-        stored_rows(self.spec, xd, x.sq_norm, self._Z[n])
+        stored_rows(self.sigma, xd, x.sq_norm, self._Z[n])
         self._gram[n, :n] = row
         self._gram[:n, n] = row
         self._gram[n, n] = 1.0
@@ -205,15 +204,22 @@ class Expansion:
             raise DegenerateProjection("cannot rescale a zero-norm hypothesis")
         self.scale(radius / nrm)
 
-    def recompute_norm(self) -> float:
-        """Norm from a from-scratch quadratic form (ignores the cache)."""
-        return float(np.sqrt(self._quadratic_form()))
+    def recompute_sq_norm(self) -> float:
+        """Squared norm from a from-scratch quadratic form (ignores the cache)."""
+        n = self._n
+        if n == 0:
+            return 0.0
+        a = self._alphas[:n]
+        q = float(a @ (self._gram[:n, :n] @ a))
+        if q < -_NEG_QFORM_TOL:
+            raise GramCorruption(f"quadratic form {q} < -{_NEG_QFORM_TOL}")
+        return q if q > 0.0 else 0.0
 
     def reset_norm_cache(self) -> float:
         """Recompute the cache from scratch; returns the relative drift seen
         and raises max_drift to it."""
         old = self._sq_norm
-        fresh = self._quadratic_form()
+        fresh = self.recompute_sq_norm()
         self._sq_norm = fresh
         self._evictions = 0
         drift = abs(old - fresh) / max(1.0, fresh)
@@ -281,16 +287,6 @@ class Expansion:
 
     # -- internals ----------------------------------------------------------
 
-    def _quadratic_form(self) -> float:
-        n = self._n
-        if n == 0:
-            return 0.0
-        a = self._alphas[:n]
-        q = float(a @ (self._gram[:n, :n] @ a))
-        if q < -_NEG_QFORM_TOL:
-            raise GramCorruption(f"quadratic form {q} < -{_NEG_QFORM_TOL}")
-        return q if q > 0.0 else 0.0
-
     def _compact(self, keep: list[int], coeffs: np.ndarray) -> None:
         m = len(keep)
         # Fancy indexing copies (ix_ only the m x m block), so overlapping writes are safe.
@@ -299,7 +295,7 @@ class Expansion:
         self._gram[:m, :m] = self._gram[np.ix_(keep, keep)]
         self._order[:m] = np.arange(m)
         self._n = m
-        self._sq_norm = self._quadratic_form()
+        self._sq_norm = self.recompute_sq_norm()
         self._evictions = 0
 
     def _reserve(self, n: int) -> None:

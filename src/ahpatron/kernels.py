@@ -1,4 +1,4 @@
-"""Sparse instances, kernel specifications, and the dense kernel routine.
+"""Sparse instances, the Gaussian kernel's operand rows, and the dense kernel routine.
 
 Instances are immutable sparse vectors (sorted index/value pairs, explicit
 zeros dropped).  Every vector is stored as one read-only float64 row of a
@@ -200,26 +200,14 @@ class LabeledExample:
             raise ValueError(f"label must be -1 or +1, got {self.y}")
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """The Gaussian kernel's width sigma, positive and finite."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ValueError("sigma must be positive and finite")
-
-    @classmethod
-    def gaussian(cls, sigma: float) -> "KernelSpec":
-        return cls(float(sigma))
+def _gamma(sigma: float) -> float:
+    """1 / (2 sigma^2); ValueError unless the width sigma is positive and finite."""
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    return 1.0 / (2.0 * sigma * sigma)
 
 
-def _gamma(spec: KernelSpec) -> float:
-    return 1.0 / (2.0 * spec.sigma * spec.sigma)
-
-
-def stored_rows(spec: KernelSpec, X: np.ndarray, xsq: float | np.ndarray,
+def stored_rows(sigma: float, X: np.ndarray, xsq: float | np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
     """The stored operand z of dense rows X with squared norms xsq.
 
@@ -230,14 +218,14 @@ def stored_rows(spec: KernelSpec, X: np.ndarray, xsq: float | np.ndarray,
     d = X.shape[-1]
     if out is None:
         out = np.empty((*X.shape[:-1], d + 2))
-    gamma = _gamma(spec)
+    gamma = _gamma(sigma)
     np.multiply(X, 2.0 * gamma, out=out[..., :d])
     out[..., d] = xsq * -gamma
     out[..., d + 1] = 1.0
     return out
 
 
-def query_rows(spec: KernelSpec, X: np.ndarray, xsq: float | np.ndarray,
+def query_rows(sigma: float, X: np.ndarray, xsq: float | np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
     """The query operand q of dense rows X with squared norms xsq, shaped
     and written as by stored_rows: q = [x, 1, -gamma |x|^2]."""
@@ -246,17 +234,17 @@ def query_rows(spec: KernelSpec, X: np.ndarray, xsq: float | np.ndarray,
         out = np.empty((*X.shape[:-1], d + 2))
     out[..., :d] = X
     out[..., d] = 1.0
-    out[..., d + 1] = xsq * -_gamma(spec)
+    out[..., d + 1] = xsq * -_gamma(sigma)
     return out
 
 
-def query_slots(spec: KernelSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def query_slots(sigma: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(x view, norm view, factor) of a query_rows row q: x written into the
     first and |x|^2 * factor into the second make q query_rows of x."""
-    return q[:-2], q[-1:], -_gamma(spec)
+    return q[:-2], q[-1:], -_gamma(sigma)
 
 
-def operands(spec: KernelSpec, xs: Sequence[SparseVector],
+def operands(sigma: float, xs: Sequence[SparseVector],
              dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(Z, Q): the stored and query operand rows of xs at width dim.
 
@@ -269,7 +257,7 @@ def operands(spec: KernelSpec, xs: Sequence[SparseVector],
         row[:] = x.dense(dim)
     xsq = np.fromiter((x.sq_norm for x in xs), float, len(xs))
     # X is Q's own view, and numpy skips copying an array onto itself.
-    return stored_rows(spec, X, xsq), query_rows(spec, X, xsq, out=Q)
+    return stored_rows(sigma, X, xsq), query_rows(sigma, X, xsq, out=Q)
 
 
 def pairwise_kernel(Z: np.ndarray, Q: np.ndarray,

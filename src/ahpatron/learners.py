@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .expansion import DegenerateProjection, Expansion, GramCorruption
-from .kernels import KernelSpec, LabeledExample
+from .kernels import LabeledExample
 from .prng import SplitMix64
 from .solver import ProjectionProblem, SolverDiverged, solve_theta_ladder
 
@@ -68,7 +68,7 @@ HALVING_ALGORITHMS = frozenset({AHPATRON, AHPATRON_NOPROJ})
 BUDGETED_ALGORITHMS = HALVING_ALGORITHMS | {BUDGET_OLDEST, BUDGET_RANDOM}
 MARGIN_ALGORITHMS = frozenset({AVP, AVP_ADAPTIVE, AHPATRON, AHPATRON_NOPROJ})
 
-CT_FIXED = "fixed"
+# The --ct spelling of the norm-ratio sphere rule (LearnerConfig.ct None).
 CT_NORM_RATIO = "norm-ratio"
 
 
@@ -88,24 +88,24 @@ class RunError(RuntimeError):
 class LearnerConfig:
     """Algorithm selection plus its hyperparameters.
 
-    U may be math.inf for the unbudgeted ball-free variants.  ct_mode is
-    "fixed" (sphere radius ct * U) or "norm-ratio" (radius equal to the
-    current hypothesis norm).  seed only drives budget-random evictions.
-    Construction validates each setting's domain, whether or not the
-    algorithm reads it, and the rules tying settings to the algorithm; a
-    bad setting raises ConfigError, so every LearnerConfig that exists is
-    valid.
+    sigma is the Gaussian kernel's width.  U may be math.inf for the
+    unbudgeted ball-free variants.  ct is the halving's sphere rule: a
+    float c in (0, 1] rescales onto radius c * U, None onto the current
+    hypothesis norm (the norm-ratio rule).  seed only drives budget-random
+    evictions.  Construction validates each setting's domain, whether or
+    not the algorithm reads it, and the rules tying settings to the
+    algorithm; a bad setting raises ConfigError, so every LearnerConfig
+    that exists is valid.
     """
 
     algorithm: str
-    kernel: KernelSpec
+    sigma: float
     B: int | None = None
     U: float = math.inf
     lam: float = 1.0
     epsilon: float = 0.5
     eta: float = 5e-4
-    ct_mode: str = CT_FIXED
-    ct: float = 0.6
+    ct: float | None = 0.6
     seed: int = 0
 
     def __post_init__(self):
@@ -113,6 +113,8 @@ class LearnerConfig:
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")
         # Each setting's own domain, whether or not the algorithm reads it.
+        if not 0 < self.sigma < math.inf:
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
         if self.B is not None and self.B < 1:
             raise ConfigError(f"B must be positive, got {self.B}")
         if not (self.U == math.inf or 0 < self.U * self.U < math.inf):
@@ -123,10 +125,8 @@ class LearnerConfig:
             raise ConfigError(f"epsilon must be in [0, 1), got {self.epsilon}")
         if not 0 < self.eta < math.inf:
             raise ConfigError(f"eta must be positive and finite, got {self.eta}")
-        if self.ct_mode not in (CT_FIXED, CT_NORM_RATIO):
-            raise ConfigError(f"unknown ct_mode {self.ct_mode!r}")
-        if self.ct_mode == CT_FIXED and not 0.0 < self.ct <= 1.0:
-            raise ConfigError(f"fixed ct must be in (0, 1], got {self.ct}")
+        if self.ct is not None and not 0.0 < self.ct <= 1.0:
+            raise ConfigError(f"ct must be None or in (0, 1], got {self.ct}")
         # Rules that tie settings to the algorithm.
         if algo in BUDGETED_ALGORITHMS and self.B is None:
             raise ConfigError(f"{algo} requires a positive budget B")
@@ -141,13 +141,12 @@ class LearnerConfig:
 
 
 class RoundOutcome(NamedTuple):
-    """Per-round record: prediction, margin, and which events fired."""
+    """Per-round record: prediction, margin, trigger, and a halving's distance."""
 
     prediction: int
     margin: float
     mistake: bool
     triggered: bool
-    removal: bool
     removal_distance: float | None = None
 
 
@@ -184,7 +183,7 @@ class OnlineLearner:
 
     def __init__(self, config: LearnerConfig, dim: int):
         self.config = config
-        self.hypothesis = Expansion(config.kernel, dim)
+        self.hypothesis = Expansion(config.sigma, dim)
         self._nonpos_margins = 0
         self._rng = SplitMix64(config.seed)
         algo = config.algorithm
@@ -210,7 +209,7 @@ class OnlineLearner:
         if margin <= 0.0:
             self._nonpos_margins += 1
         elif not margin < self._threshold:
-            return RoundOutcome(pred, margin, pred != y, False, False, None)
+            return RoundOutcome(pred, margin, pred != y, False)
         distance = None
         n = f.size
         if n == self._budget:
@@ -227,8 +226,7 @@ class OnlineLearner:
             rate = self._rate
         f.insert(ex.x, rate * y, row=row, fx=score)
         f.project_ball(self.config.U)
-        return RoundOutcome(pred, margin, pred != y, True,
-                            distance is not None, distance)
+        return RoundOutcome(pred, margin, pred != y, True, distance)
 
     def _halve(self) -> float:
         """Remove half the active set, projecting its mass onto the survivors.
@@ -239,10 +237,7 @@ class OnlineLearner:
         cfg = self.config
         f = self.hypothesis
         f.reset_norm_cache()
-        if cfg.ct_mode == CT_NORM_RATIO:
-            radius = f.norm()
-        else:
-            radius = cfg.ct * cfg.U
+        radius = f.norm() if cfg.ct is None else cfg.ct * cfg.U
         gram = f.gram
         order = f.order
         alphas = f.alphas[order]  # insertion order
@@ -356,13 +351,13 @@ def run(
     with np.errstate(over="raise", invalid="raise"):
         try:
             for t, ex in enumerate(stream):
-                pred, margin, mistake, trig, removal, distance = step(ex)
+                pred, margin, mistake, trig, distance = step(ex)
                 margins[t] = margin
                 predictions[t] = pred
                 mistakes[t] = mistake
                 if trig:  # only a triggered round changes the hypothesis
                     triggered[t] = True
-                    if removal:
+                    if distance is not None:  # only a halving measures one
                         removals[t] = True
                         removal_distances[t] = distance
                     size, norm = f.size, f.norm()

@@ -19,7 +19,6 @@ import numpy as np
 
 from ahpatron.data import MalformedLine
 from ahpatron.kernels import (
-    KernelSpec,
     LabeledExample,
     SparseVector,
     operands,
@@ -94,21 +93,21 @@ def sparse_sq_dist(u: SparseVector, v: SparseVector) -> float:
     return s
 
 
-def kernel_eval(spec: KernelSpec, u: SparseVector, v: SparseVector) -> float:
+def kernel_eval(sigma: float, u: SparseVector, v: SparseVector) -> float:
     """Scalar Gaussian kernel evaluation; symmetric in (u, v)."""
-    return math.exp(-sparse_sq_dist(u, v) / (2.0 * spec.sigma * spec.sigma))
+    return math.exp(-sparse_sq_dist(u, v) / (2.0 * sigma * sigma))
 
 
-def gram_matrix(spec: KernelSpec, xs) -> np.ndarray:
+def gram_matrix(sigma: float, xs) -> np.ndarray:
     """Entrywise Gram matrix, exactly consistent with kernel_eval."""
     n = len(xs)
     if n == 0:
         raise ValueError("xs must be nonempty")
     m = np.empty((n, n))
     for i in range(n):
-        m[i, i] = kernel_eval(spec, xs[i], xs[i])
+        m[i, i] = kernel_eval(sigma, xs[i], xs[i])
         for j in range(i):
-            k = kernel_eval(spec, xs[i], xs[j])
+            k = kernel_eval(sigma, xs[i], xs[j])
             m[i, j] = k
             m[j, i] = k
     return m
@@ -117,17 +116,17 @@ def gram_matrix(spec: KernelSpec, xs) -> np.ndarray:
 # -- hypotheses as explicit (instance, coefficient) term lists ---------------
 
 
-def naive_evaluate(spec, terms, x) -> float:
+def naive_evaluate(sigma, terms, x) -> float:
     """Term-by-term hypothesis evaluation of (instance, coefficient) pairs."""
-    return sum(alpha * kernel_eval(spec, xi, x) for xi, alpha in terms)
+    return sum(alpha * kernel_eval(sigma, xi, x) for xi, alpha in terms)
 
 
-def quadratic_norm_sq(spec, terms) -> float:
+def quadratic_norm_sq(sigma, terms) -> float:
     """|f|^2 as the explicit double sum over (instance, coefficient) pairs."""
     total = 0.0
     for x_i, a_i in terms:
         for x_j, a_j in terms:
-            total += a_i * a_j * kernel_eval(spec, x_i, x_j)
+            total += a_i * a_j * kernel_eval(sigma, x_i, x_j)
     return total
 
 
@@ -231,7 +230,7 @@ def reference_run(config, stream) -> ReferenceTrace:
     a SplitMix64 seeded with config.seed.  config is read by attribute, so
     any object with LearnerConfig's fields works.
     """
-    spec, algo = config.kernel, config.algorithm
+    sigma, algo = config.sigma, config.algorithm
     margin_algo = algo in _MARGIN_ALGORITHMS
     threshold = 1.0 - config.epsilon if margin_algo else 0.0
     budget = config.B if algo in _BUDGETED_ALGORITHMS else None
@@ -245,7 +244,7 @@ def reference_run(config, stream) -> ReferenceTrace:
     def halve() -> float:
         before = list(coeffs)
         sq_before = _quadratic(before, gram)
-        if config.ct_mode == "norm-ratio":
+        if config.ct is None:
             radius = math.sqrt(sq_before)
         else:
             radius = config.ct * config.U
@@ -274,7 +273,7 @@ def reference_run(config, stream) -> ReferenceTrace:
         return math.sqrt(dist_sq) if dist_sq > 0.0 else 0.0
 
     for t, ex in enumerate(stream):
-        score = sum(c * kernel_eval(spec, xi, ex.x) for xi, c in zip(xs, coeffs))
+        score = sum(c * kernel_eval(sigma, xi, ex.x) for xi, c in zip(xs, coeffs))
         margin = ex.y * score
         pred = 1 if score > 0.0 else -1
         out.margins.append(margin)
@@ -298,10 +297,10 @@ def reference_run(config, stream) -> ReferenceTrace:
                 rate = config.U / math.sqrt(config.U * config.U + nonpositive)
             else:
                 rate = config.lam if margin_algo else 1.0
-            new_row = [kernel_eval(spec, xi, ex.x) for xi in xs]
+            new_row = [kernel_eval(sigma, xi, ex.x) for xi in xs]
             for row, k in zip(gram, new_row):
                 row.append(k)
-            gram.append(new_row + [kernel_eval(spec, ex.x, ex.x)])
+            gram.append(new_row + [kernel_eval(sigma, ex.x, ex.x)])
             xs.append(ex.x)
             coeffs.append(rate * ex.y)
             sq = _quadratic(coeffs, gram)
@@ -317,14 +316,14 @@ def reference_run(config, stream) -> ReferenceTrace:
     return out
 
 
-def sparse_kernel_block(spec: KernelSpec, xs, ys) -> np.ndarray:
+def sparse_kernel_block(sigma: float, xs, ys) -> np.ndarray:
     """pairwise_kernel of sparse rows, each side densified at the common width.
 
     A call-site helper for tests that build kernel blocks, not an oracle.
     """
     dim = max(v.width for v in [*xs, *ys])
-    Z, _ = operands(spec, xs, dim)
-    _, Q = operands(spec, ys, dim)
+    Z, _ = operands(sigma, xs, dim)
+    _, Q = operands(sigma, ys, dim)
     return pairwise_kernel(Z, Q)
 
 
@@ -347,10 +346,6 @@ def random_examples(gen: ScalarSplitMix64, n: int, dim: int,
         y = 1 if gen.below(2) == 1 else -1
         out.append(LabeledExample(x, y))
     return out
-
-
-def gaussian() -> KernelSpec:
-    return KernelSpec.gaussian(1.0)
 
 
 def scalar_synth(T, d, margin, seed, flip_prob=0.0):

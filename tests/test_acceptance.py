@@ -37,7 +37,6 @@ from ahpatron.diagnostics import (
     mean_embedding,
     metrics,
 )
-from ahpatron.kernels import KernelSpec
 from ahpatron.learners import LearnerConfig, run
 from ahpatron.solver import ProjectionProblem, solve_theta
 
@@ -49,7 +48,7 @@ from oracles import (
     sparse_kernel_block,
 )
 
-GAUSS = KernelSpec.gaussian(1.0)
+SIGMA = 1.0
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PHISHING_PATH = Path(os.environ.get("AHPATRON_PHISHING",
@@ -86,8 +85,8 @@ def _phishing_config(epsilon, algorithm="ahpatron"):
     B = 400
     U = math.sqrt(B) / 2.0  # 10
     return LearnerConfig(
-        algorithm, GAUSS, B=B, U=U, lam=U / (2.0 * math.sqrt(B)),
-        epsilon=epsilon, eta=5e-4, ct_mode="norm-ratio",
+        algorithm, SIGMA, B=B, U=U, lam=U / (2.0 * math.sqrt(B)),
+        epsilon=epsilon, eta=5e-4, ct=None,
     )
 
 
@@ -151,7 +150,7 @@ def test_criterion_3_phishing_baseline_ordering():
     for algo in ("budget-oldest", "budget-random"):
         amrs = []
         for seed in SEEDS:
-            cfg = LearnerConfig(algo, GAUSS, B=400, seed=seed)
+            cfg = LearnerConfig(algo, SIGMA, B=400, seed=seed)
             trace = _run_checked(cfg, permute(ds, seed).examples, "phishing")
             amrs.append(metrics(trace).amr)
         baseline_means[algo] = float(np.mean(amrs))
@@ -241,7 +240,7 @@ def test_criterion_4_projection_oracle_equivalence():
         m = 1 + gen.below(20)
         k = m
         xs = [random_sparse(gen, 6) for _ in range(m + k)]
-        K = sparse_kernel_block(GAUSS, xs, xs)
+        K = sparse_kernel_block(SIGMA, xs, xs)
         kept = list(range(m))
         removed = list(range(m, m + k))
         alpha = np.array([gen.uniform() * 2.0 - 1.0 for _ in range(k)])
@@ -294,16 +293,16 @@ def test_criterion_5_bound_suite():
 
     for ds in _bound_suite_streams():
         stream = ds.examples
-        comparator = default_comparator(mean_embedding(stream, GAUSS), 1.0)
+        comparator = default_comparator(mean_embedding(stream, SIGMA), 1.0)
 
-        trace = _run_checked(LearnerConfig("perceptron", GAUSS), stream, ds.name)
+        trace = _run_checked(LearnerConfig("perceptron", SIGMA), stream, ds.name)
         rep = check_perceptron_bound(trace, stream, comparator)
         ran["perceptron"] += 1
         if not rep.holds:
             failures.append((ds.name, rep))
 
         trace = _run_checked(
-            LearnerConfig("avp", GAUSS, U=math.inf, lam=1.0, epsilon=0.75),
+            LearnerConfig("avp", SIGMA, U=math.inf, lam=1.0, epsilon=0.75),
             stream, ds.name)
         rep = check_avp_bound(trace, stream, comparator, "constant")
         ran["avp-constant"] += 1
@@ -315,7 +314,7 @@ def test_criterion_5_bound_suite():
             failures.append((ds.name, gap))
 
         trace = _run_checked(
-            LearnerConfig("avp-adaptive", GAUSS, U=2.0, epsilon=0.75),
+            LearnerConfig("avp-adaptive", SIGMA, U=2.0, epsilon=0.75),
             stream, ds.name)
         rep = check_avp_bound(trace, stream, comparator, "adaptive")
         ran["avp-adaptive"] += 1
@@ -324,9 +323,9 @@ def test_criterion_5_bound_suite():
 
         B, U = 64, 2.0
         trace = _run_checked(
-            LearnerConfig("ahpatron", GAUSS, B=B, U=U,
+            LearnerConfig("ahpatron", SIGMA, B=B, U=U,
                           lam=math.sqrt(2.0) * U / math.sqrt(B), epsilon=0.8,
-                          ct_mode="fixed", ct=0.6),
+                          ct=0.6),
             stream, ds.name)
         rep = check_ahpatron_bound(trace, stream, comparator)
         ran["ahpatron"] += 1
@@ -342,11 +341,11 @@ def test_criterion_5_bound_suite():
         gamma = 0.5
         U6 = (1.0 - gamma) * math.sqrt(B) / (0.25 + 4.5 * 2.0)
         trace = _run_checked(
-            LearnerConfig("ahpatron", GAUSS, B=B, U=U6,
+            LearnerConfig("ahpatron", SIGMA, B=B, U=U6,
                           lam=U6 / (2.0 * math.sqrt(B)), epsilon=0.75,
-                          ct_mode="norm-ratio"),
+                          ct=None),
             stream, ds.name)
-        comp6 = default_comparator(mean_embedding(stream, GAUSS), U6)
+        comp6 = default_comparator(mean_embedding(stream, SIGMA), U6)
         rep = check_refined_bound(trace, stream, comp6, gamma=gamma)
         ran["refined"] += 1
         if not rep.holds:
@@ -372,14 +371,14 @@ def test_criterion_6_alignment_identity():
     start = time.perf_counter()
     sigmas = (0.5, 1.0, 2.0)
     for i in range(10):
-        spec = KernelSpec.gaussian(sigmas[i % 3])
+        sigma = sigmas[i % 3]
         if i % 2 == 0:
             ds = synth_noisy(2000, 3 + i % 3, 0.1 + 0.02 * i, seed=200 + i)
         else:
             ds = synth_separable(1000 + 100 * i, 3 + i % 3, 0.5, seed=300 + i)
         stream = ds.examples
-        value = kernel_alignment(stream, spec)[0]
-        loss = hinge_loss_of(mean_embedding(stream, spec), stream)
+        value = kernel_alignment(stream, sigma)[0]
+        loss = hinge_loss_of(mean_embedding(stream, sigma), stream)
         assert abs(value - loss) <= 1e-9 * len(stream), (i, value, loss)
         assert value >= -1e-6
     elapsed = time.perf_counter() - start
@@ -397,13 +396,13 @@ def test_criterion_6_alignment_identity():
 def test_criterion_7_determinism_and_invariants():
     ds = synth_noisy(1200, 4, 0.12, seed=77)
     configs = [
-        LearnerConfig("ahpatron", GAUSS, B=32, U=math.sqrt(32) / 2,
+        LearnerConfig("ahpatron", SIGMA, B=32, U=math.sqrt(32) / 2,
                       lam=math.sqrt(32) / 2 / (2 * math.sqrt(32)), epsilon=0.7,
-                      ct_mode="norm-ratio"),
-        LearnerConfig("ahpatron-noproj", GAUSS, B=32, U=2.0, lam=0.2,
-                      epsilon=0.6, ct_mode="fixed", ct=0.6),
-        LearnerConfig("avp-adaptive", GAUSS, U=2.0, epsilon=0.75),
-        LearnerConfig("budget-random", GAUSS, B=16, seed=5),
+                      ct=None),
+        LearnerConfig("ahpatron-noproj", SIGMA, B=32, U=2.0, lam=0.2,
+                      epsilon=0.6, ct=0.6),
+        LearnerConfig("avp-adaptive", SIGMA, U=2.0, epsilon=0.75),
+        LearnerConfig("budget-random", SIGMA, B=16, seed=5),
     ]
     for cfg in configs:
         first = _run_checked(cfg, ds.examples, ds.name)

@@ -18,7 +18,6 @@ import pytest
 
 from ahpatron import data, learners
 from ahpatron.data import permute, synth_noisy
-from ahpatron.kernels import KernelSpec
 from ahpatron.learners import LearnerConfig, OnlineLearner
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -68,20 +67,19 @@ def test_benchmark_cells_build_their_configs_through_the_cli(monkeypatch):
                               for cell in w.cells):
             assert op.errors == []
             cfg = op.trace.config
-            assert (cfg.algorithm, cfg.B, cfg.kernel, cfg.epsilon, cfg.eta, cfg.seed) \
-                == (algo, B, KernelSpec.gaussian(1.0), 0.7, 5e-4, 0)
+            assert (cfg.algorithm, cfg.B, cfg.sigma, cfg.epsilon, cfg.eta, cfg.seed) \
+                == (algo, B, 1.0, 0.7, 5e-4, 0)
             if algo in learners.HALVING_ALGORITHMS:
                 U = math.sqrt(B) / 2.0
-                assert (cfg.U, cfg.lam, cfg.ct_mode) \
-                    == (U, U / (2.0 * math.sqrt(B)), "norm-ratio")
+                assert (cfg.U, cfg.lam, cfg.ct) == (U, U / (2.0 * math.sqrt(B)), None)
             else:
                 assert (cfg.U, cfg.lam) == (math.inf, 1.0)
 
 
 @pytest.mark.parametrize("config", [
-    LearnerConfig("ahpatron", KernelSpec.gaussian(1.0), B=40, U=3.0, lam=0.25,
-                  epsilon=0.7, ct_mode="norm-ratio"),
-    LearnerConfig("budget-random", KernelSpec.gaussian(1.0), B=40, seed=3),
+    LearnerConfig("ahpatron", 1.0, B=40, U=3.0, lam=0.25,
+                  epsilon=0.7, ct=None),
+    LearnerConfig("budget-random", 1.0, B=40, seed=3),
 ], ids=lambda c: c.algorithm)
 def test_recorder_times_one_round_per_step(monkeypatch, config):
     spans = _load(monkeypatch, "perfbench_spans", "spans.py")

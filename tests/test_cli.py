@@ -12,7 +12,6 @@ import ahpatron.learners as learners
 from ahpatron.cli import CSV_HEADER, main
 from ahpatron.data import format_libsvm, parse_libsvm, synth_noisy
 from ahpatron.diagnostics import BoundReport
-from ahpatron.kernels import KernelSpec
 
 SYNTH = "synth:noisy:T=300,d=4,margin=0.5,flip=0.1,seed=2"
 TINY = str(Path(__file__).parent / "tiny.libsvm")
@@ -303,7 +302,7 @@ def _recorded_configs(monkeypatch, argv):
     return main(argv), configs
 
 
-SETTINGS = ("algorithm", "B", "U", "lam", "epsilon", "eta", "ct_mode", "ct", "seed")
+SETTINGS = ("algorithm", "B", "U", "lam", "epsilon", "eta", "ct", "seed")
 INF = float("inf")
 
 
@@ -378,36 +377,33 @@ def test_bench_passes_U_to_margin_algorithms_only(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("flags, expected", [
     ([], [
-        ("perceptron", None, INF, 1.0, 0.5, 0.0005, "fixed", 0.6, 0),
-        ("avp", None, INF, 1.0, 0.75, 0.0005, "fixed", 0.6, 0),
-        ("avp-adaptive", None, 2.0, 1.0, 0.75, 0.0005, "fixed", 0.6, 0),
-        ("ahpatron", 64, 2.0, 0.3535533905932738, 0.875, 0.0005, "fixed", 0.6, 0),
+        ("perceptron", None, INF, 1.0, 0.5, 0.0005, 0.6, 0),
+        ("avp", None, INF, 1.0, 0.75, 0.0005, 0.6, 0),
+        ("avp-adaptive", None, 2.0, 1.0, 0.75, 0.0005, 0.6, 0),
+        ("ahpatron", 64, 2.0, 0.3535533905932738, 0.875, 0.0005, 0.6, 0),
         ("ahpatron", 64, 0.43243243243243246, 0.02702702702702703, 0.75, 0.0005,
-         "norm-ratio", 0.6, 0),
-        ("ahpatron", 64, 4.0, 0.25, 0.7, 0.0005, "norm-ratio", 0.6, 0),
-        ("avp", None, INF, 1.0, 0.7, 0.0005, "fixed", 0.6, 0),
-        ("ahpatron", 64, 4.0, 0.25, 0.7, 0.0005, "norm-ratio", 0.6, 0),
+         None, 0),
+        ("ahpatron", 64, 4.0, 0.25, 0.7, 0.0005, None, 0),
+        ("avp", None, INF, 1.0, 0.7, 0.0005, 0.6, 0),
+        ("ahpatron", 64, 4.0, 0.25, 0.7, 0.0005, None, 0),
     ]),
     (["--B", "80", "--U", "1.5", "--epsilon", "0.9", "--gamma", "0.3",
       "--eta", "1e-3", "--seed", "2", "--algo", "ahpatron-noproj"], [
-        ("perceptron", None, INF, 1.0, 0.5, 0.0005, "fixed", 0.6, 2),
-        ("avp", None, INF, 1.0, 0.9, 0.0005, "fixed", 0.6, 2),
-        ("avp-adaptive", None, 1.5, 1.0, 0.9, 0.0005, "fixed", 0.6, 2),
-        ("ahpatron-noproj", 80, 1.5, 0.23717082451262847, 0.9, 0.001, "fixed", 0.6, 2),
-        ("ahpatron-noproj", 80, 1.5, 0.08385254915624211, 0.9, 0.001,
-         "norm-ratio", 0.6, 2),
-        ("ahpatron-noproj", 80, 1.5, 0.08385254915624211, 0.9, 0.001,
-         "norm-ratio", 0.6, 2),
-        ("avp", None, INF, 1.0, 0.9, 0.0005, "fixed", 0.6, 2),
-        ("ahpatron-noproj", 80, 1.5, 0.08385254915624211, 0.9, 0.001,
-         "norm-ratio", 0.6, 2),
+        ("perceptron", None, INF, 1.0, 0.5, 0.0005, 0.6, 2),
+        ("avp", None, INF, 1.0, 0.9, 0.0005, 0.6, 2),
+        ("avp-adaptive", None, 1.5, 1.0, 0.9, 0.0005, 0.6, 2),
+        ("ahpatron-noproj", 80, 1.5, 0.23717082451262847, 0.9, 0.001, 0.6, 2),
+        ("ahpatron-noproj", 80, 1.5, 0.08385254915624211, 0.9, 0.001, None, 2),
+        ("ahpatron-noproj", 80, 1.5, 0.08385254915624211, 0.9, 0.001, None, 2),
+        ("avp", None, INF, 1.0, 0.9, 0.0005, 0.6, 2),
+        ("ahpatron-noproj", 80, 1.5, 0.08385254915624211, 0.9, 0.001, None, 2),
     ]),
 ], ids=["defaults", "overrides"])
 def test_check_bounds_suite_settings(flags, expected, monkeypatch, capsys):
     code, configs = _recorded_configs(
         monkeypatch, ["check-bounds", "--suite", "all", "--data", SYNTH] + flags)
     assert code == 0
-    assert all(c.kernel == KernelSpec.gaussian(1.0) for c in configs)
+    assert all(c.sigma == 1.0 for c in configs)
     assert [tuple(getattr(c, f) for f in SETTINGS) for c in configs] == expected
 
 
@@ -518,9 +514,9 @@ def _g_builds(monkeypatch, argv):
     """Exit code of ``argv`` and the number of g = K y it computed."""
     builds = []
 
-    def spy(stream, spec):
+    def spy(stream, sigma):
         builds.append(len(stream))
-        return kernel_times_labels(stream, spec)
+        return kernel_times_labels(stream, sigma)
 
     kernel_times_labels = diagnostics._kernel_times_labels
     monkeypatch.setattr(diagnostics, "_kernel_times_labels", spy)

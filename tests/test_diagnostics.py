@@ -27,12 +27,12 @@ from ahpatron.diagnostics import (
     metrics,
 )
 from ahpatron.expansion import Expansion
-from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector, pairwise_kernel
+from ahpatron.kernels import LabeledExample, SparseVector, pairwise_kernel
 from ahpatron.learners import LearnerConfig, RunTrace, run
 
 from oracles import ScalarSplitMix64, kernel_eval, random_examples, sparse_kernel_block
 
-GAUSS = KernelSpec.gaussian(1.0)
+SIGMA = 1.0
 
 
 def ex(pairs, y):
@@ -40,7 +40,7 @@ def ex(pairs, y):
 
 
 def zero_comparator(stream):
-    return Comparator.of(Expansion(GAUSS, dim=0), stream)  # no terms: any width
+    return Comparator.of(Expansion(SIGMA, dim=0), stream)  # no terms: any width
 
 
 def make_trace(config, margins, *, removal_rounds=(), removal_distances=(),
@@ -88,14 +88,14 @@ def test_metrics_all_correct_run():
     # Every label is -1 and the zero hypothesis predicts -1, so the
     # perceptron never errs even though every zero-margin round updates.
     stream = [ex([(i, 1.0)], -1) for i in range(5)]
-    trace = run(LearnerConfig("perceptron", GAUSS), stream)
+    trace = run(LearnerConfig("perceptron", SIGMA), stream)
     m = metrics(trace)
     assert m.amr == 0.0 and m.mistakes == 0
     assert m.margin_mistakes >= 1
 
 
 def test_metrics_counts_from_crafted_trace():
-    cfg = LearnerConfig("avp", GAUSS, U=math.inf, lam=1.0, epsilon=0.6)
+    cfg = LearnerConfig("avp", SIGMA, U=math.inf, lam=1.0, epsilon=0.6)
     trace = make_trace(cfg, [-0.5, 0.0, 0.2, 0.39, 0.41, 1.2])
     m = metrics(trace)
     # margins <= 0: two; low confidence 0 < m < 0.4: two (0.2, 0.39).
@@ -116,7 +116,7 @@ def test_hinge_loss_zero_hypothesis_is_stream_length():
 
 def test_hinge_loss_zero_when_confident():
     x = SparseVector([(0, 1.0)])
-    f = Expansion(GAUSS, dim=1)
+    f = Expansion(SIGMA, dim=1)
     f.insert(x, 2.0)
     stream = [LabeledExample(x, 1)] * 4  # margin 2 >= 1 everywhere
     assert hinge_loss_of(Comparator.of(f, stream), stream) == 0.0
@@ -126,12 +126,12 @@ def test_hinge_loss_matches_termwise_oracle():
     gen = ScalarSplitMix64(73)
     stream = random_examples(gen, 20, 4)
     comp_terms = random_examples(gen, 6, 4)
-    f = Expansion(GAUSS, dim=4)
+    f = Expansion(SIGMA, dim=4)
     for e in comp_terms:
         f.insert(e.x, gen.uniform() - 0.5 or 0.2)
     expected = 0.0
     for e in stream:
-        score = sum(a * kernel_eval(GAUSS, t.x, e.x) for t, a in zip(comp_terms, f.alphas))
+        score = sum(a * kernel_eval(SIGMA, t.x, e.x) for t, a in zip(comp_terms, f.alphas))
         expected += max(0.0, 1.0 - e.y * score)
     assert hinge_loss_of(Comparator.of(f, stream), stream) == pytest.approx(expected, abs=1e-9)
 
@@ -145,7 +145,7 @@ def test_hinge_loss_rejects_comparator_of_another_stream():
 
 def test_mean_embedding_single_example():
     stream = [ex([(0, 1.0)], +1)]
-    f = mean_embedding(stream, GAUSS)
+    f = mean_embedding(stream, SIGMA)
     assert f.scores.tolist() == [1.0]
     assert f.sq_norm == pytest.approx(1.0)
 
@@ -153,7 +153,7 @@ def test_mean_embedding_single_example():
 def test_mean_embedding_cancellation():
     x = SparseVector([(0, 1.0)])
     stream = [LabeledExample(x, 1), LabeledExample(x, -1)]
-    f = mean_embedding(stream, GAUSS)
+    f = mean_embedding(stream, SIGMA)
     assert math.sqrt(f.sq_norm) <= 1e-7
 
 
@@ -161,14 +161,14 @@ def test_mean_embedding_norm_bounded():
     gen = ScalarSplitMix64(79)
     for _ in range(5):
         stream = random_examples(gen, 30, 4)
-        f = mean_embedding(stream, GAUSS)
+        f = mean_embedding(stream, SIGMA)
         assert math.sqrt(f.sq_norm) <= 1.0 + 1e-9
 
 
 def test_default_comparator_norm():
     gen = ScalarSplitMix64(83)
     stream = random_examples(gen, 30, 4)
-    f = mean_embedding(stream, GAUSS)
+    f = mean_embedding(stream, SIGMA)
     assert math.sqrt(default_comparator(f, 0.5).sq_norm) == pytest.approx(0.5)
     assert math.sqrt(default_comparator(f, 3.0).sq_norm) == pytest.approx(1.0)
 
@@ -185,12 +185,12 @@ _TRIANGLE_CASES = {
 
 
 @pytest.mark.parametrize(
-    "spec, T, entries, shapes",
-    [(spec, *case) for case in _TRIANGLE_CASES.values()
-     for spec in (GAUSS, KernelSpec.gaussian(0.7))],
+    "sigma, T, entries, shapes",
+    [(sigma, *case) for case in _TRIANGLE_CASES.values()
+     for sigma in (SIGMA, 0.7)],
     ids=[width + name for name in _TRIANGLE_CASES for width in ("gaussian", "sigma-0.7")],
 )
-def test_blocked_kernel_times_labels_matches_one_gram(monkeypatch, spec, T, entries, shapes):
+def test_blocked_kernel_times_labels_matches_one_gram(monkeypatch, sigma, T, entries, shapes):
     stream = random_examples(ScalarSplitMix64(87), T, 4)
     if entries is not None:
         monkeypatch.setattr(diagnostics, "_BLOCK_ENTRIES", entries)
@@ -203,12 +203,12 @@ def test_blocked_kernel_times_labels_matches_one_gram(monkeypatch, spec, T, entr
     monkeypatch.setattr(diagnostics, "pairwise_kernel", spy)
     xs = [e.x for e in stream]
     y = np.array([float(e.y) for e in stream])
-    g = sparse_kernel_block(spec, xs, xs) @ y
-    f = mean_embedding(stream, spec)
+    g = sparse_kernel_block(sigma, xs, xs) @ y
+    f = mean_embedding(stream, sigma)
     assert blocks == shapes
     assert np.allclose(f.scores, g / T, rtol=0.0, atol=1e-12)
     assert f.sq_norm == pytest.approx(float(y @ g) / T**2, rel=0.0, abs=1e-12)
-    assert kernel_alignment(stream, spec)[0] == pytest.approx(
+    assert kernel_alignment(stream, sigma)[0] == pytest.approx(
         T - float(y @ g) / T, rel=0.0, abs=1e-12)
 
 
@@ -219,8 +219,8 @@ def test_one_block_stream_g_is_the_einsum_of_its_block():
     xs = [e.x for e in stream]
     y = np.array([float(e.y) for e in stream])
     assert diagnostics._BLOCK_ENTRIES // 300 >= 300
-    g = np.einsum("ij,j->i", sparse_kernel_block(GAUSS, xs, xs), y)
-    assert mean_embedding(stream, GAUSS).scores.tobytes() == (g / 300).tobytes()
+    g = np.einsum("ij,j->i", sparse_kernel_block(SIGMA, xs, xs), y)
+    assert mean_embedding(stream, SIGMA).scores.tobytes() == (g / 300).tobytes()
 
 
 def test_comparator_path_holds_no_gram_matrix():
@@ -229,7 +229,7 @@ def test_comparator_path_holds_no_gram_matrix():
     for fn in (mean_embedding, kernel_alignment):
         tracemalloc.start()
         try:
-            fn(stream, GAUSS)
+            fn(stream, SIGMA)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -245,7 +245,7 @@ def test_comparator_path_peak_is_about_one_row_block():
     for fn in (mean_embedding, kernel_alignment):
         tracemalloc.start()
         try:
-            fn(stream, GAUSS)
+            fn(stream, SIGMA)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -268,14 +268,12 @@ _COMPARATOR_DIGESTS = """
 import hashlib
 from ahpatron import diagnostics
 from ahpatron.data import synth_noisy
-from ahpatron.kernels import KernelSpec
 stream = synth_noisy(3000, 8, 0.1, 3).examples
 assert -(-len(stream) // (diagnostics._BLOCK_ENTRIES // len(stream))) == 5
-spec = KernelSpec.gaussian(1.0)
-f = diagnostics.mean_embedding(stream, spec)
+f = diagnostics.mean_embedding(stream, 1.0)
 h = hashlib.sha256(f.scores.tobytes())
 h.update(repr(f.sq_norm).encode())
-h.update(repr(diagnostics.kernel_alignment(stream, spec)[0]).encode())
+h.update(repr(diagnostics.kernel_alignment(stream, 1.0)[0]).encode())
 print("gaussian", h.hexdigest())
 """
 
@@ -305,29 +303,28 @@ def test_comparator_path_is_independent_of_blas_threads():
 
 
 def test_alignment_single_example_is_zero():
-    assert kernel_alignment([ex([(0, 2.0)], +1)], GAUSS)[0] == pytest.approx(0.0)
+    assert kernel_alignment([ex([(0, 2.0)], +1)], SIGMA)[0] == pytest.approx(0.0)
 
 
 def test_alignment_two_identical_same_label():
     x = SparseVector([(0, 1.0)])
     stream = [LabeledExample(x, 1), LabeledExample(x, 1)]
-    assert kernel_alignment(stream, GAUSS)[0] == pytest.approx(0.0, abs=1e-12)
+    assert kernel_alignment(stream, SIGMA)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_alignment_of_far_apart_points_is_exact():
     # Points 40 apart: every off-diagonal kernel value underflows to 0.0, so
     # K = I, y'Ky = T and the alignment is T - 1 exactly.
     stream = [ex([(i, 40.0)], y) for i, y in enumerate((1, -1, 1, 1, -1))]
-    assert kernel_alignment(stream, GAUSS)[0] == 4.0
+    assert kernel_alignment(stream, SIGMA)[0] == 4.0
 
 
 def test_alignment_equals_mean_embedding_hinge_loss():
     gen = ScalarSplitMix64(89)
     for sigma in (0.5, 1.0, 2.0):
-        spec = KernelSpec.gaussian(sigma)
         stream = random_examples(gen, 150, 4)
-        a = kernel_alignment(stream, spec)[0]
-        loss = hinge_loss_of(mean_embedding(stream, spec), stream)
+        a = kernel_alignment(stream, sigma)[0]
+        loss = hinge_loss_of(mean_embedding(stream, sigma), stream)
         assert abs(a - loss) <= 1e-9 * len(stream)
         assert a >= -1e-6
 
@@ -342,20 +339,20 @@ def test_perceptron_bound_with_constructed_comparator():
     # the bound is |f|^2 = 2 alone.
     x1, x2 = SparseVector([(0, 40.0)]), SparseVector([(1, 40.0)])
     stream = [LabeledExample(x, y) for _ in range(10) for x, y in ((x1, 1), (x2, -1))]
-    f = Expansion(GAUSS, dim=2)
+    f = Expansion(SIGMA, dim=2)
     f.insert(x1, 1.0)
     f.insert(x2, -1.0)
-    trace = run(LearnerConfig("perceptron", GAUSS), stream)
+    trace = run(LearnerConfig("perceptron", SIGMA), stream)
     report = check_perceptron_bound(trace, stream, Comparator.of(f, stream))
     assert report.holds
     assert report.components["comparator_loss"] == 0.0
-    assert report.rhs == pytest.approx(2.0, rel=1e-15)  # |f| is squared back
+    assert report.rhs == 2.0  # the quadratic form itself, not a root squared back
 
 
 def test_perceptron_bound_zero_comparator():
     gen = ScalarSplitMix64(97)
     stream = random_examples(gen, 40, 4)
-    trace = run(LearnerConfig("perceptron", GAUSS), stream)
+    trace = run(LearnerConfig("perceptron", SIGMA), stream)
     report = check_perceptron_bound(trace, stream, zero_comparator(stream))
     assert report.rhs == pytest.approx(2.0 * len(stream))
     assert report.holds
@@ -364,9 +361,9 @@ def test_perceptron_bound_zero_comparator():
 def test_perceptron_bound_random_comparators():
     gen = ScalarSplitMix64(101)
     stream = random_examples(gen, 60, 4)
-    trace = run(LearnerConfig("perceptron", GAUSS), stream)
+    trace = run(LearnerConfig("perceptron", SIGMA), stream)
     for _ in range(5):
-        f = Expansion(GAUSS, dim=4)
+        f = Expansion(SIGMA, dim=4)
         for e in random_examples(gen, 5, 4):
             f.insert(e.x, 3.0 * (gen.uniform() - 0.5) or 0.4)
         assert check_perceptron_bound(trace, stream, Comparator.of(f, stream)).holds
@@ -380,11 +377,11 @@ def test_perceptron_bound_is_tight_on_far_apart_instances():
     # is T: the update count meets it.
     gen = ScalarSplitMix64(103)
     stream = random_examples(gen, 20, 8, scale=1e3)
-    f = Expansion(GAUSS, dim=8)
+    f = Expansion(SIGMA, dim=8)
     for e in stream:
         f.insert(e.x, float(e.y))
     assert f.sq_norm == 20.0
-    trace = run(LearnerConfig("perceptron", GAUSS), stream)
+    trace = run(LearnerConfig("perceptron", SIGMA), stream)
     report = check_perceptron_bound(trace, stream, Comparator.of(f, stream))
     assert report.holds
     assert report.components["margin_mistakes"] == 20
@@ -394,7 +391,7 @@ def test_perceptron_bound_is_tight_on_far_apart_instances():
 
 def test_perceptron_bound_wrong_algorithm():
     ds = synth_separable(30, 3, 0.5, seed=1)
-    trace = run(LearnerConfig("avp", GAUSS, U=math.inf, lam=1.0, epsilon=0.75),
+    trace = run(LearnerConfig("avp", SIGMA, U=math.inf, lam=1.0, epsilon=0.75),
                 ds.examples)
     with pytest.raises(PreconditionViolation):
         check_perceptron_bound(trace, ds.examples, zero_comparator(ds.examples))
@@ -404,7 +401,7 @@ def test_perceptron_bound_wrong_algorithm():
 
 
 def test_avp_constant_bound_formula_on_crafted_trace():
-    cfg = LearnerConfig("avp", GAUSS, U=math.inf, lam=1.0, epsilon=0.75)
+    cfg = LearnerConfig("avp", SIGMA, U=math.inf, lam=1.0, epsilon=0.75)
     # 3 margin mistakes (2 true mistakes), 2 low-confidence rounds.
     trace = make_trace(cfg, [-1.0, -0.2, 0.0, 0.1, 0.2, 0.9])
     stream = [ex([(0, 1.0)], 1)] * 6
@@ -415,7 +412,7 @@ def test_avp_constant_bound_formula_on_crafted_trace():
 
 
 def test_avp_constant_bound_collapses_without_low_confidence():
-    cfg = LearnerConfig("avp", GAUSS, U=math.inf, lam=1.0, epsilon=0.75)
+    cfg = LearnerConfig("avp", SIGMA, U=math.inf, lam=1.0, epsilon=0.75)
     trace = make_trace(cfg, [-1.0, -0.5, 1.3])
     stream = [ex([(0, 1.0)], 1)] * 3
     report = check_avp_bound(trace, stream, zero_comparator(stream), "constant")
@@ -426,14 +423,14 @@ def test_avp_constant_bound_collapses_without_low_confidence():
 def test_avp_constant_bound_preconditions():
     stream = synth_separable(30, 3, 0.5, seed=2).examples
     comp = zero_comparator(stream)
-    bad_u = run(LearnerConfig("avp", GAUSS, U=5.0, lam=1.0, epsilon=0.75), stream)
+    bad_u = run(LearnerConfig("avp", SIGMA, U=5.0, lam=1.0, epsilon=0.75), stream)
     with pytest.raises(PreconditionViolation):
         check_avp_bound(bad_u, stream, comp, "constant")
-    bad_eps = run(LearnerConfig("avp", GAUSS, U=math.inf, lam=1.0, epsilon=0.4),
+    bad_eps = run(LearnerConfig("avp", SIGMA, U=math.inf, lam=1.0, epsilon=0.4),
                   stream)
     with pytest.raises(PreconditionViolation):
         check_avp_bound(bad_eps, stream, comp, "constant")
-    bad_lam = run(LearnerConfig("avp", GAUSS, U=math.inf, lam=0.5, epsilon=0.75),
+    bad_lam = run(LearnerConfig("avp", SIGMA, U=math.inf, lam=0.5, epsilon=0.75),
                   stream)
     with pytest.raises(PreconditionViolation):
         check_avp_bound(bad_lam, stream, comp, "constant")
@@ -443,12 +440,12 @@ def test_avp_bounds_hold_on_runs():
     for seed in range(3):
         ds = synth_noisy(500, 4, 0.1, seed=seed)
         stream = ds.examples
-        t1 = run(LearnerConfig("avp", GAUSS, U=math.inf, lam=1.0, epsilon=0.75),
+        t1 = run(LearnerConfig("avp", SIGMA, U=math.inf, lam=1.0, epsilon=0.75),
                  stream)
-        c1 = default_comparator(mean_embedding(stream, GAUSS), 1.0)
+        c1 = default_comparator(mean_embedding(stream, SIGMA), 1.0)
         assert check_avp_bound(t1, stream, c1, "constant").holds
-        t2 = run(LearnerConfig("avp-adaptive", GAUSS, U=2.0, epsilon=0.75), stream)
-        c2 = default_comparator(mean_embedding(stream, GAUSS), 2.0)
+        t2 = run(LearnerConfig("avp-adaptive", SIGMA, U=2.0, epsilon=0.75), stream)
+        c2 = default_comparator(mean_embedding(stream, SIGMA), 2.0)
         report = check_avp_bound(t2, stream, c2, "adaptive")
         assert report.holds
         assert report.components["rate_slack"] <= 0.0
@@ -456,9 +453,9 @@ def test_avp_bounds_hold_on_runs():
 
 def test_avp_adaptive_rejects_comparator_outside_ball():
     ds = synth_separable(40, 3, 0.5, seed=3)
-    trace = run(LearnerConfig("avp-adaptive", GAUSS, U=0.3, epsilon=0.75),
+    trace = run(LearnerConfig("avp-adaptive", SIGMA, U=0.3, epsilon=0.75),
                 ds.examples)
-    comp = default_comparator(mean_embedding(ds.examples, GAUSS), 1.0)  # norm 1 > U
+    comp = default_comparator(mean_embedding(ds.examples, SIGMA), 1.0)  # norm 1 > U
     with pytest.raises(PreconditionViolation):
         check_avp_bound(trace, ds.examples, comp, "adaptive")
 
@@ -467,15 +464,15 @@ def test_avp_adaptive_rejects_comparator_outside_ball():
 
 
 def _theorem_config(B=64, U=2.0, eps=0.8, algo="ahpatron"):
-    return LearnerConfig(algo, GAUSS, B=B, U=U,
+    return LearnerConfig(algo, SIGMA, B=B, U=U,
                          lam=math.sqrt(2.0) * U / math.sqrt(B),
-                         epsilon=eps, ct_mode="fixed", ct=0.6)
+                         epsilon=eps, ct=0.6)
 
 
 def test_ahpatron_bound_epsilon_precondition_boundary():
     # B=64, U=2 puts the admissible epsilon range at (0.75, 1).
     ds = synth_noisy(300, 4, 0.1, seed=4)
-    comp = default_comparator(mean_embedding(ds.examples, GAUSS), 2.0)
+    comp = default_comparator(mean_embedding(ds.examples, SIGMA), 2.0)
     bad = run(_theorem_config(eps=0.7), ds.examples)
     with pytest.raises(PreconditionViolation):
         check_ahpatron_bound(bad, ds.examples, comp)
@@ -488,7 +485,7 @@ def test_ahpatron_bound_requires_large_budget():
     trace = run(_theorem_config(B=32, U=math.sqrt(32) / 4.0, eps=0.8), ds.examples)
     with pytest.raises(PreconditionViolation) as err:
         check_ahpatron_bound(trace, ds.examples,
-                             default_comparator(mean_embedding(ds.examples, GAUSS), 1.0))
+                             default_comparator(mean_embedding(ds.examples, SIGMA), 1.0))
     assert "B >= 50" in str(err.value)
 
 
@@ -508,7 +505,7 @@ def test_ahpatron_bound_holds_on_runs_including_noproj():
     for algo in ("ahpatron", "ahpatron-noproj"):
         ds = synth_noisy(600, 4, 0.15, seed=6)
         trace = run(_theorem_config(algo=algo), ds.examples)
-        comp = default_comparator(mean_embedding(ds.examples, GAUSS), 2.0)
+        comp = default_comparator(mean_embedding(ds.examples, SIGMA), 2.0)
         report = check_ahpatron_bound(trace, ds.examples, comp)
         assert report.holds
         assert report.components["upper_slack"] <= 0.0
@@ -524,8 +521,8 @@ def _refined_config(B=64, gamma=0.5, algo="ahpatron", eps=None, U=None):
         U = (1.0 - gamma) * math.sqrt(B) / worst
     if eps is None:
         eps = (worst * U / math.sqrt(B) + 1.0) / 2.0
-    return LearnerConfig(algo, GAUSS, B=B, U=U, lam=U / (2.0 * math.sqrt(B)),
-                         epsilon=eps, ct_mode="norm-ratio")
+    return LearnerConfig(algo, SIGMA, B=B, U=U, lam=U / (2.0 * math.sqrt(B)),
+                         epsilon=eps, ct=None)
 
 
 def test_refined_bound_zeta_zero_without_removals():
@@ -547,7 +544,7 @@ def test_refined_bound_records_measured_zeta():
     cfg = _refined_config()
     trace = run(cfg, ds.examples)
     assert metrics(trace).removals > 0
-    comp = default_comparator(mean_embedding(ds.examples, GAUSS), cfg.U)
+    comp = default_comparator(mean_embedding(ds.examples, SIGMA), cfg.U)
     report = check_refined_bound(trace, ds.examples, comp, gamma=0.5)
     assert report.holds
     assert 0.0 < report.components["zeta"] <= 2.0
@@ -560,8 +557,8 @@ def test_refined_bound_aggressive_u_fails_precondition():
     # radius and the check must refuse post-hoc.
     B = 16
     U = math.sqrt(B) / 2.0
-    cfg = LearnerConfig("ahpatron", GAUSS, B=B, U=U, lam=U / (2 * math.sqrt(B)),
-                        epsilon=0.9, ct_mode="norm-ratio")
+    cfg = LearnerConfig("ahpatron", SIGMA, B=B, U=U, lam=U / (2 * math.sqrt(B)),
+                        epsilon=0.9, ct=None)
     trace = make_trace(cfg, [-1.0] * 6, removal_rounds=(3,),
                        removal_distances=(1.9 * U,))
     assert trace.zeta_max() == pytest.approx(1.9)
@@ -593,8 +590,8 @@ def test_refined_bound_gamma_validation():
 
 
 def test_removal_count_formula():
-    cfg = LearnerConfig("ahpatron", GAUSS, B=4, U=1.0, lam=0.25,
-                        epsilon=0.5, ct_mode="fixed", ct=0.6)
+    cfg = LearnerConfig("ahpatron", SIGMA, B=4, U=1.0, lam=0.25,
+                        epsilon=0.5, ct=0.6)
     # 10 triggered rounds (all margins <= 0), removals on 4 of them.
     trace = make_trace(cfg, [-1.0] * 10, removal_rounds=(4, 6, 8, 9),
                        removal_distances=(0.1, 0.1, 0.1, 0.1))
@@ -605,8 +602,8 @@ def test_removal_count_formula():
 
 def test_removal_count_zero_when_under_budget():
     ds = synth_separable(100, 3, 0.9, seed=9)
-    cfg = LearnerConfig("ahpatron", GAUSS, B=256, U=2.0, lam=0.1, epsilon=0.5,
-                        ct_mode="norm-ratio")
+    cfg = LearnerConfig("ahpatron", SIGMA, B=256, U=2.0, lam=0.1, epsilon=0.5,
+                        ct=None)
     trace = run(cfg, ds.examples)
     m = metrics(trace)
     assert m.margin_mistakes + m.low_confidence <= 256
@@ -615,7 +612,7 @@ def test_removal_count_zero_when_under_budget():
 
 
 def test_gap_inequality_formula_and_runs():
-    cfg = LearnerConfig("avp", GAUSS, U=math.inf, lam=1.0, epsilon=0.75)
+    cfg = LearnerConfig("avp", SIGMA, U=math.inf, lam=1.0, epsilon=0.75)
     trace = make_trace(cfg, [-0.5, 0.1, 0.9])
     report = check_gap_inequality(trace)
     # Triggered margins: -0.5 and 0.1; hinge sum = 1.5 + 0.9; lhs = 1 + eps.
@@ -631,7 +628,7 @@ def test_gap_inequality_formula_and_runs():
 
 def test_gap_inequality_rejects_perceptron():
     ds = synth_separable(30, 3, 0.5, seed=10)
-    trace = run(LearnerConfig("perceptron", GAUSS), ds.examples)
+    trace = run(LearnerConfig("perceptron", SIGMA), ds.examples)
     with pytest.raises(PreconditionViolation):
         check_gap_inequality(trace)
 
@@ -648,7 +645,7 @@ def test_invariant_scanner_flags_corruption():
     assert any("trigger" in v for v in invariant_violations(trace))
     # A NaN margin is neither <= 0 nor below a trigger threshold, so its
     # round never updates and every other check still holds.
-    trace = make_trace(LearnerConfig("perceptron", GAUSS), [-0.5, 0.0, 0.7, 1.2])
+    trace = make_trace(LearnerConfig("perceptron", SIGMA), [-0.5, 0.0, 0.7, 1.2])
     assert invariant_violations(trace) == []
     trace.margins[2] = np.nan
     assert invariant_violations(trace) == ["1 non-finite margins, first at round 2"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ahpatron.expansion import DegenerateProjection, Expansion, GramCorruption
-from ahpatron.kernels import KernelSpec, SparseVector, kernel_row, query_rows, stored_rows
+from ahpatron.kernels import SparseVector, kernel_row, query_rows, stored_rows
 
 from oracles import (
     ScalarSplitMix64,
@@ -17,16 +17,16 @@ from oracles import (
     random_sparse,
 )
 
-GAUSS = KernelSpec.gaussian(1.0)
+SIGMA = 1.0
 
 
-def random_expansion(gen, n, dim=6, coeff_scale=1.0, spec=GAUSS):
+def random_expansion(gen, n, dim=6, coeff_scale=1.0, sigma=SIGMA):
     """A random expansion and the instances inserted into it, in order.
 
     The Expansion keeps no copy of its instances beyond the dense rows it
     scores with, so tests compare it against this record.
     """
-    f = Expansion(spec, dim)
+    f = Expansion(sigma, dim)
     xs = []
     for e in random_examples(gen, n, dim):
         c = coeff_scale * (gen.uniform() * 2.0 - 1.0)
@@ -40,12 +40,12 @@ def random_expansion(gen, n, dim=6, coeff_scale=1.0, spec=GAUSS):
 
 
 def test_evaluate_empty_is_zero():
-    f = Expansion(GAUSS, dim=1)
+    f = Expansion(SIGMA, dim=1)
     assert f.score(SparseVector([(0, 3.0)]))[1] == 0.0
 
 
 def test_evaluate_single_term_at_its_instance():
-    f = Expansion(GAUSS, dim=2)
+    f = Expansion(SIGMA, dim=2)
     x0 = SparseVector([(0, 1.0), (1, -1.0)])
     f.insert(x0, 2.0)
     assert f.score(x0)[1] == pytest.approx(2.0, abs=1e-12)
@@ -56,7 +56,7 @@ def test_evaluate_matches_naive_sum():
     f, xs = random_expansion(gen, 5)
     for _ in range(10):
         x = random_sparse(gen, 6)
-        expected = naive_evaluate(GAUSS, zip(xs, f.alphas), x)
+        expected = naive_evaluate(SIGMA, zip(xs, f.alphas), x)
         assert f.score(x)[1] == pytest.approx(expected, abs=1e-12)
 
 
@@ -69,21 +69,21 @@ def test_evaluate_is_linear_under_scale():
     assert f.score(x)[1] == pytest.approx(-2.5 * before, rel=1e-12)
 
 
-@pytest.mark.parametrize("spec", [KernelSpec.gaussian(0.7), GAUSS, KernelSpec.gaussian(30.0)],
+@pytest.mark.parametrize("sigma", [0.7, SIGMA, 30.0],
                          ids=["sigma=0.7", "sigma=1", "sigma=30"])
 @pytest.mark.parametrize("terms", [1, 6])
-def test_score_is_bitwise_the_fresh_query_row(spec, terms):
+def test_score_is_bitwise_the_fresh_query_row(sigma, terms):
     # score refills one query row in place; its row and f(x) are the bytes of
     # the module's kernel_row on a q built afresh by query_rows.
     gen = ScalarSplitMix64(113 + terms)
     dim = 6
-    f, xs = random_expansion(gen, terms, dim, spec=spec)
+    f, xs = random_expansion(gen, terms, dim, sigma=sigma)
     assert (f.size > 1) == (terms > 1)
-    Z = stored_rows(spec, np.array([x.dense(dim) for x in xs]),
+    Z = stored_rows(sigma, np.array([x.dense(dim) for x in xs]),
                     np.array([x.sq_norm for x in xs]))
     narrow = SparseVector([(0, 0.3), (2, -0.4)])  # dense(dim) pads a copy
     for x in [narrow] + [random_sparse(gen, dim) for _ in range(4)]:
-        expected = kernel_row(Z, query_rows(spec, x.dense(dim), x.sq_norm))
+        expected = kernel_row(Z, query_rows(sigma, x.dense(dim), x.sq_norm))
         row, fx = f.score(x)
         assert row.tobytes() == expected.tobytes()
         assert fx.hex() == float(expected.dot(f.alphas)).hex()
@@ -105,7 +105,7 @@ def test_successive_scores_return_distinct_rows():
 
 
 def test_insert_into_empty_sets_norm():
-    f = Expansion(GAUSS, dim=1)
+    f = Expansion(SIGMA, dim=1)
     f.insert(SparseVector([(0, 1.0)]), 0.7)
     assert f.sq_norm == pytest.approx(0.49, abs=1e-15)
 
@@ -119,13 +119,13 @@ def test_insert_writes_a_unit_gram_diagonal():
     for x in random_examples(gen, 3, 5, scale=1e3):
         f.insert(x.x, 0.5)
     assert (np.diag(f.gram) == 1.0).all()
-    g = Expansion(GAUSS, dim=5)
+    g = Expansion(SIGMA, dim=5)
     g.insert(SparseVector([(4, 1e3)]), 0.7)
     assert g.sq_norm == 0.7 * 0.7
 
 
 def test_insert_cancellation_keeps_both_terms():
-    f = Expansion(GAUSS, dim=1)
+    f = Expansion(SIGMA, dim=1)
     x0 = SparseVector([(0, 2.0)])
     f.insert(x0, 1.0)
     f.insert(x0, -1.0)
@@ -136,7 +136,7 @@ def test_insert_cancellation_keeps_both_terms():
 def test_too_wide_instance_fails_without_state_change():
     # The row width is fixed at construction: a wider instance fails in
     # SparseVector.dense on every path, and the stored terms stay as they were.
-    f = Expansion(GAUSS, dim=2)
+    f = Expansion(SIGMA, dim=2)
     x0 = SparseVector([(0, 1.0), (1, -0.5)])
     f.insert(x0, 0.8)
     before = (f.size, f.alphas.tobytes(), f.sq_norm)
@@ -152,7 +152,7 @@ def test_too_wide_instance_fails_without_state_change():
 
 
 def test_insert_rejects_zero_coefficient():
-    f = Expansion(GAUSS, dim=1)
+    f = Expansion(SIGMA, dim=1)
     with pytest.raises(ValueError):
         f.insert(SparseVector([(0, 1.0)]), 0.0)
 
@@ -160,21 +160,21 @@ def test_insert_rejects_zero_coefficient():
 def test_insert_norm_matches_quadratic_form():
     gen = ScalarSplitMix64(107)
     f, xs = random_expansion(gen, 8)
-    expected = quadratic_norm_sq(GAUSS, list(zip(xs, f.alphas)))
+    expected = quadratic_norm_sq(SIGMA, list(zip(xs, f.alphas)))
     assert f.sq_norm == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
 def test_gram_is_maintained_incrementally():
     gen = ScalarSplitMix64(109)
     f, xs = random_expansion(gen, 7)
-    assert np.allclose(f.gram, gram_matrix(GAUSS, xs), rtol=0.0, atol=1e-12)
+    assert np.allclose(f.gram, gram_matrix(SIGMA, xs), rtol=0.0, atol=1e-12)
 
 
 def test_gram_row_stride_is_not_a_page_multiple():
     # From capacity 512 up a bare capacity-wide row is a whole number of
     # 4 KiB pages, and every entry of a column write would land in the same
     # few cache sets.
-    f = Expansion(GAUSS, dim=1)
+    f = Expansion(SIGMA, dim=1)
     x = SparseVector([(0, 1.0)])
     strides = set()
     for _ in range(1025):  # capacities 16 through 2048
@@ -216,7 +216,7 @@ def test_forked_child_changes_only_its_own_gram():
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
     assert f.gram.tobytes() == before
-    assert np.allclose(f.gram, gram_matrix(GAUSS, xs), rtol=0.0, atol=1e-12)
+    assert np.allclose(f.gram, gram_matrix(SIGMA, xs), rtol=0.0, atol=1e-12)
 
 
 # -- scale ----------------------------------------------------------------------
@@ -246,7 +246,7 @@ def test_scale_squares_norm():
 
 
 def test_scale_rejects_nonfinite():
-    f = Expansion(GAUSS, dim=1)
+    f = Expansion(SIGMA, dim=1)
     f.insert(SparseVector([(0, 1.0)]), 1.0)
     with pytest.raises(ValueError):
         f.scale(math.inf)
@@ -264,7 +264,7 @@ def test_project_ball_inside_is_untouched():
 
 
 def test_project_ball_scales_to_boundary():
-    f = Expansion(GAUSS, dim=1)
+    f = Expansion(SIGMA, dim=1)
     f.insert(SparseVector([(0, 1.0)]), 3.0)  # norm 3
     f.project_ball(1.5)
     assert f.alphas[0] == pytest.approx(1.5, rel=1e-12)
@@ -272,7 +272,7 @@ def test_project_ball_scales_to_boundary():
 
 
 def test_project_ball_zero_hypothesis():
-    f = Expansion(GAUSS, dim=0)
+    f = Expansion(SIGMA, dim=0)
     f.project_ball(1.0)
     assert f.size == 0 and f.norm() == 0.0
 
@@ -298,14 +298,14 @@ def test_project_ball_never_increases_norm_or_flips_signs():
 
 
 def test_project_sphere_noop_at_radius():
-    f = Expansion(GAUSS, dim=1)
+    f = Expansion(SIGMA, dim=1)
     f.insert(SparseVector([(0, 1.0)]), 3.0)
     f.project_sphere(3.0)
     assert f.alphas[0] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_project_sphere_halves_coefficients():
-    f = Expansion(GAUSS, dim=1)
+    f = Expansion(SIGMA, dim=1)
     f.insert(SparseVector([(0, 1.0)]), 3.0)
     f.project_sphere(1.5)
     assert f.alphas[0] == pytest.approx(1.5, rel=1e-12)
@@ -313,13 +313,13 @@ def test_project_sphere_halves_coefficients():
 
 
 def test_project_sphere_zero_to_zero():
-    f = Expansion(GAUSS, dim=0)
+    f = Expansion(SIGMA, dim=0)
     f.project_sphere(0.0)
     assert f.size == 0
 
 
 def test_project_sphere_degenerate():
-    f = Expansion(GAUSS, dim=0)
+    f = Expansion(SIGMA, dim=0)
     with pytest.raises(DegenerateProjection):
         f.project_sphere(1.0)
 
@@ -328,24 +328,24 @@ def test_project_sphere_degenerate():
 
 
 def test_recompute_norm_empty():
-    assert Expansion(GAUSS, dim=0).recompute_norm() == 0.0
+    assert Expansion(SIGMA, dim=0).recompute_sq_norm() == 0.0
 
 
 def test_recompute_norm_single_term():
-    f = Expansion(GAUSS, dim=1)
+    f = Expansion(SIGMA, dim=1)
     f.insert(SparseVector([(0, 1.0)]), -1.75)
-    assert f.recompute_norm() == pytest.approx(1.75, abs=1e-15)
+    assert f.recompute_sq_norm() == 1.75**2
 
 
 def test_recompute_matches_cache():
     gen = ScalarSplitMix64(139)
     f, _ = random_expansion(gen, 10)
-    assert f.recompute_norm() == pytest.approx(math.sqrt(f.sq_norm), rel=1e-8)
+    assert f.recompute_sq_norm() == pytest.approx(f.sq_norm, rel=1e-8)
 
 
 def test_cache_coherent_after_mixed_operations():
     gen = ScalarSplitMix64(149)
-    f = Expansion(GAUSS, dim=6)
+    f = Expansion(SIGMA, dim=6)
     for step in range(60):
         roll = gen.below(10)
         if roll < 6 or f.size == 0:
@@ -357,7 +357,7 @@ def test_cache_coherent_after_mixed_operations():
             f.scale(0.5 + gen.uniform())
         else:
             f.remove_term(gen.below(f.size))
-        scratch = f.recompute_norm() ** 2
+        scratch = f.recompute_sq_norm()
         assert abs(f.sq_norm - scratch) <= 1e-8 * max(1.0, f.sq_norm)
 
 
@@ -365,7 +365,7 @@ def test_norm_resets_keep_the_largest_drift():
     gen = ScalarSplitMix64(181)
     f, _ = random_expansion(gen, 6)
     assert f.max_drift == 0.0
-    fresh = f.recompute_norm() ** 2
+    fresh = f.recompute_sq_norm()
     f._sq_norm = fresh + 0.25 * max(1.0, fresh)
     assert f.reset_norm_cache() == pytest.approx(0.25, rel=1e-9)
     assert f.max_drift == pytest.approx(0.25, rel=1e-9)
@@ -390,11 +390,11 @@ def _check_against_oracles(f, xs):
     by_slot = [None] * len(xs)
     for k, slot in enumerate(f.order):
         by_slot[slot] = xs[k]
-    exact = gram_matrix(GAUSS, by_slot)
+    exact = gram_matrix(SIGMA, by_slot)
     assert np.allclose(f.gram, exact, rtol=0.0, atol=1e-12)
     rows = np.array([f.kernel_row(x) for x in by_slot])
     assert np.allclose(rows, exact, rtol=0.0, atol=1e-12)
-    assert f.sq_norm == pytest.approx(quadratic_norm_sq(GAUSS, list(zip(by_slot, f.alphas))),
+    assert f.sq_norm == pytest.approx(quadratic_norm_sq(SIGMA, list(zip(by_slot, f.alphas))),
                                       rel=1e-10, abs=1e-12)
 
 
@@ -403,7 +403,7 @@ def test_order_stays_coherent_under_mixed_operations():
     # the last slot is itself evicted, that the arrays grow after
     # evictions, that periodic norm resets happen and that clear works.
     gen = ScalarSplitMix64(174)
-    f = Expansion(GAUSS, dim=4)
+    f = Expansion(SIGMA, dim=4)
     xs = []
     last_slot_evictions = grown_after_eviction = periodic_resets = clears = 0
     evicted = False
@@ -484,9 +484,9 @@ def test_replace_with_subset_rejects_out_of_range_keep(keep):
 
 
 def test_gram_corruption_detected():
-    f = Expansion(GAUSS, dim=2)
+    f = Expansion(SIGMA, dim=2)
     f.insert(SparseVector([(0, 1.0)]), 1.0)
     # A bogus kernel row makes the Gram [[1, 5], [5, 1]], not PSD.
     f.insert(SparseVector([(1, 1.0)]), -1.0, row=np.array([5.0]))
     with pytest.raises(GramCorruption):
-        f.recompute_norm()
+        f.recompute_sq_norm()

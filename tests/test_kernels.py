@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ahpatron.diagnostics import mean_embedding
 from ahpatron.expansion import Expansion
 from ahpatron.kernels import (
-    KernelSpec,
     LabeledExample,
     SparseVector,
     kernel_row,
@@ -26,7 +26,7 @@ from oracles import (
     sparse_sq_dist,
 )
 
-GAUSS = KernelSpec.gaussian(1.0)
+SIGMA = 1.0
 
 
 # -- SparseVector --------------------------------------------------------------
@@ -111,13 +111,19 @@ def test_examples_and_block_rows_survive_pickling():
     assert pickle.loads(pickle.dumps(back)) == examples  # tuples built too
 
 
-def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        KernelSpec.gaussian(0.0)
-    with pytest.raises(ValueError, match="finite"):
-        KernelSpec.gaussian(float("inf"))
-    with pytest.raises(ValueError):
-        KernelSpec.gaussian(math.nan)
+def test_kernel_width_validation():
+    # With no width type left, each entry point that turns sigma into gamma
+    # refuses a width that is not positive and finite.
+    gen = ScalarSplitMix64(13)
+    stream = [LabeledExample(random_sparse(gen, 3), 1) for _ in range(3)]
+    with pytest.raises(ValueError, match="positive and finite"):
+        Expansion(0.0, 3)
+    with pytest.raises(ValueError, match="positive and finite"):
+        mean_embedding(stream, math.inf)
+    with pytest.raises(ValueError, match="positive and finite"):
+        operands(math.nan, [ex.x for ex in stream], 3)
+    with pytest.raises(ValueError, match="positive and finite"):
+        stored_rows(-1.0, np.zeros((2, 3)), np.zeros(2))
 
 
 # -- sparse_sq_dist -------------------------------------------------------------
@@ -155,13 +161,13 @@ def test_sq_dist_matches_dense_oracle():
 
 def test_gaussian_zero_distance_is_one():
     v = SparseVector([(0, 0.3), (5, 2.0)])
-    assert kernel_eval(GAUSS, v, v) == 1.0
+    assert kernel_eval(SIGMA, v, v) == 1.0
 
 
 def test_gaussian_against_empty_vector():
     u = SparseVector([(1, 1.0)])
     empty = SparseVector([])
-    assert kernel_eval(GAUSS, u, empty) == pytest.approx(math.exp(-0.5), abs=1e-12)
+    assert kernel_eval(SIGMA, u, empty) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
 
 def test_gaussian_sparse_overlap():
@@ -170,8 +176,8 @@ def test_gaussian_sparse_overlap():
     u = SparseVector([(1, 2.0), (3, 1.0)])
     v = SparseVector([(1, 0.5), (2, 4.0)])
     assert sparse_sq_dist(u, v) == 19.25
-    assert kernel_eval(GAUSS, u, v) == math.exp(-9.625)
-    assert sparse_kernel_block(GAUSS, [u], [v])[0, 0] == pytest.approx(
+    assert kernel_eval(SIGMA, u, v) == math.exp(-9.625)
+    assert sparse_kernel_block(SIGMA, [u], [v])[0, 0] == pytest.approx(
         math.exp(-9.625), rel=1e-12)
 
 
@@ -180,7 +186,7 @@ def test_kernel_symmetry_exact():
     for _ in range(25):
         u = random_sparse(gen, 6)
         v = random_sparse(gen, 6)
-        assert kernel_eval(GAUSS, u, v) == kernel_eval(GAUSS, v, u)
+        assert kernel_eval(SIGMA, u, v) == kernel_eval(SIGMA, v, u)
 
 
 def test_gaussian_range_and_equality_condition():
@@ -188,11 +194,11 @@ def test_gaussian_range_and_equality_condition():
     for _ in range(50):
         u = random_sparse(gen, 6)
         v = random_sparse(gen, 6)
-        k = kernel_eval(GAUSS, u, v)
+        k = kernel_eval(SIGMA, u, v)
         assert 0.0 < k <= 1.0
         if u != v:
             assert k < 1.0
-        assert kernel_eval(GAUSS, u, u) == 1.0
+        assert kernel_eval(SIGMA, u, u) == 1.0
 
 
 # -- gram matrices ---------------------------------------------------------------
@@ -200,36 +206,36 @@ def test_gaussian_range_and_equality_condition():
 
 def test_gram_single_vector():
     x = SparseVector([(0, 1.0)])
-    m = gram_matrix(GAUSS, [x])
+    m = gram_matrix(SIGMA, [x])
     assert m.shape == (1, 1) and m[0, 0] == 1.0
 
 
 def test_gram_two_identical_gaussian():
     x = SparseVector([(0, 0.5), (2, 1.0)])
-    m = gram_matrix(GAUSS, [x, SparseVector([(0, 0.5), (2, 1.0)])])
+    m = gram_matrix(SIGMA, [x, SparseVector([(0, 0.5), (2, 1.0)])])
     assert np.array_equal(m, np.ones((2, 2)))
 
 
 def test_gram_matches_entrywise_eval_exactly():
     gen = ScalarSplitMix64(17)
     xs = [random_sparse(gen, 5) for _ in range(7)]
-    m = gram_matrix(GAUSS, xs)
+    m = gram_matrix(SIGMA, xs)
     for i in range(len(xs)):
         for j in range(len(xs)):
-            assert m[i, j] == kernel_eval(GAUSS, xs[i], xs[j])
+            assert m[i, j] == kernel_eval(SIGMA, xs[i], xs[j])
     assert np.array_equal(m, m.T)
 
 
 def test_gram_rejects_empty():
     with pytest.raises(ValueError):
-        gram_matrix(GAUSS, [])
+        gram_matrix(SIGMA, [])
 
 
 def test_gram_positive_semidefinite():
     gen = ScalarSplitMix64(23)
     for n in (5, 20, 50):
         xs = [random_sparse(gen, 10) for _ in range(n)]
-        eigs = np.linalg.eigvalsh(gram_matrix(GAUSS, xs))
+        eigs = np.linalg.eigvalsh(gram_matrix(SIGMA, xs))
         assert eigs.min() >= -1e-9 * n
 
 
@@ -237,28 +243,28 @@ def test_pairwise_kernel_agrees_with_gram():
     gen = ScalarSplitMix64(31)
     xs = [random_sparse(gen, 6) for _ in range(12)]
     wide = SparseVector([(8, 1.5)])  # wider than every row of xs
-    fast = sparse_kernel_block(GAUSS, xs, xs)
-    exact = gram_matrix(GAUSS, xs)
+    fast = sparse_kernel_block(SIGMA, xs, xs)
+    exact = gram_matrix(SIGMA, xs)
     assert np.allclose(fast, exact, rtol=0.0, atol=1e-12)
     # z_i . q_j and z_j . q_i add the two norm terms in opposite orders, so
     # the block is symmetric to rounding only.
     assert np.allclose(fast, fast.T, rtol=0.0, atol=1e-15)
-    block = sparse_kernel_block(GAUSS, xs, xs[:4] + [wide])
-    exact = gram_matrix(GAUSS, xs + [wide])[:12, [0, 1, 2, 3, 12]]
+    block = sparse_kernel_block(SIGMA, xs, xs[:4] + [wide])
+    exact = gram_matrix(SIGMA, xs + [wide])[:12, [0, 1, 2, 3, 12]]
     assert np.allclose(block, exact, rtol=0.0, atol=1e-12)
 
 
 # sigma = 30 puts the exponents near 0, where the norm terms in the
 # operand rows nearly cancel.
-_WIDTHS = pytest.mark.parametrize("spec", [GAUSS, KernelSpec.gaussian(30.0)],
+_WIDTHS = pytest.mark.parametrize("sigma", [SIGMA, 30.0],
                                   ids=["gaussian", "sigma-30"])
 
 
 @_WIDTHS
-def test_kernel_row_into_buffer_is_bitwise_the_allocating_call(spec):
+def test_kernel_row_into_buffer_is_bitwise_the_allocating_call(sigma):
     gen = ScalarSplitMix64(37)
-    Z, _ = operands(spec, [random_sparse(gen, 6) for _ in range(9)], 6)
-    _, Q = operands(spec, [random_sparse(gen, 6) for _ in range(5)], 6)
+    Z, _ = operands(sigma, [random_sparse(gen, 6) for _ in range(9)], 6)
+    _, Q = operands(sigma, [random_sparse(gen, 6) for _ in range(5)], 6)
     # One query row, as the learners score, and a block of five.
     for args, shape in (((Z, Q[0]), (9,)), ((Z, Q.T), (9, 5))):
         buf = np.full(shape, np.nan)
@@ -267,9 +273,9 @@ def test_kernel_row_into_buffer_is_bitwise_the_allocating_call(spec):
 
 
 @_WIDTHS
-def test_pairwise_kernel_reuses_one_buffer_for_ragged_blocks(spec):
+def test_pairwise_kernel_reuses_one_buffer_for_ragged_blocks(sigma):
     gen = ScalarSplitMix64(41)
-    Z, Q = operands(spec, [random_sparse(gen, 6) for _ in range(23)], 6)
+    Z, Q = operands(sigma, [random_sparse(gen, 6) for _ in range(23)], 6)
     buf = np.full((10, 23), np.nan)
     for i in range(0, 23, 10):  # blocks of 10, 10 and 3 rows
         block = buf[: min(10, 23 - i)]
@@ -279,9 +285,9 @@ def test_pairwise_kernel_reuses_one_buffer_for_ragged_blocks(spec):
         assert block.tobytes() == fresh.tobytes()
 
 
-@pytest.mark.parametrize("spec", [KernelSpec.gaussian(s) for s in (0.05, 0.3, 1.0, 30.0)],
+@pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0, 30.0],
                          ids=["sigma-0.05", "sigma-0.3", "sigma-1", "sigma-30"])
-def test_fused_rows_match_the_scalar_kernel(spec):
+def test_fused_rows_match_the_scalar_kernel(sigma):
     # Expansion rows and pairwise blocks are one product of operand rows;
     # the oracle merges sparse supports.  Near-copies of stored rows keep
     # sigma = 0.05 off an all-zero block.
@@ -290,12 +296,12 @@ def test_fused_rows_match_the_scalar_kernel(spec):
     near = [SparseVector((i, v + 0.01 * gen.uniform()) for i, v in zip(x.indices, x.values))
             for x in xs[:4]]
     queries = xs[:4] + near + [random_sparse(gen, 7) for _ in range(4)]
-    f = Expansion(spec, 7)
+    f = Expansion(sigma, 7)
     for x in xs:
         f.insert(x, 1.0)
-    exact = np.array([[kernel_eval(spec, x, q) for q in queries] for x in xs])
+    exact = np.array([[kernel_eval(sigma, x, q) for q in queries] for x in xs])
     rows = np.array([f.kernel_row(q) for q in queries]).T
-    for K in (rows, sparse_kernel_block(spec, xs, queries)):
+    for K in (rows, sparse_kernel_block(sigma, xs, queries)):
         assert np.allclose(K, exact, rtol=0.0, atol=1e-12)
         assert ((0.0 <= K) & (K <= 1.0)).all()
         own = K[range(4), range(4)]  # stored instances against themselves
@@ -304,7 +310,7 @@ def test_fused_rows_match_the_scalar_kernel(spec):
 
 
 @_WIDTHS
-def test_operands_densify_once_into_the_query_rows(spec):
+def test_operands_densify_once_into_the_query_rows(sigma):
     # A stream's operand rows equal the builders' on its densified rows,
     # bitwise, and the rows are held twice (Z and Q), with no third copy;
     # the rest of the peak is numpy's fixed-size ufunc buffers.
@@ -314,10 +320,10 @@ def test_operands_densify_once_into_the_query_rows(spec):
     xsq = np.array([x.sq_norm for x in xs])
     tracemalloc.start()
     try:
-        Z, Q = operands(spec, xs, 9)
+        Z, Q = operands(sigma, xs, 9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert Z.tobytes() == stored_rows(spec, X, xsq).tobytes()
-    assert Q.tobytes() == query_rows(spec, X, xsq).tobytes()
+    assert Z.tobytes() == stored_rows(sigma, X, xsq).tobytes()
+    assert Q.tobytes() == query_rows(sigma, X, xsq).tobytes()
     assert peak < 2.5 * Z.nbytes, peak / Z.nbytes

@@ -9,7 +9,7 @@ import ahpatron.learners as learners_mod
 from ahpatron.data import synth_noisy
 from ahpatron.diagnostics import invariant_violations, metrics
 from ahpatron.expansion import Expansion
-from ahpatron.kernels import KernelSpec, LabeledExample, SparseVector
+from ahpatron.kernels import LabeledExample, SparseVector
 from ahpatron.learners import (
     ALGORITHMS,
     HALVING_ALGORITHMS,
@@ -33,7 +33,7 @@ from oracles import (
     sorted_split,
 )
 
-GAUSS = KernelSpec.gaussian(1.0)
+SIGMA = 1.0
 
 
 def ex(pairs, y):
@@ -41,7 +41,7 @@ def ex(pairs, y):
 
 
 def ahpatron_config(B=4, U=1.0, lam=0.25, eps=0.5, **kw):
-    return LearnerConfig("ahpatron", GAUSS, B=B, U=U, lam=lam, epsilon=eps, **kw)
+    return LearnerConfig("ahpatron", SIGMA, B=B, U=U, lam=lam, epsilon=eps, **kw)
 
 
 # -- config validation ------------------------------------------------------------
@@ -54,24 +54,24 @@ def test_config_rejects_odd_budget():
 
 def test_config_requires_budget():
     with pytest.raises(ConfigError):
-        LearnerConfig("ahpatron", GAUSS, U=1.0)
+        LearnerConfig("ahpatron", SIGMA, U=1.0)
     with pytest.raises(ConfigError):
-        LearnerConfig("budget-oldest", GAUSS, B=0)
+        LearnerConfig("budget-oldest", SIGMA, B=0)
 
 
 def test_config_epsilon_range():
     with pytest.raises(ConfigError):
-        LearnerConfig("avp", GAUSS, epsilon=1.0)
+        LearnerConfig("avp", SIGMA, epsilon=1.0)
     with pytest.raises(ConfigError):
-        LearnerConfig("avp", GAUSS, epsilon=-0.1)
-    LearnerConfig("avp", GAUSS, epsilon=0.0)
+        LearnerConfig("avp", SIGMA, epsilon=-0.1)
+    LearnerConfig("avp", SIGMA, epsilon=0.0)
 
 
 @pytest.mark.parametrize("algo", ["avp", "ahpatron", "ahpatron-noproj"])
 @pytest.mark.parametrize("lam", [0.0, math.inf, math.nan])
 def test_config_lambda_must_be_positive_and_finite(algo, lam):
     with pytest.raises(ConfigError, match="lambda"):
-        LearnerConfig(algo, GAUSS, B=4, U=1.0, lam=lam)
+        LearnerConfig(algo, SIGMA, B=4, U=1.0, lam=lam)
 
 
 def test_config_halving_needs_finite_u_and_positive_eta():
@@ -80,20 +80,20 @@ def test_config_halving_needs_finite_u_and_positive_eta():
     with pytest.raises(ConfigError):
         ahpatron_config(eta=0.0)
     with pytest.raises(ConfigError):
-        ahpatron_config(ct_mode="fixed", ct=1.5)
+        ahpatron_config(ct=1.5)
 
 
 def test_config_adaptive_needs_finite_u():
     with pytest.raises(ConfigError):
-        LearnerConfig("avp-adaptive", GAUSS)
-    LearnerConfig("avp-adaptive", GAUSS, U=2.0)
+        LearnerConfig("avp-adaptive", SIGMA)
+    LearnerConfig("avp-adaptive", SIGMA, U=2.0)
 
 
 def test_config_baselines_reject_finite_u():
     with pytest.raises(ConfigError):
-        LearnerConfig("budget-oldest", GAUSS, B=4, U=2.0)
+        LearnerConfig("budget-oldest", SIGMA, B=4, U=2.0)
     with pytest.raises(ConfigError):
-        LearnerConfig("perceptron", GAUSS, U=2.0)
+        LearnerConfig("perceptron", SIGMA, U=2.0)
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -101,16 +101,16 @@ def test_config_baselines_reject_finite_u():
     dict(epsilon=1.0), dict(epsilon=-0.1), dict(epsilon=5.0),
     dict(eta=0.0), dict(eta=-1.0), dict(eta=math.inf),
     dict(U=1e300), dict(U=1e-200),  # U^2 overflows or underflows
-    dict(ct_mode="fixed", ct=7.0), dict(ct_mode="fixed", ct=0.0),
-    dict(ct_mode="sometimes"),
+    dict(ct=7.0), dict(ct=0.0), dict(ct=-3.0),
+    dict(sigma=0.0), dict(sigma=-1.0), dict(sigma=math.inf), dict(sigma=math.nan),
     dict(lam=0.0), dict(lam=math.inf),
     dict(B=0),
 ], ids=repr)
 def test_config_checks_each_setting_domain_for_every_algorithm(algo, setting):
-    valid = dict(_valid_settings(algo))
-    LearnerConfig(algo, GAUSS, **valid)
+    valid = dict(sigma=SIGMA, **_valid_settings(algo))
+    LearnerConfig(algo, **valid)
     with pytest.raises(ConfigError):
-        LearnerConfig(algo, GAUSS, **{**valid, **setting})
+        LearnerConfig(algo, **{**valid, **setting})
 
 
 def _valid_settings(algo):
@@ -125,20 +125,20 @@ def _valid_settings(algo):
 
 def test_config_unknown_algorithm():
     with pytest.raises(ConfigError):
-        LearnerConfig("svm", GAUSS)
+        LearnerConfig("svm", SIGMA)
 
 
 # -- predict ------------------------------------------------------------------------
 
 
 def test_predict_initial_state():
-    trace = run(LearnerConfig("perceptron", GAUSS), [ex([(0, 1.0)], +1)])
+    trace = run(LearnerConfig("perceptron", SIGMA), [ex([(0, 1.0)], +1)])
     assert (int(trace.predictions[0]), float(trace.margins[0])) == (-1, 0.0)
 
 
 def test_predict_single_term():
     # Round 0 inserts x0 with coefficient 1, so round 1 scores kappa(x0, x0).
-    trace = run(LearnerConfig("perceptron", GAUSS), [ex([(0, 1.0)], +1)] * 2)
+    trace = run(LearnerConfig("perceptron", SIGMA), [ex([(0, 1.0)], +1)] * 2)
     assert trace.predictions[1] == 1
     assert trace.margins[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -148,7 +148,7 @@ def test_predict_label_matches_score_sign():
     stream = random_examples(gen, 30, 5)
     y = np.array([e.y for e in stream])
     for algo in ("perceptron", "avp"):
-        trace = run(LearnerConfig(algo, GAUSS), stream)
+        trace = run(LearnerConfig(algo, SIGMA), stream)
         # score = y * margin; sign(0) = -1.
         assert np.array_equal(trace.predictions, np.where(y * trace.margins > 0.0, 1, -1))
         assert trace.margins[0] == 0.0 and trace.predictions[0] == -1
@@ -158,7 +158,7 @@ def test_predict_label_matches_score_sign():
 
 
 def test_perceptron_first_example_triggers():
-    learner = OnlineLearner(LearnerConfig("perceptron", GAUSS), dim=1)
+    learner = OnlineLearner(LearnerConfig("perceptron", SIGMA), dim=1)
     out = learner.step(ex([(0, 1.0)], +1))
     assert out.triggered and out.mistake and out.margin == 0.0
     assert learner.hypothesis.size == 1
@@ -166,7 +166,7 @@ def test_perceptron_first_example_triggers():
 
 
 def test_perceptron_zero_margin_updates_without_mistake():
-    learner = OnlineLearner(LearnerConfig("perceptron", GAUSS), dim=1)
+    learner = OnlineLearner(LearnerConfig("perceptron", SIGMA), dim=1)
     out = learner.step(ex([(0, 1.0)], -1))
     # sign(0) = -1 matches the label, but the zero margin still updates.
     assert not out.mistake and out.triggered
@@ -174,7 +174,7 @@ def test_perceptron_zero_margin_updates_without_mistake():
 
 
 def test_perceptron_confident_round_is_passive():
-    learner = OnlineLearner(LearnerConfig("perceptron", GAUSS), dim=1)
+    learner = OnlineLearner(LearnerConfig("perceptron", SIGMA), dim=1)
     x0 = SparseVector([(0, 1.0)])
     learner.hypothesis.insert(x0, 0.5)
     out = learner.step(LabeledExample(x0, 1))  # margin 0.5 > 0
@@ -184,13 +184,13 @@ def test_perceptron_confident_round_is_passive():
 def test_perceptron_matches_naive_reference():
     gen = ScalarSplitMix64(43)
     stream = random_examples(gen, 60, 4)
-    trace = run(LearnerConfig("perceptron", GAUSS), stream)
+    trace = run(LearnerConfig("perceptron", SIGMA), stream)
 
     # From-scratch reference: explicit term list, scalar kernel evals.
     terms: list[tuple[LabeledExample, float]] = []
     ref_mistakes = 0
     for e in stream:
-        score = sum(a * kernel_eval(GAUSS, t.x, e.x) for t, a in terms)
+        score = sum(a * kernel_eval(SIGMA, t.x, e.x) for t, a in terms)
         pred = 1 if score > 0 else -1
         if pred != e.y:
             ref_mistakes += 1
@@ -215,14 +215,14 @@ _REFERENCE_STREAMS = {
 }
 
 
-def _reference_config(algo, ct_mode, eta):
+def _reference_config(algo, ct, eta):
     kw = {}
     if algo in ("avp-adaptive", *HALVING_ALGORITHMS):
         kw["U"] = 1.5
     if algo in ("budget-oldest", "budget-random", *HALVING_ALGORITHMS):
         kw["B"] = 6
-    return LearnerConfig(algo, GAUSS, lam=0.3, epsilon=0.45, eta=eta,
-                         ct_mode=ct_mode, seed=3, **kw)
+    return LearnerConfig(algo, SIGMA, lam=0.3, epsilon=0.45, eta=eta,
+                         ct=ct, seed=3, **kw)
 
 
 def _close(a, b, tol=1e-11):
@@ -233,12 +233,12 @@ def _close(a, b, tol=1e-11):
 
 
 @pytest.mark.parametrize("stream_name", sorted(_REFERENCE_STREAMS))
-@pytest.mark.parametrize("ct_mode", ["fixed", "norm-ratio"])
+@pytest.mark.parametrize("ct", [0.6, None], ids=["fixed", "norm-ratio"])
 @pytest.mark.parametrize("algo", ALGORITHMS)
-def test_run_matches_scalar_reference_learner(algo, ct_mode, stream_name):
+def test_run_matches_scalar_reference_learner(algo, ct, stream_name):
     make, eta = _REFERENCE_STREAMS[stream_name]
     stream = make()
-    cfg = _reference_config(algo, ct_mode, eta)
+    cfg = _reference_config(algo, ct, eta)
     ref = reference_run(cfg, stream)
     # Near a trigger boundary the two sums may round to different sides, so
     # such a stream cannot be compared; it must be changed, never skipped.
@@ -272,7 +272,7 @@ def test_run_matches_scalar_reference_learner(algo, ct_mode, stream_name):
 
 
 def test_avp_trigger_threshold():
-    cfg = LearnerConfig("avp", GAUSS, U=math.inf, lam=1.0, epsilon=0.9)
+    cfg = LearnerConfig("avp", SIGMA, U=math.inf, lam=1.0, epsilon=0.9)
     learner = OnlineLearner(cfg, dim=1)
     x0 = SparseVector([(0, 1.0)])
     learner.hypothesis.insert(x0, 0.05)
@@ -285,7 +285,7 @@ def test_avp_trigger_threshold():
 
 
 def test_avp_ball_projection_caps_norm():
-    cfg = LearnerConfig("avp", GAUSS, U=1.0, lam=1.0, epsilon=0.5)
+    cfg = LearnerConfig("avp", SIGMA, U=1.0, lam=1.0, epsilon=0.5)
     learner = OnlineLearner(cfg, dim=2)
     learner.step(ex([(0, 1.0)], +1))
     learner.step(ex([(1, 1.0)], +1))
@@ -293,7 +293,7 @@ def test_avp_ball_projection_caps_norm():
 
 
 def test_avp_inserts_rate_times_label():
-    cfg = LearnerConfig("avp", GAUSS, U=math.inf, lam=0.3, epsilon=0.5)
+    cfg = LearnerConfig("avp", SIGMA, U=math.inf, lam=0.3, epsilon=0.5)
     learner = OnlineLearner(cfg, dim=1)
     learner.step(ex([(0, 1.0)], -1))
     assert learner.hypothesis.alphas[0] == pytest.approx(-0.3)
@@ -308,7 +308,7 @@ def test_adaptive_rate_values():
 
 
 def test_avp_adaptive_counts_current_round():
-    cfg = LearnerConfig("avp-adaptive", GAUSS, U=2.0, epsilon=0.75)
+    cfg = LearnerConfig("avp-adaptive", SIGMA, U=2.0, epsilon=0.75)
     learner = OnlineLearner(cfg, dim=1)
     learner.step(ex([(0, 1.0)], +1))  # margin 0 counts itself: rate U/sqrt(U^2+1)
     expected = 2.0 / math.sqrt(4.0 + 1.0)
@@ -364,13 +364,13 @@ def test_split_validates_sizes():
 # -- Ahpatron ----------------------------------------------------------------------------
 
 
-def _assert_stores(f, spec, xs, probes=()):
+def _assert_stores(f, sigma, xs, probes=()):
     """f holds exactly the instances xs, in order: its Gram and the kernel
     rows that scoring reads match the scalar oracle on xs."""
     assert f.size == len(xs)
-    assert np.allclose(f.gram, gram_matrix(spec, xs), rtol=0.0, atol=1e-12)
+    assert np.allclose(f.gram, gram_matrix(sigma, xs), rtol=0.0, atol=1e-12)
     for p in [*xs, *probes]:
-        expected = [kernel_eval(spec, x, p) for x in xs]
+        expected = [kernel_eval(sigma, x, p) for x in xs]
         assert np.allclose(f.kernel_row(p), expected, rtol=0.0, atol=1e-12)
 
 
@@ -393,20 +393,20 @@ def test_ahpatron_removal_leaves_half_plus_one():
     learner = OnlineLearner(cfg, dim=12)
     used = _fill_active_set(learner, 4)
     out = learner.step(ex([(used, 1.0)], +1))
-    assert out.triggered and out.removal
+    assert out.triggered and out.removal_distance is not None
     assert learner.hypothesis.size == 3  # B/2 + 1
-    assert out.removal_distance is not None and out.removal_distance >= 0.0
+    assert out.removal_distance >= 0.0
 
 
 @pytest.mark.parametrize("algo", sorted(HALVING_ALGORITHMS))
 def test_halving_keeps_slots_in_insertion_order(algo):
     # A halving learner never evicts one term, so every term's slot is its
     # insertion position and its sums run in insertion order.
-    cfg = LearnerConfig(algo, GAUSS, B=8, U=1.5, lam=0.3, epsilon=0.45)
+    cfg = LearnerConfig(algo, SIGMA, B=8, U=1.5, lam=0.3, epsilon=0.45)
     learner = OnlineLearner(cfg, dim=4)
     halvings = 0
     for e in synth_noisy(300, 4, 0.1, seed=4).examples:
-        halvings += learner.step(e).removal
+        halvings += learner.step(e).removal_distance is not None
     f = learner.hypothesis
     assert halvings >= 5
     assert f.order.tolist() == list(range(f.size))
@@ -416,15 +416,15 @@ def test_ahpatron_below_budget_is_plain_update():
     cfg = ahpatron_config(B=4, U=2.0, lam=0.5, eps=0.5)
     learner = OnlineLearner(cfg, dim=12)
     out = learner.step(ex([(0, 1.0)], +1))
-    assert out.triggered and not out.removal and learner.hypothesis.size == 1
+    assert out.triggered and out.removal_distance is None and learner.hypothesis.size == 1
 
 
 def test_ahpatron_zero_coupling_scales_survivors():
     # Instances 40 apart: every kernel value between two of them underflows
     # to exactly 0.0, so the survivor/removed coupling block is zero, the
     # solve returns zero and the survivors are only rescaled onto the sphere.
-    cfg = LearnerConfig("ahpatron", GAUSS, B=2, U=1.0, lam=0.1, epsilon=0.5,
-                        ct_mode="fixed", ct=0.6)
+    cfg = LearnerConfig("ahpatron", SIGMA, B=2, U=1.0, lam=0.1, epsilon=0.5,
+                        ct=0.6)
     learner = OnlineLearner(cfg, dim=8)
     f = learner.hypothesis
     kept, dropped = ex([(0, 40.0)], +1), ex([(1, 40.0)], +1)
@@ -433,8 +433,8 @@ def test_ahpatron_zero_coupling_scales_survivors():
     assert f.gram[0, 1] == 0.0
     new_x = ex([(2, 40.0)], +1)         # triggers (margin 0 < 0.5)
     out = learner.step(new_x)
-    assert out.removal
-    _assert_stores(f, GAUSS, [kept.x, new_x.x], probes=[dropped.x])
+    assert out.removal_distance is not None
+    _assert_stores(f, SIGMA, [kept.x, new_x.x], probes=[dropped.x])
     # Survivor rescaled from norm 0.9 to radius ct*U = 0.6: coefficient 0.6.
     assert f.alphas[0] == pytest.approx(0.6, rel=1e-10)
     assert f.alphas[1] == pytest.approx(0.1, rel=1e-10)
@@ -444,17 +444,17 @@ def test_ahpatron_zero_coupling_scales_survivors():
 
 
 def test_ahpatron_noproj_matches_sphere_of_survivors():
-    cfg = LearnerConfig("ahpatron-noproj", GAUSS, B=4, U=2.0, lam=0.5,
-                        epsilon=0.5, ct_mode="fixed", ct=0.6)
+    cfg = LearnerConfig("ahpatron-noproj", SIGMA, B=4, U=2.0, lam=0.5,
+                        epsilon=0.5, ct=0.6)
     learner = OnlineLearner(cfg, dim=12)
     used = _fill_active_set(learner, 4)
     f = learner.hypothesis
     assert used == 4  # every round triggered, so term i holds e_i
     stored = [SparseVector([(i, 1.0)]) for i in range(4)]
-    _assert_stores(f, GAUSS, stored)
+    _assert_stores(f, SIGMA, stored)
     alphas = np.asarray(f.alphas)
     removed, kept = split_active_set(alphas, 4)
-    survivors = Expansion(GAUSS, dim=4)
+    survivors = Expansion(SIGMA, dim=4)
     for i in kept:
         survivors.insert(stored[i], alphas[i])
     survivors.project_sphere(0.6 * 2.0)
@@ -470,8 +470,8 @@ def test_ahpatron_degenerate_projection_drops_everything():
     # undefined; the fallback empties the set.  The removed terms lie 40
     # away, so their coupling to the survivors is exactly zero and the
     # projection adds nothing to the survivors.
-    cfg = LearnerConfig("ahpatron", GAUSS, B=4, U=1.0, lam=0.5, epsilon=0.5,
-                        ct_mode="fixed", ct=0.6)
+    cfg = LearnerConfig("ahpatron", SIGMA, B=4, U=1.0, lam=0.5, epsilon=0.5,
+                        ct=0.6)
     learner = OnlineLearner(cfg, dim=4)
     f = learner.hypothesis
     twin = SparseVector([(0, 40.0)])
@@ -481,20 +481,20 @@ def test_ahpatron_degenerate_projection_drops_everything():
     f.insert(SparseVector([(2, 40.0)]), 1.0)
     assert f.sq_norm == 2.0
     out = learner.step(ex([(3, 40.0)], +1))
-    assert out.removal
+    assert out.removal_distance is not None
     assert learner.hypothesis.size == 1  # only the fresh insert survives
     assert learner.hypothesis.alphas[0] == pytest.approx(0.5)
 
 
 def test_ahpatron_norm_ratio_preserves_norm_across_removal():
     ds = synth_noisy(300, 4, 0.15, seed=3)
-    cfg = LearnerConfig("ahpatron", GAUSS, B=8, U=1.5, lam=0.2, epsilon=0.6,
-                        ct_mode="norm-ratio")
+    cfg = LearnerConfig("ahpatron", SIGMA, B=8, U=1.5, lam=0.2, epsilon=0.6,
+                        ct=None)
     learner = OnlineLearner(cfg, dim=4)
     for e in ds.examples:
         before = learner.hypothesis.norm()
         out = learner.step(e)
-        if out.removal:
+        if out.removal_distance is not None:
             # Sphere radius equals the pre-removal norm; afterwards one
             # insert-and-project update runs on top of it.
             assert out.removal_distance <= 2 * cfg.U * (1 + 1e-9)
@@ -505,7 +505,7 @@ def test_ahpatron_norm_ratio_preserves_norm_across_removal():
 
 
 def test_budget_oldest_evicts_in_arrival_order():
-    cfg = LearnerConfig("budget-oldest", GAUSS, B=2)
+    cfg = LearnerConfig("budget-oldest", SIGMA, B=2)
     learner = OnlineLearner(cfg, dim=12)
     # Alternating labels keep every margin nonpositive, so all three trigger.
     e1, e2, e3 = ex([(0, 1.0)], +1), ex([(1, 1.0)], -1), ex([(2, 1.0)], +1)
@@ -514,24 +514,24 @@ def test_budget_oldest_evicts_in_arrival_order():
     out = learner.step(e3)
     assert out.triggered
     f = learner.hypothesis
-    _assert_stores(f, GAUSS, [e2.x, e3.x], probes=[e1.x])
+    _assert_stores(f, SIGMA, [e2.x, e3.x], probes=[e1.x])
     assert f.alphas.tolist() == [e2.y, e3.y]
 
 
 def test_budget_random_is_seed_deterministic():
     ds = synth_noisy(200, 3, 0.25, seed=9)
-    cfg = LearnerConfig("budget-random", GAUSS, B=8, seed=123)
+    cfg = LearnerConfig("budget-random", SIGMA, B=8, seed=123)
     a = run(cfg, ds.examples)
     b = run(cfg, ds.examples)
     assert a.same_as(b)
-    c = run(LearnerConfig("budget-random", GAUSS, B=8, seed=124), ds.examples)
+    c = run(LearnerConfig("budget-random", SIGMA, B=8, seed=124), ds.examples)
     assert not a.same_as(c)
 
 
 def test_budget_baselines_respect_budget():
     ds = synth_noisy(300, 3, 0.3, seed=5)
     for algo in ("budget-oldest", "budget-random"):
-        trace = run(LearnerConfig(algo, GAUSS, B=6, seed=7), ds.examples)
+        trace = run(LearnerConfig(algo, SIGMA, B=6, seed=7), ds.examples)
         assert int(trace.active_sizes.max()) <= 6
         assert invariant_violations(trace) == []
 
@@ -545,7 +545,7 @@ def test_budget_learners_record_periodic_drift(monkeypatch):
     resets = []
 
     def reset_after_offset(self):
-        fresh = self._quadratic_form()
+        fresh = self.recompute_sq_norm()
         self._sq_norm = fresh + 1e-3 * max(1.0, fresh)
         resets.append(self.size)
         return reset(self)
@@ -554,19 +554,19 @@ def test_budget_learners_record_periodic_drift(monkeypatch):
     ds = synth_noisy(300, 3, 0.3, seed=5)
     for algo in ("budget-oldest", "budget-random"):
         resets.clear()
-        trace = run(LearnerConfig(algo, GAUSS, B=6, seed=7), ds.examples)
+        trace = run(LearnerConfig(algo, SIGMA, B=6, seed=7), ds.examples)
         assert len(resets) > 1  # periodic resets, then the final one
         assert trace.max_cache_drift == pytest.approx(1e-3, rel=1e-9)
         assert trace.final_cache_drift == pytest.approx(1e-3, rel=1e-9)
     resets.clear()
-    trace = run(LearnerConfig("perceptron", GAUSS), ds.examples)
+    trace = run(LearnerConfig("perceptron", SIGMA), ds.examples)
     assert len(resets) == 1  # the final reset only
     assert trace.max_cache_drift == 0.0
     assert trace.final_cache_drift == pytest.approx(1e-3, rel=1e-9)
 
 
 def test_step_rejects_a_too_wide_instance():
-    learner = OnlineLearner(LearnerConfig("perceptron", GAUSS), dim=2)
+    learner = OnlineLearner(LearnerConfig("perceptron", SIGMA), dim=2)
     learner.step(ex([(1, 1.0)], +1))
     f = learner.hypothesis
     before = (f.size, f.alphas.tobytes(), f.sq_norm)
@@ -686,15 +686,15 @@ _PINNED = {
 
 def _pinned_config(algo):
     if algo in ("ahpatron", "ahpatron-noproj"):
-        return LearnerConfig(algo, GAUSS, B=16, U=2.0, lam=0.25, epsilon=0.7,
-                             ct_mode="norm-ratio")
+        return LearnerConfig(algo, SIGMA, B=16, U=2.0, lam=0.25, epsilon=0.7,
+                             ct=None)
     if algo == "avp":
-        return LearnerConfig(algo, GAUSS, U=math.inf, lam=1.0, epsilon=0.75)
+        return LearnerConfig(algo, SIGMA, U=math.inf, lam=1.0, epsilon=0.75)
     if algo == "avp-adaptive":
-        return LearnerConfig(algo, GAUSS, U=2.0, epsilon=0.75)
+        return LearnerConfig(algo, SIGMA, U=2.0, epsilon=0.75)
     if algo == "perceptron":
-        return LearnerConfig(algo, GAUSS)
-    return LearnerConfig(algo, GAUSS, B=16, seed=5)
+        return LearnerConfig(algo, SIGMA)
+    return LearnerConfig(algo, SIGMA, B=16, seed=5)
 
 
 @pytest.mark.parametrize("algo", sorted(_PINNED))
@@ -724,8 +724,8 @@ def test_unused_parameters_leave_trace_unchanged(algo, base, unused):
     # ignores lambda; setting them must change nothing the learner computes.
     # The arrays are compared directly, since same_as also compares configs.
     ds = synth_noisy(400, 4, 0.15, seed=13)
-    a = run(LearnerConfig(algo, GAUSS, **base), ds.examples)
-    b = run(LearnerConfig(algo, GAUSS, **{**base, **unused}), ds.examples)
+    a = run(LearnerConfig(algo, SIGMA, **base), ds.examples)
+    b = run(LearnerConfig(algo, SIGMA, **{**base, **unused}), ds.examples)
     for field in ("margins", "triggered", "norms", "active_sizes"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
@@ -734,21 +734,21 @@ def test_unused_parameters_leave_trace_unchanged(algo, base, unused):
 
 
 def test_run_single_example_trace():
-    trace = run(LearnerConfig("perceptron", GAUSS), [ex([(0, 1.0)], +1)])
+    trace = run(LearnerConfig("perceptron", SIGMA), [ex([(0, 1.0)], +1)])
     assert trace.T == 1
     assert trace.triggered[0]
 
 
 def test_run_rejects_empty_stream():
     with pytest.raises(ConfigError):
-        run(LearnerConfig("perceptron", GAUSS), [])
+        run(LearnerConfig("perceptron", SIGMA), [])
 
 
 def test_run_handles_empty_instances():
     # A stream of empty vectors is degenerate but well defined: all
     # instances coincide, so the Gaussian kernel sees one point.
     stream = [ex([], y) for y in (1, -1, 1, 1)]
-    trace = run(LearnerConfig("perceptron", GAUSS), stream)
+    trace = run(LearnerConfig("perceptron", SIGMA), stream)
     assert trace.T == 4
     assert invariant_violations(trace) == []
 
@@ -756,7 +756,7 @@ def test_run_handles_empty_instances():
 def test_run_is_deterministic():
     ds = synth_noisy(250, 4, 0.1, seed=2)
     cfg = ahpatron_config(B=8, U=math.sqrt(8) / 2, lam=0.25, eps=0.7,
-                          ct_mode="norm-ratio")
+                          ct=None)
     assert run(cfg, ds.examples).same_as(run(cfg, ds.examples))
 
 
@@ -785,14 +785,14 @@ def test_run_wraps_solver_failures_with_round_index(monkeypatch):
 def test_invariants_hold_across_algorithms():
     ds = synth_noisy(400, 4, 0.15, seed=13)
     configs = [
-        LearnerConfig("perceptron", GAUSS),
-        LearnerConfig("avp", GAUSS, U=math.inf, lam=1.0, epsilon=0.75),
-        LearnerConfig("avp-adaptive", GAUSS, U=2.0, epsilon=0.75),
-        ahpatron_config(B=8, U=1.4, lam=0.247, eps=0.7, ct_mode="norm-ratio"),
-        LearnerConfig("ahpatron-noproj", GAUSS, B=8, U=1.4, lam=0.247,
-                      epsilon=0.7, ct_mode="norm-ratio"),
-        LearnerConfig("budget-oldest", GAUSS, B=8),
-        LearnerConfig("budget-random", GAUSS, B=8, seed=3),
+        LearnerConfig("perceptron", SIGMA),
+        LearnerConfig("avp", SIGMA, U=math.inf, lam=1.0, epsilon=0.75),
+        LearnerConfig("avp-adaptive", SIGMA, U=2.0, epsilon=0.75),
+        ahpatron_config(B=8, U=1.4, lam=0.247, eps=0.7, ct=None),
+        LearnerConfig("ahpatron-noproj", SIGMA, B=8, U=1.4, lam=0.247,
+                      epsilon=0.7, ct=None),
+        LearnerConfig("budget-oldest", SIGMA, B=8),
+        LearnerConfig("budget-random", SIGMA, B=8, seed=3),
     ]
     for cfg in configs:
         trace = run(cfg, ds.examples)

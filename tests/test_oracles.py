@@ -16,7 +16,7 @@ from pathlib import Path
 ORACLES = Path(__file__).with_name("oracles.py")
 
 ALLOWED = {
-    "KernelSpec", "LabeledExample", "SparseVector",  # input types
+    "LabeledExample", "SparseVector",                # input types
     "SplitMix64", "derive_stream_seed",               # the PRNG
     "MalformedLine",                                  # the parser's error type
     "pairwise_kernel", "operands",                    # sparse_kernel_block

@@ -29,10 +29,10 @@ import ahpatron.cli as cli
 import ahpatron.learners as learners
 from ahpatron.data import Dataset, format_libsvm, permute, synth_noisy
 from ahpatron.diagnostics import default_comparator, hinge_loss_of, mean_embedding
-from ahpatron.kernels import KernelSpec, LabeledExample
+from ahpatron.kernels import LabeledExample
 from ahpatron.learners import ALGORITHMS, LearnerConfig, run
 
-GAUSS = KernelSpec.gaussian(1.0)
+SIGMA = 1.0
 
 # (T, d, flip, seed), each permuted with seed 0.
 STREAMS = [(3000, 18, 0.1, 3), (2000, 8, 0.15, 11)]
@@ -59,9 +59,9 @@ def _assert_same_except_config(a, b):
 def test_budget_baselines_above_T_are_the_perceptron(stream):
     examples = _stream(*stream)
     B = len(examples)
-    perceptron = run(LearnerConfig("perceptron", GAUSS), examples)
+    perceptron = run(LearnerConfig("perceptron", SIGMA), examples)
     for algo in ("budget-oldest", "budget-random"):
-        trace = run(LearnerConfig(algo, GAUSS, B=B, seed=7), examples)
+        trace = run(LearnerConfig(algo, SIGMA, B=B, seed=7), examples)
         _assert_same_except_config(trace, perceptron)
 
 
@@ -69,26 +69,26 @@ def test_budget_baselines_above_T_are_the_perceptron(stream):
 def test_halving_learners_above_update_count_are_avp(stream):
     examples = _stream(*stream)
     U, lam, eps = 3.0, 0.075, 0.7
-    avp = run(LearnerConfig("avp", GAUSS, U=U, lam=lam, epsilon=eps), examples)
+    avp = run(LearnerConfig("avp", SIGMA, U=U, lam=lam, epsilon=eps), examples)
     updates = int(np.count_nonzero(avp.triggered))
     B = 2 * (updates // 2 + 1)  # the smallest even budget above it
     assert 0 < updates < len(examples)
     for algo in ("ahpatron", "ahpatron-noproj"):
-        trace = run(LearnerConfig(algo, GAUSS, B=B, U=U, lam=lam, epsilon=eps,
-                                  ct_mode="norm-ratio"), examples)
+        trace = run(LearnerConfig(algo, SIGMA, B=B, U=U, lam=lam, epsilon=eps,
+                                  ct=None), examples)
         assert not trace.removals.any()
         _assert_same_except_config(trace, avp)
 
 
 def _negation_config(algo):
     if algo in ("ahpatron", "ahpatron-noproj"):
-        return LearnerConfig(algo, GAUSS, B=100, U=5.0, lam=0.25, epsilon=0.7,
-                             ct_mode="norm-ratio")
+        return LearnerConfig(algo, SIGMA, B=100, U=5.0, lam=0.25, epsilon=0.7,
+                             ct=None)
     if algo in ("budget-oldest", "budget-random"):
-        return LearnerConfig(algo, GAUSS, B=100, seed=7)
+        return LearnerConfig(algo, SIGMA, B=100, seed=7)
     if algo in ("avp", "avp-adaptive"):
-        return LearnerConfig(algo, GAUSS, U=3.0, lam=0.075, epsilon=0.7)
-    return LearnerConfig(algo, GAUSS)
+        return LearnerConfig(algo, SIGMA, U=3.0, lam=0.075, epsilon=0.7)
+    return LearnerConfig(algo, SIGMA)
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -118,8 +118,8 @@ def _negated(ds):
 def test_negating_labels_negates_the_default_comparator():
     ds = synth_noisy(2000, 8, 0.1, 3)
     a, b = ds.examples, _negated(ds).examples
-    fa = default_comparator(mean_embedding(a, GAUSS), 0.5)
-    fb = default_comparator(mean_embedding(b, GAUSS), 0.5)
+    fa = default_comparator(mean_embedding(a, SIGMA), 0.5)
+    fb = default_comparator(mean_embedding(b, SIGMA), 0.5)
     assert fa.sq_norm == fb.sq_norm
     assert fa.scores.tobytes() == (-fb.scores).tobytes()
     assert hinge_loss_of(fa, a) == hinge_loss_of(fb, b)

@@ -17,7 +17,6 @@ import pytest
 
 from ahpatron.data import load_libsvm, permute
 from ahpatron.diagnostics import invariant_violations, metrics
-from ahpatron.kernels import KernelSpec
 from ahpatron.learners import LearnerConfig, run
 
 from helpers import subsample
@@ -43,9 +42,9 @@ def _sweep_best_amr(ds, B, sigma):
     for eps in EPSILON_GRID:
         amrs = []
         for seed in SEEDS:
-            cfg = LearnerConfig("ahpatron", KernelSpec.gaussian(sigma), B=B,
+            cfg = LearnerConfig("ahpatron", sigma, B=B,
                                 U=U, lam=U / (2.0 * math.sqrt(B)), epsilon=eps,
-                                eta=5e-4, ct_mode="norm-ratio")
+                                eta=5e-4, ct=None)
             trace = run(cfg, permute(ds, seed).examples, dataset_name=ds.name)
             assert invariant_violations(trace) == []
             amrs.append(metrics(trace).amr)

@@ -11,7 +11,6 @@ import pytest
 import ahpatron
 from ahpatron import solver
 from ahpatron.data import synth_noisy
-from ahpatron.kernels import KernelSpec
 from ahpatron.solver import (
     FactorizationFailure,
     ProjectionProblem,
@@ -33,7 +32,7 @@ from oracles import (
 def random_projection_problem(gen, m, k, eta=None):
     """Blocks of a real kernel matrix, so K2 is PSD like in production."""
     xs = [random_sparse(gen, 6) for _ in range(m + k)]
-    K = sparse_kernel_block(KernelSpec.gaussian(1.0), xs, xs)
+    K = sparse_kernel_block(1.0, xs, xs)
     kept = list(range(m))
     removed = list(range(m, m + k))
     alpha = np.array([gen.uniform() * 2.0 - 1.0 for _ in range(k)])
@@ -222,7 +221,7 @@ def halving_system(m, seed=0):
     """(K2 + eta I, K21 alpha) of a halving from 2m to m terms at eta = 5e-4:
     Gaussian kernel blocks of a d=68 synthetic stream, as the learner sees."""
     xs = [e.x for e in synth_noisy(2 * m, 68, 0.1, seed).examples]
-    K = sparse_kernel_block(KernelSpec.gaussian(1.0), xs, xs)
+    K = sparse_kernel_block(1.0, xs, xs)
     return K[:m, :m] + 5e-4 * np.eye(m), K[:m, m:] @ np.linspace(-1.0, 1.0, m)
 
 
