@@ -39,8 +39,8 @@ from .prng import SplitMix64, derive_stream_seed, normal_pairs
 _REJECTION_CAP = 10_000
 _BLOCK = 1024  # examples per vectorized synthetic block
 _CHUNK = 1 << 16  # parsed values held as Python objects before a flush to arrays
-# Twice a parsed block's bytes: the block, and headroom for the parse's
-# transient index and value arrays (SUSY needs 1.52 GB).
+# Twice a stream's block bytes: about what a parse holds at its peak, and
+# what the comparator's two operand blocks take (SUSY needs 1.52 GB).
 _BLOCK_BYTES_LIMIT = 2 << 30
 
 
@@ -57,7 +57,7 @@ class NonBinaryLabels(ValueError):
 
 
 class BlockTooLarge(ValueError):
-    """The file's dense block would exceed _BLOCK_BYTES_LIMIT."""
+    """A stream's dense block would exceed _BLOCK_BYTES_LIMIT."""
 
 
 @dataclass
@@ -128,10 +128,7 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
     labels = _normalize_labels(raw_labels)
     chunks.append(_arrays(cols, vals, nnz, name))
     width = max((int(at.max()) + 1 for _, at, _ in chunks if len(at)), default=0)
-    if (needed := 2 * len(raw_labels) * width * 8) > _BLOCK_BYTES_LIMIT:
-        raise BlockTooLarge(f"{name or 'input'}: {len(raw_labels)} rows of width "
-                            f"{width} need {needed:,} bytes with headroom, over "
-                            f"{_BLOCK_BYTES_LIMIT:,}")
+    _check_block(name or "input", len(raw_labels), width)
     block = np.zeros((len(raw_labels), width))
     start = 0
     for counts, at, values in chunks:
@@ -141,6 +138,13 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
     instances = SparseVector.adopt(block)
     examples = [LabeledExample(x, y) for x, y in zip(instances, labels)]
     return Dataset(examples, name=name, feature_count=feature_count)
+
+
+def _check_block(name: str, rows: int, width: int) -> None:
+    """Raise BlockTooLarge if twice a rows x width float64 block is over the limit."""
+    if (needed := 2 * rows * width * 8) > _BLOCK_BYTES_LIMIT:
+        raise BlockTooLarge(f"{name}: {rows} rows of width {width} need {needed:,} "
+                            f"bytes with headroom, over {_BLOCK_BYTES_LIMIT:,}")
 
 
 def _arrays(cols: list[Sequence[int]], vals: list[Sequence[float]], nnz: int,
@@ -290,12 +294,15 @@ def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:
     generator is rewound to the block start and redraws examples 0..r,
     which leaves it and the Box-Muller spare just after example r's first
     attempt; each further attempt draws d fresh normals and keeps the
-    label, and the next block starts after example r.
+    label, and the next block starts after example r.  A T x d stream over
+    _BLOCK_BYTES_LIMIT raises BlockTooLarge before the first draw.
     """
     if T < 1 or d < 1:
         raise ValueError("T and d must be positive")
     if not 0.0 < margin <= 1.0:
         raise ValueError(f"margin must be in (0, 1], got {margin}")
+    name = f"synth-separable-T{T}-d{d}-m{margin:g}-s{seed}"
+    _check_block(name, T, d)
     u, center, noise_sd = _cluster(d, margin)
     gen = SplitMix64(seed)
     spare = None
@@ -335,7 +342,6 @@ def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:
         "comparator_weights": [u / margin] * d,
         "comparator_guarantee": "y * dot(w, x) >= 1 under the linear kernel",
     }
-    name = f"synth-separable-T{T}-d{d}-m{margin:g}-s{seed}"
     return Dataset(examples, name=name, feature_count=d, metadata=meta)
 
 

@@ -164,10 +164,6 @@ def split_active_set(coeffs: Sequence[float], budget: int) -> tuple[list[int], l
     (earlier-inserted) terms to the removed half.  Both halves preserve the
     original insertion order.
     """
-    if budget % 2 != 0:
-        raise ConfigError(f"budget must be even, got {budget}")
-    if len(coeffs) != budget:
-        raise ValueError(f"expected exactly {budget} terms, got {len(coeffs)}")
     # A stable sort by |coefficient| breaks ties by insertion order.
     order = np.argsort(np.abs(coeffs), kind="stable")
     half = budget // 2
@@ -246,13 +242,9 @@ class OnlineLearner:
         if cfg.algorithm == AHPATRON_NOPROJ:
             theta = np.zeros(len(kept))
         else:
-            problem = ProjectionProblem(
-                K2=gram[np.ix_(kept_slots, kept_slots)],
-                K21=gram[np.ix_(kept_slots, order[removed])],
-                alpha=alphas[removed],
-                eta=cfg.eta,
-            )
-            theta, _ = solve_theta_ladder(problem)
+            K2 = gram[np.ix_(kept_slots, kept_slots)]
+            K21 = gram[np.ix_(kept_slots, order[removed])]
+            theta, _ = solve_theta_ladder(ProjectionProblem(K2, K21 @ alphas[removed], cfg.eta))
         survivors = alphas[kept] + theta
         before_sq = f.sq_norm
         cross_mid = float(f.alphas @ (gram[:, kept_slots] @ survivors))

@@ -3,24 +3,25 @@
 The halving step projects the removed half of the active set onto the span
 of the survivors by solving
 
-    theta* = (K2 + eta*I)^-1 K21 alpha,
+    theta* = (K2 + eta*I)^-1 b,    b = K21 alpha,
 
-the minimizer of  theta' (K2 + eta I) theta - 2 theta' K21 alpha.  K2 + eta*I
-is SPD for PSD kernel blocks and eta > 0, so a Cholesky factorization is
-used; a failed factorization signals Gram corruption or an eta too small
-for the conditioning, and callers retry on a doubling ladder.  The factor
-comes from numpy's own LAPACK (np.linalg.cholesky), and the two triangular
-solves are row-by-row substitutions, so no second BLAS library loads.
+the minimizer of  theta' (K2 + eta I) theta - 2 theta' b.  The caller forms
+b from the survivor/removed kernel block K21 and the removed coefficients.
+K2 + eta*I is SPD for PSD kernel blocks and eta > 0, so a Cholesky
+factorization is used; a failed factorization signals Gram corruption or
+an eta too small for the conditioning, and callers retry on a doubling
+ladder.  The factor comes from numpy's own LAPACK (np.linalg.cholesky), and
+the two triangular solves are row-by-row substitutions, so no second BLAS
+library loads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 _RESIDUAL_TOL = 1e-8
-_SYMMETRY_TOL = 1e-12
 MAX_ETA_DOUBLINGS = 20
 
 
@@ -32,36 +33,16 @@ class SolverDiverged(Exception):
     """Regularization ladder exhausted without a successful factorization."""
 
 
-@dataclass(frozen=True)
-class ProjectionProblem:
-    """Inputs of the closed-form projection solve.
+class ProjectionProblem(NamedTuple):
+    """The ridge system (K2 + eta*I) theta = b of one projection solve.
 
-    K2: m x m kernel matrix on the survivors; K21: m x k block between
-    survivors and removed terms; alpha: removed coefficients (length k);
-    eta > 0 the ridge regularizer.
+    K2: m x m kernel matrix on the survivors, symmetric as built; b: length-m
+    right-hand side K21 alpha; eta > 0 the ridge regularizer.
     """
 
     K2: np.ndarray
-    K21: np.ndarray
-    alpha: np.ndarray
+    b: np.ndarray
     eta: float
-
-    def __post_init__(self):
-        K2 = np.asarray(self.K2, dtype=float)
-        K21 = np.atleast_2d(np.asarray(self.K21, dtype=float))
-        alpha = np.asarray(self.alpha, dtype=float).ravel()
-        object.__setattr__(self, "K2", K2)
-        object.__setattr__(self, "K21", K21)
-        object.__setattr__(self, "alpha", alpha)
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
-        m = K2.shape[0]
-        if K2.shape != (m, m):
-            raise ValueError("K2 must be square")
-        if K21.shape[0] != m or K21.shape[1] != alpha.shape[0]:
-            raise ValueError("inconsistent K21/alpha dimensions")
-        if m and np.max(np.abs(K2 - K2.T)) > _SYMMETRY_TOL:
-            raise ValueError("K2 is not symmetric")
 
 
 def _substitute(L: np.ndarray, U: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -101,9 +82,7 @@ def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def solve_theta(problem: ProjectionProblem) -> np.ndarray:
     """Single-shot closed-form solve at the problem's eta."""
     m = problem.K2.shape[0]
-    A = problem.K2 + problem.eta * np.eye(m)
-    b = problem.K21 @ problem.alpha
-    return spd_solve(A, b)
+    return spd_solve(problem.K2 + problem.eta * np.eye(m), problem.b)
 
 
 def solve_theta_ladder(problem: ProjectionProblem) -> tuple[np.ndarray, float]:
@@ -115,7 +94,7 @@ def solve_theta_ladder(problem: ProjectionProblem) -> tuple[np.ndarray, float]:
     eta = problem.eta
     for _ in range(MAX_ETA_DOUBLINGS + 1):
         try:
-            return solve_theta(replace(problem, eta=eta)), eta
+            return solve_theta(problem._replace(eta=eta)), eta
         except FactorizationFailure:
             eta *= 2.0
     raise SolverDiverged(

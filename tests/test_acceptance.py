@@ -247,18 +247,18 @@ def test_criterion_4_projection_oracle_equivalence():
         # eta range where the oracle's convergence is verifiable; the
         # gradient check below rejects an unconverged reference.
         eta = 0.01 + gen.uniform()
-        problem = ProjectionProblem(K[np.ix_(kept, kept)],
-                                    K[np.ix_(kept, removed)], alpha, eta)
+        K21 = K[np.ix_(kept, removed)]
+        problem = ProjectionProblem(K[np.ix_(kept, kept)], K21 @ alpha, eta)
         theta = solve_theta(problem)
         A = problem.K2 + eta * np.eye(m)
-        b = problem.K21 @ alpha
+        b = problem.b
         ref = coordinate_descent(A, b, sweeps=5000, tol=1e-12)
         grad_resid = float(np.max(np.abs(A @ ref - b)))
         assert grad_resid <= 1e-9 * (1.0 + float(np.max(np.abs(b)))), \
             "oracle failed to converge; reference untrustworthy"
         K1 = K[np.ix_(removed, removed)]
-        ours = projection_objective(problem.K2, problem.K21, alpha, eta, K1, theta)
-        refv = projection_objective(problem.K2, problem.K21, alpha, eta, K1, ref)
+        ours = projection_objective(problem.K2, K21, alpha, eta, K1, theta)
+        refv = projection_objective(problem.K2, K21, alpha, eta, K1, ref)
         assert abs(ours - refv) <= 1e-6 * max(abs(ours), abs(refv), 1e-12)
         checked += 1
     elapsed = time.perf_counter() - start

@@ -43,6 +43,27 @@ def test_benchmark_layers_name_existing_attributes(monkeypatch):
     assert "solve_theta_ladder" in vars(workloads.learners)
 
 
+def test_traced_ladder_solves_once_per_halving(monkeypatch):
+    # layer_patches wraps learners.solve_theta_ladder, reads the eta of its
+    # one argument to count escalations, and counts solver.solve_theta
+    # calls as factorization attempts.  A traced ahpatron cell must see one
+    # ladder and one attempt per halving, and no escalation.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = _load(monkeypatch, "perfbench_workloads", "workloads.py")
+    cell = next(w for w in (make() for make in workloads.WORKLOADS.values())
+                if isinstance(w, workloads.Cells))
+    stream = permute(synth_noisy(600, 68, 0.1, 1), 0)
+    spans = workloads.Spans()
+    with workloads.patched(workloads.layer_patches(spans)):
+        op = cell._cell(workloads.Pass(spans), "ahpatron", 40, stream)
+    assert op.errors == []
+    halvings = int(op.trace.removals.sum())
+    assert halvings > 0
+    assert spans.calls["solver.solve_theta_ladder"] == halvings
+    assert spans.calls["solver.solve_theta"] == halvings
+    assert spans.calls["solver.eta_escalations"] == 0
+
+
 def test_benchmark_data_calls_name_existing_functions():
     tree = ast.parse((PERFBENCH / "workloads.py").read_text())
     called = {node.attr for node in ast.walk(tree)

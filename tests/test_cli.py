@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -91,6 +94,31 @@ def test_run_refuses_an_index_past_intp(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith("error: huge.libsvm: an index of ")
     assert peak < 1 << 20
+
+
+_OVERSIZED_SYNTH = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from ahpatron.cli import main
+sys.exit(main(sys.argv[1:] + ["--data", "synth:noisy:T=100000,d=100000"]))
+"""
+
+
+@pytest.mark.parametrize("argv", [["run", "--algo", "perceptron"], ["alignment"]],
+                         ids=["run", "alignment"])
+def test_synthetic_stream_too_large_to_hold_is_refused_before_drawing(argv):
+    # 100,000 x 100,000 float64 values are 80 GB; the descriptor is refused
+    # before the first draw, in one line.  The child's 2 GiB address-space
+    # cap makes a missing check fail fast in numpy, not exhaust the host.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _OVERSIZED_SYNTH, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    err = done.stderr.splitlines()
+    assert done.returncode == 1
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "need 160,000,000,000 bytes with headroom" in err[0]
 
 
 def test_run_rejects_unknown_flag_value():

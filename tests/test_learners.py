@@ -354,13 +354,6 @@ def test_split_matches_sorted_oracle_on_ties():
         assert split_active_set(alternating, budget) == sorted_split(alternating, budget)
 
 
-def test_split_validates_sizes():
-    with pytest.raises(ValueError):
-        split_active_set([1.0, 2.0], 4)
-    with pytest.raises(ConfigError):
-        split_active_set([1.0, 2.0, 3.0], 3)
-
-
 # -- Ahpatron ----------------------------------------------------------------------------
 
 
