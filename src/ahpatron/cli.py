@@ -461,6 +461,10 @@ def cmd_bench(args) -> int:
     aggregates = _aggregate(rows)
     if args.out:
         clean = [{k: r.get(k, "") for k in CSV_HEADER} for r in rows]
+        if args.format == "json":  # the CSV keeps its 18 columns
+            for out_row, r in zip(clean, rows):
+                if r.get("error"):
+                    out_row["error"] = r["error"]
         _write_rows(args.out, CSV_HEADER, clean, args.format)
         agg_path = _aggregate_path(args.out)
         _write_rows(agg_path, AGGREGATE_HEADER, aggregates, args.format)

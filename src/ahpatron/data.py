@@ -88,11 +88,12 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
     the same result or the same MalformedLine.  The lines' indices and
     values go to flat arrays every _CHUNK values, so no more than a chunk
     of them is held as Python objects.  At the end they fill one block, a
-    row per example and as wide as the largest nonzero index + 1, and
-    SparseVector.adopt keeps it, uncopied (its values are finite and nonzero,
-    np.zeros' +0.0 elsewhere).  feature_count also counts explicit zeros, so
-    it can exceed the block width.  A block past _BLOCK_BYTES_LIMIT, or an
-    index past np.intp, raises BlockTooLarge before it is allocated.
+    row per example and as wide as the largest nonzero index + 1, and are
+    released; SparseVector.adopt then keeps the block, uncopied (its values
+    are finite and nonzero, np.zeros' +0.0 elsewhere).  feature_count also
+    counts explicit zeros, so it can exceed the block width.  A block past
+    _BLOCK_BYTES_LIMIT, or an index past np.intp, raises BlockTooLarge
+    before it is allocated.
     """
     raw_labels: list[float] = []
     chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -126,18 +127,28 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
     if not raw_labels:
         raise NonBinaryLabels("empty dataset")
     labels = _normalize_labels(raw_labels)
+    del raw_labels
     chunks.append(_arrays(cols, vals, nnz, name))
+    del cols, vals
     width = max((int(at.max()) + 1 for _, at, _ in chunks if len(at)), default=0)
-    _check_block(name or "input", len(raw_labels), width)
-    block = np.zeros((len(raw_labels), width))
+    _check_block(name or "input", len(labels), width)
+    block = np.zeros((len(labels), width))
+    _fill(block, chunks)
+    # The flat arrays (16 B a nonzero) go before the instances are built.
+    del chunks
+    instances = SparseVector.adopt(block)
+    examples = [LabeledExample(x, y) for x, y in zip(instances, labels)]
+    return Dataset(examples, name=name, feature_count=feature_count)
+
+
+def _fill(block: np.ndarray,
+          chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+    """Write each chunk's lines into the next rows of block."""
     start = 0
     for counts, at, values in chunks:
         rows = np.repeat(np.arange(start, start + len(counts)), counts)
         block[rows, at] = values
         start += len(counts)
-    instances = SparseVector.adopt(block)
-    examples = [LabeledExample(x, y) for x, y in zip(instances, labels)]
-    return Dataset(examples, name=name, feature_count=feature_count)
 
 
 def _check_block(name: str, rows: int, width: int) -> None:

@@ -263,11 +263,14 @@ class Expansion:
             self.reset_norm_cache()
         return None if row is None else row[:last]
 
-    def replace_with_subset(self, keep: Sequence[int], new_coeffs: Sequence[float]) -> None:
+    def replace_with_subset(self, keep: Sequence[int], new_coeffs: Sequence[float],
+                            gram: np.ndarray | None = None) -> None:
         """Keep only the slots ``keep``, assigning them new coefficients.
 
         The survivors move to slots [0, m) in the order given, which becomes
-        the insertion order; zero coefficients are evicted.  Used by the
+        the insertion order; zero coefficients are evicted.  ``gram`` may
+        pass the kept slots' Gram block, gram[np.ix_(keep, keep)], already
+        gathered; it is used unless a coefficient is zero.  Used by the
         halving step, where the survivors absorb the projected mass of the
         removed half.
         """
@@ -278,7 +281,10 @@ class Expansion:
         if len(set(keep)) != len(keep) or not all(0 <= k < self._n for k in keep):
             raise ValueError(f"keep slots must be distinct and lie in [0, {self._n})")
         nz = coeffs != 0.0
-        self._compact([k for k, m in zip(keep, nz) if m], coeffs[nz])
+        if nz.all():
+            self._compact(keep, coeffs, gram)
+        else:
+            self._compact([k for k, m in zip(keep, nz) if m], coeffs[nz])
 
     def clear(self) -> None:
         self._n = 0
@@ -287,12 +293,13 @@ class Expansion:
 
     # -- internals ----------------------------------------------------------
 
-    def _compact(self, keep: list[int], coeffs: np.ndarray) -> None:
+    def _compact(self, keep: list[int], coeffs: np.ndarray,
+                 gram: np.ndarray | None = None) -> None:
         m = len(keep)
         # Fancy indexing copies (ix_ only the m x m block), so overlapping writes are safe.
         self._alphas[:m] = coeffs
         self._Z[:m] = self._Z[keep]
-        self._gram[:m, :m] = self._gram[np.ix_(keep, keep)]
+        self._gram[:m, :m] = self._gram[np.ix_(keep, keep)] if gram is None else gram
         self._order[:m] = np.arange(m)
         self._n = m
         self._sq_norm = self.recompute_sq_norm()

@@ -71,6 +71,9 @@ MARGIN_ALGORITHMS = frozenset({AVP, AVP_ADAPTIVE, AHPATRON, AHPATRON_NOPROJ})
 # The --ct spelling of the norm-ratio sphere rule (LearnerConfig.ct None).
 CT_NORM_RATIO = "norm-ratio"
 
+# Rows per block of a halving's cross term, a multiple of 4 (see _halve).
+_CROSS_ROWS = 128
+
 
 class ConfigError(ValueError):
     """Invalid learner or benchmark configuration."""
@@ -239,16 +242,31 @@ class OnlineLearner:
         alphas = f.alphas[order]  # insertion order
         removed, kept = split_active_set(alphas, cfg.B)
         kept_slots = order[kept]
+        # The survivors' Gram block: the ridge matrix of the solve (which
+        # restores it) and then the compacted Gram.
+        K2 = gram[np.ix_(kept_slots, kept_slots)]
         if cfg.algorithm == AHPATRON_NOPROJ:
             theta = np.zeros(len(kept))
         else:
-            K2 = gram[np.ix_(kept_slots, kept_slots)]
-            K21 = gram[np.ix_(kept_slots, order[removed])]
-            theta, _ = solve_theta_ladder(ProjectionProblem(K2, K21 @ alphas[removed], cfg.eta))
+            # The removed block K21 is freed before the solve.
+            b = gram[np.ix_(kept_slots, order[removed])] @ alphas[removed]
+            theta, _ = solve_theta_ladder(ProjectionProblem(K2, b, cfg.eta))
         survivors = alphas[kept] + theta
         before_sq = f.sq_norm
-        cross_mid = float(f.alphas @ (gram[:, kept_slots] @ survivors))
-        f.replace_with_subset(kept_slots, survivors)
+        # G[:, kept] @ survivors a row block at a time, so no n x m block is
+        # gathered.  A gather is column-major, and its dgemv takes rows four
+        # at a time, the last n mod 4 by a tail path; a block of under 4
+        # rows takes a path of its own, so it joins the block before.  With
+        # blocks of a multiple of 4 rows, every row rounds as in the
+        # one-shot product (under one BLAS thread).
+        n = f.size
+        mixed = np.empty(n)
+        start = 0
+        for stop in [*range(_CROSS_ROWS, n - 3, _CROSS_ROWS), n]:
+            mixed[start:stop] = gram[start:stop, kept_slots] @ survivors
+            start = stop
+        cross_mid = float(f.alphas @ mixed)
+        f.replace_with_subset(kept_slots, survivors, K2)
         mid_norm = f.norm()
         try:
             f.project_sphere(radius)

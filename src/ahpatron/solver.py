@@ -13,6 +13,12 @@ an eta too small for the conditioning, and callers retry on a doubling
 ladder.  The factor comes from numpy's own LAPACK (np.linalg.cholesky), and
 the two triangular solves are row-by-row substitutions, so no second BLAS
 library loads.
+
+solve_theta borrows K2 as the system matrix: it adds eta to K2's diagonal
+in place and writes the saved diagonal back, even when the factorization
+fails, so K2 must be writable and no m x m identity or sum is made.  The
+system is bitwise K2 + eta*I: kernel entries are never -0.0, so the
+explicit sum's off-diagonal + eta*0.0 would change nothing.
 """
 
 from __future__ import annotations
@@ -36,8 +42,9 @@ class SolverDiverged(Exception):
 class ProjectionProblem(NamedTuple):
     """The ridge system (K2 + eta*I) theta = b of one projection solve.
 
-    K2: m x m kernel matrix on the survivors, symmetric as built; b: length-m
-    right-hand side K21 alpha; eta > 0 the ridge regularizer.
+    K2: m x m writable kernel matrix on the survivors, symmetric as built,
+    whose diagonal solve_theta borrows; b: length-m right-hand side
+    K21 alpha; eta > 0 the ridge regularizer.
     """
 
     K2: np.ndarray
@@ -80,9 +87,14 @@ def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def solve_theta(problem: ProjectionProblem) -> np.ndarray:
-    """Single-shot closed-form solve at the problem's eta."""
-    m = problem.K2.shape[0]
-    return spd_solve(problem.K2 + problem.eta * np.eye(m), problem.b)
+    """Single-shot closed-form solve at the problem's eta, on K2's borrowed diagonal."""
+    K2 = problem.K2
+    diag = K2.diagonal().copy()
+    np.fill_diagonal(K2, diag + problem.eta)
+    try:
+        return spd_solve(K2, problem.b)
+    finally:
+        np.fill_diagonal(K2, diag)
 
 
 def solve_theta_ladder(problem: ProjectionProblem) -> tuple[np.ndarray, float]:

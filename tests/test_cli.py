@@ -269,6 +269,28 @@ def test_bench_json_mirror(tmp_path):
     assert set(rows[0]) == set(CSV_HEADER)
 
 
+def test_bench_json_keeps_failure_reasons(tmp_path, monkeypatch, capsys):
+    # One cell fails: its JSON row carries the reason, the others carry no
+    # error key, and the CSV keeps its 18 columns.
+    def failing_seed_1(config, stream, *args, **kwargs):
+        if config.seed == 1:
+            raise learners.RunError(7, ValueError("forced"))
+        return learners.run(config, stream, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", failing_seed_1)
+    argv = ["bench", "--algos", "perceptron", "--data", SYNTH, "--seeds", "3"]
+    assert main(argv + ["--out", str(tmp_path / "b.json"), "--format", "json"]) == 2
+    rows = json.loads((tmp_path / "b.json").read_text())
+    assert [r.get("error") for r in rows] == [
+        None, "run failed at round 7: forced", None]
+    assert all(set(r) - {"error"} == set(CSV_HEADER) for r in rows)
+    assert main(argv + ["--out", str(tmp_path / "b.csv")]) == 2
+    with open(tmp_path / "b.csv", newline="") as fh:
+        header, *body = list(csv.reader(fh))
+    assert header == CSV_HEADER and [len(r) for r in body] == [18, 18, 18]
+    assert "run failed at round 7: forced" in capsys.readouterr().err
+
+
 def test_check_bounds_default_suite(capsys):
     code = main(["check-bounds", "--suite", "all", "--data", SYNTH, "--seed", "3"])
     out = capsys.readouterr().out

@@ -286,6 +286,26 @@ def test_parse_allocates_its_block_once():
     assert peak < 1.5 * T * width * 8
 
 
+def test_parse_releases_its_flat_arrays_before_the_instances():
+    # A dense 20,000 x 18 stream: the flat index and value arrays (16 B a
+    # nonzero, two blocks) are gone before the instances and examples are
+    # built, so the peak stays under two blocks above what the parse keeps.
+    T, d = 20_000, 18
+    buf = io.StringIO()
+    format_libsvm(synth_noisy(T, d, 0.1, seed=2), buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = parse_libsvm(lines)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.examples[0].x.dense(d).base.shape == (T, d)
+    assert held - before > T * d * 8
+    assert peak - held < 2 * T * d * 8
+
+
 def test_block_limit_counts_the_block_and_its_copy(monkeypatch):
     # SUSY, 5,000,000 rows of width 19, must still fit.
     assert 2 * 5_000_000 * 19 * 8 <= data._BLOCK_BYTES_LIMIT

@@ -469,6 +469,22 @@ def test_replace_with_subset_reindexes_and_evicts_zeros():
     _check_against_oracles(f, [xs[1], xs[4]])
 
 
+def test_replace_with_subset_takes_the_gathered_block():
+    # A passed block stands in for the gather while every coefficient is
+    # nonzero; a zero coefficient shrinks the kept set, so the block is
+    # ignored and the shrunken one gathered.
+    gen = ScalarSplitMix64(159)
+    keep = [4, 0, 2]
+    f, xs = random_expansion(gen, 6)
+    block = f.gram[np.ix_(keep, keep)]
+    f.replace_with_subset(keep, [1.0, -2.0, 0.5], block)
+    assert f.gram.tobytes() == block.tobytes()
+    _check_against_oracles(f, [xs[k] for k in keep])
+    f, xs = random_expansion(gen, 6)
+    f.replace_with_subset(keep, [1.0, 0.0, 0.5], np.full((3, 3), np.nan))
+    _check_against_oracles(f, [xs[4], xs[2]])
+
+
 @pytest.mark.parametrize("keep", [[-1, 1], [0, 5], [3]], ids=str)
 def test_replace_with_subset_rejects_out_of_range_keep(keep):
     # Out-of-range indices would read unused capacity (a zero Gram diagonal

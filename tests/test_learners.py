@@ -1,6 +1,12 @@
 import dataclasses
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,6 +498,98 @@ def test_ahpatron_norm_ratio_preserves_norm_across_removal():
             # insert-and-project update runs on top of it.
             assert out.removal_distance <= 2 * cfg.U * (1 + 1e-9)
             assert before <= cfg.U * (1 + 1e-10)
+
+
+# -- the halving's arrays --------------------------------------------------------------------
+
+# Runs two ahpatron learners in lockstep per budget B of argv[1]: one halves
+# as the package does, the other by the one-shot formulas, each array
+# formed whole (K2 + eta*I summed anew, K21 and the n x m block
+# gram[:, kept] gathered, the compacted Gram gathered).  Prints, per B, the
+# halvings seen and those whose distance or coefficients differ bitwise.
+_ONE_SHOT = """
+import json, math, sys
+import numpy as np
+from ahpatron.data import synth_noisy
+from ahpatron.learners import LearnerConfig, OnlineLearner, split_active_set
+from ahpatron.solver import spd_solve
+
+def one_shot(learner):
+    cfg, f = learner.config, learner.hypothesis
+    f.reset_norm_cache()
+    radius = f.norm()  # the norm-ratio rule
+    gram, order = f.gram, f.order
+    alphas = f.alphas[order]
+    removed, kept = split_active_set(alphas, cfg.B)
+    kept_slots = order[kept]
+    K2 = gram[np.ix_(kept_slots, kept_slots)]
+    K21 = gram[np.ix_(kept_slots, order[removed])]
+    survivors = alphas[kept] + spd_solve(K2 + cfg.eta * np.eye(len(kept)),
+                                         K21 @ alphas[removed])
+    before_sq = f.sq_norm
+    cross_mid = float(f.alphas @ (gram[:, kept_slots] @ survivors))
+    f.replace_with_subset(kept_slots, survivors)
+    scale = radius / f.norm()
+    f.project_sphere(radius)
+    return math.sqrt(before_sq - 2.0 * scale * cross_mid + f.sq_norm)
+
+out = {}
+for B in json.loads(sys.argv[1]):
+    U = math.sqrt(B) / 2
+    cfg = LearnerConfig("ahpatron", 1.0, B=B, U=U, lam=0.25, epsilon=0.7, ct=None)
+    ours, ref = OnlineLearner(cfg, 68), OnlineLearner(cfg, 68)
+    ref._halve = lambda: one_shot(ref)
+    seen = differ = 0
+    for e in synth_noisy(max(3 * B, 400), 68, 0.45, B).examples:
+        a, b = ours.step(e), ref.step(e)
+        if a.removal_distance is not None:
+            seen += 1
+            differ += (a != b or ours.hypothesis.alphas.tobytes()
+                       != ref.hypothesis.alphas.tobytes())
+    out[B] = [seen, differ]
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_halving_matches_one_shot_formulas_bitwise(threads):
+    # The cross term's 128-row blocks leave every row on the dgemv path it
+    # takes in the one-shot product: the last n mod 4 rows take the tail
+    # path in both (n mod 4 = 2 for B = 6, 10, 130; 0 for B = 8, 64, 1000).
+    # The thread count is read when numpy loads, hence a child process.
+    budgets = [6, 10, 130, 8, 64, 1000]
+    src = str(Path(learners_mod.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _ONE_SHOT, json.dumps(budgets)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout)
+    assert all(counts[str(B)][0] >= 1 for B in budgets), counts
+    assert {B: differ for B, (_, differ) in counts.items()} == dict.fromkeys(counts, 0)
+
+
+def test_halving_peak_is_three_survivor_blocks():
+    # One halving from n = 400 to m = 200 holds K2 (also the ridge matrix
+    # and the compacted Gram), numpy's Cholesky copy and the factor; the
+    # removed block K21 is gone before the solve and no n x m block exists.
+    B = 400
+    m = B // 2
+    U = math.sqrt(B) / 2
+    learner = OnlineLearner(LearnerConfig("ahpatron", SIGMA, B=B, U=U, lam=0.25,
+                                          epsilon=0.7, ct=None), 68)
+    f = learner.hypothesis
+    for e in synth_noisy(B, 68, 0.1, seed=5).examples:
+        f.insert(e.x, 0.01 * e.y)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        learner._halve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.size == m
+    assert peak - held <= 3.5 * m * m * 8
 
 
 # -- budget baselines -----------------------------------------------------------------------

@@ -145,6 +145,62 @@ def test_objective_matches_coordinate_descent():
         assert abs(ours - ref) <= 1e-6 * max(abs(ours), abs(ref), 1e-12)
 
 
+def test_solve_theta_restores_k2_bitwise():
+    gen = ScalarSplitMix64(233)
+    for _ in range(10):
+        p, *_ = random_projection_problem(gen, m=9, k=9)
+        before = p.K2.tobytes()
+        solve_theta(p)
+        assert p.K2.tobytes() == before
+    # A failed factorization restores the diagonal as well.
+    k2 = np.array([[1.0, 0.0], [0.0, -0.4]])
+    with pytest.raises(FactorizationFailure):
+        solve_theta(ProjectionProblem(k2, np.array([0.2, 0.1]), eta=0.0005))
+    assert k2.tobytes() == np.array([[1.0, 0.0], [0.0, -0.4]]).tobytes()
+
+
+def test_solve_theta_equals_the_explicit_ridge_sum():
+    # Adding eta to K2's diagonal in place gives bitwise the matrix
+    # K2 + eta * I, so theta is the explicit sum's.
+    gen = ScalarSplitMix64(239)
+    for m, k in ((1, 1), (2, 3), (9, 9), (33, 20)):
+        p, *_ = random_projection_problem(gen, m=m, k=k)
+        expected = spd_solve(p.K2 + p.eta * np.eye(m), p.b)
+        assert solve_theta(p).tobytes() == expected.tobytes()
+
+
+def test_every_ladder_rung_solves_the_explicit_ridge_sum(monkeypatch):
+    # A kernel block shifted indefinite: the ladder fails several rungs
+    # before eta dominates the shift, and each rung sees K2 as given.
+    gen = ScalarSplitMix64(241)
+    p, *_ = random_projection_problem(gen, m=20, k=20, eta=0.0005)
+    K2 = p.K2 - 0.05 * np.eye(20)
+    original = K2.copy()
+    rungs = []
+    inner = solver.solve_theta
+
+    def checked(problem):
+        assert problem.K2.tobytes() == original.tobytes()
+        try:
+            expected = spd_solve(original + problem.eta * np.eye(20), problem.b)
+        except FactorizationFailure:
+            expected = None
+        try:
+            theta = inner(problem)
+        except FactorizationFailure:
+            rungs.append((problem.eta, expected is None))
+            raise
+        rungs.append((problem.eta, expected is not None
+                      and theta.tobytes() == expected.tobytes()))
+        return theta
+
+    monkeypatch.setattr(solver, "solve_theta", checked)
+    theta, eta_used = solve_theta_ladder(ProjectionProblem(K2, p.b, p.eta))
+    assert len(rungs) >= 4 and all(same for _, same in rungs)
+    assert rungs[-1][0] == eta_used
+    assert K2.tobytes() == original.tobytes()
+
+
 # -- ladder ----------------------------------------------------------------------
 
 
