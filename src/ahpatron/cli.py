@@ -159,7 +159,7 @@ def _build_parser() -> _Parser:
                           "embedding's hinge loss")
     p_al.add_argument("--data", required=True)
     p_al.add_argument("--sigma", type=_POSITIVE_FINITE, default=1.0)
-    p_al.add_argument("--cap", type=int, default=20000,
+    p_al.add_argument("--cap", type=_at_least(1), default=20000,
                       help="refuse streams longer than this (O(T^2) time; "
                       "memory is bounded by a fixed row block)")
     p_al.set_defaults(func=cmd_alignment)
@@ -585,8 +585,7 @@ def cmd_check_bounds(args) -> int:
     ds = _load(args.data)
     stream = permute(ds, args.seed)
     if args.limit and len(stream.examples) > args.limit:
-        stream = Dataset(stream.examples[: args.limit], name=stream.name,
-                         feature_count=stream.feature_count)
+        stream = Dataset(stream.examples[: args.limit], name=stream.name)
     examples = stream.examples
 
     violations = 0

@@ -19,15 +19,14 @@ a time.
 Every instance is stored once, as a read-only row of a block: a synthetic
 one of the block it was drawn in (SparseVector.from_rows), a parsed one of
 the single block its file fills once every line is read (adopt).  That row
-is its dense row, which format_libsvm writes from; index and value tuples
-are built only for equality, hashing or repr, and never kept.
+is its dense row, which format_libsvm writes from.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Iterable, Sequence
 
@@ -65,15 +64,11 @@ class Dataset:
     """Immutable-by-convention list of labeled examples.
 
     Examples hold rows of shared blocks, so a permuted or relabeled copy
-    (permute, synth_noisy's flips) adds no instance storage.  feature_count
-    is d for a synthetic stream and, for a parsed file, its largest index
-    + 1, explicit zeros included.
+    (permute, synth_noisy's flips) adds no instance storage.
     """
 
     examples: list[LabeledExample]
     name: str = ""
-    feature_count: int = 0
-    metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -90,8 +85,7 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
     of them is held as Python objects.  At the end they fill one block, a
     row per example and as wide as the largest nonzero index + 1, and are
     released; SparseVector.adopt then keeps the block, uncopied (its values
-    are finite and nonzero, np.zeros' +0.0 elsewhere).  feature_count also
-    counts explicit zeros, so it can exceed the block width.  A block past
+    are finite and nonzero, np.zeros' +0.0 elsewhere).  A block past
     _BLOCK_BYTES_LIMIT, or an index past np.intp, raises BlockTooLarge
     before it is allocated.
     """
@@ -101,7 +95,6 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
     cols: list[Sequence[int]] = []
     vals: list[Sequence[float]] = []
     nnz = 0
-    feature_count = 0
     keys: list[str] | None = None  # index strings of the last bulk line
     indices: tuple[int, ...] = ()
     for lineno, line in enumerate(lines, start=1):
@@ -109,18 +102,15 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
         if bulk is not None:
             label, keys, indices, values = bulk
             line_cols = indices
-            width = indices[-1] + 1 if indices else 0
         else:
             parsed = _parse_line(lineno, line)
             if parsed is None:
                 continue
-            label, line_cols, values, width = parsed
+            label, line_cols, values = parsed
         raw_labels.append(label)
         cols.append(line_cols)
         vals.append(values)
         nnz += len(values)
-        if width > feature_count:
-            feature_count = width
         if nnz >= _CHUNK:
             chunks.append(_arrays(cols, vals, nnz, name))
             cols, vals, nnz = [], [], 0
@@ -138,7 +128,7 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
     del chunks
     instances = SparseVector.adopt(block)
     examples = [LabeledExample(x, y) for x, y in zip(instances, labels)]
-    return Dataset(examples, name=name, feature_count=feature_count)
+    return Dataset(examples, name=name)
 
 
 def _fill(block: np.ndarray,
@@ -215,12 +205,11 @@ def _bulk_line(line: str, keys: list[str] | None, indices: tuple[int, ...]):
 
 
 def _parse_line(lineno: int, line: str
-                ) -> tuple[float, list[int], list[float], int] | None:
-    """(label, indices, values, width) of one line, None if it is blank or a
-    comment.
+                ) -> tuple[float, list[int], list[float]] | None:
+    """(label, indices, values) of one line, None if it is blank or a comment.
 
     Explicit zeros are dropped from indices and values, as SparseVector
-    drops them, but the width counts them.
+    drops them.
     """
     hash_pos = line.find("#")
     if hash_pos >= 0:
@@ -247,7 +236,7 @@ def _parse_line(lineno: int, line: str
         indices, values = check_pairs(pairs)
     except ValueError as e:
         raise MalformedLine(lineno, str(e)) from None
-    return label, indices, values, pairs[-1][0] + 1 if pairs else 0
+    return label, indices, values
 
 
 def _normalize_labels(raw: list[float]) -> list[int]:
@@ -287,8 +276,7 @@ def permute(ds: Dataset, seed: int) -> Dataset:
     """Seed-determined Fisher-Yates permutation of the examples."""
     examples = list(ds.examples)
     SplitMix64(seed).shuffle(examples)
-    return Dataset(examples, name=ds.name, feature_count=ds.feature_count,
-                   metadata=dict(ds.metadata))
+    return Dataset(examples, name=ds.name)
 
 
 def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:
@@ -298,7 +286,6 @@ def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:
     y * <w, x> >= 1 for the comparator direction w = u / margin, where u is
     the unit diagonal direction.  Outliers are rejection-resampled; margin
     must lie in (0, 1] for the unit-ball construction to be feasible.
-    Dataset metadata carries the comparator description.
 
     The stream is drawn up to _BLOCK examples at a time (see _draw).  At
     the first example r of a block that fails its acceptance test, the
@@ -347,13 +334,7 @@ def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:
             coords, y = coords[:r + 1], y[:r + 1]
         xs = SparseVector.from_rows(coords)
         examples += [LabeledExample(x, label) for x, label in zip(xs, y.tolist())]
-    meta = {
-        "kind": "separable",
-        "margin": margin,
-        "comparator_weights": [u / margin] * d,
-        "comparator_guarantee": "y * dot(w, x) >= 1 under the linear kernel",
-    }
-    return Dataset(examples, name=name, feature_count=d, metadata=meta)
+    return Dataset(examples, name=name)
 
 
 def _cluster(d: int, margin: float) -> tuple[float, float, float]:
@@ -422,10 +403,8 @@ def synth_noisy(
     flipped = uniforms < flip_prob
     examples = [LabeledExample(ex.x, -ex.y) if flip else ex
                 for ex, flip in zip(base.examples, flipped.tolist())]
-    meta = dict(base.metadata)
-    meta.update(kind="noisy", flip_prob=flip_prob, flips=int(flipped.sum()))
     name = f"synth-noisy-T{T}-d{d}-m{margin:g}-f{flip_prob:g}-s{seed}"
-    return Dataset(examples, name=name, feature_count=d, metadata=meta)
+    return Dataset(examples, name=name)
 
 
 def load_dataset(spec: str) -> Dataset:

@@ -4,8 +4,7 @@ Instances are immutable sparse vectors (sorted index/value pairs, explicit
 zeros dropped).  Every vector is stored as one read-only float64 row of a
 block, with its squared norm and width: a synthetic draw (from_rows) or a
 parsed file (adopt) is one block, and a vector built from pairs is a
-one-row block.  The row is the vector's dense row; its index and value
-tuples are derived from it at each access and never cached.
+one-row block.  The row is the vector's dense row, and its only store.
 
 The kernel is the normalized Gaussian exp(-|x - x'|^2 / (2 sigma^2)),
 the only family: kappa(x, x) = 1, the unit diagonal the mistake bounds
@@ -69,8 +68,8 @@ class SparseVector:
     block is.  from_rows makes one block for many vectors (a synthetic
     draw), adopt takes a block its caller built to that standard (a parsed
     file), and the constructor makes a one-row block of the vector's width.
-    The index and value tuples are derived from the row at each access, and
-    nothing else is kept beside it.  A row keeps its whole block alive.
+    Equality, hashing and repr read the row cut at the width, which holds
+    no -0.0 or NaN.  A row keeps its whole block alive.
     """
 
     __slots__ = ("_row", "_sq", "_width")
@@ -120,14 +119,6 @@ class SparseVector:
         self._fill(row, sq, width)
 
     @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self._row).tolist())
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(self._row[self._row != 0.0].tolist())
-
-    @property
     def width(self) -> int:
         """max index + 1 (0 for the empty vector)."""
         return self._width
@@ -155,19 +146,18 @@ class SparseVector:
         out.flags.writeable = False
         return out
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseVector):
             return NotImplemented
-        return (self.indices, self.values) == (other.indices, other.values)
+        return np.array_equal(self.dense(self._width), other.dense(other._width))
 
     def __hash__(self) -> int:
-        return hash((self.indices, self.values))
+        return hash(self.dense(self._width).tobytes())
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{i}:{v:g}" for i, v in zip(self.indices, self.values))
+        row = self.dense(self._width)
+        at = np.flatnonzero(row)
+        inner = ", ".join(f"{i}:{v:g}" for i, v in zip(at.tolist(), row[at].tolist()))
         return f"SparseVector({{{inner}}})"
 
 

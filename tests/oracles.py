@@ -1,8 +1,9 @@
 """Independent reference computations used as test oracles.
 
 Everything here deliberately avoids the library's optimized code paths:
-a scalar kernel that merges sorted sparse supports (the library computes
-its kernel rows through one dense BLAS routine), naive per-term sums, a
+a scalar kernel that merges sorted sparse supports (read from each
+instance's row by helpers.support; the library computes its kernel rows
+through one dense BLAS routine), naive per-term sums, a
 plain coordinate descent minimizer, and uniforms and normals drawn one
 output at a time (the library draws them in blocks).  The oracles stay
 independent of whatever they check: from the library they take only the
@@ -25,6 +26,8 @@ from ahpatron.kernels import (
     pairwise_kernel,
 )
 from ahpatron.prng import SplitMix64, derive_stream_seed
+
+from helpers import support
 
 
 # -- scalar draws: SplitMix64 outputs turned into floats one at a time ------
@@ -64,30 +67,32 @@ class ScalarSplitMix64(SplitMix64):
 
 def sparse_sq_dist(u: SparseVector, v: SparseVector) -> float:
     """Squared Euclidean distance over the union of supports."""
+    u_at, u_val = support(u)
+    v_at, v_val = support(v)
     ia = ib = 0
-    na, nb = len(u.indices), len(v.indices)
+    na, nb = len(u_at), len(v_at)
     s = 0.0
     while ia < na and ib < nb:
-        da, db = u.indices[ia], v.indices[ib]
+        da, db = u_at[ia], v_at[ib]
         if da == db:
-            d = u.values[ia] - v.values[ib]
+            d = u_val[ia] - v_val[ib]
             s += d * d
             ia += 1
             ib += 1
         elif da < db:
-            d = u.values[ia]
+            d = u_val[ia]
             s += d * d
             ia += 1
         else:
-            d = v.values[ib]
+            d = v_val[ib]
             s += d * d
             ib += 1
     while ia < na:
-        d = u.values[ia]
+        d = u_val[ia]
         s += d * d
         ia += 1
     while ib < nb:
-        d = v.values[ib]
+        d = v_val[ib]
         s += d * d
         ib += 1
     return s
@@ -390,16 +395,15 @@ def scalar_shuffle(gen: SplitMix64, items: list) -> None:
         items[i], items[j] = items[j], items[i]
 
 
-def per_line_parse(lines) -> tuple[list[float], list[SparseVector], int]:
-    """LIBSVM text parsed one token at a time: (raw labels, instances, feature
-    count), or MalformedLine for the first bad line.
+def per_line_parse(lines) -> tuple[list[float], list[SparseVector]]:
+    """LIBSVM text parsed one token at a time: (raw labels, instances), or
+    MalformedLine for the first bad line.
 
     Every line is split on whitespace after cutting its '#' comment, and each
     idx:val token converts on its own; label normalization is not included.
     """
     raw_labels: list[float] = []
     instances: list[SparseVector] = []
-    feature_count = 0
     for lineno, line in enumerate(lines, start=1):
         hash_pos = line.find("#")
         if hash_pos >= 0:
@@ -427,7 +431,4 @@ def per_line_parse(lines) -> tuple[list[float], list[SparseVector], int]:
         except ValueError as e:
             raise MalformedLine(lineno, str(e)) from None
         raw_labels.append(label)
-        # Explicit zeros count toward the width even though SparseVector drops them.
-        if pairs and pairs[-1][0] + 1 > feature_count:
-            feature_count = pairs[-1][0] + 1
-    return raw_labels, instances, feature_count
+    return raw_labels, instances

@@ -26,7 +26,7 @@ from ahpatron.data import (
 from ahpatron.kernels import LabeledExample, SparseVector
 from ahpatron.prng import SplitMix64
 
-from helpers import subsample
+from helpers import subsample, support
 from oracles import ScalarSplitMix64, per_line_parse, random_examples, scalar_synth
 
 
@@ -37,7 +37,7 @@ def test_parse_basic_line():
     ds = parse_libsvm(["+1 1:0.5 3:2"])
     assert ds.examples[0].y == 1
     assert ds.examples[0].x == SparseVector([(1, 0.5), (3, 2.0)])
-    assert ds.feature_count == 4
+    assert ds.examples[0].x.width == 4
 
 
 def test_parse_zero_one_label_mapping():
@@ -100,52 +100,58 @@ def test_parse_rejects_nonbinary_labels():
 def test_roundtrip_identity():
     gen = ScalarSplitMix64(301)
     examples = random_examples(gen, 40, 7, scale=3.0)
-    ds = Dataset(examples, name="t", feature_count=7)
+    ds = Dataset(examples, name="t")
     buf = io.StringIO()
     format_libsvm(ds, buf)
     again = parse_libsvm(io.StringIO(buf.getvalue()), name="t")
     assert again.examples == ds.examples
-    assert again.feature_count == max(e.x.width for e in examples)
 
 
 def _outcome(parse, lines):
     """(labels, indices, value bytes, widths, squared-norm bytes, dense-row
-    bytes, feature count, name) of a parse, or the (type, message, line
+    bytes, block widths, name) of a parse, or the (type, message, line
     number) of the error it raised."""
     try:
-        labels, xs, widths, norms, rows, width, name = parse(lines)
+        labels, xs, widths, norms, rows, block_widths, name = parse(lines)
     except ValueError as e:
         return type(e), str(e), getattr(e, "line_number", None)
-    values = b"".join(np.array(x.values, dtype=float).tobytes() for x in xs)
-    return (labels, [x.indices for x in xs], values, widths,
-            np.array(norms, dtype=float).tobytes(), b"".join(rows), width, name)
+    supports = [support(x) for x in xs]
+    values = b"".join(np.array(v, dtype=float).tobytes() for _, v in supports)
+    return (labels, [at for at, _ in supports], values, widths,
+            np.array(norms, dtype=float).tobytes(), b"".join(rows), block_widths, name)
 
 
 def _library(lines):
+    """parse_libsvm, with the width of the block each instance's row is cut from."""
     ds = parse_libsvm(lines, name="f")
     xs = [ex.x for ex in ds.examples]
+    block_widths = {x.dense(x.width).base.shape[1] for x in xs}
+    width = max(block_widths)
     return ([ex.y for ex in ds.examples], xs, [x.width for x in xs],
-            [x.sq_norm for x in xs], [x.dense(ds.feature_count).tobytes() for x in xs],
-            ds.feature_count, ds.name)
+            [x.sq_norm for x in xs], [x.dense(width).tobytes() for x in xs],
+            block_widths, ds.name)
 
 
 def _reference(lines):
     """per_line_parse, with each width, squared norm (a left-to-right float
-    loop, +inf on overflow) and dense row computed from the tuples alone."""
-    raw, xs, width = per_line_parse(lines)
+    loop, +inf on overflow) and dense row computed from the supports alone;
+    every row is as wide as the largest nonzero index + 1."""
+    raw, xs = per_line_parse(lines)
     if not raw:
         raise NonBinaryLabels("empty dataset")
+    supports = [support(x) for x in xs]
+    widths = [at[-1] + 1 if at else 0 for at, _ in supports]
+    width = max(widths)
     norms, rows = [], []
-    for x in xs:
+    for at, values in supports:
         sq = 0.0
-        for v in x.values:
+        for v in values:
             sq += v * v
         norms.append(sq)
         row = np.zeros(width)
-        row[list(x.indices)] = x.values
+        row[list(at)] = values
         rows.append(row.tobytes())
-    widths = [x.indices[-1] + 1 if x.indices else 0 for x in xs]
-    return data._normalize_labels(raw), xs, widths, norms, rows, width, "f"
+    return data._normalize_labels(raw), xs, widths, norms, rows, {width}, "f"
 
 
 def _check_against_reference(lines):
@@ -242,13 +248,14 @@ def test_parse_pin_and_one_block(tmp_path):
     ds = load_libsvm(str(path))
     h = hashlib.sha256()
     for ex in ds.examples:
-        h.update(np.array(ex.x.indices, dtype=np.int64).tobytes())
-        h.update(np.array(ex.x.values, dtype=np.float64).tobytes())
+        at, values = support(ex.x)
+        h.update(np.array(at, dtype=np.int64).tobytes())
+        h.update(np.array(values, dtype=np.float64).tobytes())
         h.update(np.int8(ex.y).tobytes())
     # Captured from the per-line parser.
     assert h.hexdigest() == (
         "ebfef2623937c08bcb9f95370a5be0d264aaf68deb06751552dc802e0811bb81")
-    assert (ds.name, ds.feature_count, len(ds)) == ("noisy.libsvm", 18, 2000)
+    assert (ds.name, len(ds)) == ("noisy.libsvm", 2000)
     block = ds.examples[0].x.dense(18).base
     assert block.shape == (2000, 18)
     assert all(ex.x.dense(18).base is block for ex in ds.examples)
@@ -322,7 +329,7 @@ def test_block_limit_counts_the_block_and_its_copy(monkeypatch):
 
 def _tiny_dataset(n=100):
     gen = ScalarSplitMix64(999)
-    return Dataset(random_examples(gen, n, 5), name="tiny", feature_count=5)
+    return Dataset(random_examples(gen, n, 5), name="tiny")
 
 
 def test_permute_deterministic():
@@ -341,7 +348,7 @@ def test_permute_preserves_multiset_and_objects():
     ds = _tiny_dataset()
     shuffled = permute(ds, 3)
     assert sorted(id(e) for e in shuffled.examples) == sorted(id(e) for e in ds.examples)
-    assert shuffled.feature_count == ds.feature_count
+    assert shuffled.name == ds.name
 
 
 def test_subsample_full_size_is_permutation():
@@ -371,25 +378,28 @@ def test_subsample_rejects_bad_n():
 # -- synthetic streams ----------------------------------------------------------------
 
 
-def _comparator_margins(ds):
-    w = ds.metadata["comparator_weights"]
+def _comparator_margins(ds, d, margin):
+    """y * <w, x> per example for the comparator the construction guarantees:
+    an example is accepted when y * sum(x) / sqrt(d) >= margin, so
+    w = [1 / (sqrt(d) * margin)] * d has functional margin 1."""
+    w = [1.0 / (math.sqrt(d) * margin)] * d
     out = []
     for e in ds.examples:
-        dot = sum(w[i] * v for i, v in zip(e.x.indices, e.x.values))
-        out.append(e.y * dot)
+        at, values = support(e.x)
+        out.append(e.y * sum(w[i] * v for i, v in zip(at, values)))
     return out
 
 
 def test_separable_margin_one_extreme():
     ds = synth_separable(10, 2, margin=1.0, seed=4)
     assert len(ds.examples) == 10
-    assert all(m >= 1.0 - 1e-12 for m in _comparator_margins(ds))
+    assert all(m >= 1.0 - 1e-12 for m in _comparator_margins(ds, 2, 1.0))
 
 
 def test_separable_guarantee_and_unit_ball():
     for seed in (0, 1, 2):
         ds = synth_separable(200, 3, margin=0.5, seed=seed)
-        assert all(m >= 1.0 for m in _comparator_margins(ds))
+        assert all(m >= 1.0 for m in _comparator_margins(ds, 3, 0.5))
         assert all(e.x.sq_norm <= 1.0 + 1e-12 for e in ds.examples)
 
 
@@ -429,7 +439,6 @@ def test_noisy_flip_fraction():
     flips = sum(1 for a, b in zip(ds.examples, clean.examples) if a.y != b.y)
     sigma = math.sqrt(T * p * (1 - p))
     assert abs(flips - p * T) <= 3 * sigma
-    assert ds.metadata["flips"] == flips
 
 
 def test_noisy_deterministic():
@@ -446,43 +455,43 @@ def test_noisy_validates_flip_prob():
 
 
 def _dataset_digest(ds):
-    """SHA-256 over the name, feature count, metadata and every example."""
+    """SHA-256 over the name and every example's label and support."""
     h = hashlib.sha256()
-    h.update(repr((ds.name, ds.feature_count, ds.metadata)).encode())
+    h.update(repr(ds.name).encode())
     for ex in ds.examples:
-        h.update(repr((ex.y, ex.x.indices, ex.x.values)).encode())
+        h.update(repr((ex.y, *support(ex.x))).encode())
     return h.hexdigest()
 
 
-# Captured from the scalar generator (one Box-Muller normal at a time, as
-# oracles.ScalarSplitMix64.normal draws it) before generation was
-# vectorized; the block generator must reproduce every value bit for bit.
-# Rejection counts in the comments.
+# The examples were captured from the scalar generator (one Box-Muller
+# normal at a time, as oracles.ScalarSplitMix64.normal draws it) before
+# generation was vectorized; the block generator must reproduce every value
+# bit for bit.  Rejection counts in the comments.
 _STREAM_PINS = {
     "noisy-3000-68": (  # 0 rejections
         lambda: synth_noisy(3000, 68, 0.1, 3),
-        "fbf6bddd9235291db2b39a0f446c78d6d3853d6d3afcca61a33eb692f7075c26"),
+        "c9cecc6dc64a20ae4f816031e64607fed456bb1906ea982c527406625405752e"),
     "noisy-2000-3-odd-d": (  # 1 rejection
         lambda: synth_noisy(2000, 3, 0.1, 1),
-        "c09dcc72d27a9b6036e01281ebe639c6e2aa7ea91615f768250518fd20db2f33"),
+        "67e546fd746403bdcebecbdf151fe796bc0e0dbb2532ba944afa4e598dd1b5b6"),
     "separable-2000-2": (  # 9 rejections
         lambda: synth_separable(2000, 2, 0.9, 1),
-        "adf66f01df75375af0ec82d082fbfa0a3add6f2a85b751a923fcc15bffc448db"),
+        "2eb6bd92b86722ec1856e6c9f3a02eeeac23e34c6e080c927326164a84051961"),
     "separable-500-1-odd-d": (  # 19 rejections
         lambda: synth_separable(500, 1, 0.9, 3),
-        "852b6f2a82882cfcd7708b7bc7743e4aff9944fb72f2913f7a46d45a5b644d0c"),
+        "cdf2f591065f54e498d542e2ac1b108117a611b6a2c2f8963fa8e0cd8d49c8c0"),
     "separable-margin-one": (
         lambda: synth_separable(300, 5, 1.0, 2),
-        "3d564ebb9a0393407b6664888cd533366ad41c6afbad588a6db0fd8e92b3bd1a"),
+        "aa4c31642cb41cc8b5a89dfc5d5791bcc31e9d94c8b186b2550add5ee778a162"),
     "noisy-margin-one": (
         lambda: synth_noisy(300, 4, 0.2, 6, margin=1.0),
-        "1862c79f72d037512fff589dcf2b143a589841ab71b082209c61cf07ff52b164"),
+        "a1f1857bc21c1d994e858275392b6989f46b5d9558f6c4ba9fc4b45588238aa2"),
     "permute": (
         lambda: permute(synth_noisy(2000, 3, 0.1, 1), 5),
-        "6e490f26a6a9ce831629373d58692ccf1353cc721899de1ceecea3bbf553fbb7"),
+        "956f1422b4bd5530b7d85e4ea55715f55eb6e3c9cba90f3827150cea47f90aba"),
     "subsample": (
         lambda: subsample(synth_noisy(2000, 3, 0.1, 1), 700, 9),
-        "ac4ca5d6c093cfbdbb2b7135b700aee1041ac2d58f55bfd1204fe90b5e7972e3"),
+        "eeca8eee37963385445664a0051cd7d11a2836163475df2587dc007aa7aaafa5"),
 }
 
 
@@ -617,7 +626,7 @@ def test_from_rows_matches_constructor():
     built = SparseVector.from_rows(rows)
     for x, row in zip(built, rows.tolist()):
         plain = SparseVector(enumerate(row))
-        assert (x.indices, x.values) == (plain.indices, plain.values)
+        assert support(x) == support(plain)
         assert x.sq_norm == plain.sq_norm
         assert np.array_equal(x.dense(3), plain.dense(3))
 
@@ -632,11 +641,23 @@ def test_from_rows_holds_no_tuples_until_asked():
     read = [(x.dense(3), x.sq_norm, x.width) for x in built]
     assert len(read) == len(_BLOCK_ROWS)
     assert SparseVector.__slots__ == ("_row", "_sq", "_width")  # no tuple cache
-    for x, row in zip(built, _BLOCK_ROWS):
-        plain = SparseVector(enumerate(row))
-        assert x.indices == plain.indices
-        assert repr(x.values) == repr(plain.values)  # no -0.0 survives either
-        assert x == plain and hash(x) == hash(plain) and repr(x) == repr(plain)
+    wide = SparseVector.from_rows(np.array([[0.0, 2.0, 0.0, 0.0, 0.0]]))[0]
+    pairs = [(x, SparseVector(enumerate(row))) for x, row in zip(built, _BLOCK_ROWS)]
+    pairs += [
+        (SparseVector([(0, 1.0)]), SparseVector([(0, 1.0), (2, 3.0)])),  # equal prefix
+        (SparseVector([(1, 2.0)]), SparseVector([(1, 2.5)])),  # same support
+        (wide, SparseVector([(1, 2.0)])),  # rows of 5 and 2 entries
+        (wide, pickle.loads(pickle.dumps(wide))),
+    ]
+    for x, y in pairs:
+        same = support(x) == support(y)  # no -0.0 survives in either
+        assert (x == y) == same and (x != y) != same
+        assert (hash(x) == hash(y)) == same
+        assert (repr(x) == repr(y)) == same
+        at, values = support(x)
+        assert repr(x) == "SparseVector({%s})" % ", ".join(
+            f"{i}:{v:g}" for i, v in zip(at, values))
+    assert [support(x) == support(y) for x, y in pairs[-4:]] == [False, False, True, True]
 
 
 def test_from_rows_dense_rows_are_read_only_views_of_one_block():
@@ -718,7 +739,7 @@ def test_from_rows_rejects_non_finite():
 
 def test_load_dataset_descriptors():
     ds = load_dataset("synth:separable:T=25,d=3,margin=0.6,seed=2")
-    assert len(ds.examples) == 25 and ds.feature_count == 3
+    assert len(ds.examples) == 25
     assert ds.examples == synth_separable(25, 3, 0.6, 2).examples
     noisy = load_dataset("synth:noisy:T=25,d=3,margin=0.6,flip=0.2,seed=2")
     assert noisy.examples == synth_noisy(25, 3, 0.2, 2, margin=0.6).examples

@@ -17,6 +17,7 @@ from ahpatron.kernels import (
     stored_rows,
 )
 
+from helpers import support
 from oracles import (
     ScalarSplitMix64,
     gram_matrix,
@@ -34,8 +35,7 @@ SIGMA = 1.0
 
 def test_sparse_vector_drops_explicit_zeros():
     v = SparseVector([(0, 1.0), (3, 0.0), (7, -2.0)])
-    assert v.indices == (0, 7)
-    assert v.values == (1.0, -2.0)
+    assert support(v) == ((0, 7), (1.0, -2.0))
     assert SparseVector([(2, 0.0)]) == SparseVector([])
 
 
@@ -293,7 +293,7 @@ def test_fused_rows_match_the_scalar_kernel(sigma):
     # sigma = 0.05 off an all-zero block.
     gen = ScalarSplitMix64(43)
     xs = [random_sparse(gen, 7, scale=2.0) for _ in range(12)]
-    near = [SparseVector((i, v + 0.01 * gen.uniform()) for i, v in zip(x.indices, x.values))
+    near = [SparseVector((i, v + 0.01 * gen.uniform()) for i, v in zip(*support(x)))
             for x in xs[:4]]
     queries = xs[:4] + near + [random_sparse(gen, 7) for _ in range(4)]
     f = Expansion(sigma, 7)

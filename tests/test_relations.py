@@ -111,8 +111,7 @@ def test_negating_labels_moves_only_zero_margin_mistakes(algo):
 
 
 def _negated(ds):
-    return Dataset([LabeledExample(e.x, -e.y) for e in ds.examples],
-                   name=ds.name, feature_count=ds.feature_count)
+    return Dataset([LabeledExample(e.x, -e.y) for e in ds.examples], name=ds.name)
 
 
 def test_negating_labels_negates_the_default_comparator():
