@@ -20,6 +20,7 @@ import math
 import os
 import statistics
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
@@ -422,6 +423,19 @@ def _bench_cell(task: tuple[str, LearnerConfig], datasets: dict[str, Dataset]) -
     return row
 
 
+def _with_progress(tasks: list[tuple[str, LearnerConfig]], rows: Iterable[dict]) -> list[dict]:
+    """The rows in task order, one stderr line as each is consumed."""
+    done: list[dict] = []
+    for (_, config), row in zip(tasks, rows):
+        done.append(row)
+        B = "" if config.B is None else config.B
+        eps = repr(config.epsilon) if config.algorithm in MARGIN_ALGORITHMS else ""
+        elapsed = f"{float(row['elapsed_ms']):.0f} ms" if row["elapsed_ms"] else "failed"
+        print(f"bench: {len(done)}/{len(tasks)} {row['dataset']} {config.algorithm} "
+              f"B={B} eps={eps} seed={config.seed} {elapsed}", file=sys.stderr)
+    return done
+
+
 def cmd_bench(args) -> int:
     seeds = args.seed_list or range(args.seeds)
     data_specs = list(dict.fromkeys(args.data))
@@ -449,9 +463,9 @@ def cmd_bench(args) -> int:
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
                                  initargs=(datasets,)) as pool:
-            rows = list(pool.map(_worker_cell, tasks))
+            rows = _with_progress(tasks, pool.map(_worker_cell, tasks))
     else:
-        rows = [_bench_cell(task, datasets) for task in tasks]
+        rows = _with_progress(tasks, (_bench_cell(task, datasets) for task in tasks))
 
     failures = [r for r in rows if r.get("error")]
     for r in failures:

@@ -16,9 +16,11 @@ sequential loop, and leaves the state where n next_u64 calls would.
 
 Bounded integers use rejection sampling (no modulo bias), and
 normal_pairs turns arrays of output pairs into standard normals by the
-Box-Muller transform through math.log/cos/sin.  All dataset permutations,
-synthetic streams, and the random-removal baseline draw from this
-generator only.
+Box-Muller transform: the log through math.log, one value at a time, and
+cos and sin through numpy's float64 ufuncs, which call libm's (see
+normal_pairs for why).  Synthetic streams are thus deterministic per (libm,
+numpy build).  All dataset permutations, synthetic streams, and the
+random-removal baseline draw from this generator only.
 """
 
 from __future__ import annotations
@@ -58,12 +60,17 @@ class SplitMix64:
 
         Advances the state exactly as n next_u64 calls would.
         """
-        k = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + k * _GAMMA  # wraps mod 2^64
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        shifted = np.empty_like(z)  # the one scratch block of the mix
+        z *= _GAMMA  # every step wraps mod 2^64, in place
+        z += np.uint64(self._state)
         self._state = (self._state + n * _GAMMA) & _MASK64
-        z = (z ^ (z >> 30)) * _MIX1
-        z = (z ^ (z >> 27)) * _MIX2
-        return z ^ (z >> 31)
+        z ^= np.right_shift(z, 30, out=shifted)
+        z *= _MIX1
+        z ^= np.right_shift(z, 27, out=shifted)
+        z *= _MIX2
+        z ^= np.right_shift(z, 31, out=shifted)
+        return z
 
     def getstate(self) -> int:
         """The 64-bit state, for setstate."""
@@ -115,18 +122,19 @@ def normal_pairs(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.
     Pair i made from outputs (first[i], second[i]) gives
     sqrt(-2 ln u1) * (cos, sin)(2 pi u2) with u1 = ((first[i] >> 11) + 1)
     * 2^-53, in (0, 1] so its log is finite, and u2 = (second[i] >> 11) *
-    2^-53.  The transcendentals are math's, applied element by element:
-    numpy's own log, cos and sin differ from libm in the last bit for some
-    inputs.
+    2^-53.  The log is math.log, one call per value: numpy's SIMD log
+    rounds about 7,000 of every 2,000,000 such u1 differently from libm
+    (6,972 for the u1 of SplitMix64(7).take(4_000_000)).  cos and sin are
+    numpy's float64 ufuncs, which call libm's functions and equal
+    math.cos/math.sin bit for bit on these angles (tests/test_prng.py
+    checks it), so the pairs are deterministic per (libm, numpy build).
     """
     n = len(first)
     u1 = ((first >> 11) + 1) * 2.0**-53
     u2 = (second >> 11) * 2.0**-53
     r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), float, n))
-    theta = ((2.0 * math.pi) * u2).tolist()
-    cos = np.fromiter(map(math.cos, theta), float, n)
-    sin = np.fromiter(map(math.sin, theta), float, n)
-    return r * cos, r * sin
+    theta = (2.0 * math.pi) * u2
+    return r * np.cos(theta), r * np.sin(theta)
 
 
 def derive_stream_seed(seed: int) -> int:

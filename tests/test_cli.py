@@ -213,6 +213,23 @@ def test_bench_parallel_matches_serial(tmp_path):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_prints_one_progress_line_per_cell(jobs, tmp_path, capsys):
+    # Two cells, two stderr lines in task order, none on stdout.
+    argv = ["bench", "--algos", "budget-oldest", "--data", SYNTH, "--B", "8",
+            "--seeds", "2", "--jobs", jobs]
+    assert main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    for k, line in enumerate(lines):
+        head, elapsed, unit = line.rsplit(" ", 2)
+        assert head == (f"bench: {k + 1}/2 synth-noisy-T300-d4-m0.5-f0.1-s2 "
+                        f"budget-oldest B=8 eps= seed={k}")
+        assert unit == "ms" and int(elapsed) >= 0
+    assert "bench:" not in captured.out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
 def test_bench_reads_a_rewritten_file_afresh(tmp_path, jobs):
     # Two benches in one process on a file rewritten between them: each
     # command loads its own datasets, as run does.
@@ -288,7 +305,9 @@ def test_bench_json_keeps_failure_reasons(tmp_path, monkeypatch, capsys):
     with open(tmp_path / "b.csv", newline="") as fh:
         header, *body = list(csv.reader(fh))
     assert header == CSV_HEADER and [len(r) for r in body] == [18, 18, 18]
-    assert "run failed at round 7: forced" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "run failed at round 7: forced" in err
+    assert err.count(" perceptron B= eps= seed=1 failed\n") == 2  # progress lines
 
 
 def test_check_bounds_default_suite(capsys):

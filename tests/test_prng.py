@@ -180,6 +180,53 @@ def test_normal_pairs_match_scalar_normals():
     assert sin_part.tolist() == scalar[1::2]
 
 
+_TOP = 2**64 - 1  # an output whose >> 11 is 2^53 - 1, the largest draw
+
+
+def test_numpy_cos_sin_are_libm_on_box_muller_angles():
+    # normal_pairs takes cos and sin from numpy's float64 ufuncs and the
+    # scalar oracle from math; the two must agree bit for bit on the angles
+    # the generator makes, u2 = 0 and the largest u2 included.
+    second = np.concatenate([SplitMix64(29).take(2**18),
+                             np.array([0, _TOP], dtype=np.uint64)])
+    theta = (2.0 * math.pi) * ((second >> 11) * 2.0**-53)
+    for fast, scalar in ((np.cos, math.cos), (np.sin, math.sin)):
+        libm = np.fromiter(map(scalar, theta.tolist()), float, len(theta))
+        differ = np.count_nonzero(fast(theta).view(np.uint64) != libm.view(np.uint64))
+        assert differ == 0, (
+            f"np.{fast.__name__} differs from math.{scalar.__name__} on {differ} "
+            f"of {len(theta)} Box-Muller angles: every synthetic stream would "
+            f"change on this numpy build")
+
+
+class Replayed(ScalarSplitMix64):
+    """ScalarSplitMix64 whose outputs are the given values, in order."""
+
+    def __init__(self, outputs):
+        super().__init__(0)
+        self.outputs = iter(outputs)
+
+    def next_u64(self):
+        return next(self.outputs)
+
+
+def test_normal_pairs_match_scalar_normals_at_the_draw_extremes():
+    # first >> 11 in {0, 2^53 - 1} gives u1 = 2^-53 and u1 = 1 (where r is
+    # sqrt(-0.0) = -0.0), second >> 11 in {0, 2^53 - 1} the two ends of u2.
+    # Bytes are compared, since a list == treats -0.0 as 0.0.
+    first = np.array([0, 0, _TOP, _TOP, 2047, 2048], dtype=np.uint64)
+    second = np.array([0, _TOP, 0, _TOP, 2048, 2047], dtype=np.uint64)
+    cos_part, sin_part = normal_pairs(first, second)
+    gen = Replayed(np.stack([first, second], axis=1).ravel().tolist())
+    scalar = np.array([gen.normal() for _ in range(2 * len(first))])
+    assert cos_part.tobytes() == scalar[0::2].tobytes()
+    assert sin_part.tobytes() == scalar[1::2].tobytes()
+    assert math.copysign(1.0, cos_part[2]) == -1.0  # r = sqrt(-0.0)
+    empty = np.empty(0, dtype=np.uint64)
+    for part in normal_pairs(empty, empty):
+        assert part.dtype == np.float64 and part.size == 0
+
+
 def test_setstate_replays_from_getstate():
     gen = SplitMix64(3)
     gen.next_u64()
