@@ -167,10 +167,12 @@ def _build_parser() -> _Parser:
 
     p_gen = sub.add_parser("gen", help="emit a synthetic dataset as LIBSVM text")
     p_gen.add_argument("--kind", choices=("separable", "noisy"), default="separable")
-    p_gen.add_argument("--T", type=int, default=1000)
-    p_gen.add_argument("--d", type=int, default=4)
-    p_gen.add_argument("--margin", type=float, default=0.5)
-    p_gen.add_argument("--flip", type=float, default=0.1)
+    p_gen.add_argument("--T", type=_at_least(1), default=1000)
+    p_gen.add_argument("--d", type=_at_least(1), default=4)
+    p_gen.add_argument("--margin", type=_flag(float, lambda m: 0.0 < m <= 1.0, "in (0, 1]"),
+                       default=0.5)
+    p_gen.add_argument("--flip", type=_flag(float, lambda p: 0.0 <= p < 0.5, "in [0, 0.5)"),
+                       default=0.1)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None, help="output path (default stdout)")
     p_gen.set_defaults(func=cmd_gen)

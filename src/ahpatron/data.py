@@ -17,9 +17,9 @@ computes a whole block of examples, or one example's resampled normals, at
 a time.
 
 Every instance is stored once, as a read-only row of a block: a synthetic
-one of the block it was drawn in (SparseVector.from_rows), a parsed one of
-the single block its file fills once every line is read (adopt).  That row
-is its dense row, which format_libsvm writes from.
+one of the block it was drawn in, a parsed one of the single block its file
+fills once every line is read; each block is handed to SparseVector.adopt.
+That row is its dense row, which format_libsvm writes from.
 """
 
 from __future__ import annotations
@@ -331,8 +331,9 @@ def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:
                     break
             else:
                 raise RuntimeError("rejection sampling failed; margin too aggressive")
-            coords, y = coords[:r + 1], y[:r + 1]
-        xs = SparseVector.from_rows(coords)
+            coords, y = coords[:r + 1].copy(), y[:r + 1]  # frees the unused rows
+        # Offsets plus scaled normals are finite, and a cancellation is +0.0.
+        xs = SparseVector.adopt(coords)
         examples += [LabeledExample(x, label) for x, label in zip(xs, y.tolist())]
     return Dataset(examples, name=name)
 

@@ -124,15 +124,6 @@ def _labels(stream: Sequence[LabeledExample]) -> np.ndarray:
     return np.array([float(ex.y) for ex in stream])
 
 
-def _sum_left_to_right(values) -> float:
-    """Plain running sum: builtin sum() of floats is compensated from Python
-    3.12 on, so its result would depend on the interpreter."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def _kernel_times_labels(
     stream: Sequence[LabeledExample], sigma: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -146,9 +137,9 @@ def _kernel_times_labels(
     are np.einsum, which sums in one thread in a fixed order, so they do
     not depend on OPENBLAS_NUM_THREADS as the threaded gemv ``block @ y``
     did.  The kernel block itself is an OpenBLAS gemm whose last bits, and
-    so g's, can change with the thread count (at sigma = 0.7 they did at
-    d = 8 and d = 68); OPENBLAS_NUM_THREADS=1 reproduces the values the
-    tests and the benchmark pin.
+    so g's, can change with the thread count on some streams (in 7 of 18
+    cases of synth_noisy(T, d, 0.1, 20), sigma = 1 at d = 18 among them);
+    OPENBLAS_NUM_THREADS=1 reproduces the values the tests and benchmark pin.
     """
     if not stream:
         raise ValueError("stream must be nonempty")
@@ -400,8 +391,9 @@ def check_refined_bound(
            + (1.0 / gamma) * ratio * loss
            + (1.0 - 2.0 * zeta) / gamma * norm_sq * math.sqrt(B) / U
            + slack)
-    dists = trace.removal_distances[trace.removals].tolist()
-    mean_dist = _sum_left_to_right(dists) / (len(dists) * U) if dists else 0.0
+    dists = trace.removal_distances[trace.removals]
+    # Left to right: builtin sum() of floats is compensated from Python 3.12 on.
+    mean_dist = float(np.cumsum(dists)[-1]) / (len(dists) * U) if dists.size else 0.0
     return _report(
         "ahpatron_refined_bound",
         float(m.mistakes),

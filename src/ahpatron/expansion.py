@@ -281,20 +281,8 @@ class Expansion:
         if len(set(keep)) != len(keep) or not all(0 <= k < self._n for k in keep):
             raise ValueError(f"keep slots must be distinct and lie in [0, {self._n})")
         nz = coeffs != 0.0
-        if nz.all():
-            self._compact(keep, coeffs, gram)
-        else:
-            self._compact([k for k, m in zip(keep, nz) if m], coeffs[nz])
-
-    def clear(self) -> None:
-        self._n = 0
-        self._evictions = 0
-        self._sq_norm = 0.0
-
-    # -- internals ----------------------------------------------------------
-
-    def _compact(self, keep: list[int], coeffs: np.ndarray,
-                 gram: np.ndarray | None = None) -> None:
+        if not nz.all():
+            keep, coeffs, gram = [k for k, ok in zip(keep, nz) if ok], coeffs[nz], None
         m = len(keep)
         # Fancy indexing copies (ix_ only the m x m block), so overlapping writes are safe.
         self._alphas[:m] = coeffs
@@ -304,6 +292,13 @@ class Expansion:
         self._n = m
         self._sq_norm = self.recompute_sq_norm()
         self._evictions = 0
+
+    def clear(self) -> None:
+        self._n = 0
+        self._evictions = 0
+        self._sq_norm = 0.0
+
+    # -- internals ----------------------------------------------------------
 
     def _reserve(self, n: int) -> None:
         cap = self._alphas.shape[0]

@@ -2,9 +2,9 @@
 
 Instances are immutable sparse vectors (sorted index/value pairs, explicit
 zeros dropped).  Every vector is stored as one read-only float64 row of a
-block, with its squared norm and width: a synthetic draw (from_rows) or a
-parsed file (adopt) is one block, and a vector built from pairs is a
-one-row block.  The row is the vector's dense row, and its only store.
+block, with its squared norm and width: a synthetic draw or a parsed file
+is one block (adopt), and a vector built from pairs is a one-row block.
+The row is the vector's dense row, and its only store.
 
 The kernel is the normalized Gaussian exp(-|x - x'|^2 / (2 sigma^2)),
 the only family: kappa(x, x) = 1, the unit diagonal the mistake bounds
@@ -65,11 +65,11 @@ class SparseVector:
 
     A vector is stored as one read-only float64 row of a block, with the
     row's squared norm and width (last nonzero index + 1) computed when the
-    block is.  from_rows makes one block for many vectors (a synthetic
-    draw), adopt takes a block its caller built to that standard (a parsed
-    file), and the constructor makes a one-row block of the vector's width.
-    Equality, hashing and repr read the row cut at the width, which holds
-    no -0.0 or NaN.  A row keeps its whole block alive.
+    block is.  adopt takes a block of many vectors that its caller built to
+    that standard (a synthetic draw or a parsed file), and the constructor
+    makes a one-row block of the vector's width.  Equality, hashing and
+    repr read the row cut at the width, which holds no -0.0 or NaN.  A row
+    keeps its whole block alive.
     """
 
     __slots__ = ("_row", "_sq", "_width")
@@ -86,23 +86,10 @@ class SparseVector:
         self._width = width
 
     @classmethod
-    def from_rows(cls, matrix: np.ndarray) -> list["SparseVector"]:
-        """One vector per row of a 2-D array, equal to SparseVector(enumerate(row)).
-
-        Raises the same ValueError on the first non-finite entry (row-major
-        order).  The array is copied once, with -0.0 made +0.0, and each
-        vector keeps its row of the copy (adopt).
-        """
-        block = np.asarray(matrix, dtype=float) + 0.0
-        bad = np.argwhere(~np.isfinite(block))
-        if len(bad):
-            raise ValueError(f"non-finite value at index {bad[0][1]}")
-        return cls.adopt(block)
-
-    @classmethod
     def adopt(cls, block: np.ndarray) -> list["SparseVector"]:
-        """from_rows of a finite, -0.0-free float64 block, without its copy and
-        check: the block itself becomes the vectors' read-only store."""
+        """One vector per row of a finite, -0.0-free float64 block, equal to
+        SparseVector(enumerate(row)); the block itself, unchecked and not
+        copied, becomes the vectors' read-only store."""
         out = []
         for state in _rows(block):
             v = cls.__new__(cls)

@@ -20,11 +20,11 @@ margin always triggers an update so every counted margin-mistake round also
 updates, keeping mistakes a subset of updates.
 
 A round scores x_t with one kernel row and one dot product
-(Expansion.score) and returns a RoundOutcome, a NamedTuple; a round that
-does not trigger returns at once.  The insert reuses the score unless a
-removal changed the active set, and the row unless a halving did (an
-eviction hands back the row over the remaining terms).  run() unpacks
-each outcome and writes the RunTrace columns one by one.
+(Expansion.score) and returns a plain tuple; a round that does not
+trigger returns at once.  The insert reuses the score unless a removal
+changed the active set, and the row unless a halving did (an eviction
+hands back the row over the remaining terms).  run() unpacks each
+round's tuple and writes the RunTrace columns one by one.
 
 Halving: split the full active set into the half with the smallest
 |coefficients| (removed) and the half with the largest (survivors), project
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -143,16 +143,6 @@ class LearnerConfig:
             raise ConfigError(f"{algo} requires finite U")
 
 
-class RoundOutcome(NamedTuple):
-    """Per-round record: prediction, margin, trigger, and a halving's distance."""
-
-    prediction: int
-    margin: float
-    mistake: bool
-    triggered: bool
-    removal_distance: float | None = None
-
-
 def adaptive_rate(mistake_count: int, U: float) -> float:
     """Rate U / sqrt(U^2 + count); count includes the current round's
     nonpositive-margin indicator, evaluated before the update."""
@@ -194,11 +184,12 @@ class OnlineLearner:
         self._halving = algo in HALVING_ALGORITHMS
         self._evict_random = algo == BUDGET_RANDOM
 
-    def step(self, ex: LabeledExample) -> RoundOutcome:
+    def step(self, ex: LabeledExample) -> tuple[int, float, bool, bool, float | None]:
         """Process one example: predict, then update if the trigger fires.
 
-        One kernel row and one dot product score the example; the insert
-        reuses whichever of the two a removal leaves valid.
+        Returns (prediction, margin, mistake, triggered, removal_distance),
+        the distance None unless the round halved.  One kernel row and one
+        dot product score x; the insert reuses what a removal leaves valid.
         """
         f = self.hypothesis
         y = ex.y
@@ -208,7 +199,7 @@ class OnlineLearner:
         if margin <= 0.0:
             self._nonpos_margins += 1
         elif not margin < self._threshold:
-            return RoundOutcome(pred, margin, pred != y, False)
+            return pred, margin, pred != y, False, None
         distance = None
         n = f.size
         if n == self._budget:
@@ -225,7 +216,7 @@ class OnlineLearner:
             rate = self._rate
         f.insert(ex.x, rate * y, row=row, fx=score)
         f.project_ball(self.config.U)
-        return RoundOutcome(pred, margin, pred != y, True, distance)
+        return pred, margin, pred != y, True, distance
 
     def _halve(self) -> float:
         """Remove half the active set, projecting its mass onto the survivors.

@@ -17,6 +17,12 @@ def support(x: SparseVector) -> tuple[tuple[int, ...], tuple[float, ...]]:
     return tuple(at.tolist()), tuple(row[at].tolist())
 
 
+def adopted(rows) -> list[SparseVector]:
+    """One vector per row, adopted from a float64 copy of ``rows`` (finite,
+    with no -0.0, as SparseVector.adopt requires)."""
+    return SparseVector.adopt(np.array(rows, dtype=float))
+
+
 def subsample(ds: Dataset, n: int, seed: int) -> Dataset:
     """Uniform sample of n examples without replacement (shuffle prefix)."""
     if not 1 <= n <= len(ds.examples):

@@ -555,12 +555,19 @@ def test_bench_rejects_bad_data(data, tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["--T", "0"],
     ["--kind", "noisy", "--flip", "0.7"],
-], ids=["T", "flip"])
+    ["--d", "0"],
+    ["--margin", "0"],
+    ["--margin", "1.5"],
+    ["--flip", "-0.1"],
+    ["--flip", "0.7"],
+], ids=["T", "flip", "d", "margin-zero", "margin-above-one", "flip-negative",
+        "flip-separable"])
 def test_gen_rejects_bad_values(flags, capsys):
     code = main(["gen"] + flags)
     assert code == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and captured.out == ""
+    assert captured.err.startswith(f"error: argument {flags[-2]}:") and captured.out == ""
+    assert captured.err.count("\n") == 1
 
 
 def test_alignment_identity(capsys):
@@ -644,6 +651,31 @@ def test_alignment_stdout_matches_pinned_hash(capsys):
     assert main(["alignment", "--data", PINNED_DATA]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ALIGNMENT_STDOUT_SHA256
+
+
+# SHA-256 of bench's CSV and of its aggregates on PINNED_DATA, with the
+# wall-clock columns (elapsed_ms, elapsed_ms_mean) dropped: every algorithm,
+# two budgets, two epsilons and a finite U.
+BENCH_SHA256 = ("44ab509819b82b13a9da778143a230317dcddbb80e3a0af726f42397e393826f",
+                "58459e9a54ff15fa7054bcb27ba59b7f1450e45923ee6aa35bdce58d83706297")
+
+
+def _sha256_without_elapsed(path) -> str:
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, key in enumerate(rows[0]) if not key.startswith("elapsed_ms")]
+    text = "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_bench_matches_pinned_hash(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--algos", ",".join(learners.ALGORITHMS), "--B", "20,40",
+                 "--epsilons", "0.6,0.8", "--U", "2.0", "--seeds", "2",
+                 "--data", PINNED_DATA, "--out", str(out)]) == 0
+    digests = (_sha256_without_elapsed(out),
+               _sha256_without_elapsed(tmp_path / "bench.aggregates.csv"))
+    assert digests == BENCH_SHA256
 
 
 def test_gen_roundtrips_through_parser(tmp_path):

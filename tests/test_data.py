@@ -26,7 +26,7 @@ from ahpatron.data import (
 from ahpatron.kernels import LabeledExample, SparseVector
 from ahpatron.prng import SplitMix64
 
-from helpers import subsample, support
+from helpers import adopted, subsample, support
 from oracles import ScalarSplitMix64, per_line_parse, random_examples, scalar_synth
 
 
@@ -607,6 +607,15 @@ def test_rejection_cap_counts_every_attempt(monkeypatch, T, seed, most):
     assert synth_separable(T, 1, 0.9, seed).examples == uncapped
 
 
+def test_drawn_blocks_hold_only_the_streams_rows():
+    # A block cut short at a rejection is adopted as an exact-size copy, so
+    # no instance keeps the rows drawn after it alive.
+    ds = synth_separable(3000, 1, 0.5, 2)
+    blocks = {id(b): b for b in (ex.x.dense(1).base for ex in ds.examples)}
+    assert len(blocks) > 100
+    assert sum(len(b) for b in blocks.values()) == 3000
+
+
 def test_generation_memory_is_bounded_by_the_block():
     # Transient memory is a few blocks of arrays, whatever T is; holding the
     # whole stream as arrays at once would take ~57 MB more at this size.
@@ -620,10 +629,10 @@ def test_generation_memory_is_bounded_by_the_block():
     assert peak - retained < 4 * 2**20
 
 
-def test_from_rows_matches_constructor():
+def test_adopt_matches_constructor():
     rows = np.array([[0.5, -1.0, 2.0], [0.0, 3.0, 0.0], [0.0, 0.0, 0.0],
-                     [-0.0, 1e-300, 4.0], [0.1, 0.2, 0.3]])
-    built = SparseVector.from_rows(rows)
+                     [0.0, 1e-300, 4.0], [0.1, 0.2, 0.3]])
+    built = adopted(rows)
     for x, row in zip(built, rows.tolist()):
         plain = SparseVector(enumerate(row))
         assert support(x) == support(plain)
@@ -631,17 +640,17 @@ def test_from_rows_matches_constructor():
         assert np.array_equal(x.dense(3), plain.dense(3))
 
 
-# Rows with a -0.0, an all-zero row and rows with trailing zeros.
+# Rows with a leading zero, an all-zero row and rows with trailing zeros.
 _BLOCK_ROWS = [[0.5, -1.0, 2.0], [0.0, 3.0, 0.0], [0.0, 0.0, 0.0],
-               [-0.0, 1e-300, 4.0], [1.0, -0.0, 0.0], [-0.0, -0.0, -0.0]]
+               [0.0, 1e-300, 4.0], [1.0, 0.0, 0.0]]
 
 
-def test_from_rows_holds_no_tuples_until_asked():
-    built = SparseVector.from_rows(np.array(_BLOCK_ROWS))
+def test_adopt_holds_no_tuples_until_asked():
+    built = adopted(_BLOCK_ROWS)
     read = [(x.dense(3), x.sq_norm, x.width) for x in built]
     assert len(read) == len(_BLOCK_ROWS)
     assert SparseVector.__slots__ == ("_row", "_sq", "_width")  # no tuple cache
-    wide = SparseVector.from_rows(np.array([[0.0, 2.0, 0.0, 0.0, 0.0]]))[0]
+    wide = adopted([[0.0, 2.0, 0.0, 0.0, 0.0]])[0]
     pairs = [(x, SparseVector(enumerate(row))) for x, row in zip(built, _BLOCK_ROWS)]
     pairs += [
         (SparseVector([(0, 1.0)]), SparseVector([(0, 1.0), (2, 3.0)])),  # equal prefix
@@ -650,7 +659,7 @@ def test_from_rows_holds_no_tuples_until_asked():
         (wide, pickle.loads(pickle.dumps(wide))),
     ]
     for x, y in pairs:
-        same = support(x) == support(y)  # no -0.0 survives in either
+        same = support(x) == support(y)
         assert (x == y) == same and (x != y) != same
         assert (hash(x) == hash(y)) == same
         assert (repr(x) == repr(y)) == same
@@ -660,32 +669,29 @@ def test_from_rows_holds_no_tuples_until_asked():
     assert [support(x) == support(y) for x, y in pairs[-4:]] == [False, False, True, True]
 
 
-def test_from_rows_dense_rows_are_read_only_views_of_one_block():
+def test_adopt_dense_rows_are_read_only_views_of_the_block():
     rows = np.array(_BLOCK_ROWS)
-    built = SparseVector.from_rows(rows)
-    block = built[0].dense(3).base
-    assert block is not None and not np.shares_memory(block, rows)
+    built = SparseVector.adopt(rows)
+    assert not rows.flags.writeable  # the caller's array is the store
     for x, row in zip(built, _BLOCK_ROWS):
         d = x.dense(3)
-        assert d.base is block and not d.flags.writeable
+        assert d.base is rows and not d.flags.writeable
         assert d.tobytes() == SparseVector(enumerate(row)).dense(3).tobytes()
         with pytest.raises(ValueError):
             d[0] = 7.0
-    rows[:] = 9.0  # the caller's array is not the store
-    assert built[1].dense(3).tolist() == [0.0, 3.0, 0.0]
 
 
-def test_from_rows_pads_a_copy_at_another_width():
-    for x, row in zip(SparseVector.from_rows(np.array(_BLOCK_ROWS)), _BLOCK_ROWS):
+def test_adopt_pads_a_copy_at_another_width():
+    for x, row in zip(adopted(_BLOCK_ROWS), _BLOCK_ROWS):
         plain = SparseVector(enumerate(row))
         assert x.dense(6).tobytes() == plain.dense(6).tobytes()
         assert x.dense(3).tobytes() == plain.dense(3).tobytes()
 
 
-def test_from_rows_width_ignores_trailing_zeros():
-    built = SparseVector.from_rows(np.array(_BLOCK_ROWS))
-    assert [x.width for x in built] == [3, 2, 0, 3, 1, 0]
-    assert [x.width for x in SparseVector.from_rows(np.zeros((2, 0)))] == [0, 0]
+def test_adopt_width_ignores_trailing_zeros():
+    built = adopted(_BLOCK_ROWS)
+    assert [x.width for x in built] == [3, 2, 0, 3, 1]
+    assert [x.width for x in adopted(np.zeros((2, 0)))] == [0, 0]
     with pytest.raises(ValueError, match="dim 0 < width 1"):
         built[4].dense(0)
 
@@ -718,7 +724,7 @@ def test_synthetic_example_memory_after_dense_rows(tmp_path, source, d, most):
 def test_every_dense_row_is_read_only():
     built = SparseVector([(0, 1.0), (2, 3.0)])
     parsed = parse_libsvm(["+1 0:1 2:-7\n", "-1 1:2 \n"]).examples
-    drawn = SparseVector.from_rows(np.array(_BLOCK_ROWS))
+    drawn = adopted(_BLOCK_ROWS)
     xs = [built, parsed[0].x, parsed[1].x, *drawn]
     rows = [x.dense(3) for x in xs] + [x.dense(x.width + 2) for x in xs]
     rows += [x.dense(3) for x in pickle.loads(pickle.dumps(xs))]
@@ -727,11 +733,6 @@ def test_every_dense_row_is_read_only():
             row[0] = 100.0
     assert built.dense(3).tolist() == [1.0, 0.0, 3.0] and built.sq_norm == 10.0
     assert parsed[0].x.dense(3).tolist() == [1.0, 0.0, -7.0]
-
-
-def test_from_rows_rejects_non_finite():
-    with pytest.raises(ValueError, match="non-finite value at index 1"):
-        SparseVector.from_rows(np.array([[1.0, 2.0], [0.0, math.nan]]))
 
 
 # -- descriptors ------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from ahpatron.kernels import (
     stored_rows,
 )
 
-from helpers import support
+from helpers import adopted, support
 from oracles import (
     ScalarSplitMix64,
     gram_matrix,
@@ -71,8 +71,7 @@ def test_sparse_vector_dense_and_width():
 def test_dense_narrower_than_the_block_is_a_view():
     # A row of width 3 in a 5-wide block: up to the block width dense() is
     # the stored row or a view of it; only padding beyond it copies.
-    x = SparseVector.from_rows(np.array([[1.0, 0.0, 2.0, 0.0, 0.0],
-                                         [0.5, 0.0, 0.0, 0.0, 3.0]]))[0]
+    x = adopted([[1.0, 0.0, 2.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0, 3.0]])[0]
     alone = SparseVector([(0, 1.0), (2, 2.0)])
     for dim in (3, 4, 5):
         d = x.dense(dim)
@@ -101,7 +100,7 @@ def test_labeled_example_is_slotted_and_frozen():
 
 
 def test_examples_and_block_rows_survive_pickling():
-    xs = SparseVector.from_rows(np.array([[0.5, -0.0, 2.0], [0.0, 0.0, 0.0]]))
+    xs = adopted([[0.5, 0.0, 2.0], [0.0, 0.0, 0.0]])
     examples = [LabeledExample(x, y) for x, y in zip(xs, (1, -1))]
     back = pickle.loads(pickle.dumps(examples))
     for a, b in zip(back, examples):

@@ -165,17 +165,17 @@ def test_predict_label_matches_score_sign():
 
 def test_perceptron_first_example_triggers():
     learner = OnlineLearner(LearnerConfig("perceptron", SIGMA), dim=1)
-    out = learner.step(ex([(0, 1.0)], +1))
-    assert out.triggered and out.mistake and out.margin == 0.0
+    _, margin, mistake, triggered, _ = learner.step(ex([(0, 1.0)], +1))
+    assert triggered and mistake and margin == 0.0
     assert learner.hypothesis.size == 1
     assert learner.hypothesis.alphas[0] == 1.0
 
 
 def test_perceptron_zero_margin_updates_without_mistake():
     learner = OnlineLearner(LearnerConfig("perceptron", SIGMA), dim=1)
-    out = learner.step(ex([(0, 1.0)], -1))
+    _, _, mistake, triggered, _ = learner.step(ex([(0, 1.0)], -1))
     # sign(0) = -1 matches the label, but the zero margin still updates.
-    assert not out.mistake and out.triggered
+    assert not mistake and triggered
     assert learner.hypothesis.size == 1
 
 
@@ -183,8 +183,8 @@ def test_perceptron_confident_round_is_passive():
     learner = OnlineLearner(LearnerConfig("perceptron", SIGMA), dim=1)
     x0 = SparseVector([(0, 1.0)])
     learner.hypothesis.insert(x0, 0.5)
-    out = learner.step(LabeledExample(x0, 1))  # margin 0.5 > 0
-    assert not out.triggered and learner.hypothesis.size == 1
+    _, _, _, triggered, _ = learner.step(LabeledExample(x0, 1))  # margin 0.5 > 0
+    assert not triggered and learner.hypothesis.size == 1
 
 
 def test_perceptron_matches_naive_reference():
@@ -282,12 +282,12 @@ def test_avp_trigger_threshold():
     learner = OnlineLearner(cfg, dim=1)
     x0 = SparseVector([(0, 1.0)])
     learner.hypothesis.insert(x0, 0.05)
-    out = learner.step(LabeledExample(x0, 1))  # margin 0.05 < 0.1 -> update
-    assert out.triggered and learner.hypothesis.size == 2
+    _, _, _, triggered, _ = learner.step(LabeledExample(x0, 1))  # margin 0.05 < 0.1
+    assert triggered and learner.hypothesis.size == 2
     learner2 = OnlineLearner(cfg, dim=1)
     learner2.hypothesis.insert(x0, 0.2)
-    out2 = learner2.step(LabeledExample(x0, 1))  # margin 0.2 >= 0.1 -> passive
-    assert not out2.triggered and learner2.hypothesis.size == 1
+    _, _, _, triggered, _ = learner2.step(LabeledExample(x0, 1))  # margin 0.2 >= 0.1
+    assert not triggered and learner2.hypothesis.size == 1
 
 
 def test_avp_ball_projection_caps_norm():
@@ -391,10 +391,10 @@ def test_ahpatron_removal_leaves_half_plus_one():
     cfg = ahpatron_config(B=4, U=2.0, lam=0.5, eps=0.5)
     learner = OnlineLearner(cfg, dim=12)
     used = _fill_active_set(learner, 4)
-    out = learner.step(ex([(used, 1.0)], +1))
-    assert out.triggered and out.removal_distance is not None
+    _, _, _, triggered, distance = learner.step(ex([(used, 1.0)], +1))
+    assert triggered and distance is not None
     assert learner.hypothesis.size == 3  # B/2 + 1
-    assert out.removal_distance >= 0.0
+    assert distance >= 0.0
 
 
 @pytest.mark.parametrize("algo", sorted(HALVING_ALGORITHMS))
@@ -405,7 +405,8 @@ def test_halving_keeps_slots_in_insertion_order(algo):
     learner = OnlineLearner(cfg, dim=4)
     halvings = 0
     for e in synth_noisy(300, 4, 0.1, seed=4).examples:
-        halvings += learner.step(e).removal_distance is not None
+        *_, distance = learner.step(e)
+        halvings += distance is not None
     f = learner.hypothesis
     assert halvings >= 5
     assert f.order.tolist() == list(range(f.size))
@@ -414,8 +415,8 @@ def test_halving_keeps_slots_in_insertion_order(algo):
 def test_ahpatron_below_budget_is_plain_update():
     cfg = ahpatron_config(B=4, U=2.0, lam=0.5, eps=0.5)
     learner = OnlineLearner(cfg, dim=12)
-    out = learner.step(ex([(0, 1.0)], +1))
-    assert out.triggered and out.removal_distance is None and learner.hypothesis.size == 1
+    _, _, _, triggered, distance = learner.step(ex([(0, 1.0)], +1))
+    assert triggered and distance is None and learner.hypothesis.size == 1
 
 
 def test_ahpatron_zero_coupling_scales_survivors():
@@ -431,15 +432,15 @@ def test_ahpatron_zero_coupling_scales_survivors():
     f.insert(dropped.x, 0.2)  # removed
     assert f.gram[0, 1] == 0.0
     new_x = ex([(2, 40.0)], +1)         # triggers (margin 0 < 0.5)
-    out = learner.step(new_x)
-    assert out.removal_distance is not None
+    *_, distance = learner.step(new_x)
+    assert distance is not None
     _assert_stores(f, SIGMA, [kept.x, new_x.x], probes=[dropped.x])
     # Survivor rescaled from norm 0.9 to radius ct*U = 0.6: coefficient 0.6.
     assert f.alphas[0] == pytest.approx(0.6, rel=1e-10)
     assert f.alphas[1] == pytest.approx(0.1, rel=1e-10)
     # Removal distance: |f - fbar|^2 with orthogonal instances.
     expected = math.sqrt(0.2 ** 2 + (0.9 - 0.6) ** 2)
-    assert out.removal_distance == pytest.approx(expected, rel=1e-9)
+    assert distance == pytest.approx(expected, rel=1e-9)
 
 
 def test_ahpatron_noproj_matches_sphere_of_survivors():
@@ -479,8 +480,8 @@ def test_ahpatron_degenerate_projection_drops_everything():
     f.insert(SparseVector([(1, 40.0)]), 1.0)  # removed half
     f.insert(SparseVector([(2, 40.0)]), 1.0)
     assert f.sq_norm == 2.0
-    out = learner.step(ex([(3, 40.0)], +1))
-    assert out.removal_distance is not None
+    *_, distance = learner.step(ex([(3, 40.0)], +1))
+    assert distance is not None
     assert learner.hypothesis.size == 1  # only the fresh insert survives
     assert learner.hypothesis.alphas[0] == pytest.approx(0.5)
 
@@ -492,11 +493,11 @@ def test_ahpatron_norm_ratio_preserves_norm_across_removal():
     learner = OnlineLearner(cfg, dim=4)
     for e in ds.examples:
         before = learner.hypothesis.norm()
-        out = learner.step(e)
-        if out.removal_distance is not None:
+        *_, distance = learner.step(e)
+        if distance is not None:
             # Sphere radius equals the pre-removal norm; afterwards one
             # insert-and-project update runs on top of it.
-            assert out.removal_distance <= 2 * cfg.U * (1 + 1e-9)
+            assert distance <= 2 * cfg.U * (1 + 1e-9)
             assert before <= cfg.U * (1 + 1e-10)
 
 
@@ -542,7 +543,7 @@ for B in json.loads(sys.argv[1]):
     seen = differ = 0
     for e in synth_noisy(max(3 * B, 400), 68, 0.45, B).examples:
         a, b = ours.step(e), ref.step(e)
-        if a.removal_distance is not None:
+        if a[4] is not None:  # a halving's removal distance
             seen += 1
             differ += (a != b or ours.hypothesis.alphas.tobytes()
                        != ref.hypothesis.alphas.tobytes())
@@ -600,10 +601,9 @@ def test_budget_oldest_evicts_in_arrival_order():
     learner = OnlineLearner(cfg, dim=12)
     # Alternating labels keep every margin nonpositive, so all three trigger.
     e1, e2, e3 = ex([(0, 1.0)], +1), ex([(1, 1.0)], -1), ex([(2, 1.0)], +1)
-    for e in (e1, e2):
-        assert learner.step(e).triggered
-    out = learner.step(e3)
-    assert out.triggered
+    for e in (e1, e2, e3):
+        _, _, _, triggered, _ = learner.step(e)
+        assert triggered
     f = learner.hypothesis
     _assert_stores(f, SIGMA, [e2.x, e3.x], probes=[e1.x])
     assert f.alphas.tolist() == [e2.y, e3.y]
