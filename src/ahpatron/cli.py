@@ -133,7 +133,7 @@ def _build_parser() -> _Parser:
 
     p_chk = sub.add_parser("check-bounds", help="run with theorem-mandated "
                            "settings and verify each bound")
-    p_chk.add_argument("--suite", default="all",
+    p_chk.add_argument("--suite", type=_suite_list, default="all",
                        help="comma list out of: " + ", ".join(SUITE_ALIASES)
                        + " (aliases accepted), or 'all'")
     p_chk.add_argument("--data", required=True)
@@ -240,6 +240,18 @@ def _flag_list(item):
     return lambda text: list(dict.fromkeys(item(v) for v in text.split(",")))
 
 
+# --suite names: 'all', each suite and each literature alias.
+_SUITES = {"all": list(SUITE_ALIASES), **{s: [s] for s in SUITE_ALIASES},
+           **{a: [s] for s, a in SUITE_ALIASES.items() if a}}
+
+
+def _suite_list(text: str) -> list[str]:
+    """argparse type of --suite: a comma list of _SUITES names, resolved to
+    suites in order, repeats dropped."""
+    named = _flag_list(_flag(str.strip, _SUITES.__contains__, "'all', a suite or an alias"))
+    return list(dict.fromkeys(s for name in named(text) for s in _SUITES[name]))
+
+
 _POSITIVE_FINITE = _flag(float, lambda v: 0 < v < math.inf, "positive and finite")
 _EPSILON = _flag(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 # The learners compare squared norms with U^2, so U^2 must stay a finite,
@@ -317,26 +329,33 @@ def build_config(
 # -- result rows -------------------------------------------------------------
 
 
-def trace_row(trace: RunTrace) -> dict:
-    """One schema row for a completed run."""
-    cfg = trace.config
-    m = metrics(trace)
-    halving = cfg.algorithm in HALVING_ALGORITHMS
-    margin_algo = cfg.algorithm in MARGIN_ALGORITHMS
+def _config_columns(config: LearnerConfig, dataset: str, T: int) -> dict:
+    """A cell's schema columns dataset to T; settings its algorithm never reads are blank."""
+    halving = config.algorithm in HALVING_ALGORITHMS
+    margin_algo = config.algorithm in MARGIN_ALGORITHMS
     return {
-        "dataset": trace.dataset_name,
-        "algo": cfg.algorithm,
-        "B": "" if cfg.B is None else cfg.B,
-        "sigma": repr(cfg.sigma),
-        "epsilon": repr(cfg.epsilon) if margin_algo else "",
-        "U": "inf" if cfg.U == math.inf else repr(cfg.U),
-        "lambda": ("adaptive" if cfg.algorithm == AVP_ADAPTIVE
-                   else repr(cfg.lam) if margin_algo else ""),
-        "eta": repr(cfg.eta) if halving else "",
-        "ct_mode": ((CT_NORM_RATIO if cfg.ct is None else f"fixed:{cfg.ct!r}")
+        "dataset": dataset,
+        "algo": config.algorithm,
+        "B": "" if config.B is None else config.B,
+        "sigma": repr(config.sigma),
+        "epsilon": repr(config.epsilon) if margin_algo else "",
+        "U": "inf" if config.U == math.inf else repr(config.U),
+        "lambda": ("adaptive" if config.algorithm == AVP_ADAPTIVE
+                   else repr(config.lam) if margin_algo else ""),
+        "eta": repr(config.eta) if halving else "",
+        "ct_mode": ((CT_NORM_RATIO if config.ct is None else f"fixed:{config.ct!r}")
                     if halving else ""),
-        "seed": cfg.seed,
-        "T": trace.T,
+        "seed": config.seed,
+        "T": T,
+    }
+
+
+def trace_row(trace: RunTrace) -> dict:
+    """One schema row for a completed run: its configuration, then its results."""
+    m = metrics(trace)
+    halving = trace.config.algorithm in HALVING_ALGORITHMS
+    return {
+        **_config_columns(trace.config, trace.dataset_name, trace.T),
         "mistakes": m.mistakes,
         "amr": repr(m.amr),
         "m_prime": m.margin_mistakes,
@@ -348,13 +367,15 @@ def trace_row(trace: RunTrace) -> dict:
 
 
 def _write_rows(path: str, header: list[str], rows: list[dict], fmt: str) -> None:
+    """The rows as a JSON array of objects, every key kept, or as CSV with
+    ``header``'s columns, other keys (a bench row's ``error``) left out."""
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=2)
             fh.write("\n")
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
+        writer = csv.DictWriter(fh, fieldnames=header, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -413,10 +434,8 @@ def _bench_cell(task: tuple[str, LearnerConfig], datasets: dict[str, Dataset]) -
     try:
         trace = run(config, stream.examples, dataset_name=ds.name)
     except RunError as e:
-        row = {key: "" for key in CSV_HEADER}
-        row.update(dataset=ds.name, algo=config.algorithm, seed=config.seed,
-                   T=len(stream.examples))
-        row["error"] = str(e)
+        row = _config_columns(config, ds.name, len(stream.examples))
+        row.update(dict.fromkeys(CSV_HEADER[len(row):], ""), error=str(e))
         return row
     problems = invariant_violations(trace)
     row = trace_row(trace)
@@ -425,16 +444,19 @@ def _bench_cell(task: tuple[str, LearnerConfig], datasets: dict[str, Dataset]) -
     return row
 
 
-def _with_progress(tasks: list[tuple[str, LearnerConfig]], rows: Iterable[dict]) -> list[dict]:
+def _cell(row: dict) -> str:
+    """A bench row's cell as its progress and warning lines name it."""
+    return (f"{row['dataset']} {row['algo']} B={row['B']} eps={row['epsilon']} "
+            f"seed={row['seed']}")
+
+
+def _with_progress(total: int, rows: Iterable[dict]) -> list[dict]:
     """The rows in task order, one stderr line as each is consumed."""
     done: list[dict] = []
-    for (_, config), row in zip(tasks, rows):
+    for row in rows:
         done.append(row)
-        B = "" if config.B is None else config.B
-        eps = repr(config.epsilon) if config.algorithm in MARGIN_ALGORITHMS else ""
         elapsed = f"{float(row['elapsed_ms']):.0f} ms" if row["elapsed_ms"] else "failed"
-        print(f"bench: {len(done)}/{len(tasks)} {row['dataset']} {config.algorithm} "
-              f"B={B} eps={eps} seed={config.seed} {elapsed}", file=sys.stderr)
+        print(f"bench: {len(done)}/{total} {_cell(row)} {elapsed}", file=sys.stderr)
     return done
 
 
@@ -465,23 +487,17 @@ def cmd_bench(args) -> int:
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
                                  initargs=(datasets,)) as pool:
-            rows = _with_progress(tasks, pool.map(_worker_cell, tasks))
+            rows = _with_progress(len(tasks), pool.map(_worker_cell, tasks))
     else:
-        rows = _with_progress(tasks, (_bench_cell(task, datasets) for task in tasks))
+        rows = _with_progress(len(tasks), (_bench_cell(task, datasets) for task in tasks))
 
     failures = [r for r in rows if r.get("error")]
     for r in failures:
-        print(f"warning: {r['dataset']} {r['algo']} seed={r['seed']}: "
-              f"{r['error']}", file=sys.stderr)
+        print(f"warning: {_cell(r)}: {r['error']}", file=sys.stderr)
 
     aggregates = _aggregate(rows)
     if args.out:
-        clean = [{k: r.get(k, "") for k in CSV_HEADER} for r in rows]
-        if args.format == "json":  # the CSV keeps its 18 columns
-            for out_row, r in zip(clean, rows):
-                if r.get("error"):
-                    out_row["error"] = r["error"]
-        _write_rows(args.out, CSV_HEADER, clean, args.format)
+        _write_rows(args.out, CSV_HEADER, rows, args.format)
         agg_path = _aggregate_path(args.out)
         _write_rows(agg_path, AGGREGATE_HEADER, aggregates, args.format)
         print(f"wrote {len(rows)} rows to {args.out}, "
@@ -502,19 +518,15 @@ def _aggregate(rows: list[dict]) -> list[dict]:
     """Per-(dataset, algo, B, epsilon) means over seeds, best epsilon marked."""
     cells: dict[tuple, list[dict]] = {}
     for row in rows:
-        if row.get("error") or row.get("amr", "") == "":
+        if row.get("error"):
             continue
         key = (row["dataset"], row["algo"], row["B"], row["epsilon"])
         cells.setdefault(key, []).append(row)
     aggregates = []
-    for key in cells:
-        group = cells[key]
+    for group in cells.values():
         amrs = [float(r["amr"]) * 100.0 for r in group]
-        agg = {
-            "dataset": key[0], "algo": key[1], "B": key[2],
-            "sigma": group[0]["sigma"], "epsilon": key[3],
-            "U": group[0]["U"], "lambda": group[0]["lambda"],
-            "eta": group[0]["eta"], "ct_mode": group[0]["ct_mode"],
+        agg = {k: group[0][k] for k in AGGREGATE_HEADER[:9]}
+        agg.update({
             "seeds": len(group),
             "amr_mean": f"{statistics.fmean(amrs):.4f}",
             "amr_std": f"{statistics.pstdev(amrs):.4f}",
@@ -522,7 +534,7 @@ def _aggregate(rows: list[dict]) -> list[dict]:
             "removals_mean": f"{statistics.fmean(float(r['removals']) for r in group):.1f}",
             "elapsed_ms_mean": f"{statistics.fmean(float(r['elapsed_ms']) for r in group):.0f}",
             "best_epsilon": "",
-        }
+        })
         aggregates.append(agg)
     # Hindsight selection: flag the argmin-AMR epsilon within each
     # (dataset, algo, B) group.
@@ -588,16 +600,7 @@ def _suite_runs(suite: str, args) -> list[tuple]:
 
 
 def cmd_check_bounds(args) -> int:
-    if args.suite == "all":
-        names = list(SUITE_ALIASES)
-    else:
-        suites = {alias: suite for suite, alias in SUITE_ALIASES.items() if alias}
-        names = list(dict.fromkeys(suites.get(raw.strip(), raw.strip())
-                                   for raw in args.suite.split(",")))
-        for name in names:
-            if name not in SUITE_ALIASES:
-                raise CliError(f"unknown suite {name!r}")
-    runs = [r for name in names for r in _suite_runs(name, args)]
+    runs = [r for name in args.suite for r in _suite_runs(name, args)]
     ds = _load(args.data)
     stream = permute(ds, args.seed)
     if args.limit and len(stream.examples) > args.limit:

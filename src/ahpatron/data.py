@@ -422,21 +422,21 @@ def load_dataset(spec: str) -> Dataset:
         params = {}
         if params_str:
             for item in params_str.split(","):
-                key, _, value = item.partition("=")
-                params[key.strip()] = value.strip()
+                key, _, value = map(str.strip, item.partition("="))
+                if key in params:
+                    raise ValueError(f"repeated parameter {key!r}")
+                params[key] = value
         T = int(params.pop("T", 1000))
         d = int(params.pop("d", 4))
         margin = float(params.pop("margin", 0.5))
         seed = int(params.pop("seed", 0))
+        flip = float(params.pop("flip", 0.1)) if kind == "noisy" else None
+        if kind not in ("separable", "noisy"):
+            raise ValueError(f"unknown synthetic kind {kind!r}")
+        if params:
+            raise ValueError(f"unknown parameters {sorted(params)}")
         if kind == "separable":
-            if params:
-                raise ValueError(f"unknown parameters {sorted(params)}")
             return synth_separable(T, d, margin, seed)
-        if kind == "noisy":
-            flip = float(params.pop("flip", 0.1))
-            if params:
-                raise ValueError(f"unknown parameters {sorted(params)}")
-            return synth_noisy(T, d, flip, seed, margin=margin)
-        raise ValueError(f"unknown synthetic kind {kind!r}")
+        return synth_noisy(T, d, flip, seed, margin=margin)
     except ValueError as e:
         raise ValueError(f"bad dataset descriptor {spec!r}: {e}") from e

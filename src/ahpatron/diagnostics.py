@@ -74,6 +74,13 @@ def _report(name: str, lhs: float, rhs: float, components: dict) -> BoundReport:
     return BoundReport(name, lhs, rhs, lhs <= rhs + BOUND_TOL, components)
 
 
+def _mistake_report(name: str, m: TraceMetrics, rhs: float, **components) -> BoundReport:
+    """The mistake bound M <= rhs, with M and M' ahead of its other components."""
+    return _report(name, float(m.mistakes), rhs,
+                   {"mistakes": m.mistakes, "margin_mistakes": m.margin_mistakes,
+                    **components})
+
+
 @dataclass(frozen=True)
 class TraceMetrics:
     """Counts derived from a trace: mistakes M, margin mistakes M',
@@ -228,13 +235,8 @@ def check_perceptron_bound(
     loss = hinge_loss_of(comparator, stream)
     norm_sq = comparator.sq_norm
     rhs = 2.0 * loss + norm_sq
-    return _report(
-        "perceptron_mistake_bound",
-        float(m.mistakes),
-        rhs,
-        {"mistakes": m.mistakes, "margin_mistakes": m.margin_mistakes,
-         "comparator_loss": loss, "comparator_norm_sq": norm_sq},
-    )
+    return _mistake_report("perceptron_mistake_bound", m, rhs,
+                           comparator_loss=loss, comparator_norm_sq=norm_sq)
 
 
 def check_avp_bound(
@@ -265,14 +267,9 @@ def check_avp_bound(
         norm_sq = comparator.sq_norm
         slack = (1.0 - 2.0 * cfg.epsilon) * m.low_confidence
         rhs = 2.0 * loss + norm_sq + slack
-        return _report(
-            "avp_constant_rate_bound",
-            float(m.mistakes),
-            rhs,
-            {"mistakes": m.mistakes, "margin_mistakes": m.margin_mistakes,
-             "low_confidence": m.low_confidence, "comparator_loss": loss,
-             "comparator_norm_sq": norm_sq, "low_confidence_slack": slack},
-        )
+        return _mistake_report(
+            "avp_constant_rate_bound", m, rhs, low_confidence=m.low_confidence,
+            comparator_loss=loss, comparator_norm_sq=norm_sq, low_confidence_slack=slack)
     if variant == "adaptive":
         _require(cfg.algorithm == AVP_ADAPTIVE, f"expected avp-adaptive, got {cfg.algorithm}")
         _require(math.isfinite(cfg.U), "adaptive-rate bound needs finite U")
@@ -289,14 +286,9 @@ def check_avp_bound(
         U = cfg.U
         q = max(loss + 2.0 * U * U + delta, 0.0)
         rhs = q + 9.0 * U * U + 3.0 * U * math.sqrt(q)
-        return _report(
-            "avp_adaptive_rate_bound",
-            float(m.mistakes),
-            rhs,
-            {"mistakes": m.mistakes, "margin_mistakes": m.margin_mistakes,
-             "low_confidence": m.low_confidence, "comparator_loss": loss,
-             "rate_slack": delta, "q": q, "U": U},
-        )
+        return _mistake_report(
+            "avp_adaptive_rate_bound", m, rhs, low_confidence=m.low_confidence,
+            comparator_loss=loss, rate_slack=delta, q=q, U=U)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -339,16 +331,10 @@ def check_ahpatron_bound(
     branch_lower = (0.9 * U / math.sqrt(B) * loss
                     + math.sqrt(B) / (2.0 * U) * norm_sq + lower_slack)
     rhs = loss + max(branch_upper, branch_lower)
-    return _report(
-        "ahpatron_mistake_bound",
-        float(m.mistakes),
-        rhs,
-        {"mistakes": m.mistakes, "margin_mistakes": m.margin_mistakes,
-         "low_confidence": n_low, "removals": m.removals,
-         "comparator_loss": loss, "comparator_norm_sq": norm_sq,
-         "upper_slack": upper_slack, "lower_slack": lower_slack,
-         "branch_upper": branch_upper, "branch_lower": branch_lower},
-    )
+    return _mistake_report(
+        "ahpatron_mistake_bound", m, rhs, low_confidence=n_low, removals=m.removals,
+        comparator_loss=loss, comparator_norm_sq=norm_sq, upper_slack=upper_slack,
+        lower_slack=lower_slack, branch_upper=branch_upper, branch_lower=branch_lower)
 
 
 def check_refined_bound(
@@ -394,16 +380,11 @@ def check_refined_bound(
     dists = trace.removal_distances[trace.removals]
     # Left to right: builtin sum() of floats is compensated from Python 3.12 on.
     mean_dist = float(np.cumsum(dists)[-1]) / (len(dists) * U) if dists.size else 0.0
-    return _report(
-        "ahpatron_refined_bound",
-        float(m.mistakes),
-        rhs,
-        {"mistakes": m.mistakes, "margin_mistakes": m.margin_mistakes,
-         "low_confidence": m.low_confidence, "removals": m.removals,
-         "zeta": zeta, "mean_removal_distance_ratio": mean_dist,
-         "gamma": gamma, "comparator_loss": loss,
-         "comparator_norm_sq": norm_sq, "low_confidence_slack": slack},
-    )
+    return _mistake_report(
+        "ahpatron_refined_bound", m, rhs, low_confidence=m.low_confidence,
+        removals=m.removals, zeta=zeta, mean_removal_distance_ratio=mean_dist,
+        gamma=gamma, comparator_loss=loss, comparator_norm_sq=norm_sq,
+        low_confidence_slack=slack)
 
 
 def check_removal_count_bound(trace: RunTrace) -> BoundReport:

@@ -1,9 +1,6 @@
 import csv
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -15,6 +12,8 @@ import ahpatron.learners as learners
 from ahpatron.cli import CSV_HEADER, main
 from ahpatron.data import format_libsvm, parse_libsvm, synth_noisy
 from ahpatron.diagnostics import BoundReport
+
+from helpers import run_child
 
 SYNTH = "synth:noisy:T=300,d=4,margin=0.5,flip=0.1,seed=2"
 TINY = str(Path(__file__).parent / "tiny.libsvm")
@@ -110,11 +109,7 @@ def test_synthetic_stream_too_large_to_hold_is_refused_before_drawing(argv):
     # 100,000 x 100,000 float64 values are 80 GB; the descriptor is refused
     # before the first draw, in one line.  The child's 2 GiB address-space
     # cap makes a missing check fail fast in numpy, not exhaust the host.
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", _OVERSIZED_SYNTH, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = run_child(_OVERSIZED_SYNTH, *argv, timeout=120)
     err = done.stderr.splitlines()
     assert done.returncode == 1
     assert len(err) == 1 and err[0].startswith("error:")
@@ -310,6 +305,33 @@ def test_bench_json_keeps_failure_reasons(tmp_path, monkeypatch, capsys):
     assert err.count(" perceptron B= eps= seed=1 failed\n") == 2  # progress lines
 
 
+def test_bench_failed_cells_keep_their_configuration(tmp_path, capsys):
+    # Every cell overflows at its first update; each row still names its
+    # cell, and only the result columns are blank.
+    argv = ["bench", "--algos", "ahpatron", "--B", "8,16", "--epsilons", "0.7",
+            "--lambda", "1e300", "--seeds", "1", "--data", SYNTH]
+    assert main(argv + ["--out", str(tmp_path / "b.csv")]) == 2
+    assert main(argv + ["--out", str(tmp_path / "b.json"), "--format", "json"]) == 2
+    csv_rows = read_csv(tmp_path / "b.csv")
+    json_rows = json.loads((tmp_path / "b.json").read_text())
+    for rows in (csv_rows, [{k: str(v) for k, v in r.items()} for r in json_rows]):
+        assert [r["B"] for r in rows] == ["8", "16"]
+        for r in rows:
+            assert r["algo"] == "ahpatron" and r["epsilon"] == "0.7" and r["T"] == "300"
+            assert r["sigma"] == "1.0" and r["lambda"] == "1e+300"
+            assert r["U"] and r["eta"] == "0.0005" and r["ct_mode"] == "norm-ratio"
+            assert all(r[k] == "" for k in CSV_HEADER[11:])
+    assert all(r["error"].startswith("run failed at round") for r in json_rows)
+    assert read_csv(tmp_path / "b.aggregates.csv") == []
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 4
+    name = csv_rows[0]["dataset"]
+    assert warnings[0].startswith(f"warning: {name} ahpatron B=8 eps=0.7 seed=0: run failed")
+    assert warnings[1].startswith(f"warning: {name} ahpatron B=16 eps=0.7 seed=0: run failed")
+    assert warnings[2:] == warnings[:2]
+
+
 def test_check_bounds_default_suite(capsys):
     code = main(["check-bounds", "--suite", "all", "--data", SYNTH, "--seed", "3"])
     out = capsys.readouterr().out
@@ -404,6 +426,7 @@ BAD_FLAGS = {
     "run-lambda-zero": ["run", "--algo", "ahpatron", "--B", "8", "--lambda", "0"],
     "check-bounds-epsilon": ["check-bounds", "--epsilon", "1"],
     "check-bounds-eta": ["check-bounds", "--eta", "0"],
+    "check-bounds-suite": ["check-bounds", "--suite", "bogus"],
     # Refused before the stream loads, so a missing file goes unread.
     "alignment-cap": ["alignment", "--data", "no-such-dir/stream.libsvm", "--cap", "-3"],
 }
@@ -448,18 +471,23 @@ def test_bench_passes_U_to_margin_algorithms_only(tmp_path, monkeypatch):
         ("perceptron", INF), ("budget-random", INF), ("ahpatron", 5.0)]
 
 
+SUITE_DEFAULTS = [
+    ("perceptron", None, INF, 1.0, 0.5, 0.0005, 0.6, 0),
+    ("avp", None, INF, 1.0, 0.75, 0.0005, 0.6, 0),
+    ("avp-adaptive", None, 2.0, 1.0, 0.75, 0.0005, 0.6, 0),
+    ("ahpatron", 64, 2.0, 0.3535533905932738, 0.875, 0.0005, 0.6, 0),
+    ("ahpatron", 64, 0.43243243243243246, 0.02702702702702703, 0.75, 0.0005,
+     None, 0),
+    ("ahpatron", 64, 4.0, 0.25, 0.7, 0.0005, None, 0),
+    ("avp", None, INF, 1.0, 0.7, 0.0005, 0.6, 0),
+    ("ahpatron", 64, 4.0, 0.25, 0.7, 0.0005, None, 0),
+]
+
+
 @pytest.mark.parametrize("flags, expected", [
-    ([], [
-        ("perceptron", None, INF, 1.0, 0.5, 0.0005, 0.6, 0),
-        ("avp", None, INF, 1.0, 0.75, 0.0005, 0.6, 0),
-        ("avp-adaptive", None, 2.0, 1.0, 0.75, 0.0005, 0.6, 0),
-        ("ahpatron", 64, 2.0, 0.3535533905932738, 0.875, 0.0005, 0.6, 0),
-        ("ahpatron", 64, 0.43243243243243246, 0.02702702702702703, 0.75, 0.0005,
-         None, 0),
-        ("ahpatron", 64, 4.0, 0.25, 0.7, 0.0005, None, 0),
-        ("avp", None, INF, 1.0, 0.7, 0.0005, 0.6, 0),
-        ("ahpatron", 64, 4.0, 0.25, 0.7, 0.0005, None, 0),
-    ]),
+    ([], SUITE_DEFAULTS),
+    # 'all', a suite and an alias of it, repeats dropped in order.
+    (["--suite", "all, perceptron,theorem1,gap"], SUITE_DEFAULTS),
     (["--B", "80", "--U", "1.5", "--epsilon", "0.9", "--gamma", "0.3",
       "--eta", "1e-3", "--seed", "2", "--algo", "ahpatron-noproj"], [
         ("perceptron", None, INF, 1.0, 0.5, 0.0005, 0.6, 2),
@@ -471,7 +499,7 @@ def test_bench_passes_U_to_margin_algorithms_only(tmp_path, monkeypatch):
         ("avp", None, INF, 1.0, 0.9, 0.0005, 0.6, 2),
         ("ahpatron-noproj", 80, 1.5, 0.08385254915624211, 0.9, 0.001, None, 2),
     ]),
-], ids=["defaults", "overrides"])
+], ids=["defaults", "suite-repeats", "overrides"])
 def test_check_bounds_suite_settings(flags, expected, monkeypatch, capsys):
     code, configs = _recorded_configs(
         monkeypatch, ["check-bounds", "--suite", "all", "--data", SYNTH] + flags)
@@ -540,7 +568,8 @@ def test_bench_rejects_bad_list_values(flags, capsys):
     "synth:bogus",
     "synth:noisy:T=0",
     "decreasing.libsvm",
-], ids=["unknown-kind", "T-zero", "decreasing-indices"])
+    "synth:noisy:T=50,T=60",
+], ids=["unknown-kind", "T-zero", "decreasing-indices", "repeated-key"])
 def test_bench_rejects_bad_data(data, tmp_path, capsys):
     if data.endswith(".libsvm"):
         path = tmp_path / data

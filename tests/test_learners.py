@@ -2,11 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +26,7 @@ from ahpatron.learners import (
 )
 from ahpatron.solver import SolverDiverged
 
+from helpers import run_child
 from oracles import (
     ScalarSplitMix64,
     gram_matrix,
@@ -559,11 +556,7 @@ def test_halving_matches_one_shot_formulas_bitwise(threads):
     # path in both (n mod 4 = 2 for B = 6, 10, 130; 0 for B = 8, 64, 1000).
     # The thread count is read when numpy loads, hence a child process.
     budgets = [6, 10, 130, 8, 64, 1000]
-    src = str(Path(learners_mod.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", _ONE_SHOT, json.dumps(budgets)],
-                          env=env, capture_output=True, text=True)
+    done = run_child(_ONE_SHOT, json.dumps(budgets), threads=threads)
     assert done.returncode == 0, done.stderr
     counts = json.loads(done.stdout)
     assert all(counts[str(B)][0] >= 1 for B in budgets), counts

@@ -1,14 +1,9 @@
 import json
-import os
-import subprocess
-import sys
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import ahpatron
 from ahpatron import solver
 from ahpatron.data import synth_noisy
 from ahpatron.solver import (
@@ -20,6 +15,7 @@ from ahpatron.solver import (
     spd_solve,
 )
 
+from helpers import run_child
 from oracles import (
     ScalarSplitMix64,
     coordinate_descent,
@@ -241,11 +237,7 @@ print(json.dumps(out))
 def test_no_command_imports_scipy():
     # The halving solve runs on numpy's LAPACK alone, so a run that halves,
     # the bound checks and alignment load no second BLAS library.
-    src = str(Path(ahpatron.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    out = json.loads(subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
-                                    capture_output=True, text=True, check=True).stdout)
+    out = json.loads(run_child(_NO_SCIPY, check=True).stdout)
     assert [out[c][0] for c in ("run", "check-bounds", "alignment")] == [0, 0, 0]
     fields = dict(f.split("=") for f in out["run"][1].split())
     assert int(fields["removals"]) > 0  # the run halved, so it solved
