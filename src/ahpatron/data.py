@@ -18,8 +18,9 @@ a time.
 
 Every instance is stored once, as a read-only row of a block: a synthetic
 one of the block it was drawn in, a parsed one of the single block its file
-fills once every line is read; each block is handed to SparseVector.adopt.
-That row is its dense row, which format_libsvm writes from.
+fills a chunk of lines at a time, in an anonymous mapping that grows in
+place; each block is handed to SparseVector.adopt.  That row is its dense
+row, which format_libsvm writes from.
 """
 
 from __future__ import annotations
@@ -32,14 +33,17 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .kernels import LabeledExample, SparseVector, check_pairs
+from .kernels import LabeledExample, SparseVector, check_pairs, private_mapping
 from .prng import SplitMix64, derive_stream_seed, normal_pairs
 
 _REJECTION_CAP = 10_000
 _BLOCK = 1024  # examples per vectorized synthetic block
-_CHUNK = 1 << 16  # parsed values held as Python objects before a flush to arrays
-# Twice a stream's block bytes: about what a parse holds at its peak, and
-# what the comparator's two operand blocks take (SUSY needs 1.52 GB).
+# Parsed values held as Python objects before a flush into the block.  At
+# 8,192 a flush's flat arrays are 64 KB each, and loading a 20,000 x 18
+# file then running learners on it peaks 0.4 MB lower than at 65,536.
+_CHUNK = 1 << 13
+# Twice a stream's block bytes: what the comparator's two operand blocks
+# take (SUSY needs 1.52 GB).  A parse peaks near one block.
 _BLOCK_BYTES_LIMIT = 2 << 30
 
 
@@ -80,18 +84,19 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
     Lines as format_libsvm writes them take a bulk path (_bulk_line), and a
     line whose index strings repeat the previous bulk line's reuses its
     parsed indices; every other line goes through _parse_line, which gives
-    the same result or the same MalformedLine.  The lines' indices and
-    values go to flat arrays every _CHUNK values, so no more than a chunk
-    of them is held as Python objects.  At the end they fill one block, a
-    row per example and as wide as the largest nonzero index + 1, and are
-    released; SparseVector.adopt then keeps the block, uncopied (its values
-    are finite and nonzero, np.zeros' +0.0 elsewhere).  A block past
-    _BLOCK_BYTES_LIMIT, or an index past np.intp, raises BlockTooLarge
-    before it is allocated.
+    the same result or the same MalformedLine.  Every _CHUNK values the
+    lines read since the last flush go to flat arrays and at once into the
+    block (_Block), a row per example and as wide as the largest nonzero
+    index + 1 so far, so no more than a chunk of them is held, as Python
+    objects or as flat arrays.  SparseVector.adopt then keeps the block,
+    uncopied (its values are finite and nonzero, the mapping's +0.0
+    elsewhere).  A flush whose rows and width so far would pass
+    _BLOCK_BYTES_LIMIT (_check_block), or that holds an index past
+    np.intp, raises BlockTooLarge before any later line is read.
     """
-    raw_labels: list[float] = []
-    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    # Each line's indices and values since the last flush, nnz values in all.
+    block = _Block(name or "input")
+    # Each line's label, indices and values since the last flush, nnz values in all.
+    labels: list[float] = []
     cols: list[Sequence[int]] = []
     vals: list[Sequence[float]] = []
     nnz = 0
@@ -107,38 +112,76 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
             if parsed is None:
                 continue
             label, line_cols, values = parsed
-        raw_labels.append(label)
+        labels.append(label)
         cols.append(line_cols)
         vals.append(values)
         nnz += len(values)
         if nnz >= _CHUNK:
-            chunks.append(_arrays(cols, vals, nnz, name))
-            cols, vals, nnz = [], [], 0
-    if not raw_labels:
+            block.append(labels, cols, vals, nnz)
+            labels, cols, vals, nnz = [], [], [], 0
+    block.append(labels, cols, vals, nnz)
+    del labels, cols, vals
+    if not block.rows:
         raise NonBinaryLabels("empty dataset")
-    labels = _normalize_labels(raw_labels)
-    del raw_labels
-    chunks.append(_arrays(cols, vals, nnz, name))
-    del cols, vals
-    width = max((int(at.max()) + 1 for _, at, _ in chunks if len(at)), default=0)
-    _check_block(name or "input", len(labels), width)
-    block = np.zeros((len(labels), width))
-    _fill(block, chunks)
-    # The flat arrays (16 B a nonzero) go before the instances are built.
-    del chunks
-    instances = SparseVector.adopt(block)
-    examples = [LabeledExample(x, y) for x, y in zip(instances, labels)]
+    ys = _normalize_labels(np.concatenate(block.labels))
+    instances = SparseVector.adopt(block.array())
+    examples = [LabeledExample(x, y) for x, y in zip(instances, ys)]
     return Dataset(examples, name=name)
 
 
-def _fill(block: np.ndarray,
-          chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
-    """Write each chunk's lines into the next rows of block."""
-    start = 0
-    for counts, at, values in chunks:
-        rows = np.repeat(np.arange(start, start + len(counts)), counts)
-        block[rows, at] = values
-        start += len(counts)
+class _Block:
+    """A parse's float64 block, grown in place a chunk of lines at a time.
+
+    Its rows x width entries are the front of one anonymous mapping, whose
+    capacity doubles when they outgrow it (a resize, not a copy); the pages
+    past them are never written, so they take no memory.  A line wider
+    than the block restrides the rows already written (_restride), and the
+    raw labels are kept as one float64 array per chunk.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+        self.rows = self.width = 0
+        self.labels: list[np.ndarray] = []
+        self._buf = private_mapping(_CHUNK * 8, f"{name}: {_CHUNK} values")
+
+    def append(self, labels: list[float], cols: list[Sequence[int]],
+               vals: list[Sequence[float]], nnz: int) -> None:
+        """Write a chunk of lines into the next rows, first checking the size."""
+        counts, at, values = _arrays(cols, vals, nnz, self.name)
+        rows = self.rows + len(counts)
+        width = max(self.width, int(at.max()) + 1 if nnz else 0)
+        _check_block(self.name, rows, width)
+        if (nbytes := rows * width * 8) > len(self._buf):
+            self._buf = private_mapping(max(nbytes, 2 * len(self._buf)),
+                                        f"{self.name}: {rows} rows of width {width}",
+                                        self._buf)
+        flat = np.frombuffer(self._buf, np.float64)
+        if width > self.width:
+            _restride(flat, self.rows, self.width, width)
+        block = flat[:nbytes // 8].reshape(rows, width)
+        block[np.repeat(np.arange(self.rows, rows), counts), at] = values
+        self.rows, self.width = rows, width
+        self.labels.append(np.array(labels))
+
+    def array(self) -> np.ndarray:
+        """The rows x width block, a view that keeps the mapping alive."""
+        return np.ndarray((self.rows, self.width), buffer=self._buf)
+
+
+def _restride(flat: np.ndarray, rows: int, old: int, new: int) -> None:
+    """Widen the rows x old block at the front of flat to rows x new, in place.
+
+    A row only moves up, so the rows move from the last one backward, at
+    most _CHUNK values a step; numpy buffers a step whose source and
+    destination overlap.  The new columns are zeroed.
+    """
+    step = max(1, _CHUNK // new)
+    for stop in range(rows, 0, -step):
+        start = max(0, stop - step)
+        moved = flat[start * new:stop * new].reshape(stop - start, new)
+        moved[:, :old] = flat[start * old:stop * old].reshape(stop - start, old)
+        moved[:, old:] = 0.0
 
 
 def _check_block(name: str, rows: int, width: int) -> None:
@@ -154,7 +197,7 @@ def _arrays(cols: list[Sequence[int]], vals: list[Sequence[float]], nnz: int,
     try:
         at = np.fromiter(chain.from_iterable(cols), np.intp, nnz)
     except OverflowError:
-        raise BlockTooLarge(f"{name or 'input'}: an index of "
+        raise BlockTooLarge(f"{name}: an index of "
                             f"{np.iinfo(np.intp).max + 1:,} or more needs a block "
                             f"over {_BLOCK_BYTES_LIMIT:,} bytes") from None
     return (np.fromiter(map(len, vals), np.intp, len(vals)), at,
@@ -239,13 +282,13 @@ def _parse_line(lineno: int, line: str
     return label, indices, values
 
 
-def _normalize_labels(raw: list[float]) -> list[int]:
-    distinct = sorted(set(raw))
+def _normalize_labels(raw: np.ndarray) -> list[int]:
+    # Each distinct value as it first occurs (-0.0 or 0.0), as a set keeps it.
+    distinct = raw[np.unique(raw, return_index=True)[1]].tolist()
     if set(distinct) <= {-1.0, 1.0}:
-        return [int(v) for v in raw]
+        return raw.astype(int).tolist()
     if len(distinct) == 2:
-        lo = distinct[0]
-        return [-1 if v == lo else 1 for v in raw]
+        return np.where(raw == distinct[0], -1, 1).tolist()
     if len(distinct) == 1:
         raise NonBinaryLabels(
             f"single label value {distinct[0]} with no -1/+1 interpretation"

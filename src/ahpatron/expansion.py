@@ -32,19 +32,14 @@ max_drift keeps the largest relative drift any reset has seen.
 from __future__ import annotations
 
 import math
-import mmap
 from typing import Sequence
 
 import numpy as np
 
-from .kernels import SparseVector, kernel_row, query_rows, query_slots, stored_rows
+from .kernels import (SparseVector, kernel_row, private_mapping, query_rows,
+                      query_slots, stored_rows)
 
 _MIN_CAPACITY = 16
-
-# An anonymous mapping is shared across fork unless made private; a
-# forked --jobs worker must write its own copy.  (Windows has no flag: an
-# untagged anonymous mapping there is private already.)
-_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 
 # Quadratic forms more negative than this indicate a corrupted Gram cache
 # rather than rounding error.
@@ -331,10 +326,7 @@ def _square_buffer(cap: int) -> np.ndarray:
     entries: a page-multiple stride would put a column's entries in the
     same few cache sets.
     """
-    try:
-        buf = mmap.mmap(-1, cap * (cap + 8) * 8, **_PRIVATE)
-    except OSError as e:  # the MemoryError numpy would raise
-        raise MemoryError(f"cannot map a {cap} x {cap} Gram matrix: {e}") from e
+    buf = private_mapping(cap * (cap + 8) * 8, f"a {cap} x {cap} Gram matrix")
     return np.frombuffer(buf, dtype=np.float64).reshape(cap, cap + 8)[:, :cap]
 
 

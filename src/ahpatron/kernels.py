@@ -26,6 +26,7 @@ All evaluations are double precision.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -163,6 +164,37 @@ def _rows(block: np.ndarray):
     ranks = np.arange(1, d + 1, dtype=np.min_scalar_type(d))
     width = ((block != 0.0) * ranks).max(axis=1, initial=0)
     return zip(block, sq.tolist(), width.tolist())
+
+
+# An anonymous mapping is shared across fork unless made private; a
+# forked --jobs worker must write its own copy.  (Windows has no flag: an
+# untagged anonymous mapping there is private already.)
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+def private_mapping(nbytes: int, what: str, buf: mmap.mmap | None = None) -> mmap.mmap:
+    """A zero-filled anonymous mapping of nbytes, or buf grown to nbytes.
+
+    Its pages stay unbacked until written, and all go back to the system
+    when it is dropped.  Growing keeps buf's contents: in place by mremap
+    where mmap can resize (no array from np.frombuffer may then view buf;
+    it would raise BufferError), else by one copy into a new mapping.  The
+    OSError of a failed map becomes the MemoryError numpy would raise,
+    naming what.
+    """
+    try:
+        if buf is not None:
+            try:
+                buf.resize(nbytes)
+                return buf
+            except SystemError:  # no mremap, as on macOS
+                pass
+        grown = mmap.mmap(-1, nbytes, **_PRIVATE)
+    except OSError as e:
+        raise MemoryError(f"cannot map {what}: {e}") from e
+    if buf is not None:
+        grown[:len(buf)] = buf
+    return grown
 
 
 @dataclass(frozen=True, slots=True)

@@ -191,20 +191,34 @@ def test_bench_deterministic_modulo_elapsed(tmp_path):
     assert strip_elapsed(a) == strip_elapsed(b)
 
 
+def _rows_no_time(path):
+    """A bench CSV's rows without their elapsed_ms column."""
+    rows = read_csv(path)
+    for r in rows:
+        r.pop("elapsed_ms")
+    return rows
+
+
 def test_bench_parallel_matches_serial(tmp_path):
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
     argv = ["bench", "--algos", "ahpatron", "--data", SYNTH, "--B", "8",
             "--epsilons", "0.6,0.7", "--seeds", "2"]
     assert main(argv + ["--out", str(serial)]) == 0
     assert main(argv + ["--jobs", "2", "--out", str(parallel)]) == 0
+    assert _rows_no_time(serial) == _rows_no_time(parallel)
 
-    def rows_no_time(path):
-        rows = read_csv(path)
-        for r in rows:
-            r.pop("elapsed_ms")
-        return rows
 
-    assert rows_no_time(serial) == rows_no_time(parallel)
+def test_bench_parallel_matches_serial_on_a_parsed_file(tmp_path):
+    # Forked workers read the rows of the parent's mapped block.
+    path = tmp_path / "stream.libsvm"
+    with open(path, "w") as fh:
+        format_libsvm(synth_noisy(300, 4, 0.1, 2), fh)
+    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+    argv = ["bench", "--algos", "ahpatron,budget-oldest", "--data", str(path),
+            "--B", "8", "--epsilons", "0.7", "--seeds", "2"]
+    assert main(argv + ["--out", str(serial)]) == 0
+    assert main(argv + ["--jobs", "2", "--out", str(parallel)]) == 0
+    assert _rows_no_time(serial) == _rows_no_time(parallel)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

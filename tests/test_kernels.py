@@ -1,10 +1,12 @@
 import math
+import mmap
 import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ahpatron.data import parse_libsvm
 from ahpatron.diagnostics import mean_embedding
 from ahpatron.expansion import Expansion
 from ahpatron.kernels import (
@@ -13,6 +15,7 @@ from ahpatron.kernels import (
     kernel_row,
     operands,
     pairwise_kernel,
+    private_mapping,
     query_rows,
     stored_rows,
 )
@@ -101,13 +104,31 @@ def test_labeled_example_is_slotted_and_frozen():
 
 def test_examples_and_block_rows_survive_pickling():
     xs = adopted([[0.5, 0.0, 2.0], [0.0, 0.0, 0.0]])
-    examples = [LabeledExample(x, y) for x, y in zip(xs, (1, -1))]
-    back = pickle.loads(pickle.dumps(examples))
-    for a, b in zip(back, examples):
-        assert a.x.dense(3).tobytes() == b.x.dense(3).tobytes()
-        assert (a.x.sq_norm, a.x.width) == (b.x.sq_norm, b.x.width)
-    assert back == examples
-    assert pickle.loads(pickle.dumps(back)) == examples  # tuples built too
+    drawn = [LabeledExample(x, y) for x, y in zip(xs, (1, -1))]
+    # A parsed stream's rows are views of the parse's mapped block.
+    parsed = parse_libsvm(["+1 0:0.5 2:2\n", "-1\n", "+1 1:-3\n"]).examples
+    for examples in (drawn, parsed):
+        back = pickle.loads(pickle.dumps(examples))
+        for a, b in zip(back, examples):
+            assert a.x.dense(3).tobytes() == b.x.dense(3).tobytes()
+            assert not a.x.dense(3).flags.writeable
+            assert (a.x.sq_norm, a.x.width) == (b.x.sq_norm, b.x.width)
+        assert back == examples
+        assert pickle.loads(pickle.dumps(back)) == examples  # tuples built too
+
+
+def test_a_mapping_grows_by_a_copy_where_it_cannot_resize():
+    # Without mremap (macOS), mmap.resize raises SystemError.
+    class Fixed(mmap.mmap):
+        def resize(self, nbytes):
+            raise SystemError("mmap: resizing not available--no mremap()")
+
+    buf = Fixed(-1, 16)
+    buf[:] = bytes(range(16))
+    grown = private_mapping(40, "a test", buf)
+    assert grown is not buf and grown[:] == bytes(range(16)) + bytes(24)
+    plain = mmap.mmap(-1, 16)
+    assert private_mapping(40, "a test", plain) is plain and len(plain) == 40
 
 
 def test_kernel_width_validation():
