@@ -117,12 +117,27 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="single (algorithm, dataset, seed) run")
+    p_run.add_argument("--algo", required=True, choices=ALGORITHMS)
+    p_run.add_argument("--B", type=_at_least(1), default=None)
+    p_run.add_argument("--epsilon", type=_EPSILON, default=None)
+    p_run.add_argument("--data", required=True,
+                       help="LIBSVM path or synth:separable:... / synth:noisy:... descriptor")
     _add_run_flags(p_run)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="grid sweep with per-cell aggregates")
-    _add_run_flags(p_bench, grid=True)
+    p_bench.add_argument("--algos", required=True,
+                         type=_flag_list(_flag(str.strip, lambda a: a in ALGORITHMS,
+                                               "one of " + ", ".join(ALGORITHMS))),
+                         help="comma list out of: " + ", ".join(ALGORITHMS))
+    p_bench.add_argument("--B", type=_flag_list(_at_least(1)), default=[None],
+                         help="comma list of budgets (omit for unbudgeted algorithms)")
+    p_bench.add_argument("--epsilons", type=_flag_list(_EPSILON), default=EPSILON_GRID,
+                         help="comma list (default 0.5,0.6,0.7,0.8,0.9)")
+    p_bench.add_argument("--data", required=True, action="append",
+                         help="LIBSVM path or synth: descriptor (repeatable)")
+    _add_run_flags(p_bench)
     p_bench.add_argument("--seeds", type=_at_least(1), default=5,
                          help="number of seeded permutations (seeds 0..N-1)")
     p_bench.add_argument("--seed-list", type=_flag_list(_flag(int)), default=None,
@@ -179,26 +194,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _add_run_flags(p: argparse.ArgumentParser, grid: bool = False) -> None:
-    if grid:
-        p.add_argument("--algos", required=True,
-                       type=_flag_list(_flag(str.strip, lambda a: a in ALGORITHMS,
-                                             "one of " + ", ".join(ALGORITHMS))),
-                       help="comma list out of: " + ", ".join(ALGORITHMS))
-        p.add_argument("--B", type=_flag_list(_at_least(1)), default=[None],
-                       help="comma list of budgets (omit for unbudgeted algorithms)")
-        p.add_argument("--epsilons", type=_flag_list(_EPSILON), default=EPSILON_GRID,
-                       help="comma list (default 0.5,0.6,0.7,0.8,0.9)")
-    else:
-        p.add_argument("--algo", required=True, choices=ALGORITHMS)
-        p.add_argument("--B", type=_at_least(1), default=None)
-        p.add_argument("--epsilon", type=_EPSILON, default=None)
-    if grid:
-        p.add_argument("--data", required=True, action="append",
-                       help="LIBSVM path or synth: descriptor (repeatable)")
-    else:
-        p.add_argument("--data", required=True,
-                       help="LIBSVM path or synth:separable:... / synth:noisy:... descriptor")
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags that run and bench share, after each one's own."""
     p.add_argument("--sigma", type=_POSITIVE_FINITE, default=1.0,
                    help="Gaussian kernel width")
     p.add_argument("--U", type=_RADIUS, default=None,

@@ -82,45 +82,27 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
     """Parse LIBSVM sparse text into a Dataset, normalizing labels to +/-1.
 
     Lines as format_libsvm writes them take a bulk path (_bulk_line), and a
-    line whose index strings repeat the previous bulk line's reuses its
+    line whose index strings repeat the bulk line before it reuses its
     parsed indices; every other line goes through _parse_line, which gives
-    the same result or the same MalformedLine.  Every _CHUNK values the
-    lines read since the last flush go to flat arrays and at once into the
-    block (_Block), a row per example and as wide as the largest nonzero
-    index + 1 so far, so no more than a chunk of them is held, as Python
-    objects or as flat arrays.  SparseVector.adopt then keeps the block,
+    the same result or the same MalformedLine.  Each line goes to the block
+    (_Block.add), and every _CHUNK values the lines it holds go to flat
+    arrays and at once into the block, a row per example and as wide as the
+    largest nonzero index + 1 so far, so no more than a chunk of them is
+    held, as Python objects or as flat arrays.  SparseVector.adopt then keeps the block,
     uncopied (its values are finite and nonzero, the mapping's +0.0
     elsewhere).  A flush whose rows and width so far would pass
     _BLOCK_BYTES_LIMIT (_check_block), or that holds an index past
     np.intp, raises BlockTooLarge before any later line is read.
     """
     block = _Block(name or "input")
-    # Each line's label, indices and values since the last flush, nnz values in all.
-    labels: list[float] = []
-    cols: list[Sequence[int]] = []
-    vals: list[Sequence[float]] = []
-    nnz = 0
     keys: list[str] | None = None  # index strings of the last bulk line
-    indices: tuple[int, ...] = ()
+    indices: Sequence[int] = ()
     for lineno, line in enumerate(lines, start=1):
-        bulk = _bulk_line(line, keys, indices)
-        if bulk is not None:
-            label, keys, indices, values = bulk
-            line_cols = indices
-        else:
-            parsed = _parse_line(lineno, line)
-            if parsed is None:
-                continue
-            label, line_cols, values = parsed
-        labels.append(label)
-        cols.append(line_cols)
-        vals.append(values)
-        nnz += len(values)
-        if nnz >= _CHUNK:
-            block.append(labels, cols, vals, nnz)
-            labels, cols, vals, nnz = [], [], [], 0
-    block.append(labels, cols, vals, nnz)
-    del labels, cols, vals
+        parsed = _bulk_line(line, keys, indices) or _parse_line(lineno, line)
+        if parsed is not None:
+            label, keys, indices, values = parsed
+            block.add(label, indices, values)
+    block.flush()
     if not block.rows:
         raise NonBinaryLabels("empty dataset")
     ys = _normalize_labels(np.concatenate(block.labels))
@@ -130,7 +112,7 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
 
 
 class _Block:
-    """A parse's float64 block, grown in place a chunk of lines at a time.
+    """A parse's float64 block, grown in place a chunk of held lines at a time.
 
     Its rows x width entries are the front of one anonymous mapping, whose
     capacity doubles when they outgrow it (a resize, not a copy); the pages
@@ -144,13 +126,25 @@ class _Block:
         self.rows = self.width = 0
         self.labels: list[np.ndarray] = []
         self._buf = private_mapping(_CHUNK * 8, f"{name}: {_CHUNK} values")
+        self._labels: list[float] = []
+        self._cols: list[Sequence[int]] = []
+        self._vals: list[Sequence[float]] = []
+        self._nnz = 0
 
-    def append(self, labels: list[float], cols: list[Sequence[int]],
-               vals: list[Sequence[float]], nnz: int) -> None:
-        """Write a chunk of lines into the next rows, first checking the size."""
-        counts, at, values = _arrays(cols, vals, nnz, self.name)
+    def add(self, label: float, indices: Sequence[int], values: Sequence[float]) -> None:
+        """Hold one line, flushing the chunk once it reaches _CHUNK values."""
+        self._labels.append(label)
+        self._cols.append(indices)
+        self._vals.append(values)
+        self._nnz += len(values)
+        if self._nnz >= _CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write the held lines into the next rows, first checking the size."""
+        counts, at, values = _arrays(self._cols, self._vals, self._nnz, self.name)
         rows = self.rows + len(counts)
-        width = max(self.width, int(at.max()) + 1 if nnz else 0)
+        width = max(self.width, int(at.max()) + 1 if self._nnz else 0)
         _check_block(self.name, rows, width)
         if (nbytes := rows * width * 8) > len(self._buf):
             self._buf = private_mapping(max(nbytes, 2 * len(self._buf)),
@@ -162,7 +156,8 @@ class _Block:
         block = flat[:nbytes // 8].reshape(rows, width)
         block[np.repeat(np.arange(self.rows, rows), counts), at] = values
         self.rows, self.width = rows, width
-        self.labels.append(np.array(labels))
+        self.labels.append(np.array(self._labels))
+        self._labels, self._cols, self._vals, self._nnz = [], [], [], 0
 
     def array(self) -> np.ndarray:
         """The rows x width block, a view that keeps the mapping alive."""
@@ -248,11 +243,11 @@ def _bulk_line(line: str, keys: list[str] | None, indices: tuple[int, ...]):
 
 
 def _parse_line(lineno: int, line: str
-                ) -> tuple[float, list[int], list[float]] | None:
-    """(label, indices, values) of one line, None if it is blank or a comment.
+                ) -> tuple[float, None, list[int], list[float]] | None:
+    """(label, None, indices, values) of one line, None if it is blank or a comment.
 
-    Explicit zeros are dropped from indices and values, as SparseVector
-    drops them.
+    It has _bulk_line's shape, with None for the index strings.  Explicit
+    zeros are dropped from indices and values, as SparseVector drops them.
     """
     hash_pos = line.find("#")
     if hash_pos >= 0:
@@ -279,7 +274,7 @@ def _parse_line(lineno: int, line: str
         indices, values = check_pairs(pairs)
     except ValueError as e:
         raise MalformedLine(lineno, str(e)) from None
-    return label, indices, values
+    return label, None, indices, values
 
 
 def _normalize_labels(raw: np.ndarray) -> list[int]:
@@ -344,7 +339,9 @@ def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:
         raise ValueError(f"margin must be in (0, 1], got {margin}")
     name = f"synth-separable-T{T}-d{d}-m{margin:g}-s{seed}"
     _check_block(name, T, d)
-    u, center, noise_sd = _cluster(d, margin)
+    # u = 1/sqrt(d), the cluster centre's offset along u, and the noise sd.
+    root = math.sqrt(d)
+    u, center, noise_sd = 1.0 / root, (1.0 + margin) / 2.0, (1.0 - margin) / (4.0 * root)
     gen = SplitMix64(seed)
     spare = None
     examples: list[LabeledExample] = []
@@ -379,12 +376,6 @@ def synth_separable(T: int, d: int, margin: float, seed: int) -> Dataset:
         xs = SparseVector.adopt(coords)
         examples += [LabeledExample(x, label) for x, label in zip(xs, y.tolist())]
     return Dataset(examples, name=name)
-
-
-def _cluster(d: int, margin: float) -> tuple[float, float, float]:
-    """u = 1/sqrt(d), the cluster centre's offset along u, and the noise sd."""
-    root = math.sqrt(d)
-    return 1.0 / root, (1.0 + margin) / 2.0, (1.0 - margin) / (4.0 * root)
 
 
 def _draw(

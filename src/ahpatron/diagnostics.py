@@ -216,13 +216,6 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= _PARAM_RTOL * max(1.0, abs(a), abs(b))
 
 
-def _adaptive_rates(trace: RunTrace) -> np.ndarray:
-    """Per-round adaptive rates reconstructed from the margin log."""
-    counts = np.cumsum(trace.margins <= 0.0)
-    U = trace.config.U
-    return U / np.sqrt(U * U + counts)
-
-
 def check_perceptron_bound(
     trace: RunTrace,
     stream: Sequence[LabeledExample],
@@ -274,7 +267,9 @@ def check_avp_bound(
         _require(cfg.algorithm == AVP_ADAPTIVE, f"expected avp-adaptive, got {cfg.algorithm}")
         _require(math.isfinite(cfg.U), "adaptive-rate bound needs finite U")
         _require_in_ball(comparator, cfg.U)
-        rates = _adaptive_rates(trace)
+        U = cfg.U
+        # Per-round adaptive rates reconstructed from the margin log.
+        rates = U / np.sqrt(U * U + np.cumsum(trace.margins <= 0.0))
         max_rate = float(rates.max(initial=0.0))
         _require(
             max_rate / 2.0 < cfg.epsilon < 1.0,
@@ -283,7 +278,6 @@ def check_avp_bound(
         )
         low_conf = trace.triggered & (trace.margins > 0.0)
         delta = float(np.sum(rates[low_conf] / 2.0 - cfg.epsilon))
-        U = cfg.U
         q = max(loss + 2.0 * U * U + delta, 0.0)
         rhs = q + 9.0 * U * U + 3.0 * U * math.sqrt(q)
         return _mistake_report(

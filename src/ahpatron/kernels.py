@@ -79,12 +79,8 @@ class SparseVector:
         indices, values = check_pairs(pairs)
         block = np.zeros((1, indices[-1] + 1 if indices else 0))
         block[0, indices] = values
-        self._fill(*next(_rows(block)))
-
-    def _fill(self, row: np.ndarray, sq: float, width: int) -> None:
-        self._row = row
-        self._sq = sq
-        self._width = width
+        # The slots are the row, its squared norm and its width, as _rows gives them.
+        self._row, self._sq, self._width = next(_rows(block))
 
     @classmethod
     def adopt(cls, block: np.ndarray) -> list["SparseVector"]:
@@ -94,7 +90,7 @@ class SparseVector:
         out = []
         for state in _rows(block):
             v = cls.__new__(cls)
-            v._fill(*state)
+            v._row, v._sq, v._width = state
             out.append(v)
         return out
 
@@ -102,9 +98,8 @@ class SparseVector:
         return self._row, self._sq, self._width
 
     def __setstate__(self, state) -> None:
-        row, sq, width = state
-        row.flags.writeable = False  # an unpickled array comes back writable
-        self._fill(row, sq, width)
+        self._row, self._sq, self._width = state
+        self._row.flags.writeable = False  # an unpickled array comes back writable
 
     @property
     def width(self) -> int:

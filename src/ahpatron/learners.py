@@ -135,6 +135,8 @@ class LearnerConfig:
             raise ConfigError(f"{algo} requires a positive budget B")
         if algo in HALVING_ALGORITHMS and self.B % 2 != 0:
             raise ConfigError(f"{algo} requires an even budget, got B={self.B}")
+        if algo not in BUDGETED_ALGORITHMS and self.B is not None:
+            raise ConfigError(f"{algo} keeps no budget; B must stay None, got B={self.B}")
         if algo not in MARGIN_ALGORITHMS and math.isfinite(self.U):
             raise ConfigError(
                 f"{algo} never projects onto a norm ball; U must stay +inf"
@@ -180,7 +182,7 @@ class OnlineLearner:
         self._threshold = 1.0 - config.epsilon if margin_algo else 0.0
         self._rate = config.lam if margin_algo else 1.0
         self._adaptive = algo == AVP_ADAPTIVE
-        self._budget = config.B if algo in BUDGETED_ALGORITHMS else None
+        self._budget = config.B
         self._halving = algo in HALVING_ALGORITHMS
         self._evict_random = algo == BUDGET_RANDOM
 

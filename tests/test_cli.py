@@ -55,6 +55,21 @@ def test_run_rejects_odd_budget(capsys):
     assert "even" in capsys.readouterr().err
 
 
+def test_run_takes_a_fixed_sphere_ratio(tmp_path):
+    out = tmp_path / "run.csv"
+    code = main(["run", "--algo", "ahpatron", "--B", "8", "--ct", "fixed:0.6",
+                 "--data", SYNTH, "--out", str(out)])
+    assert code == 0
+    assert read_csv(out)[0]["ct_mode"] == "fixed:0.6"
+
+
+def test_run_drops_the_budget_of_an_unbudgeted_algorithm(monkeypatch):
+    code, configs = _recorded_configs(
+        monkeypatch, ["run", "--algo", "avp", "--B", "8", "--data", SYNTH])
+    assert code == 0
+    assert [c.B for c in configs] == [None]
+
+
 def test_run_rejects_missing_dataset():
     assert main(["run", "--algo", "perceptron", "--data", "/nonexistent.libsvm"]) == 1
 
@@ -387,6 +402,16 @@ def test_check_bounds_unknown_suite():
     assert main(["check-bounds", "--suite", "fermat", "--data", SYNTH]) == 1
 
 
+@pytest.mark.parametrize("limit, T", [("300", 300), ("0", 500)])
+def test_check_bounds_limit_truncates_the_stream(limit, T, tmp_path, capsys):
+    out = tmp_path / "bounds.json"
+    code = main(["check-bounds", "--suite", "all", "--limit", limit, "--format", "json",
+                 "--data", "synth:noisy:T=500,d=4,seed=2", "--out", str(out)])
+    assert code == 0
+    rows = json.loads(out.read_text())
+    assert rows and all(row["T"] == T for row in rows)
+
+
 def test_check_bounds_rejects_negative_limit(capsys):
     code = main(["check-bounds", "--suite", "removals", "--data", SYNTH,
                  "--limit", "-5"])
@@ -437,6 +462,7 @@ BAD_FLAGS = {
     "bench-epsilons-unused": ["bench", "--algos", "perceptron", "--epsilons", "5"],
     "run-ct-above-one": ["run", "--algo", "ahpatron", "--B", "8", "--ct", "fixed:1.5"],
     "run-ct-zero": ["run", "--algo", "ahpatron", "--B", "8", "--ct", "fixed:0"],
+    "run-ct-not-a-number": ["run", "--algo", "ahpatron", "--B", "8", "--ct", "fixed:abc"],
     "run-lambda-zero": ["run", "--algo", "ahpatron", "--B", "8", "--lambda", "0"],
     "check-bounds-epsilon": ["check-bounds", "--epsilon", "1"],
     "check-bounds-eta": ["check-bounds", "--eta", "0"],

@@ -62,6 +62,15 @@ def test_config_requires_budget():
         LearnerConfig("budget-oldest", SIGMA, B=0)
 
 
+@pytest.mark.parametrize("algo", ["perceptron", "avp", "avp-adaptive"])
+def test_config_refuses_a_budget_where_nothing_is_budgeted(algo):
+    # The learner would ignore B, and invariant_violations would check it.
+    U = 2.0 if algo == "avp-adaptive" else math.inf
+    LearnerConfig(algo, SIGMA, U=U)
+    with pytest.raises(ConfigError, match="B must stay None"):
+        LearnerConfig(algo, SIGMA, B=8, U=U)
+
+
 def test_config_epsilon_range():
     with pytest.raises(ConfigError):
         LearnerConfig("avp", SIGMA, epsilon=1.0)
@@ -844,7 +853,8 @@ def test_run_is_deterministic():
     assert run(cfg, ds.examples).same_as(run(cfg, ds.examples))
 
 
-@pytest.mark.parametrize("field", ["max_cache_drift", "final_cache_drift"])
+@pytest.mark.parametrize("field", ["max_cache_drift", "final_cache_drift",
+                                   "margins", "removal_distances"])
 def test_same_as_compares_every_field_but_elapsed(field):
     ds = synth_noisy(250, 4, 0.1, seed=2)
     trace = run(ahpatron_config(B=8, U=math.sqrt(8) / 2, eps=0.7), ds.examples)
