@@ -21,7 +21,6 @@ import os
 import statistics
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from .data import Dataset, format_libsvm, load_dataset, permute, synth_noisy, synth_separable
@@ -482,6 +481,10 @@ def cmd_bench(args) -> int:
     datasets = {spec: _load(spec) for spec in data_specs}
 
     if args.jobs > 1:
+        # Imported here: the pool's modules take ~1.4 MB that no other
+        # command needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs, initializer=_init_worker,
                                  initargs=(datasets,)) as pool:
             rows = _with_progress(len(tasks), pool.map(_worker_cell, tasks))

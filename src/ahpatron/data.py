@@ -105,7 +105,7 @@ def parse_libsvm(lines: Iterable[str], name: str = "") -> Dataset:
     block.flush()
     if not block.rows:
         raise NonBinaryLabels("empty dataset")
-    ys = _normalize_labels(np.concatenate(block.labels))
+    ys = block.labels()
     instances = SparseVector.adopt(block.array())
     examples = [LabeledExample(x, y) for x, y in zip(instances, ys)]
     return Dataset(examples, name=name)
@@ -117,14 +117,18 @@ class _Block:
     Its rows x width entries are the front of one anonymous mapping, whose
     capacity doubles when they outgrow it (a resize, not a copy); the pages
     past them are never written, so they take no memory.  A line wider
-    than the block restrides the rows already written (_restride), and the
-    raw labels are kept as one float64 array per chunk.
+    than the block restrides the rows already written (_restride).  Each
+    chunk's labels are kept as int8 codes into the distinct raw labels in
+    the order they first occur, or, from a third distinct value on, as
+    raw float64 labels for the error that labels() then raises.
     """
 
     def __init__(self, name: str):
         self.name = name
         self.rows = self.width = 0
-        self.labels: list[np.ndarray] = []
+        self._distinct: dict[float, None] = {}
+        self._codes: list[np.ndarray] = []
+        self._raw: list[np.ndarray] | None = None
         self._buf = private_mapping(_CHUNK * 8, f"{name}: {_CHUNK} values")
         self._labels: list[float] = []
         self._cols: list[Sequence[int]] = []
@@ -156,8 +160,40 @@ class _Block:
         block = flat[:nbytes // 8].reshape(rows, width)
         block[np.repeat(np.arange(self.rows, rows), counts), at] = values
         self.rows, self.width = rows, width
-        self.labels.append(np.array(self._labels))
+        self._keep_labels()
         self._labels, self._cols, self._vals, self._nnz = [], [], [], 0
+
+    def _keep_labels(self) -> None:
+        """Code the held labels, or keep them raw once they are not binary."""
+        if self._raw is None:
+            # A dict keeps the first of 0.0 and -0.0, as np.unique does.
+            self._distinct.update(dict.fromkeys(self._labels))
+            if len(self._distinct) <= 2:
+                code = {v: k for k, v in enumerate(self._distinct)}
+                self._codes.append(np.fromiter(map(code.__getitem__, self._labels),
+                                               np.int8, len(self._labels)))
+                return
+            values = np.array(list(self._distinct))
+            self._raw, self._codes = [values[c] for c in self._codes], []
+        self._raw.append(np.array(self._labels))
+
+    def labels(self) -> list[int]:
+        """Every row's label normalized to -1 or +1, as the module says."""
+        if self._raw is not None:
+            raw = np.concatenate(self._raw)
+            # Each distinct value, ascending, as it first occurs (-0.0 or 0.0).
+            distinct = raw[np.unique(raw, return_index=True)[1]].tolist()
+            raise NonBinaryLabels(
+                f"{len(distinct)} distinct label values: {distinct[:5]}...")
+        distinct = list(self._distinct)
+        if set(distinct) <= {-1.0, 1.0}:
+            signs = [int(v) for v in distinct]
+        elif len(distinct) == 2:
+            signs = [-1, 1] if distinct[0] < distinct[1] else [1, -1]
+        else:
+            raise NonBinaryLabels(
+                f"single label value {distinct[0]} with no -1/+1 interpretation")
+        return np.array(signs, np.int8)[np.concatenate(self._codes)].tolist()
 
     def array(self) -> np.ndarray:
         """The rows x width block, a view that keeps the mapping alive."""
@@ -275,20 +311,6 @@ def _parse_line(lineno: int, line: str
     except ValueError as e:
         raise MalformedLine(lineno, str(e)) from None
     return label, None, indices, values
-
-
-def _normalize_labels(raw: np.ndarray) -> list[int]:
-    # Each distinct value as it first occurs (-0.0 or 0.0), as a set keeps it.
-    distinct = raw[np.unique(raw, return_index=True)[1]].tolist()
-    if set(distinct) <= {-1.0, 1.0}:
-        return raw.astype(int).tolist()
-    if len(distinct) == 2:
-        return np.where(raw == distinct[0], -1, 1).tolist()
-    if len(distinct) == 1:
-        raise NonBinaryLabels(
-            f"single label value {distinct[0]} with no -1/+1 interpretation"
-        )
-    raise NonBinaryLabels(f"{len(distinct)} distinct label values: {distinct[:5]}...")
 
 
 def load_libsvm(path: str, name: str = "") -> Dataset:

@@ -1,10 +1,11 @@
 """Sparse instances, the Gaussian kernel's operand rows, and the dense kernel routine.
 
 Instances are immutable sparse vectors (sorted index/value pairs, explicit
-zeros dropped).  Every vector is stored as one read-only float64 row of a
-block, with its squared norm and width: a synthetic draw or a parsed file
-is one block (adopt), and a vector built from pairs is a one-row block.
-The row is the vector's dense row, and its only store.
+zeros dropped).  Every vector is a row of a read-only float64 block, and
+holds that block, its row index, and the row's squared norm and width: a
+synthetic draw or a parsed file is one block (adopt), and a vector built
+from pairs is a one-row block.  The row is the vector's dense row, and its
+only store; dense() hands out a fresh view of it.
 
 The kernel is the normalized Gaussian exp(-|x - x'|^2 / (2 sigma^2)),
 the only family: kappa(x, x) = 1, the unit diagonal the mistake bounds
@@ -64,23 +65,24 @@ class SparseVector:
     Explicit zeros in the input are dropped, so the all-zero vector is
     canonically empty and equality/hashing are well defined.
 
-    A vector is stored as one read-only float64 row of a block, with the
-    row's squared norm and width (last nonzero index + 1) computed when the
-    block is.  adopt takes a block of many vectors that its caller built to
-    that standard (a synthetic draw or a parsed file), and the constructor
-    makes a one-row block of the vector's width.  Equality, hashing and
-    repr read the row cut at the width, which holds no -0.0 or NaN.  A row
-    keeps its whole block alive.
+    A vector is a row of a read-only float64 block: it holds the block, its
+    row index, and the row's squared norm and width (last nonzero index +
+    1), computed when the block is; it holds no array of its own.  adopt
+    takes a block of many vectors that its caller built to that standard (a
+    synthetic draw or a parsed file), and the constructor makes a one-row
+    block of the vector's width.  Equality, hashing and repr read the row
+    cut at the width, which holds no -0.0 or NaN.  A vector keeps its whole
+    block alive, and a pickled list of vectors keeps one block.
     """
 
-    __slots__ = ("_row", "_sq", "_width")
+    __slots__ = ("_block", "_i", "_sq", "_width")
 
     def __init__(self, pairs: Iterable[tuple[int, float]] = ()):
         indices, values = check_pairs(pairs)
         block = np.zeros((1, indices[-1] + 1 if indices else 0))
         block[0, indices] = values
-        # The slots are the row, its squared norm and its width, as _rows gives them.
-        self._row, self._sq, self._width = next(_rows(block))
+        (sq,), (width,) = _norms_and_widths(block)
+        self._block, self._i, self._sq, self._width = block, 0, sq, width
 
     @classmethod
     def adopt(cls, block: np.ndarray) -> list["SparseVector"]:
@@ -88,18 +90,18 @@ class SparseVector:
         SparseVector(enumerate(row)); the block itself, unchecked and not
         copied, becomes the vectors' read-only store."""
         out = []
-        for state in _rows(block):
+        for i, (sq, width) in enumerate(zip(*_norms_and_widths(block))):
             v = cls.__new__(cls)
-            v._row, v._sq, v._width = state
+            v._block, v._i, v._sq, v._width = block, i, sq, width
             out.append(v)
         return out
 
     def __getstate__(self):
-        return self._row, self._sq, self._width
+        return self._block, self._i, self._sq, self._width
 
     def __setstate__(self, state) -> None:
-        self._row, self._sq, self._width = state
-        self._row.flags.writeable = False  # an unpickled array comes back writable
+        self._block, self._i, self._sq, self._width = state
+        self._block.flags.writeable = False  # an unpickled array comes back writable
 
     @property
     def width(self) -> int:
@@ -113,17 +115,17 @@ class SparseVector:
     def dense(self, dim: int) -> np.ndarray:
         """The read-only dense row of length ``dim``.
 
-        Up to the block's width this is the stored row or a view of it, cut
+        Up to the block's width this is a fresh view of the stored row, cut
         after the last nonzero; only a wider dim makes a zero-padded
         read-only copy.
         """
-        row = self._row
+        row = self._block[self._i]  # a view of a read-only block is read-only
         if dim == len(row):
             return row
         if dim < self._width:
             raise ValueError(f"dim {dim} < width {self._width}")
         if dim < len(row):
-            return row[:dim]  # a view of a read-only row is read-only
+            return row[:dim]
         out = np.zeros(dim)
         out[: len(row)] = row
         out.flags.writeable = False
@@ -144,11 +146,10 @@ class SparseVector:
         return f"SparseVector({{{inner}}})"
 
 
-def _rows(block: np.ndarray):
-    """Make a finite, signed-zero-free block read-only; return an iterator of
-    (row, squared norm, width) triples.  The squared norm is the row's
-    left-to-right sum of squares (+inf on overflow), the width its last
-    nonzero index + 1."""
+def _norms_and_widths(block: np.ndarray) -> tuple[list[float], list[int]]:
+    """Make a finite, signed-zero-free block read-only; return its rows'
+    squared norms and widths.  A squared norm is the row's left-to-right
+    sum of squares (+inf on overflow), a width its last nonzero index + 1."""
     block.flags.writeable = False
     n, d = block.shape
     sq = np.zeros(n)
@@ -158,7 +159,7 @@ def _rows(block: np.ndarray):
     # The narrowest dtype, so a wide block's ranks cost 1-4 bytes an entry.
     ranks = np.arange(1, d + 1, dtype=np.min_scalar_type(d))
     width = ((block != 0.0) * ranks).max(axis=1, initial=0)
-    return zip(block, sq.tolist(), width.tolist())
+    return sq.tolist(), width.tolist()
 
 
 # An anonymous mapping is shared across fork unless made private; a

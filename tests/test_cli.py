@@ -236,6 +236,22 @@ def test_bench_parallel_matches_serial_on_a_parsed_file(tmp_path):
     assert _rows_no_time(serial) == _rows_no_time(parallel)
 
 
+_POOL_MODULES = """
+import sys
+import ahpatron.cli
+print(sorted(m for m in ("concurrent.futures.process", "multiprocessing")
+             if m in sys.modules))
+"""
+
+
+def test_only_bench_jobs_loads_the_process_pool():
+    # The pool's modules (~1.4 MB resident) load with bench --jobs, not with
+    # the command line module every command and benchmark imports.
+    done = run_child(_POOL_MODULES, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_bench_prints_one_progress_line_per_cell(jobs, tmp_path, capsys):
     # Two cells, two stderr lines in task order, none on stdout.
